@@ -12,10 +12,11 @@ buyers. An id is bound to the physical party that first uses it, which stands
 in for signatures; buyers cannot tell false ids from real ones by inspection.
 
 A view is the subsequence of events an agent observes: everything addressed to
-it, everything broadcast, and its own sent messages. Per-view phase legality
-(no commits after that view's end-of-commitment, no reveals before it) is
-enforced on delivery; a strategy that breaks the message grammar aborts the
-run, which separates grammar violations from safe deviations.
+it, everything broadcast, and its own sent messages (view_members). Per-view
+phase legality (next_phase: no commits after that view's end-of-commitment, no
+reveals before it) is enforced on delivery; a strategy that breaks the message
+grammar aborts the run, which separates grammar violations from safe
+deviations. The view-consistency checker judges views by the same two rules.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "ModeError",
     "SpoofingError",
     "ProtocolViolation",
+    "next_phase",
+    "view_members",
 ]
 
 AUCTIONEER = 0
@@ -110,7 +113,29 @@ class CollateralNotice:
 
 Payload = Union[CommitMsg, EndCommit, RevealMsg, EndReveal, OutcomeNotice, CollateralNotice]
 
-_PHASE_COMMIT, _PHASE_REVEAL, _PHASE_DONE = 0, 1, 2
+PHASE_COMMIT, PHASE_REVEAL, PHASE_DONE = 0, 1, 2
+
+# The phase grammar of one view. Payload type (for collateral notices, their
+# kind) -> (the one phase it is legal in, the phase after it).
+_GRAMMAR = {
+    CommitMsg: (PHASE_COMMIT, PHASE_COMMIT),
+    "deposit": (PHASE_COMMIT, PHASE_COMMIT),
+    EndCommit: (PHASE_COMMIT, PHASE_REVEAL),
+    RevealMsg: (PHASE_REVEAL, PHASE_REVEAL),
+    EndReveal: (PHASE_REVEAL, PHASE_DONE),
+    OutcomeNotice: (PHASE_DONE, PHASE_DONE),
+    "refund": (PHASE_DONE, PHASE_DONE),
+    "transfer": (PHASE_DONE, PHASE_DONE),
+}
+
+
+def next_phase(phase: int, payload: Payload) -> Optional[int]:
+    """A view's phase after `payload`, or None when `payload` is illegal in `phase`.
+
+    Every view starts in PHASE_COMMIT, and a complete one ends in PHASE_DONE.
+    """
+    rule = _GRAMMAR.get(payload.kind if isinstance(payload, CollateralNotice) else type(payload))
+    return rule[1] if rule is not None and rule[0] == phase else None
 
 
 @dataclass(frozen=True)
@@ -127,6 +152,32 @@ class View:
 
     agent: int
     events: tuple
+
+
+def view_members(event: Event, n_buyers: int):
+    """The buyers whose view contains `event`: every buyer for a broadcast,
+    otherwise the buyer it is addressed to and the buyer who sent it."""
+    if event.recipient is None:
+        return range(1, n_buyers + 1)
+    members = [event.recipient] if 1 <= event.recipient <= n_buyers else []
+    if 1 <= event.sender <= n_buyers and event.sender != event.recipient:
+        members.append(event.sender)
+    return members
+
+
+def _buyer_views(events, n_buyers: int) -> dict[int, View]:
+    """Every buyer's view, from one pass over the events."""
+    selected = {i: [] for i in range(1, n_buyers + 1)}
+    for event in events:
+        for buyer in view_members(event, n_buyers):
+            selected[buyer].append(event)
+    return {i: View(agent=i, events=tuple(seen)) for i, seen in selected.items()}
+
+
+def _buyer_view(events, n_buyers: int, agent: int) -> View:
+    if agent not in range(1, n_buyers + 1):
+        raise ValueError(f"no buyer {agent!r}: buyer views are defined for ids 1..{n_buyers}")
+    return _buyer_views(events, n_buyers)[agent]
 
 
 def _payload_json(p: Payload) -> dict:
@@ -159,7 +210,7 @@ class Channel:
         self._clock = 0
         self._owners: dict[int, int] = {AUCTIONEER: AUCTIONEER}
         self._owners.update({i: i for i in range(1, n_buyers + 1)})
-        self._phase: dict[int, int] = {i: _PHASE_COMMIT for i in range(1, n_buyers + 1)}
+        self._phase: dict[int, int] = {i: PHASE_COMMIT for i in range(1, n_buyers + 1)}
 
     # -- identity -----------------------------------------------------------
 
@@ -178,44 +229,13 @@ class Channel:
 
     # -- delivery -----------------------------------------------------------
 
-    def _views_hit(self, event: Event) -> list[int]:
-        if event.recipient is None:
-            return list(range(1, self.n_buyers + 1))
-        hit = []
-        if 1 <= event.recipient <= self.n_buyers:
-            hit.append(event.recipient)
-        if 1 <= event.sender <= self.n_buyers and event.sender != event.recipient:
-            hit.append(event.sender)
-        return hit
-
-    def _enforce_phase(self, buyer: int, payload: Payload) -> None:
-        phase = self._phase[buyer]
-        if isinstance(payload, CommitMsg):
-            if phase != _PHASE_COMMIT:
-                raise ProtocolViolation(f"commit after end-of-commitment in view {buyer}")
-        elif isinstance(payload, EndCommit):
-            if phase != _PHASE_COMMIT:
-                raise ProtocolViolation(f"duplicate end-of-commitment in view {buyer}")
-            self._phase[buyer] = _PHASE_REVEAL
-        elif isinstance(payload, RevealMsg):
-            if phase != _PHASE_REVEAL:
-                raise ProtocolViolation(f"reveal outside revelation phase in view {buyer}")
-        elif isinstance(payload, EndReveal):
-            if phase != _PHASE_REVEAL:
-                raise ProtocolViolation(f"end-of-revelation outside revelation in view {buyer}")
-            self._phase[buyer] = _PHASE_DONE
-        elif isinstance(payload, OutcomeNotice):
-            if phase != _PHASE_DONE:
-                raise ProtocolViolation(f"outcome announced before end-of-revelation in view {buyer}")
-        elif isinstance(payload, CollateralNotice):
-            want = _PHASE_COMMIT if payload.kind == "deposit" else _PHASE_DONE
-            if phase != want:
-                raise ProtocolViolation(f"collateral {payload.kind} out of phase in view {buyer}")
-
     def _append(self, sender: int, recipient: Optional[int], payload: Payload) -> Event:
         event = Event(t=self._clock, sender=sender, recipient=recipient, payload=payload)
-        for buyer in self._views_hit(event):
-            self._enforce_phase(buyer, payload)
+        for buyer in view_members(event, self.n_buyers):
+            phase = next_phase(self._phase[buyer], payload)
+            if phase is None:
+                raise ProtocolViolation(f"{type(payload).__name__} out of phase in view {buyer}")
+            self._phase[buyer] = phase
         self._clock += 1
         self.events.append(event)
         return event
@@ -242,14 +262,12 @@ class Channel:
     # -- inspection ----------------------------------------------------------
 
     def view(self, agent: int) -> View:
-        if agent == AUCTIONEER:
-            selected = [e for e in self.events
-                        if e.recipient in (None, AUCTIONEER) or e.sender == AUCTIONEER
-                        or self._owners.get(e.sender) == AUCTIONEER]
-        else:
-            selected = [e for e in self.events
-                        if e.recipient is None or e.recipient == agent or e.sender == agent]
-        return View(agent=agent, events=tuple(selected))
+        if agent != AUCTIONEER:
+            return _buyer_view(self.events, self.n_buyers, agent)
+        return View(agent=agent, events=tuple(
+            e for e in self.events
+            if e.recipient in (None, AUCTIONEER) or e.sender == AUCTIONEER
+            or self._owners.get(e.sender) == AUCTIONEER))
 
     def broadcast_log(self) -> tuple:
         return tuple(e for e in self.events if e.recipient is None)
@@ -265,14 +283,10 @@ class Transcript:
     scheme: object
 
     def view(self, agent: int) -> View:
-        if agent == AUCTIONEER:
-            raise ValueError("views are defined for buyers; the transcript is the auctioneer's view")
-        selected = [e for e in self.events
-                    if e.recipient is None or e.recipient == agent or e.sender == agent]
-        return View(agent=agent, events=tuple(selected))
+        return _buyer_view(self.events, self.n_buyers, agent)
 
     def buyer_views(self) -> dict[int, View]:
-        return {i: self.view(i) for i in range(1, self.n_buyers + 1)}
+        return _buyer_views(self.events, self.n_buyers)
 
     def dump_jsonl(self) -> str:
         """One JSON object per event, stable field order, for golden files."""

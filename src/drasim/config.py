@@ -21,8 +21,8 @@ from .distributions import (
     reserve_price,
     strong_regularity_alpha,
 )
+from .estimators import sample_values
 from .protocol import AuctionConfig
-from .seeding import chunk_uniforms, derive_seed
 from .strategies import (
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
@@ -68,11 +68,18 @@ def _expect_keys(obj: dict, allowed: set, where: str) -> None:
 
 
 def _expect_number(obj, where: str, minimum: Optional[float] = None) -> float:
+    # json reads NaN, Infinity and -Infinity, and integers too large for a float
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ConfigError(f"{where} must be a number, got {obj!r}")
-    if minimum is not None and obj < minimum:
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {obj!r}")
+    if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {obj}")
-    return float(obj)
+    return value
 
 
 def _expect_int(obj, where: str, minimum: Optional[int] = None) -> int:
@@ -118,6 +125,9 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"buyers[{i}].kind must be truthful|fixed|no_reveal, got {kind!r}")
             if kind == "fixed" and "bid" not in buyer:
                 raise ConfigError(f"buyers[{i}] of kind 'fixed' requires a 'bid'")
+            for key in ("value", "bid"):
+                if key in buyer:
+                    _expect_number(buyer[key], f"buyers[{i}].{key}")
     if "auctioneer" in cfg:
         _validate_auctioneer(cfg["auctioneer"], "auctioneer")
     if "thresholds" in cfg:
@@ -156,8 +166,10 @@ def _validate_auctioneer(spec: dict, where: str) -> None:
         policy = spec.get("reveal_policy", "always")
         if policy not in _REVEAL_POLICIES:
             raise ConfigError(f"{where}.reveal_policy must be one of {sorted(_REVEAL_POLICIES)}")
-    if kind == "adaptive" and "threshold" not in spec:
-        raise ConfigError(f"{where} of kind 'adaptive' requires a 'threshold'")
+    if kind == "adaptive":
+        if "threshold" not in spec:
+            raise ConfigError(f"{where} of kind 'adaptive' requires a 'threshold'")
+        _expect_number(spec["threshold"], f"{where}.threshold")
     if kind == "lifted":
         inner = spec.get("inner")
         if inner is None:
@@ -233,8 +245,7 @@ class ExperimentSetup:
             specs = [{"kind": "truthful"}] * self.n
         if len(specs) != self.n:
             raise ConfigError(f"buyers list has {len(specs)} entries but n={self.n}")
-        u = chunk_uniforms(derive_seed(self.seed, "values"), 0, 1, self.n)[0]
-        sampled = self.dist.quantile(u)
+        sampled = sample_values(self.dist, self.n, self.seed)
         out = []
         for i, spec in enumerate(specs):
             value = float(spec.get("value", sampled[i]))

@@ -69,6 +69,7 @@ __all__ = [
     "attack_sweep",
     "AttackRow",
     "simulate_profile_net",
+    "sample_values",
 ]
 
 MIN_SAMPLES = 1_000
@@ -154,6 +155,12 @@ def simulate_profile_net(config: AuctionConfig, strategy, values_row: Sequence[f
 
 def _value_stream_seed(seed: int) -> int:
     return derive_seed(seed, "values")
+
+
+def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
+    """The first value profile of the seed's stream (profile 0 of every estimate)."""
+    u = chunk_uniforms(_value_stream_seed(seed), 0, 1, n)[0]
+    return [float(v) for v in np.atleast_1d(dist.quantile(u))]
 
 
 def _iter_profile_chunks(dist: ValueDistribution, n: int, samples: int, seed: int):

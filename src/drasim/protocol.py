@@ -281,6 +281,28 @@ class AuctionGame:
     def buyer_ids(self) -> list[int]:
         return sorted(self.buyers)
 
+    def _buyer_send(self, i: int, payload) -> None:
+        """Buyer i's message: broadcast, or privately to the auctioneer."""
+        if self.mode == "broadcast":
+            self.channel.broadcast(i, payload)
+        else:
+            self.channel.private_send(i, AUCTIONEER, payload)
+
+    def _auctioneer_send(self, payload, to: Optional[Sequence[int]] = None,
+                         sender: int = AUCTIONEER, per_buyer: Optional[dict] = None) -> None:
+        """An auctioneer-side message under id `sender` (itself or a false buyer).
+
+        Broadcast mode sends `payload` once to everyone. Centralized mode sends
+        one private copy to each buyer in `to` (default: all of them), or that
+        buyer's entry of `per_buyer` where it has one.
+        """
+        if self.mode == "broadcast":
+            self.channel.broadcast(sender, payload, physical=AUCTIONEER)
+        else:
+            per_buyer = per_buyer or {}
+            for recipient in (to if to is not None else self.buyer_ids):
+                self.channel.private_send(AUCTIONEER, recipient, per_buyer.get(recipient, payload))
+
     # -- commitment phase ----------------------------------------------------
 
     def buyer_commit(self, i: int) -> CommitMsg:
@@ -292,10 +314,7 @@ class AuctionGame:
         self.openings[i] = opening
         self.commitments[i] = commitment
         msg = CommitMsg(bidder=i, commitment=commitment)
-        if self.mode == "broadcast":
-            self.channel.broadcast(i, msg)
-        else:
-            self.channel.private_send(i, AUCTIONEER, msg)
+        self._buyer_send(i, msg)
         self.channel.notify(AUCTIONEER,
                             CollateralNotice(party=i, amount=self.config.collateral,
                                              kind="deposit"),
@@ -316,22 +335,14 @@ class AuctionGame:
 
     def publish_false_commit(self, fid: int, to: Optional[Sequence[int]] = None) -> None:
         msg = CommitMsg(bidder=fid, commitment=self.commitments[fid])
-        if self.mode == "broadcast":
-            self.channel.broadcast(fid, msg, physical=AUCTIONEER)
-        else:
-            for recipient in (to if to is not None else self.buyer_ids):
-                self.channel.private_send(AUCTIONEER, recipient, msg)
+        self._auctioneer_send(msg, to, sender=fid)
 
     def forward(self, payload, to: int) -> None:
         """Centralized-mode forwarding of a buyer message by the auctioneer."""
         self.channel.private_send(AUCTIONEER, to, payload)
 
     def end_commit(self, to: Optional[Sequence[int]] = None) -> None:
-        if self.mode == "broadcast":
-            self.channel.broadcast(AUCTIONEER, EndCommit())
-        else:
-            for recipient in (to if to is not None else self.buyer_ids):
-                self.channel.private_send(AUCTIONEER, recipient, EndCommit())
+        self._auctioneer_send(EndCommit(), to)
 
     # -- revelation phase ------------------------------------------------------
 
@@ -342,10 +353,7 @@ class AuctionGame:
             return None
         opening = self.openings[i]
         msg = RevealMsg(bidder=i, opening=opening)
-        if self.mode == "broadcast":
-            self.channel.broadcast(i, msg)
-        else:
-            self.channel.private_send(i, AUCTIONEER, msg)
+        self._buyer_send(i, msg)
         self.revealed[i] = opening
         return msg
 
@@ -355,21 +363,13 @@ class AuctionGame:
         (a per-view story rather than a physically counted opening)."""
         opening = self.openings[fid]
         msg = RevealMsg(bidder=fid, opening=opening)
-        if self.mode == "broadcast":
-            self.channel.broadcast(fid, msg, physical=AUCTIONEER)
-        else:
-            for recipient in (to if to is not None else self.buyer_ids):
-                self.channel.private_send(AUCTIONEER, recipient, msg)
+        self._auctioneer_send(msg, to, sender=fid)
         if count:
             self.revealed[fid] = opening
         return msg
 
     def end_reveal(self, to: Optional[Sequence[int]] = None) -> None:
-        if self.mode == "broadcast":
-            self.channel.broadcast(AUCTIONEER, EndReveal())
-        else:
-            for recipient in (to if to is not None else self.buyer_ids):
-                self.channel.private_send(AUCTIONEER, recipient, EndReveal())
+        self._auctioneer_send(EndReveal(), to)
 
     # -- resolution ------------------------------------------------------------
 
@@ -418,13 +418,8 @@ class AuctionGame:
         if self._outcome is not None:
             raise ProtocolViolation("run already finalized")
         self._outcome = outcome
-        default = OutcomeNotice(winner=outcome.winner, price=outcome.sale_price)
-        if self.mode == "broadcast":
-            self.channel.broadcast(AUCTIONEER, default)
-        else:
-            for i in self.buyer_ids:
-                notice = (notices or {}).get(i, default)
-                self.channel.private_send(AUCTIONEER, i, notice)
+        self._auctioneer_send(OutcomeNotice(winner=outcome.winner, price=outcome.sale_price),
+                              per_buyer=notices)
         for entry in outcome.ledger:
             if entry.depositor in self.false_ids:
                 continue

@@ -32,14 +32,16 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .channels import (
+    PHASE_COMMIT,
+    PHASE_DONE,
     CollateralNotice,
     CommitMsg,
     EndCommit,
-    EndReveal,
     OutcomeNotice,
     RevealMsg,
     Transcript,
     View,
+    next_phase,
 )
 from .protocol import AuctionConfig, AuctionGame, Outcome
 
@@ -58,6 +60,7 @@ __all__ = [
     "lift_to_centralized",
     "reveal_dominant_variant",
     "check_view_consistency",
+    "summary_is_consistent",
     "view_summary",
     "ViewSummary",
     "commit_phase_payloads",
@@ -394,7 +397,11 @@ class AdaptiveReserve:
 
 @dataclass(frozen=True)
 class ViewSummary:
-    """What one buyer can reconstruct from its own transcript."""
+    """What one buyer can reconstruct from its own transcript.
+
+    Where an id commits or opens twice, or a second notice arrives, the later
+    event wins; such a view is not well-formed.
+    """
 
     agent: int
     own_bid: Optional[float]          # None if the buyer never opened on-channel
@@ -405,40 +412,49 @@ class ViewSummary:
     deposits: tuple
     refunds: tuple
     transfers: tuple
+    openings: dict                    # id -> the Opening it revealed
+    # the phase grammar held to the end of revelation, with one commitment per
+    # id, at most one opening per id and only of committed ids, and one notice
+    well_formed: bool
 
 
 def view_summary(view: View, config: AuctionConfig) -> ViewSummary:
-    commits = {}
-    revealed = {}
-    notice = None
-    deposits, refunds, transfers = [], [], []
+    """Parse one buyer's view in one pass; summary_is_consistent judges the result."""
+    phase = PHASE_COMMIT  # None once the grammar is broken
+    well_formed = True
+    commits: dict[int, object] = {}
+    openings: dict[int, object] = {}
+    notice: Optional[OutcomeNotice] = None
+    money = {"deposit": [], "refund": [], "transfer": []}
     for event in view.events:
         p = event.payload
+        if phase is not None:
+            phase = next_phase(phase, p)
         if isinstance(p, CommitMsg):
+            well_formed = well_formed and p.bidder not in commits
             commits[p.bidder] = p.commitment
         elif isinstance(p, RevealMsg):
-            revealed[p.bidder] = p.opening.message
+            well_formed = well_formed and p.bidder in commits and p.bidder not in openings
+            openings[p.bidder] = p.opening
         elif isinstance(p, OutcomeNotice):
+            well_formed = well_formed and notice is None
             notice = p
-        elif isinstance(p, CollateralNotice):
-            if p.kind == "deposit":
-                deposits.append(p)
-            elif p.kind == "refund":
-                refunds.append(p)
-            elif p.kind == "transfer":
-                transfers.append(p)
+        elif isinstance(p, CollateralNotice) and p.kind in money:
+            money[p.kind].append(p)
+    revealed = {bidder: opening.message for bidder, opening in openings.items()}
     competing = [bid for bidder, bid in revealed.items() if bidder != view.agent]
-    beta = max([config.reserve] + competing)
     return ViewSummary(
         agent=view.agent,
         own_bid=revealed.get(view.agent),
-        beta=beta,
+        beta=max([config.reserve] + competing),
         notice=notice,
         commits=commits,
         revealed_bids=revealed,
-        deposits=tuple(deposits),
-        refunds=tuple(refunds),
-        transfers=tuple(transfers),
+        deposits=tuple(money["deposit"]),
+        refunds=tuple(money["refund"]),
+        transfers=tuple(money["transfer"]),
+        openings=openings,
+        well_formed=well_formed and phase == PHASE_DONE and notice is not None,
     )
 
 
@@ -456,59 +472,21 @@ def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
     Only the buyer's own allocation and money are validated; announcements
     about other buyers are not verifiable from a single view.
     """
-    agent = view.agent
-    phase = 0  # 0 commit, 1 reveal, 2 done
-    commits: dict[int, object] = {}
-    revealed: dict[int, float] = {}
-    notice: Optional[OutcomeNotice] = None
-    deposits, refunds, transfers = [], [], []
-    for event in view.events:
-        p = event.payload
-        if isinstance(p, CommitMsg):
-            if phase != 0 or p.bidder in commits:
-                return False
-            commits[p.bidder] = p.commitment
-        elif isinstance(p, EndCommit):
-            if phase != 0:
-                return False
-            phase = 1
-        elif isinstance(p, RevealMsg):
-            if phase != 1 or p.bidder not in commits or p.bidder in revealed:
-                return False
-            if not scheme.verify(commits[p.bidder], p.opening):
-                return False
-            revealed[p.bidder] = p.opening.message
-        elif isinstance(p, EndReveal):
-            if phase != 1:
-                return False
-            phase = 2
-        elif isinstance(p, OutcomeNotice):
-            if phase != 2 or notice is not None:
-                return False
-            notice = p
-        elif isinstance(p, CollateralNotice):
-            if p.kind == "deposit":
-                if phase != 0:
-                    return False
-                deposits.append(p)
-            elif p.kind == "refund":
-                if phase != 2:
-                    return False
-                refunds.append(p)
-            elif p.kind == "transfer":
-                if phase != 2:
-                    return False
-                transfers.append(p)
-            else:
-                return False
-    if phase != 2 or notice is None:
+    return summary_is_consistent(view_summary(view, config), config, scheme)
+
+
+def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -> bool:
+    """check_view_consistency on a view that view_summary has already parsed."""
+    agent, notice, commits, revealed = (summary.agent, summary.notice, summary.commits,
+                                        summary.revealed_bids)
+    if not summary.well_formed or agent not in commits:
         return False
-    if agent not in commits:
+    if not all(scheme.verify(commits[bidder], opening)
+               for bidder, opening in summary.openings.items()):
         return False
 
-    own_bid = revealed.get(agent)
+    own_bid, beta = summary.own_bid, summary.beta
     competing = [bid for bidder, bid in revealed.items() if bidder != agent]
-    beta = max([config.reserve] + competing)
 
     if own_bid is not None and own_bid > beta + _PRICE_TOL:
         if notice.winner != agent or abs(notice.price - beta) > _PRICE_TOL:
@@ -524,10 +502,10 @@ def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
             return False
 
     # Own money: one deposit of the posted amount during the commitment phase.
-    own_deposits = [d for d in deposits if d.party == agent]
+    own_deposits = [d for d in summary.deposits if d.party == agent]
     if len(own_deposits) != 1 or abs(own_deposits[0].amount - config.collateral) > _PRICE_TOL:
         return False
-    own_refunds = [r for r in refunds if r.party == agent]
+    own_refunds = [r for r in summary.refunds if r.party == agent]
     if own_bid is not None and len(own_refunds) != 1:
         return False
     if own_bid is None and own_refunds:
@@ -535,7 +513,7 @@ def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
     if any(abs(r.amount - config.collateral) > _PRICE_TOL for r in own_refunds):
         return False
 
-    own_transfers = [t for t in transfers if t.party == agent]
+    own_transfers = [t for t in summary.transfers if t.party == agent]
     if own_transfers:
         unrevealed = set(commits) - set(revealed)
         sources = [t.counterparty for t in own_transfers]
@@ -551,9 +529,10 @@ def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
         comp_max = max(competing, default=-math.inf)
         if own_bid < comp_max - _PRICE_TOL:
             return False
-        if abs(own_bid - comp_max) <= _PRICE_TOL:
-            tied = [b for b, bid in revealed.items()
-                    if b != agent and abs(bid - comp_max) <= _PRICE_TOL]
+        # A tie is an exact one, as in the resolution rule: bids a hair apart
+        # are not tied, and the higher one is the candidate.
+        if own_bid == comp_max:
+            tied = [b for b, bid in revealed.items() if b != agent and bid == comp_max]
             if tied and min(tied) < agent:
                 return False
     elif notice.winner == agent:

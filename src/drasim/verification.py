@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .channels import RevealMsg
 from .distributions import (
     Exponential,
     GeneralizedPareto,
@@ -33,6 +34,7 @@ from .estimators import (
     estimate_myerson_gap,
     estimate_paired_difference,
     estimate_revenue,
+    sample_values,
 )
 from .protocol import (
     MONEY_TOL,
@@ -42,7 +44,7 @@ from .protocol import (
     conservation_residual,
     run_auction,
 )
-from .seeding import chunk_uniforms, derive_seed
+from .seeding import derive_seed
 from .strategies import (
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
@@ -52,9 +54,9 @@ from .strategies import (
     Lifted,
     ShillBroadcast,
     Truthful,
-    check_view_consistency,
     commit_phase_payloads,
     false_commit_payloads,
+    summary_is_consistent,
     view_summary,
 )
 
@@ -73,12 +75,6 @@ class VerifyCheck:
     name: str
     passed: bool
     detail: str
-
-
-def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
-    """The first value profile of the seed's stream (shared with estimators)."""
-    u = chunk_uniforms(derive_seed(seed, "values"), 0, 1, n)[0]
-    return [float(v) for v in np.atleast_1d(dist.quantile(u))]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +106,6 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
     if abs(residual) > MONEY_TOL:
         violations.append(f"money conservation residual {residual}")
     if outcome.winner is not None:
-        from .channels import RevealMsg
         bids = {e.payload.bidder: e.payload.opening.message
                 for e in transcript.events if isinstance(e.payload, RevealMsg)}
         if outcome.winner not in outcome.revealed:
@@ -123,20 +118,21 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
             if abs(outcome.sale_price - want) > MONEY_TOL:
                 violations.append(
                     f"price {outcome.sale_price} != max(reserve, runner-up) {want}")
-    views = transcript.buyer_views()
     candidates = []
-    for i, view in views.items():
+    for i, view in transcript.buyer_views().items():
         summary = view_summary(view, config)
-        bid = float(buyers[i - 1].bid())
-        if bid > summary.beta:
-            candidates.append(i)
-            if buyers[i - 1].reveals():
+        # The resolution rule's candidate comes from revealed bids only, so a
+        # buyer who withholds is never one, whatever it committed to.
+        if buyers[i - 1].reveals():
+            bid = float(buyers[i - 1].bid())
+            if bid > summary.beta:
+                candidates.append(i)
                 notice = summary.notice
                 if notice is None or notice.winner != i or abs(notice.price - summary.beta) > 1e-9:
                     violations.append(
                         f"buyer {i}: bid {bid} above beta {summary.beta} but notice {notice}"
                     )
-        if not check_view_consistency(view, config, transcript.scheme):
+        if not summary_is_consistent(summary, config, transcript.scheme):
             violations.append(f"buyer {i}: view fails consistency check")
     if len(candidates) > 1:
         violations.append(f"single-candidate violated: {candidates}")
@@ -199,32 +195,23 @@ def _bound_families():
     return out
 
 
-def _check_tail_bounds() -> VerifyCheck:
-    cases = failures = 0
-    for dist, alpha_max in _bound_families():
-        r = reserve_price(dist)
-        for alpha in _ALPHAS:
-            if alpha > alpha_max + 1e-12:
-                continue
-            for mult in _PRICE_MULTIPLES:
-                cases += 1
-                if not check_tail_bound(dist, alpha, mult * r).holds:
-                    failures += 1
-    return VerifyCheck("tail_bound", failures == 0, f"{cases} cases, {failures} failures")
-
-
-def _check_posted_price_bounds() -> VerifyCheck:
-    cases = failures = 0
-    for dist, alpha_max in _bound_families():
-        r = reserve_price(dist)
-        for alpha in _ALPHAS:
-            if alpha > alpha_max + 1e-12:
-                continue
-            for mult in _PRICE_MULTIPLES:
-                cases += 1
-                if not check_posted_price_bound(dist, alpha, mult * r).holds:
-                    failures += 1
-    return VerifyCheck("posted_price_bound", failures == 0, f"{cases} cases, {failures} failures")
+def _check_price_bounds() -> list:
+    """The tail and posted-price inequality grids, one check each."""
+    checks = []
+    for name, check in (("tail_bound", check_tail_bound),
+                        ("posted_price_bound", check_posted_price_bound)):
+        cases = failures = 0
+        for dist, alpha_max in _bound_families():
+            r = reserve_price(dist)
+            for alpha in _ALPHAS:
+                if alpha > alpha_max + 1e-12:
+                    continue
+                for mult in _PRICE_MULTIPLES:
+                    cases += 1
+                    if not check(dist, alpha, mult * r).holds:
+                        failures += 1
+        checks.append(VerifyCheck(name, failures == 0, f"{cases} cases, {failures} failures"))
+    return checks
 
 
 def _check_conditional_bounds(samples: int, seed: int) -> VerifyCheck:
@@ -449,8 +436,7 @@ def run_verification(setup) -> list:
     dominance_samples = int(opts.get("dominance_samples", mc))
     checks = [
         _check_reserve_and_alpha(),
-        _check_tail_bounds(),
-        _check_posted_price_bounds(),
+        *_check_price_bounds(),
         _check_conditional_bounds(mc, seed),
         _check_optimality(opt_samples, seed),
         _check_myerson_identity(mc, seed),

@@ -91,6 +91,22 @@ def test_centralized_visibility():
     assert ch.view(3).events == ()                            # third party sees nothing
 
 
+def test_buyer_views_need_a_buyer_id():
+    ch = fresh_channel("centralized")
+    ch.private_send(1, AUCTIONEER, commit_msg(1))
+    dist = Exponential(1.0)
+    config = AuctionConfig(n=3, dist=dist, reserve=reserve_price(dist), collateral=1.0,
+                           mode="broadcast", seed=0)
+    _, transcript = run_auction(config, [Truthful(2.0), Truthful(0.7), Truthful(1.4)],
+                                Honest())
+    for view, agents in ((ch.view, (None, 4, -1)), (transcript.view, (None, 0, 4, -1))):
+        for agent in agents:
+            with pytest.raises(ValueError):
+                view(agent)
+    assert ch.view(AUCTIONEER).events == tuple(ch.events)  # the auctioneer keeps its view
+    assert transcript.buyer_views() == {i: transcript.view(i) for i in (1, 2, 3)}
+
+
 def test_phase_grammar_commit_after_end():
     ch = fresh_channel()
     ch.broadcast(1, commit_msg(1))

@@ -50,7 +50,17 @@ def test_unknown_nested_keys_rejected():
 def test_bad_values_rejected():
     for bad in [{"n": 0}, {"mode": "mesh"}, {"scheme": "rsa"}, {"samples": 0},
                 {"seed": -1}, {"collateral": -2.0}, {"engine": "gpu"},
-                {"thresholds": []}, {"deviation_quantiles": [1.5]}]:
+                {"thresholds": []}, {"deviation_quantiles": [1.5]},
+                {"collateral": float("inf")}, {"collateral": 10**400},
+                {"alpha": float("nan")}, {"thresholds": [float("nan")]},
+                {"thresholds": [float("-inf")]},
+                {"auctioneer": {"kind": "adaptive", "threshold": float("nan")}},
+                {"auctioneer": {"kind": "adaptive", "threshold": float("inf")}},
+                {"auctioneer": {"kind": "adaptive", "threshold": "5"}},
+                {"buyers": [{"kind": "truthful", "value": float("nan")},
+                            {"kind": "truthful"}]},
+                {"buyers": [{"kind": "fixed", "value": 1.0, "bid": float("inf")},
+                            {"kind": "truthful"}]}]:
         with pytest.raises(ConfigError):
             validate_config({**BASE, **bad})
     with pytest.raises(ConfigError):

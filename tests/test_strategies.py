@@ -245,9 +245,11 @@ def _tamper(view, index, payload):
 
 
 def test_checker_rejects_wrong_winner_price():
-    config, out, transcript = honest_run(seed=4)
+    config, out, transcript = honest_run(seed=5)
     winner = out.winner
+    assert winner == 3  # a seed that sells, so the tampered notice is the only flaw
     view = transcript.view(winner)
+    assert check_view_consistency(view, config, transcript.scheme)
     idx = next(i for i, e in enumerate(view.events)
                if isinstance(e.payload, OutcomeNotice))
     bad = _tamper(view, idx, OutcomeNotice(winner, out.sale_price + 0.5))
@@ -306,6 +308,16 @@ def test_checker_rejects_phantom_transfer():
     assert not check_view_consistency(bad, config, transcript.scheme)
 
 
+def test_checker_accepts_forfeit_to_near_tied_top_bidder():
+    # Bids 1e-12 apart are not tied: the higher one is the candidate and takes
+    # the withheld false bid's deposit, as the resolution rule says.
+    config = broadcast_config(1.0)
+    _, transcript = run_auction(config, [Truthful(0.5), Truthful(0.5 + 1e-12)],
+                                ShillBroadcast((1.0,), WITHHOLD_IF_WINNING))
+    for i in (1, 2):
+        assert check_view_consistency(transcript.view(i), config, transcript.scheme)
+
+
 def test_checker_over_sampled_deviation_runs():
     cases = [
         ("broadcast", Honest()),
@@ -322,6 +334,16 @@ def test_checker_over_sampled_deviation_runs():
             result = audit_run(replace(config, seed=k), [Truthful(v) for v in values],
                                strategy)
             assert result.ok, (strategy, k, result.violations)
+
+
+def test_audit_counts_only_opening_buyers_as_candidates():
+    # Buyer 2 commits above buyer 1's bid but never opens: the resolution rule
+    # picks its candidate from revealed bids only, so buyer 1 is the only one.
+    for mode in ("broadcast", "centralized"):
+        config = AuctionConfig(n=2, dist=GPA, reserve=R, collateral=2.0, mode=mode, seed=0)
+        result = audit_run(config, [Truthful(5.0), NoReveal(6.0)], Honest())
+        assert result.violations == (), (mode, result.violations)
+        assert result.outcome.winner == 1
 
 
 # ---------------------------------------------------------------------------
