@@ -144,6 +144,11 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"deviation_quantiles[{i}] must lie in (0, 1)")
     if "verify" in cfg:
         _expect_keys(cfg["verify"], _VERIFY_KEYS, "verify")
+        for key, value in cfg["verify"].items():
+            if key != "attack_rel_tol":
+                _expect_int(value, f"verify.{key}", minimum=1)
+            elif _expect_number(value, f"verify.{key}") <= 0.0:
+                raise ConfigError(f"verify.{key} must be > 0, got {value}")
     if "out" in cfg and not isinstance(cfg["out"], str):
         raise ConfigError("out must be a string path")
     return cfg

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +17,10 @@ class Estimate:
     mean: float
     std_error: float
     samples: int
-    ci95: tuple[float, float] = field(default=None)
 
-    def __post_init__(self):
-        if self.ci95 is None:
-            object.__setattr__(
-                self, "ci95",
-                (self.mean - 1.96 * self.std_error, self.mean + 1.96 * self.std_error),
-            )
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return (self.mean - 1.96 * self.std_error, self.mean + 1.96 * self.std_error)
 
 
 def estimate_from_samples(values: np.ndarray) -> Estimate:

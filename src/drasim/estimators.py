@@ -12,10 +12,11 @@ Two engines are provided and kept in exact agreement:
     suite asserts per-profile equality of the two engines, so the fast path
     carries the simulator's semantics, not a reimplementation of its own.
 
-Sampling is chunked over counter-based streams (see seeding), so an estimate
-is a pure function of (config, strategy, samples, seed) regardless of how
-chunks are scheduled, and different strategies under one seed share identical
-value profiles (paired comparisons by construction).
+Every estimator runs on one loop over chunked counter-based streams (see
+seeding) that draws each profile once for all the strategies it prices, and
+needs MIN_SAMPLES samples or more. An estimate is a pure function of (config,
+strategy, samples, seed) however chunks are scheduled, and strategies under
+one seed share identical value profiles (paired comparisons by construction).
 
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
@@ -53,7 +54,6 @@ from .strategies import (
     Lifted,
     ShillBroadcast,
     Truthful,
-    WithholdIf,
 )
 
 __all__ = [
@@ -80,15 +80,21 @@ QUAD_ABS_TOL = 1e-8
 # Vectorized outcome arithmetic (verified against the simulator)
 # ---------------------------------------------------------------------------
 
+def _top_two(values: np.ndarray) -> tuple:
+    """Largest and second-largest value per profile (second 0 when n = 1), exactly
+    as a sort gives them: a running max over the buyer columns only selects."""
+    top, second = values[:, 0], np.zeros(len(values))
+    for j, column in enumerate(values.T[1:]):
+        low = np.minimum(top, column)
+        second = np.maximum(second, low) if j else low
+        top = np.maximum(top, column)
+    return top, second
+
+
 def _shill_net(values: np.ndarray, reserve: float, collateral: float,
                false_bids: Sequence[float], withhold_winning: bool) -> np.ndarray:
     """Auctioneer net per profile for truthful buyers and a shill strategy."""
-    n = values.shape[1]
-    top = values.max(axis=1)
-    if n >= 2:
-        second = np.partition(values, n - 2, axis=1)[:, n - 2]
-    else:
-        second = np.zeros_like(top)
+    top, second = _top_two(values)
     if not false_bids:
         price = np.maximum(reserve, second)
         return np.where(top > reserve, price, 0.0)
@@ -129,11 +135,8 @@ def _vector_net(values: np.ndarray, config: AuctionConfig, strategy) -> np.ndarr
         return _shill_net(values, config.reserve, config.collateral, (), False)
     if isinstance(strategy, ShillBroadcast):
         policy = strategy.reveal_policy
-        if isinstance(policy, AlwaysReveal):
-            withhold = False
-        elif isinstance(policy, WithholdIf) and policy is WITHHOLD_IF_WINNING:
-            withhold = True
-        else:
+        withhold = policy is WITHHOLD_IF_WINNING
+        if not (withhold or isinstance(policy, AlwaysReveal)):
             raise ValueError(f"no vector path for reveal policy {policy!r}; use engine='simulate'")
         return _shill_net(values, config.reserve, config.collateral,
                           strategy.false_bids, withhold)
@@ -143,6 +146,10 @@ def _vector_net(values: np.ndarray, config: AuctionConfig, strategy) -> np.ndarr
                                            config.collateral)
     raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
 
+
+# ---------------------------------------------------------------------------
+# Revenue estimation: one loop over profile chunks and one engine switch
+# ---------------------------------------------------------------------------
 
 def simulate_profile_net(config: AuctionConfig, strategy, values_row: Sequence[float],
                          run_seed: int) -> float:
@@ -163,48 +170,59 @@ def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
     return [float(v) for v in np.atleast_1d(dist.quantile(u))]
 
 
-def _iter_profile_chunks(dist: ValueDistribution, n: int, samples: int, seed: int):
+def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
+    """The Monte Carlo loop: one Estimate per function (values, start) -> array. Each
+    chunk of the seed's stream is drawn and mapped to profiles by `draw` once, and
+    each function's array for it goes to its own accumulator in turn."""
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     stream = _value_stream_seed(seed)
+    accumulators = [ChunkAccumulator() for _ in per_profile]
     for chunk, start, stop in chunk_bounds(samples):
-        u = chunk_uniforms(stream, chunk, stop - start, n)
-        yield start, np.asarray(dist.quantile(u), dtype=float)
+        values = draw(chunk_uniforms(stream, chunk, stop - start, cols))
+        for net, acc in zip(per_profile, accumulators):
+            acc.add(net(values, start))
+    return [acc.result() for acc in accumulators]
 
 
-# ---------------------------------------------------------------------------
-# Revenue estimation
-# ---------------------------------------------------------------------------
+def _net_function(config: AuctionConfig, strategy, seed: int, engine: str,
+                  baseline=None, vector=None):
+    """The engine switch: (values, start) -> net of `strategy` (less `baseline`'s) per
+    profile, by the closed form `vector` (default _vector_net), or by full auctions
+    where profile start + k runs with seed derive_seed(seed, "run", start + k)."""
+    if engine == "vector":
+        def vectorized(values, start):
+            if vector is not None:
+                return vector(values)
+            net = _vector_net(values, config, strategy)
+            return net if baseline is None else net - _vector_net(values, config, baseline)
+        return vectorized
+    if engine == "simulate":
+        def simulated(values, start):
+            nets = []
+            for k, row in enumerate(values):
+                run_seed = derive_seed(seed, "run", start + k)
+                net = simulate_profile_net(config, strategy, row, run_seed)
+                if baseline is not None:
+                    net -= simulate_profile_net(config, baseline, row, run_seed)
+                nets.append(net)
+            return np.asarray(nets)
+        return simulated
+    raise ValueError(f"unknown engine {engine!r}")
+
 
 def estimate_revenue(config: AuctionConfig, strategy, samples: int, seed: int,
                      engine: str = "vector") -> Estimate:
-    """Mean auctioneer net over i.i.d. truthful value profiles.
-
-    Per-sample value draws depend only on (seed, sample index); estimates for
-    different strategies under one seed are paired on identical profiles.
-    """
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
-    if engine not in ("vector", "simulate"):
-        raise ValueError(f"unknown engine {engine!r}")
-    acc = ChunkAccumulator()
-    if engine == "vector":
-        for _, values in _iter_profile_chunks(config.dist, config.n, samples, seed):
-            acc.add(_vector_net(values, config, strategy))
-    else:
-        for start, values in _iter_profile_chunks(config.dist, config.n, samples, seed):
-            nets = [simulate_profile_net(config, strategy, row,
-                                         derive_seed(seed, "run", start + k))
-                    for k, row in enumerate(values)]
-            acc.add(np.asarray(nets))
-    return acc.result()
+    """Mean auctioneer net over i.i.d. truthful value profiles, paired by seed."""
+    net = _net_function(config, strategy, seed, engine)
+    return _estimate_each(seed, samples, config.n, config.dist.quantile, [net])[0]
 
 
 def estimate_paired_difference(config: AuctionConfig, strategy_a, strategy_b,
                                samples: int, seed: int) -> Estimate:
     """Mean of (net_a - net_b) over shared value profiles (common random numbers)."""
-    acc = ChunkAccumulator()
-    for _, values in _iter_profile_chunks(config.dist, config.n, samples, seed):
-        acc.add(_vector_net(values, config, strategy_a) - _vector_net(values, config, strategy_b))
-    return acc.result()
+    diff = _net_function(config, strategy_a, seed, "vector", baseline=strategy_b)
+    return _estimate_each(seed, samples, config.n, config.dist.quantile, [diff])[0]
 
 
 def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Estimate:
@@ -213,24 +231,32 @@ def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Esti
     Myerson's identity makes the expectation zero for the truthful auction;
     the returned estimate carries the paired standard error for a 3-sigma test.
     """
-    acc = ChunkAccumulator()
-    for _, values in _iter_profile_chunks(config.dist, config.n, samples, seed):
-        top = values.max(axis=1)
-        n = values.shape[1]
-        if n >= 2:
-            second = np.partition(values, n - 2, axis=1)[:, n - 2]
-        else:
-            second = np.zeros_like(top)
+    def gap(values, start):
+        top, second = _top_two(values)
         sale = top > config.reserve
         payments = np.where(sale, np.maximum(config.reserve, second), 0.0)
         welfare = np.where(sale, virtual_value(config.dist, top), 0.0)
-        acc.add(payments - welfare)
-    return acc.result()
+        return payments - welfare
+
+    return _estimate_each(seed, samples, config.n, config.dist.quantile, [gap])[0]
 
 
 # ---------------------------------------------------------------------------
 # The adaptive attack: stratified estimator and quadrature oracle
 # ---------------------------------------------------------------------------
+
+def _attack_config(dist: ValueDistribution, threshold: float,
+                   collateral: float) -> AuctionConfig:
+    """The attack's two-buyer centralized auction, once its inputs are checked
+    (AuctionConfig rejects a negative or non-finite collateral)."""
+    reserve = reserve_price(dist)
+    if math.isinf(reserve):
+        raise InfiniteReserveError(f"{dist.kind} has an infinite reserve")
+    if not threshold >= reserve - 1e-9:  # NaN too
+        raise ValueError(f"threshold {threshold} below reserve {reserve}")
+    return AuctionConfig(n=2, dist=dist, reserve=reserve, collateral=collateral,
+                         mode="centralized", seed=0)
+
 
 def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral: float,
                            samples: int, seed: int, engine: str = "vector",
@@ -243,43 +269,19 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
     closed-form P[v_A >= T]. engine="simulate" runs paired full auctions per
     profile instead of the vectorized case arithmetic.
     """
-    reserve = reserve_price(dist)
-    if math.isinf(reserve):
-        raise InfiniteReserveError(f"{dist.kind} has an infinite reserve")
-    if threshold < reserve - 1e-9:
-        raise ValueError(f"threshold {threshold} below reserve {reserve}")
-    if engine not in ("vector", "simulate"):
-        raise ValueError(f"unknown engine {engine!r}")
+    config = _attack_config(dist, threshold, collateral)
+    gain = _net_function(
+        config, AdaptiveReserve(threshold=threshold), seed, engine, baseline=Honest(),
+        vector=lambda values: adaptive_net_delta(values, config.reserve, threshold, collateral))
     weight = float(dist.sf(threshold)) if stratified else 1.0
-    if stratified and weight == 0.0:
+    if stratified and weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
         return Estimate(mean=0.0, std_error=0.0, samples=int(samples))
 
-    adaptive = AdaptiveReserve(threshold=threshold)
-    config = None
-    if engine == "simulate":
-        config = AuctionConfig(n=2, dist=dist, reserve=reserve, collateral=collateral,
-                               mode="centralized", seed=0)
-    acc = ChunkAccumulator()
-    stream = _value_stream_seed(seed)
-    for chunk, start, stop in chunk_bounds(samples):
-        u = chunk_uniforms(stream, chunk, stop - start, 2)
-        if stratified:
-            v_a = np.asarray(dist.sample_tail(threshold, u[:, 0]), dtype=float)
-        else:
-            v_a = np.asarray(dist.quantile(u[:, 0]), dtype=float)
-        v_b = np.asarray(dist.quantile(u[:, 1]), dtype=float)
-        values = np.column_stack([v_a, v_b])
-        if engine == "vector":
-            acc.add(adaptive_net_delta(values, reserve, threshold, collateral))
-        else:
-            deltas = []
-            for k, row in enumerate(values):
-                run_seed = derive_seed(seed, "attack", start + k)
-                net_dev = simulate_profile_net(config, adaptive, row, run_seed)
-                net_honest = simulate_profile_net(config, Honest(), row, run_seed)
-                deltas.append(net_dev - net_honest)
-            acc.add(np.asarray(deltas))
-    cond = acc.result()
+    def draw(u):
+        v_a = dist.sample_tail(threshold, u[:, 0]) if stratified else dist.quantile(u[:, 0])
+        return np.column_stack([v_a, dist.quantile(u[:, 1])])
+
+    cond = _estimate_each(seed, samples, 2, draw, [gain])[0]
     return Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
                     samples=cond.samples)
 
@@ -294,11 +296,7 @@ def adaptive_gain_quadrature(dist: ValueDistribution, threshold: float,
     integrand is piecewise constant, leaving a smooth one-dimensional outer
     integral over the tail of v_A.
     """
-    reserve = reserve_price(dist)
-    if math.isinf(reserve):
-        raise InfiniteReserveError(f"{dist.kind} has an infinite reserve")
-    if threshold < reserve - 1e-9:
-        raise ValueError(f"threshold {threshold} below reserve {reserve}")
+    reserve = _attack_config(dist, threshold, collateral).reserve
     weight = float(dist.sf(threshold))
     if weight == 0.0:
         return 0.0
@@ -359,8 +357,7 @@ def credibility_suite(dist: ValueDistribution, alpha: float, n: int,
     """
     f_amount = collateral_override if collateral_override is not None \
         else collateral_level(dist, n, alpha)
-    reserve = reserve_price(dist)
-    config = AuctionConfig(n=n, dist=dist, reserve=reserve, collateral=f_amount,
+    config = AuctionConfig(n=n, dist=dist, reserve=reserve_price(dist), collateral=f_amount,
                            mode="broadcast", seed=0)
     rev = optimal_revenue(dist, n).mean
     strategies = [Honest()]
@@ -368,17 +365,18 @@ def credibility_suite(dist: ValueDistribution, alpha: float, n: int,
         bid = float(dist.quantile(u))
         for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING):
             strategies.append(ShillBroadcast(false_bids=(bid,), reveal_policy=policy))
+    nets = [_net_function(config, strategy, seed, engine) for strategy in strategies]
+    estimates = _estimate_each(seed, samples, n, dist.quantile, nets)
     rows = []
-    for strategy in strategies:
-        est = estimate_revenue(config, strategy, samples, seed, engine=engine)
+    for strategy, est in zip(strategies, estimates):
         bound = rev + 3.0 * est.std_error
         margin = bound - est.mean
         rows.append(CredibilityRow(strategy=strategy.describe(), estimate=est,
                                    bound=bound, margin=margin, passed=margin >= 0.0))
-    worst = min(row.margin for row in rows)
     violations = tuple(row.strategy for row in rows if not row.passed)
     return CredibilityReport(collateral=f_amount, optimal_revenue=rev, rows=tuple(rows),
-                             worst_margin=worst, all_pass=not violations,
+                             worst_margin=min(row.margin for row in rows),
+                             all_pass=not violations,
                              violations=violations)
 
 

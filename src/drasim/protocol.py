@@ -75,8 +75,8 @@ class AuctionConfig:
             raise ValueError(f"need at least one buyer, got n={self.n}")
         if self.mode not in ("broadcast", "centralized"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not self.collateral >= 0.0:
-            raise ValueError(f"collateral must be >= 0, got {self.collateral}")
+        if not (math.isfinite(self.collateral) and self.collateral >= 0.0):
+            raise ValueError(f"collateral must be finite and >= 0, got {self.collateral}")
         recomputed = reserve_price(self.dist)
         if math.isinf(recomputed):
             raise ValueError(f"{self.dist.kind} has an infinite reserve; auction rejected")

@@ -424,28 +424,20 @@ def run_verification(setup) -> list:
     """Run every check with budgets from the config's verify section."""
     opts = setup.verify_options
     seed = setup.seed
-    mc = int(opts.get("mc_samples", 200_000))
-    opt_samples = int(opts.get("optimality_samples", mc))
-    sp_profiles = int(opts.get("sp_profiles", 50))
-    cred_samples = int(opts.get("credibility_samples", 200_000))
-    cred_quantiles = int(opts.get("credibility_quantiles", 12))
-    attack_samples = int(opts.get("attack_samples", 1 << 22))
-    attack_rel_tol = float(opts.get("attack_rel_tol", 0.05))
-    structural_runs = int(opts.get("structural_runs", 200))
-    lift_runs = int(opts.get("lift_runs", 100))
-    dominance_samples = int(opts.get("dominance_samples", mc))
-    checks = [
+    mc = opts.get("mc_samples", 200_000)
+    return [
         _check_reserve_and_alpha(),
         *_check_price_bounds(),
         _check_conditional_bounds(mc, seed),
-        _check_optimality(opt_samples, seed),
+        _check_optimality(opts.get("optimality_samples", mc), seed),
         _check_myerson_identity(mc, seed),
-        _check_strategyproofness(sp_profiles, seed),
-        _check_credibility(cred_samples, cred_quantiles, seed),
-        _check_reveal_dominance(dominance_samples, seed),
-        _check_lift_equality(lift_runs, seed),
-        _check_structural(structural_runs, seed),
-        _check_separation(attack_samples, attack_rel_tol, setup.thresholds, seed),
+        _check_strategyproofness(opts.get("sp_profiles", 50), seed),
+        _check_credibility(opts.get("credibility_samples", 200_000),
+                           opts.get("credibility_quantiles", 12), seed),
+        _check_reveal_dominance(opts.get("dominance_samples", mc), seed),
+        _check_lift_equality(opts.get("lift_runs", 100), seed),
+        _check_structural(opts.get("structural_runs", 200), seed),
+        _check_separation(opts.get("attack_samples", 1 << 22),
+                          opts.get("attack_rel_tol", 0.05), setup.thresholds, seed),
         _check_estimator_determinism(seed),
     ]
-    return checks

@@ -60,7 +60,11 @@ def test_bad_values_rejected():
                 {"buyers": [{"kind": "truthful", "value": float("nan")},
                             {"kind": "truthful"}]},
                 {"buyers": [{"kind": "fixed", "value": 1.0, "bid": float("inf")},
-                            {"kind": "truthful"}]}]:
+                            {"kind": "truthful"}]},
+                {"verify": {"attack_rel_tol": float("nan")}},
+                {"verify": {"attack_rel_tol": 0.0}},
+                {"verify": {"mc_samples": "30000"}},
+                {"verify": {"lift_runs": 0}}]:
         with pytest.raises(ConfigError):
             validate_config({**BASE, **bad})
     with pytest.raises(ConfigError):

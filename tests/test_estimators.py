@@ -27,8 +27,14 @@ from drasim import (
     optimal_revenue,
     reserve_price,
 )
-from drasim.estimators import _iter_profile_chunks, _vector_net, attack_sweep, simulate_profile_net
-from drasim.seeding import derive_seed
+from drasim.estimators import (
+    _value_stream_seed,
+    _vector_net,
+    attack_sweep,
+    sample_values,
+    simulate_profile_net,
+)
+from drasim.seeding import chunk_uniforms, derive_seed
 
 GPA = GeneralizedPareto(0.5)
 R = reserve_price(GPA)
@@ -56,11 +62,12 @@ STRATEGIES = [
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe())
 def test_vector_engine_matches_simulator_per_profile(strategy):
     config = config_for(GPA, 2, 32.0)
-    for _, values in _iter_profile_chunks(GPA, 2, 300, 123):
-        vec = _vector_net(values, config, strategy)
-        sim = np.array([simulate_profile_net(config, strategy, row, derive_seed(1, "s", k))
-                        for k, row in enumerate(values)])
-        assert np.array_equal(vec, sim)
+    values = GPA.quantile(chunk_uniforms(_value_stream_seed(123), 0, 300, 2))
+    assert list(values[0]) == sample_values(GPA, 2, 123)  # the estimators' stream
+    vec = _vector_net(values, config, strategy)
+    sim = np.array([simulate_profile_net(config, strategy, row, derive_seed(1, "s", k))
+                    for k, row in enumerate(values)])
+    assert np.array_equal(vec, sim)
 
 
 def test_engines_agree_at_estimate_level():
@@ -166,6 +173,17 @@ def test_adaptive_gain_rejects_threshold_below_reserve():
         estimate_adaptive_gain(GPA, 0.5, 2.0, 10_000, 0)
     with pytest.raises(ValueError):
         adaptive_gain_quadrature(GPA, 0.5, 2.0)
+    with pytest.raises(ValueError):
+        estimate_adaptive_gain(GPA, math.nan, 2.0, 10_000, 0)
+    with pytest.raises(ValueError):
+        adaptive_gain_quadrature(GPA, math.nan, 2.0)
+    for collateral in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError):
+            estimate_adaptive_gain(GPA, 5.0, collateral, 4096, 0)
+        with pytest.raises(ValueError):
+            adaptive_gain_quadrature(GPA, 5.0, collateral)
+        with pytest.raises(ValueError):
+            config_for(GPA, 2, collateral)
     from drasim import EqualRevenue
     with pytest.raises(InfiniteReserveError):
         estimate_adaptive_gain(EqualRevenue(), 5.0, 2.0, 10_000, 0)
@@ -229,6 +247,24 @@ def test_credibility_suite_flags_reduced_collateral():
     assert any("withhold" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_credibility_rows_match_separate_estimates(n):
+    # one pass over the profiles for all strategies changes no bit of any row
+    quantiles = [0.2, 0.9, 0.99]
+    report = credibility_suite(GPA, alpha=0.5, n=n, deviation_quantiles=quantiles,
+                               samples=70_000, seed=41, collateral_override=0.5)
+    config = config_for(GPA, n, 0.5)
+    strategies = [Honest()] + [ShillBroadcast((float(GPA.quantile(u)),), policy)
+                               for u in quantiles
+                               for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING)]
+    assert len(report.rows) == len(strategies)
+    for row, strategy in zip(report.rows, strategies):
+        alone = estimate_revenue(config, strategy, 70_000, 41)
+        assert row.strategy == strategy.describe()
+        assert (row.estimate.mean.hex(), row.estimate.std_error.hex(), row.estimate.samples) \
+            == (alone.mean.hex(), alone.std_error.hex(), alone.samples)
+
+
 def test_paired_difference_is_exactly_paired():
     config = config_for(GPA, 2, 32.0)
     a = ShillBroadcast((3.0,), ALWAYS_REVEAL)
@@ -260,3 +296,9 @@ def test_estimate_invariants():
     config = config_for(GPA, 2, 32.0)
     with pytest.raises(ValueError):
         estimate_revenue(config, Honest(), 999, 0)
+    with pytest.raises(ValueError):
+        estimate_paired_difference(config, Honest(), Honest(), 999, 0)
+    with pytest.raises(ValueError):
+        estimate_myerson_gap(config, 999, 0)
+    with pytest.raises(ValueError):
+        estimate_adaptive_gain(GPA, 5.0, 2.0, 999, 0)

@@ -1,7 +1,9 @@
 """Property-based checks of the message-level engine: every generated run of an
 implemented deviation passes its structural audit, conserves money, and leaves
-each buyer a view that the consistency checker accepts."""
+each buyer a view that the consistency checker accepts. Also the vector
+engine's top-two kernel against a sort."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +24,7 @@ from drasim import (
     reserve_price,
     run_auction,
 )
+from drasim.estimators import _top_two
 from drasim.protocol import MONEY_TOL
 from drasim.verification import audit_run
 
@@ -68,3 +71,23 @@ def test_generated_runs_audit_clean(run):
     _, transcript = run_auction(config, buyers, auctioneer)
     for view in transcript.buyer_views().values():
         assert check_view_consistency(view, config, transcript.scheme)
+
+
+# few distinct values, so that ties and repeats within a profile are common
+value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                  st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+profiles = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=16))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(profiles)
+def test_top_two_matches_sort(rows):
+    values = np.array(rows, dtype=float)
+    top, second = _top_two(values)
+    ordered = np.sort(values, axis=1)
+    assert np.array_equal(top, ordered[:, -1])
+    if values.shape[1] == 1:
+        assert np.array_equal(second, np.zeros(len(values)))
+    else:
+        assert np.array_equal(second, ordered[:, -2])
