@@ -2,7 +2,8 @@
 
 All outputs are machine readable (JSON for single objects and traces, CSV for
 sweeps) and deterministic for a fixed config: same bytes on every invocation.
-Exit codes: 0 success, 1 a check failed, 2 configuration error.
+Exit codes: 0 success, 1 a check failed, 2 configuration error, 3 internal
+error (an exception raised inside the library, traceback on stderr).
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import io
 import json
 import math
 import sys
+import traceback
 
-from .config import ConfigError, ExperimentSetup, load_config
+from .config import ConfigError, ExperimentSetup, build_setup, load_config
 from .distributions import (
     InfiniteReserveError,
     NonRegularError,
@@ -133,7 +135,7 @@ def cmd_estimate(setup: ExperimentSetup) -> int:
 
 def cmd_attack(setup: ExperimentSetup) -> int:
     config = setup.auction_config()
-    rows = attack_sweep(setup.dist, config.collateral, setup.thresholds,
+    rows = attack_sweep(setup.dist, config.collateral, setup.attack_thresholds(setup.dist),
                         setup.samples, setup.seed, engine=setup.engine)
     buf = io.StringIO()
     buf.write(CSV_HEADER + ",quadrature\n")
@@ -190,14 +192,15 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.out is not None:
             cfg["out"] = args.out
-        setup = ExperimentSetup(cfg)
+        setup = build_setup(cfg)  # the overrides are checked too
         return _COMMANDS[args.command](setup)
-    except ConfigError as exc:
+    except (ConfigError, NonRegularError, InfiniteReserveError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonRegularError, InfiniteReserveError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:  # a fault of the library, not of the config: never exit 1 or 2
+        traceback.print_exc()
+        print(f"internal error in drasim {args.command}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import sys
 from typing import Optional
 
 from .distributions import (
+    ROOT_TOL,
     EqualRevenue,
     TwoPoint,
     ValueDistribution,
@@ -21,7 +22,7 @@ from .distributions import (
     reserve_price,
     strong_regularity_alpha,
 )
-from .estimators import sample_values
+from .estimators import MIN_SAMPLES, sample_values
 from .protocol import AuctionConfig
 from .strategies import (
     ALWAYS_REVEAL,
@@ -57,6 +58,8 @@ _VERIFY_KEYS = {
     "structural_runs", "lift_runs", "dominance_samples",
 }
 _REVEAL_POLICIES = {"always": ALWAYS_REVEAL, "withhold_if_winning": WITHHOLD_IF_WINNING}
+# the channel mode each auctioneer kind needs; honest runs on either
+_AUCTIONEER_MODES = {"shill": "broadcast", "lifted": "centralized", "adaptive": "centralized"}
 
 
 def _expect_keys(obj: dict, allowed: set, where: str) -> None:
@@ -99,10 +102,16 @@ def validate_config(cfg: dict) -> dict:
     if "params" in cfg["distribution"]:
         if not isinstance(cfg["distribution"]["params"], dict):
             raise ConfigError("distribution.params must be an object")
+        for key, value in cfg["distribution"]["params"].items():
+            _expect_number(value, f"distribution.params.{key}")
+    try:
+        make_distribution(cfg["distribution"])
+    except ValueError as exc:
+        raise ConfigError(f"distribution: {exc}") from exc
     if "n" in cfg:
         _expect_int(cfg["n"], "n", minimum=1)
-    if "alpha" in cfg:
-        _expect_number(cfg["alpha"], "alpha")
+    if "alpha" in cfg and _expect_number(cfg["alpha"], "alpha") <= 0.0:
+        raise ConfigError(f"alpha must be > 0, got {cfg['alpha']}")
     if "mode" in cfg and cfg["mode"] not in ("broadcast", "centralized"):
         raise ConfigError(f"mode must be 'broadcast' or 'centralized', got {cfg['mode']!r}")
     if "scheme" in cfg and cfg["scheme"] not in ("ideal", "hash", "sha256"):
@@ -110,7 +119,7 @@ def validate_config(cfg: dict) -> dict:
     if "collateral" in cfg:
         _expect_number(cfg["collateral"], "collateral", minimum=0.0)
     if "samples" in cfg:
-        _expect_int(cfg["samples"], "samples", minimum=1)
+        _expect_int(cfg["samples"], "samples", minimum=MIN_SAMPLES)
     if "seed" in cfg:
         _expect_int(cfg["seed"], "seed", minimum=0)
     if "engine" in cfg and cfg["engine"] not in ("vector", "simulate"):
@@ -130,6 +139,13 @@ def validate_config(cfg: dict) -> dict:
                     _expect_number(buyer[key], f"buyers[{i}].{key}")
     if "auctioneer" in cfg:
         _validate_auctioneer(cfg["auctioneer"], "auctioneer")
+        kind = cfg["auctioneer"]["kind"]
+        mode = cfg.get("mode", "broadcast")
+        if mode != _AUCTIONEER_MODES.get(kind, mode):
+            raise ConfigError(f"auctioneer of kind {kind!r} runs on "
+                              f"{_AUCTIONEER_MODES[kind]} channels, not {mode}")
+        if kind == "adaptive" and cfg.get("n", 2) != 2:
+            raise ConfigError(f"auctioneer of kind 'adaptive' needs n = 2, got {cfg['n']}")
     if "thresholds" in cfg:
         if not isinstance(cfg["thresholds"], list) or not cfg["thresholds"]:
             raise ConfigError("thresholds must be a non-empty list of numbers")
@@ -146,7 +162,8 @@ def validate_config(cfg: dict) -> dict:
         _expect_keys(cfg["verify"], _VERIFY_KEYS, "verify")
         for key, value in cfg["verify"].items():
             if key != "attack_rel_tol":
-                _expect_int(value, f"verify.{key}", minimum=1)
+                _expect_int(value, f"verify.{key}",
+                            minimum=MIN_SAMPLES if key.endswith("_samples") else 1)
             elif _expect_number(value, f"verify.{key}") <= 0.0:
                 raise ConfigError(f"verify.{key} must be > 0, got {value}")
     if "out" in cfg and not isinstance(cfg["out"], str):
@@ -233,6 +250,11 @@ class ExperimentSetup:
             return float(self.raw["collateral"])
         return collateral_level(self.dist, self.n, self.classification_alpha())
 
+    def attack_thresholds(self, dist: ValueDistribution) -> list:
+        """The sweep thresholds, each checked by _above_reserve against dist."""
+        return [_above_reserve(t, dist, f"thresholds[{i}]")
+                for i, t in enumerate(self.thresholds)]
+
     def auction_config(self) -> AuctionConfig:
         if isinstance(self.dist, (EqualRevenue, TwoPoint)):
             raise ConfigError(f"{self.dist.kind} cannot run auctions (no finite reserve)")
@@ -279,10 +301,20 @@ class ExperimentSetup:
             policy = _REVEAL_POLICIES[spec.get("reveal_policy", "always")]
             return ShillBroadcast(false_bids=bids, reveal_policy=policy)
         if kind == "adaptive":
-            return AdaptiveReserve(threshold=float(spec["threshold"]))
+            threshold = _above_reserve(float(spec["threshold"]), self.dist, "auctioneer.threshold")
+            return AdaptiveReserve(threshold=threshold)
         if kind == "lifted":
             return Lifted(inner=self._build_auctioneer(spec["inner"]))
         raise ConfigError(f"unknown auctioneer kind {kind!r}")
+
+
+def _above_reserve(threshold: float, dist: ValueDistribution, where: str) -> float:
+    """An adaptive-attack threshold, refused below dist's reserve, where the
+    attack is undefined."""
+    reserve = reserve_price(dist)
+    if not threshold >= reserve - ROOT_TOL:
+        raise ConfigError(f"{where} = {threshold} is below the reserve {reserve} of {dist!r}")
+    return threshold
 
 
 def build_setup(cfg: dict) -> ExperimentSetup:

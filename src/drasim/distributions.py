@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .estimate import Estimate, estimate_from_samples
 
@@ -63,6 +62,7 @@ INEQUALITY_SLACK = 1e-12  # closed-form inequality comparisons
 REGULARITY_TOL = 1e-6     # alpha-hat classification margin
 _BISECT_MAX_ITER = 200
 _TAIL_BRACKET_U = 1.0 - 1e-12
+QUAD_ABS_TOL = 1e-8       # largest error estimate a quadrature result may carry
 
 
 class UndefinedDensityError(ValueError):
@@ -461,13 +461,26 @@ def _require_regular_finite_reserve(dist: ValueDistribution) -> float:
 # Optimal revenue and the collateral level
 # ---------------------------------------------------------------------------
 
+def _quad(integrand, upper: float, **options) -> tuple:
+    """(integral of integrand over [0, upper], quad's error estimate); RuntimeError
+    when the estimate exceeds QUAD_ABS_TOL. scipy.integrate is imported on first
+    use: it takes most of the time `import drasim` would otherwise take."""
+    from scipy import integrate
+
+    val, err = integrate.quad(integrand, 0.0, upper, **options)
+    if not err <= QUAD_ABS_TOL:  # NaN too
+        raise RuntimeError(f"quadrature tolerance not reached: error estimate {err}")
+    return float(val), float(err)
+
+
 def optimal_revenue(dist: ValueDistribution, n: int, method: str = "auto",
                     samples: int = 200_000, seed: int = 0) -> Estimate:
     """Rev(D^n) = E[max_i phi+(v_i)] for n i.i.d. buyers.
 
     Adaptive quadrature over the quantile domain for n <= 4 (the max of n
     i.i.d. uniforms has density n u^(n-1), and phi(quantile(u)) is smooth past
-    the reserve), Monte Carlo with a standard error otherwise.
+    the reserve), with quad's error estimate as the standard error; Monte Carlo
+    with a standard error otherwise.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -483,8 +496,8 @@ def optimal_revenue(dist: ValueDistribution, n: int, method: str = "auto",
             x = dist.isf(s)
             return virtual_value(dist, x) * n * (1.0 - s) ** (n - 1)
 
-        val, err = integrate.quad(integrand, 0.0, s_r, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return Estimate(mean=float(val), std_error=0.0, samples=0)
+        val, err = _quad(integrand, s_r, epsabs=1e-10, epsrel=1e-10, limit=200)
+        return Estimate(mean=val, std_error=err, samples=0)
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((int(samples), n))
     values = dist.quantile(u)
@@ -582,9 +595,8 @@ def posted_price_revenue_quadrature(dist: ValueDistribution, p: float) -> float:
     s_p = float(dist.sf(p))
     if s_p == 0.0:
         return 0.0
-    val, _ = integrate.quad(lambda s: virtual_value(dist, dist.isf(s)),
-                            0.0, s_p, epsabs=1e-11, epsrel=1e-11, limit=200)
-    return float(val)
+    return _quad(lambda s: virtual_value(dist, dist.isf(s)), s_p,
+                 epsabs=1e-11, epsrel=1e-11, limit=200)[0]
 
 
 def check_posted_price_bound(dist: ValueDistribution, alpha: float, p: float,

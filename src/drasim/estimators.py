@@ -23,6 +23,18 @@ P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
 stratum coincides with honest play and contributes exactly zero, and the tail
 stratum is sampled by conditional inverse-survival draws, weighted by the
 closed-form tail probability.
+
+The vector engine prices the attack on candidate profiles only. The deviation
+pays nothing unless v_B > v_A, and whether that can hold is decided on the
+uniforms before any value is computed: v_A comes from the survival probability
+s = P[v >= v_A] (s = sf(T) (1 - u_A) in the stratum, 1 - u_A without it) and
+v_B from 1 - u_B, so a row with 1 - u_B > s (1 + _PRUNE_MARGIN) has v_B <= v_A
+and a zero net difference. Only the other rows, about sf(T)/2 of the stratum
+(half of the rows without it), are mapped through sample_tail/quantile and
+adaptive_net_delta; the rest are exact zeros, so the accumulated arrays, and every estimate, are bit-identical
+to evaluating all rows. This needs the family's quantile and isf to be one
+non-increasing map of the survival probability, up to float error far below
+the margin, as every family here is.
 """
 
 from __future__ import annotations
@@ -32,11 +44,13 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import (
+    QUAD_ABS_TOL,
+    ROOT_TOL,
     InfiniteReserveError,
     ValueDistribution,
+    _quad,
     collateral as collateral_level,
     optimal_revenue,
     reserve_price,
@@ -73,7 +87,13 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 1_000
-QUAD_ABS_TOL = 1e-8
+# Relative margin of the adaptive prune's candidate test. A relative gap of 1e-9
+# between two survival probabilities is a gap of about 1e-9 between their
+# logarithms, some 10^3 times the error of a computed log or log1p (a few ulp of
+# at most 745). exp/expm1, products and quotients keep an order that wide, and
+# Uniform's isf(s) is quantile(1 - s), where rounding keeps the order of the
+# grid values 1 - u_B. So no pruned row could have had v_B > v_A.
+_PRUNE_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +206,12 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
 
 
 def _net_function(config: AuctionConfig, strategy, seed: int, engine: str,
-                  baseline=None, vector=None):
+                  baseline=None):
     """The engine switch: (values, start) -> net of `strategy` (less `baseline`'s) per
-    profile, by the closed form `vector` (default _vector_net), or by full auctions
-    where profile start + k runs with seed derive_seed(seed, "run", start + k)."""
+    profile, by the closed form _vector_net, or by full auctions where profile
+    start + k runs with seed derive_seed(seed, "run", start + k)."""
     if engine == "vector":
         def vectorized(values, start):
-            if vector is not None:
-                return vector(values)
             net = _vector_net(values, config, strategy)
             return net if baseline is None else net - _vector_net(values, config, baseline)
         return vectorized
@@ -252,10 +270,29 @@ def _attack_config(dist: ValueDistribution, threshold: float,
     reserve = reserve_price(dist)
     if math.isinf(reserve):
         raise InfiniteReserveError(f"{dist.kind} has an infinite reserve")
-    if not threshold >= reserve - 1e-9:  # NaN too
+    if not threshold >= reserve - ROOT_TOL:  # NaN too
         raise ValueError(f"threshold {threshold} below reserve {reserve}")
     return AuctionConfig(n=2, dist=dist, reserve=reserve, collateral=collateral,
                          mode="centralized", seed=0)
+
+
+def _attack_profiles(dist: ValueDistribution, threshold: float, stratified: bool,
+                     u: np.ndarray) -> np.ndarray:
+    """(v_A, v_B) per row of uniforms: v_A conditioned on v_A >= T when stratified."""
+    v_a = dist.sample_tail(threshold, u[:, 0]) if stratified else dist.quantile(u[:, 0])
+    return np.column_stack([v_a, dist.quantile(u[:, 1])])
+
+
+def _adaptive_gain_pruned(dist: ValueDistribution, threshold: float, collateral: float,
+                          stratified: bool, u: np.ndarray) -> np.ndarray:
+    """adaptive_net_delta of the profiles _attack_profiles maps u to, evaluated only
+    on the rows where v_B > v_A can hold (see the module docstring); zero elsewhere."""
+    s = (float(dist.sf(threshold)) if stratified else 1.0) * (1.0 - u[:, 0])
+    rows = np.flatnonzero(1.0 - u[:, 1] <= s * (1.0 + _PRUNE_MARGIN))
+    delta = np.zeros(len(u))
+    delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, stratified, u[rows]),
+                                     reserve_price(dist), threshold, collateral)
+    return delta
 
 
 def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral: float,
@@ -266,21 +303,26 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
     Stratified on v_A: below the threshold the deviation coincides with honest
     play and contributes exactly zero (not sampled); the tail stratum draws
     v_A by conditional inverse-survival sampling and is weighted by the
-    closed-form P[v_A >= T]. engine="simulate" runs paired full auctions per
-    profile instead of the vectorized case arithmetic.
+    closed-form P[v_A >= T]. The vector engine evaluates the case arithmetic
+    on the candidate profiles with v_B > v_A only; engine="simulate" runs
+    paired full auctions on every profile instead.
     """
     config = _attack_config(dist, threshold, collateral)
-    gain = _net_function(
-        config, AdaptiveReserve(threshold=threshold), seed, engine, baseline=Honest(),
-        vector=lambda values: adaptive_net_delta(values, config.reserve, threshold, collateral))
     weight = float(dist.sf(threshold)) if stratified else 1.0
     if stratified and weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
         return Estimate(mean=0.0, std_error=0.0, samples=int(samples))
+    if engine == "vector":  # the kernel takes the chunk's uniforms themselves
+        def draw(u):
+            return u
 
-    def draw(u):
-        v_a = dist.sample_tail(threshold, u[:, 0]) if stratified else dist.quantile(u[:, 0])
-        return np.column_stack([v_a, dist.quantile(u[:, 1])])
+        def gain(u, start):
+            return _adaptive_gain_pruned(dist, threshold, collateral, stratified, u)
+    else:
+        def draw(u):
+            return _attack_profiles(dist, threshold, stratified, u)
 
+        gain = _net_function(config, AdaptiveReserve(threshold=threshold), seed, engine,
+                             baseline=Honest())
     cond = _estimate_each(seed, samples, 2, draw, [gain])[0]
     return Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
                     samples=cond.samples)
@@ -308,11 +350,7 @@ def adaptive_gain_quadrature(dist: ValueDistribution, threshold: float,
         p_minus = max(0.0, float(dist.sf(lo)) - p_plus)
         return collateral * (p_plus - p_minus)
 
-    val, err = integrate.quad(inner, 0.0, weight, epsabs=QUAD_ABS_TOL * 0.1,
-                              epsrel=1e-10, limit=400)
-    if err > QUAD_ABS_TOL:
-        raise RuntimeError(f"quadrature tolerance not reached: error estimate {err}")
-    return float(val)
+    return _quad(inner, weight, epsabs=QUAD_ABS_TOL * 0.1, epsrel=1e-10, limit=400)[0]
 
 
 # ---------------------------------------------------------------------------

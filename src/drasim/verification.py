@@ -425,6 +425,9 @@ def run_verification(setup) -> list:
     opts = setup.verify_options
     seed = setup.seed
     mc = opts.get("mc_samples", 200_000)
+    # checked before any check runs; gpareto(0.5) has the larger reserve of the
+    # separation check's two families
+    thresholds = setup.attack_thresholds(GeneralizedPareto(0.5))
     return [
         _check_reserve_and_alpha(),
         *_check_price_bounds(),
@@ -438,6 +441,6 @@ def run_verification(setup) -> list:
         _check_lift_equality(opts.get("lift_runs", 100), seed),
         _check_structural(opts.get("structural_runs", 200), seed),
         _check_separation(opts.get("attack_samples", 1 << 22),
-                          opts.get("attack_rel_tol", 0.05), setup.thresholds, seed),
+                          opts.get("attack_rel_tol", 0.05), thresholds, seed),
         _check_estimator_determinism(seed),
     ]

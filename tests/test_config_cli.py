@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from drasim import cli
 from drasim.cli import main
 from drasim.config import ConfigError, build_setup, validate_config
 
@@ -64,7 +65,16 @@ def test_bad_values_rejected():
                 {"verify": {"attack_rel_tol": float("nan")}},
                 {"verify": {"attack_rel_tol": 0.0}},
                 {"verify": {"mc_samples": "30000"}},
-                {"verify": {"lift_runs": 0}}]:
+                {"verify": {"lift_runs": 0}},
+                {"alpha": 0.0}, {"samples": 999}, {"verify": {"attack_samples": 999}},
+                {"distribution": {"family": "gpareto", "params": {"shape": 1.5}}},
+                {"distribution": {"family": "gpareto", "params": {"shape": float("nan")}}},
+                {"distribution": {"family": "exponential", "params": {"rate": "1"}}},
+                {"auctioneer": {"kind": "adaptive", "threshold": 5.0}},  # broadcast
+                {"mode": "centralized", "n": 3,
+                 "auctioneer": {"kind": "adaptive", "threshold": 5.0}},
+                {"mode": "centralized", "auctioneer": {"kind": "shill", "false_bids": [3.0]}},
+                {"auctioneer": {"kind": "lifted", "inner": {"kind": "honest"}}}]:
         with pytest.raises(ConfigError):
             validate_config({**BASE, **bad})
     with pytest.raises(ConfigError):
@@ -107,6 +117,38 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     path = write_config(tmp_path, {**BASE,
                                    "distribution": {"family": "nope"}}, "f.json")
     assert main(["dist", "--config", path]) == 2
+    # command-line overrides are validated like the config's own values
+    path = write_config(tmp_path, {**BASE, "samples": 5_000}, "g.json")
+    assert main(["estimate", "--config", path, "--samples", "999"]) == 2
+    assert main(["estimate", "--config", path, "--seed", "-1"]) == 2
+
+
+def test_cli_exit_3_on_internal_error(tmp_path, capsys, monkeypatch):
+    # an exception from inside the library is neither a failed check nor a config error
+    def broken(setup):
+        raise ValueError("engine fault")
+
+    monkeypatch.setitem(cli._COMMANDS, "dist", broken)
+    assert main(["dist", "--config", write_config(tmp_path, BASE)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: engine fault" in err
+    assert "config error" not in err
+
+
+def test_cli_threshold_below_reserve_exits_2(tmp_path, capsys):
+    # gpareto(0.5) has reserve 2, where the attack starts; checked before sampling
+    path = write_config(tmp_path, {**BASE, "mode": "centralized", "collateral": 2.0,
+                                   "samples": 1 << 18, "thresholds": [5, 1.5]})
+    assert main(["attack", "--config", path]) == 2
+    assert "thresholds[1] = 1.5 is below the reserve" in capsys.readouterr().err
+    path = write_config(tmp_path, {**BASE, "mode": "centralized", "collateral": 2.0,
+                                   "auctioneer": {"kind": "adaptive", "threshold": 1.5}},
+                        "a.json")
+    assert main(["run", "--config", path]) == 2
+    assert "auctioneer.threshold = 1.5 is below the reserve" in capsys.readouterr().err
+    quick = json.loads((CONFIGS / "verify_quick.json").read_text())
+    path = write_config(tmp_path, {**quick, "thresholds": [1.5]}, "v.json")
+    assert main(["verify", "--config", path]) == 2
 
 
 def test_cli_dist_gpareto(tmp_path, capsys):

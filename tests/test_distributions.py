@@ -3,10 +3,14 @@ derived independently in this file or produced by a stated oracle (finite
 differences, quadrature, direct arithmetic) before being asserted."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import drasim
 from drasim import (
     EqualRevenue,
     Exponential,
@@ -16,6 +20,7 @@ from drasim import (
     TwoPoint,
     UndefinedDensityError,
     Uniform,
+    adaptive_gain_quadrature,
     check_conditional_bound,
     check_posted_price_bound,
     check_tail_bound,
@@ -27,7 +32,7 @@ from drasim import (
     strong_regularity_alpha,
     virtual_value,
 )
-from drasim.distributions import posted_price_revenue_quadrature
+from drasim.distributions import QUAD_ABS_TOL, posted_price_revenue_quadrature
 
 CONTINUOUS = [Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
               GeneralizedPareto(0.75), Uniform(0.0, 1.0), EqualRevenue()]
@@ -223,6 +228,29 @@ def test_optimal_revenue_anchors():
     # GPareto(0.5), n=2: direct integral gives 23/24
     assert optimal_revenue(GeneralizedPareto(0.5), 2).mean == pytest.approx(23.0 / 24.0, abs=1e-8)
     assert optimal_revenue(Exponential(1.0), 0).mean == 0.0
+
+
+def test_quadrature_reports_and_refuses_its_error_estimate(monkeypatch):
+    est = optimal_revenue(GeneralizedPareto(0.5), 2)
+    assert 0.0 < est.std_error <= QUAD_ABS_TOL  # quad's own error estimate
+    import scipy.integrate
+    monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: (0.5, 1e-3))
+    with pytest.raises(RuntimeError, match="error estimate"):
+        optimal_revenue(GeneralizedPareto(0.5), 2)
+    with pytest.raises(RuntimeError, match="error estimate"):
+        posted_price_revenue_quadrature(GeneralizedPareto(0.5), 4.0)
+    with pytest.raises(RuntimeError, match="error estimate"):
+        adaptive_gain_quadrature(GeneralizedPareto(0.5), 5.0, 2.0)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate is imported by the first quadrature, not by `import drasim`
+    src = os.path.dirname(os.path.dirname(drasim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, drasim; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_optimal_revenue_monte_carlo_branch():

@@ -213,6 +213,22 @@ def test_exponential_gain_nonpositive_everywhere():
         assert est.mean <= 3.0 * est.std_error
 
 
+def test_adaptive_gain_pinned_bits():
+    # float.hex of estimates made before the vector engine skipped the rows with
+    # v_B <= v_A: skipping them changes no bit of a mean or standard error
+    pinned = [(GPA, 2.0, [2.0, 5.0, 100.0], ["0x1.2700000000000p-9 0x1.693101c1ffee8p-12",
+                                            "0x1.1d7829cbc14e5p-9 0x1.0d95e89681b0dp-14",
+                                            "0x1.024384c607489p-23 0x1.42a5c58c7d640p-26"]),
+              (Exponential(1.0), 1.0, [1.0, 2.0], ["-0x1.1f214160affd6p-6 0x1.3ffbf1fca7e7dp-12",
+                                                   "-0x1.3a0ba78292d01p-9 0x1.1efb4339d07e1p-14"])]
+    for dist, collateral, thresholds, expected in pinned:
+        rows = attack_sweep(dist, collateral, thresholds, 1 << 18, 0)
+        assert [f"{r.estimate.mean.hex()} {r.estimate.std_error.hex()}" for r in rows] == expected
+    plain = estimate_adaptive_gain(GPA, 3.0, 2.0, 200_001, 4, stratified=False)
+    assert (plain.mean.hex(), plain.std_error.hex()) == ("0x1.5bfe924f9a514p-8",
+                                                         "0x1.0b9f3e77a8e1dp-11")
+
+
 def test_attack_sweep_rows():
     rows = attack_sweep(GPA, 2.0, [2.0, 5.0, 100.0], 1 << 20, 0)
     assert [r.threshold for r in rows] == [2.0, 5.0, 100.0]

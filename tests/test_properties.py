@@ -1,7 +1,8 @@
 """Property-based checks of the message-level engine: every generated run of an
 implemented deviation passes its structural audit, conserves money, and leaves
 each buyer a view that the consistency checker accepts. Also the vector
-engine's top-two kernel against a sort."""
+engine's top-two kernel against a sort, and its pruned adaptive-attack kernel
+against the case arithmetic on every row."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from drasim import (
     WITHHOLD_IF_WINNING,
     AdaptiveReserve,
     AuctionConfig,
+    Exponential,
     FixedBid,
     GeneralizedPareto,
     Honest,
@@ -19,12 +21,14 @@ from drasim import (
     NoReveal,
     ShillBroadcast,
     Truthful,
+    Uniform,
+    adaptive_net_delta,
     check_view_consistency,
     conservation_residual,
     reserve_price,
     run_auction,
 )
-from drasim.estimators import _top_two
+from drasim.estimators import _adaptive_gain_pruned, _top_two
 from drasim.protocol import MONEY_TOL
 from drasim.verification import audit_run
 
@@ -91,3 +95,47 @@ def test_top_two_matches_sort(rows):
         assert np.array_equal(second, np.zeros(len(values)))
     else:
         assert np.array_equal(second, ordered[:, -2])
+
+
+# Families with a finite reserve, where the attack is defined (two_point has none).
+attack_families = st.one_of(
+    st.builds(GeneralizedPareto, st.sampled_from((0.05, 0.25, 0.5, 0.75, 0.95))),
+    st.builds(Exponential, st.sampled_from((0.1, 1.0, 7.0))),
+    st.sampled_from((Uniform(0.0, 1.0), Uniform(1.0, 5.0))),
+)
+GRID = 2.0 ** -53  # chunk uniforms are multiples of GRID in [0, 1)
+
+
+@st.composite
+def attack_chunks(draw):
+    """(dist, threshold, collateral, stratified, uniforms): rows whose 1 - u_B lies a
+    few grid steps from v_A's survival probability s or from the prune's cut
+    s (1 + 1e-9), mixed with unrelated rows."""
+    dist = draw(attack_families)
+    reserve = reserve_price(dist)
+    tail = float(dist.sf(reserve)) * draw(st.floats(min_value=1e-6, max_value=1.0))
+    threshold = max(reserve, float(dist.isf(tail)))
+    stratified = draw(st.booleans())
+    s_thr = float(dist.sf(threshold)) if stratified else 1.0
+    rows = []
+    for _ in range(draw(st.integers(1, 24))):
+        u_a = draw(st.integers(0, 2**53 - 1)) * GRID
+        if draw(st.booleans()):
+            target = s_thr * (1.0 - u_a) * draw(st.sampled_from((1.0, 1.0 + 1e-9)))
+            k = round((1.0 - target) / GRID) + draw(st.integers(-4, 4))
+        else:
+            k = draw(st.integers(0, 2**53 - 1))
+        rows.append((u_a, min(max(k, 0), 2**53 - 1) * GRID))
+    collateral = draw(st.floats(min_value=0.0, max_value=32.0, exclude_min=True))
+    return dist, threshold, collateral, stratified, np.array(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(attack_chunks())
+def test_pruned_adaptive_kernel_matches_every_row(chunk):
+    dist, threshold, collateral, stratified, u = chunk
+    v_a = dist.sample_tail(threshold, u[:, 0]) if stratified else dist.quantile(u[:, 0])
+    values = np.column_stack([v_a, dist.quantile(u[:, 1])])
+    dense = adaptive_net_delta(values, reserve_price(dist), threshold, collateral)
+    pruned = _adaptive_gain_pruned(dist, threshold, collateral, stratified, u)
+    assert np.array_equal(pruned, dense)
