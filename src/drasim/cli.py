@@ -176,8 +176,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="drasim",
-                                     description="Deferred revelation auction lab")
+    parser = argparse.ArgumentParser(
+        prog="drasim", description="Deferred revelation auction lab",
+        epilog="verify runs a fixed battery of checks on its own distributions and budgets. "
+               "Of the config it reads only the seed, the thresholds and the verify section, "
+               "so any valid config, a two_point one too, can print VERIFY PASS.")
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON config")
     parser.add_argument("--out", default=None, help="output file (default stdout)")

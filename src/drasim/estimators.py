@@ -18,6 +18,14 @@ needs MIN_SAMPLES samples or more. An estimate is a pure function of (config,
 strategy, samples, seed) however chunks are scheduled, and strategies under
 one seed share identical value profiles (paired comparisons by construction).
 
+The loop prices the chunks in order on the calling thread. When an estimate
+has more than one chunk, one helper thread, started and joined by the call,
+draws the next chunk's uniforms into one of two alternating buffers while the
+caller prices the current chunk. The helper runs only numpy's own fill
+(Generator.random, which releases the interpreter lock), never a drasim
+function, and the values it fills are those chunk_uniforms returns, so the
+estimates do not depend on it. A one-chunk estimate starts no thread.
+
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
 stratum coincides with honest play and contributes exactly zero, and the tail
@@ -58,7 +66,7 @@ from .distributions import (
 )
 from .estimate import ChunkAccumulator, Estimate
 from .protocol import AuctionConfig, run_auction
-from .seeding import chunk_bounds, chunk_uniforms, derive_seed
+from .seeding import CHUNK_SAMPLES, chunk_bounds, chunk_generator, chunk_uniforms, derive_seed
 from .strategies import (
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
@@ -149,6 +157,9 @@ def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
 
 
 def _vector_net(values: np.ndarray, config: AuctionConfig, strategy) -> np.ndarray:
+    if not isinstance(strategy, (Honest, ShillBroadcast, Lifted, AdaptiveReserve)):
+        raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
+    strategy.check_config(config)  # the ValueError that execute raises on the message engine
     if isinstance(strategy, Lifted):
         strategy = strategy.inner
     if isinstance(strategy, Honest):
@@ -160,11 +171,9 @@ def _vector_net(values: np.ndarray, config: AuctionConfig, strategy) -> np.ndarr
             raise ValueError(f"no vector path for reveal policy {policy!r}; use engine='simulate'")
         return _shill_net(values, config.reserve, config.collateral,
                           strategy.false_bids, withhold)
-    if isinstance(strategy, AdaptiveReserve):
-        honest = _shill_net(values, config.reserve, config.collateral, (), False)
-        return honest + adaptive_net_delta(values, config.reserve, strategy.threshold,
-                                           config.collateral)
-    raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
+    honest = _shill_net(values, config.reserve, config.collateral, (), False)
+    return honest + adaptive_net_delta(values, config.reserve, strategy.threshold,
+                                       config.collateral)
 
 
 # ---------------------------------------------------------------------------
@@ -193,15 +202,35 @@ def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
 def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
     """The Monte Carlo loop: one Estimate per function (values, start) -> array. Each
     chunk of the seed's stream is drawn and mapped to profiles by `draw` once, and
-    each function's array for it goes to its own accumulator in turn."""
+    each function's array for it goes to its own accumulator in turn, in chunk
+    order. While one chunk is priced, a helper thread fills the next one's uniforms
+    into the buffer that the chunk before last used (see the module docstring)."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     stream = _value_stream_seed(seed)
+    chunks = list(chunk_bounds(samples))
     accumulators = [ChunkAccumulator() for _ in per_profile]
-    for chunk, start, stop in chunk_bounds(samples):
-        values = draw(chunk_uniforms(stream, chunk, stop - start, cols))
+
+    def consume(values, start):
         for net, acc in zip(per_profile, accumulators):
             acc.add(net(values, start))
+
+    if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
+        consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)
+    else:
+        # imported here: concurrent.futures loads logging, which `import drasim`,
+        # the message engine and one-chunk estimates have no use for
+        from concurrent.futures import ThreadPoolExecutor
+
+        u = chunk_uniforms(stream, 0, CHUNK_SAMPLES, cols)
+        buffers = (u, np.empty_like(u))  # chunk c fills buffers[c % 2]
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for (_, start, _), (chunk, next_start, next_stop) in zip(chunks, chunks[1:]):
+                pending = helper.submit(chunk_generator(stream, chunk).random,
+                                        out=buffers[chunk % 2][:next_stop - next_start])
+                consume(draw(u), start)
+                u = pending.result()
+        consume(draw(u), chunks[-1][1])
     return [acc.result() for acc in accumulators]
 
 
@@ -287,8 +316,11 @@ def _adaptive_gain_pruned(dist: ValueDistribution, threshold: float, collateral:
                           stratified: bool, u: np.ndarray) -> np.ndarray:
     """adaptive_net_delta of the profiles _attack_profiles maps u to, evaluated only
     on the rows where v_B > v_A can hold (see the module docstring); zero elsewhere."""
-    s = (float(dist.sf(threshold)) if stratified else 1.0) * (1.0 - u[:, 0])
-    rows = np.flatnonzero(1.0 - u[:, 1] <= s * (1.0 + _PRUNE_MARGIN))
+    s = 1.0 - u[:, 0]  # in place from here: no second chunk-sized temporary
+    s *= float(dist.sf(threshold)) if stratified else 1.0
+    s *= 1.0 + _PRUNE_MARGIN
+    rows = np.flatnonzero(1.0 - u[:, 1] <= s)
+    del s
     delta = np.zeros(len(u))
     delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, stratified, u[rows]),
                                      reserve_price(dist), threshold, collateral)

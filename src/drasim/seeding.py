@@ -4,6 +4,10 @@ All randomness in an experiment flows from one 64-bit seed. Monte Carlo work
 is split into fixed-size chunks; chunk c draws from a Philox stream whose
 counter high word is c, so the values for sample index i depend only on
 (seed, i) and are identical no matter how chunks are scheduled or batched.
+chunk_generator is the one definition of that stream: chunk_uniforms draws a
+chunk from it into a new array, and the estimators' loop also fills a reused
+buffer from it on a helper thread (Generator.random(out=...)), which gives the
+same values.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["CHUNK_SAMPLES", "derive_seed", "chunk_uniforms", "chunk_bounds"]
+__all__ = ["CHUNK_SAMPLES", "derive_seed", "chunk_generator", "chunk_uniforms", "chunk_bounds"]
 
 CHUNK_SAMPLES = 1 << 16  # protocol constant; changing it changes every stream
 
@@ -33,10 +37,16 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(h.digest()[:8], "big")
 
 
+def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
+    """The generator of one chunk's stream: Philox keyed by seed, counter high word
+    chunk_index. Its random() fills row by row, so the first r rows of a chunk are
+    the same whatever the number of rows drawn."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk_index]))
+
+
 def chunk_uniforms(seed: int, chunk_index: int, rows: int, cols: int) -> np.ndarray:
     """Uniforms for one chunk: shape (rows, cols), stream fixed by (seed, chunk)."""
-    bitgen = np.random.Philox(key=seed, counter=[0, 0, 0, chunk_index])
-    return np.random.Generator(bitgen).random((rows, cols))
+    return chunk_generator(seed, chunk_index).random((rows, cols))
 
 
 def chunk_bounds(samples: int):

@@ -194,6 +194,9 @@ class Honest:
 
     kind = "honest"
 
+    def check_config(self, config: AuctionConfig) -> None:
+        """Honest play runs under every config."""
+
     def execute(self, game: AuctionGame) -> Outcome:
         return _run_two_phase(game, false_bids=(), reveal_policy=ALWAYS_REVEAL)
 
@@ -213,9 +216,13 @@ class ShillBroadcast:
     reveal_policy: object = ALWAYS_REVEAL
     kind = "shill"
 
-    def execute(self, game: AuctionGame) -> Outcome:
-        if game.mode != "broadcast":
+    def check_config(self, config: AuctionConfig) -> None:
+        """Raise ValueError unless the config is one this strategy runs under."""
+        if config.mode != "broadcast":
             raise ValueError("ShillBroadcast runs on the broadcast channel; wrap in Lifted")
+
+    def execute(self, game: AuctionGame) -> Outcome:
+        self.check_config(game.config)
         return _run_two_phase(game, self.false_bids, self.reveal_policy)
 
     def describe(self) -> str:
@@ -230,14 +237,18 @@ class Lifted:
     inner: object
     kind = "lifted"
 
-    def execute(self, game: AuctionGame) -> Outcome:
-        if game.mode != "centralized":
+    def check_config(self, config: AuctionConfig) -> None:
+        """Raise ValueError unless the config is one this strategy runs under."""
+        if config.mode != "centralized":
             raise ValueError("Lifted strategies require centralized mode")
+        if not isinstance(self.inner, (ShillBroadcast, Honest)):
+            raise ValueError(f"cannot lift {type(self.inner).__name__}")
+
+    def execute(self, game: AuctionGame) -> Outcome:
+        self.check_config(game.config)
         if isinstance(self.inner, ShillBroadcast):
             return _run_two_phase(game, self.inner.false_bids, self.inner.reveal_policy)
-        if isinstance(self.inner, Honest):
-            return _run_two_phase(game, (), ALWAYS_REVEAL)
-        raise ValueError(f"cannot lift {type(self.inner).__name__}")
+        return _run_two_phase(game, (), ALWAYS_REVEAL)
 
     def describe(self) -> str:
         return f"lifted({self.inner.describe()})"
@@ -282,14 +293,18 @@ class AdaptiveReserve:
     def describe(self) -> str:
         return f"adaptive(T={self.threshold:.6g})"
 
-    def execute(self, game: AuctionGame) -> Outcome:
-        if game.mode != "centralized":
+    def check_config(self, config: AuctionConfig) -> None:
+        """Raise ValueError unless the config is one this strategy runs under."""
+        if config.mode != "centralized":
             raise ValueError("the adaptive reserve deviation needs centralized channels")
-        if game.config.n != 2:
-            raise ValueError(f"adaptive reserve is a two-buyer deviation, got n={game.config.n}")
+        if config.n != 2:
+            raise ValueError(f"adaptive reserve is a two-buyer deviation, got n={config.n}")
+        if self.threshold < config.reserve - _PRICE_TOL:
+            raise ValueError(f"threshold {self.threshold} below reserve {config.reserve}")
+
+    def execute(self, game: AuctionGame) -> Outcome:
+        self.check_config(game.config)
         reserve = game.config.reserve
-        if self.threshold < reserve - _PRICE_TOL:
-            raise ValueError(f"threshold {self.threshold} below reserve {reserve}")
         a_id, b_id = 1, 2
         msg_a = game.buyer_commit(a_id)
         msg_b = game.buyer_commit(b_id)

@@ -2,6 +2,7 @@
 rare-event estimator against its quadrature oracle, and the credibility suite."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from drasim import (
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
+    AdaptiveReserve,
     AuctionConfig,
     Exponential,
     GeneralizedPareto,
@@ -27,14 +29,17 @@ from drasim import (
     optimal_revenue,
     reserve_price,
 )
+from drasim.estimate import ChunkAccumulator, Estimate
 from drasim.estimators import (
+    _attack_profiles,
+    _estimate_each,
     _value_stream_seed,
     _vector_net,
     attack_sweep,
     sample_values,
     simulate_profile_net,
 )
-from drasim.seeding import chunk_uniforms, derive_seed
+from drasim.seeding import CHUNK_SAMPLES, chunk_bounds, chunk_generator, chunk_uniforms, derive_seed
 
 GPA = GeneralizedPareto(0.5)
 R = reserve_price(GPA)
@@ -112,6 +117,22 @@ def test_unsupported_policy_needs_simulate_engine():
         estimate_revenue(config, weird, 2_000, 0, engine="vector")
     est = estimate_revenue(config, weird, 1_200, 0, engine="simulate")
     assert est.samples == 1_200
+
+
+@pytest.mark.parametrize("mode,n,strategy", [
+    ("broadcast", 2, AdaptiveReserve(threshold=5.0)),
+    ("centralized", 3, AdaptiveReserve(threshold=5.0)),
+    ("centralized", 2, ShillBroadcast((3.0,), ALWAYS_REVEAL)),
+    ("broadcast", 2, Lifted(ShillBroadcast((3.0,), ALWAYS_REVEAL))),
+], ids=["adaptive-broadcast", "adaptive-n3", "shill-centralized", "lifted-broadcast"])
+def test_both_engines_refuse_a_strategy_outside_its_setting(mode, n, strategy):
+    config = config_for(GPA, n, 2.0, mode=mode)
+    messages = []
+    for engine in ("vector", "simulate"):
+        with pytest.raises(ValueError) as refused:
+            estimate_revenue(config, strategy, 1_000, 0, engine=engine)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +307,83 @@ def test_paired_difference_is_exactly_paired():
     a = ShillBroadcast((3.0,), ALWAYS_REVEAL)
     diff = estimate_paired_difference(config, a, a, 30_000, 3)
     assert diff.mean == 0.0 and diff.std_error == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The chunk loop: a helper thread draws ahead, the estimates stay serial
+# ---------------------------------------------------------------------------
+
+PIPELINE_SAMPLES = [1_000, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 999]
+
+
+def serial_estimate(seed, samples, cols, per_chunk):
+    """The reference loop: chunk_uniforms for every chunk, in order, on this thread."""
+    stream = _value_stream_seed(seed)
+    acc = ChunkAccumulator()
+    for chunk, start, stop in chunk_bounds(samples):
+        acc.add(per_chunk(chunk_uniforms(stream, chunk, stop - start, cols)))
+    return acc.result()
+
+
+def bits(est):
+    return est.mean.hex(), est.std_error.hex(), est.samples
+
+
+@pytest.mark.parametrize("samples", PIPELINE_SAMPLES)
+def test_prefetched_buffers_hold_the_chunk_uniforms(samples):
+    stream = _value_stream_seed(29)
+    for cols in (1, 2, 3, 8):
+        buffer = np.empty((CHUNK_SAMPLES, cols))
+        for chunk, start, stop in chunk_bounds(samples):
+            filled = chunk_generator(stream, chunk).random(out=buffer[:stop - start])
+            assert np.array_equal(filled, chunk_uniforms(stream, chunk, stop - start, cols))
+
+
+@pytest.mark.parametrize("samples", PIPELINE_SAMPLES)
+def test_pipelined_estimates_equal_the_serial_loop(samples):
+    seed = 29
+    strategy = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
+    for n in (1, 3, 8):
+        config = config_for(GPA, n, 2.0)
+        expected = serial_estimate(
+            seed, samples, n, lambda u: _vector_net(GPA.quantile(u), config, strategy))
+        assert bits(estimate_revenue(config, strategy, samples, seed)) == bits(expected)
+    threshold, collateral, reserve = 5.0, 2.0, R
+    for stratified in (True, False):
+        weight = float(GPA.sf(threshold)) if stratified else 1.0
+        cond = serial_estimate(seed, samples, 2, lambda u: adaptive_net_delta(
+            _attack_profiles(GPA, threshold, stratified, u), reserve, threshold, collateral))
+        expected = Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
+                            samples=cond.samples)
+        got = estimate_adaptive_gain(GPA, threshold, collateral, samples, seed,
+                                     stratified=stratified)
+        assert bits(got) == bits(expected)
+
+
+def test_chunk_loop_failure_propagates_and_joins_the_helper():
+    before = threading.active_count()
+
+    def fails_on_chunk_2(values, start):
+        if start == 2 * CHUNK_SAMPLES:
+            raise RuntimeError("chunk 2")
+        return values[:, 0]
+
+    with pytest.raises(RuntimeError, match="chunk 2"):
+        _estimate_each(3, 4 * CHUNK_SAMPLES, 2, lambda u: u, [fails_on_chunk_2])
+    assert threading.active_count() == before
+
+    def counts_threads(seen):
+        def net(values, start):
+            seen.append(threading.active_count())
+            return values[:, 0]
+        return net
+
+    one_chunk, three_chunks = [], []
+    _estimate_each(3, CHUNK_SAMPLES, 2, lambda u: u, [counts_threads(one_chunk)])
+    _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, [counts_threads(three_chunks)])
+    assert one_chunk == [before]  # a one-chunk estimate starts no thread
+    assert three_chunks == [before + 1, before + 1, before]  # one helper, joined before the last
+    assert threading.active_count() == before
 
 
 def test_chunk_accumulation_is_order_insensitive():
