@@ -13,10 +13,10 @@ import sys
 from typing import Optional
 
 from .distributions import (
-    ROOT_TOL,
     EqualRevenue,
     TwoPoint,
     ValueDistribution,
+    at_or_above_reserve,
     collateral as collateral_level,
     make_distribution,
     reserve_price,
@@ -34,6 +34,7 @@ from .strategies import (
     NoReveal,
     ShillBroadcast,
     Truthful,
+    liftable,
 )
 
 __all__ = ["ConfigError", "load_config", "ExperimentSetup", "build_setup"]
@@ -58,8 +59,8 @@ _VERIFY_KEYS = {
     "structural_runs", "lift_runs", "dominance_samples",
 }
 _REVEAL_POLICIES = {"always": ALWAYS_REVEAL, "withhold_if_winning": WITHHOLD_IF_WINNING}
-# the channel mode each auctioneer kind needs; honest runs on either
-_AUCTIONEER_MODES = {"shill": "broadcast", "lifted": "centralized", "adaptive": "centralized"}
+# each auctioneer kind's class, whose mode and n attributes name the setting it runs under
+_AUCTIONEERS = {cls.kind: cls for cls in (Honest, ShillBroadcast, AdaptiveReserve, Lifted)}
 
 
 def _expect_keys(obj: dict, allowed: set, where: str) -> None:
@@ -140,12 +141,11 @@ def validate_config(cfg: dict) -> dict:
     if "auctioneer" in cfg:
         _validate_auctioneer(cfg["auctioneer"], "auctioneer")
         kind = cfg["auctioneer"]["kind"]
-        mode = cfg.get("mode", "broadcast")
-        if mode != _AUCTIONEER_MODES.get(kind, mode):
-            raise ConfigError(f"auctioneer of kind {kind!r} runs on "
-                              f"{_AUCTIONEER_MODES[kind]} channels, not {mode}")
-        if kind == "adaptive" and cfg.get("n", 2) != 2:
-            raise ConfigError(f"auctioneer of kind 'adaptive' needs n = 2, got {cfg['n']}")
+        cls, mode, n = _AUCTIONEERS[kind], cfg.get("mode", "broadcast"), cfg.get("n", 2)
+        if cls.mode not in (None, mode):
+            raise ConfigError(f"auctioneer of kind {kind!r} runs on {cls.mode} channels, not {mode}")
+        if cls.n not in (None, n):
+            raise ConfigError(f"auctioneer of kind {kind!r} needs n = {cls.n}, got {n}")
     if "thresholds" in cfg:
         if not isinstance(cfg["thresholds"], list) or not cfg["thresholds"]:
             raise ConfigError("thresholds must be a non-empty list of numbers")
@@ -174,8 +174,8 @@ def validate_config(cfg: dict) -> dict:
 def _validate_auctioneer(spec: dict, where: str) -> None:
     _expect_keys(spec, _AUCTIONEER_KEYS, where)
     kind = spec.get("kind")
-    if kind not in ("honest", "shill", "adaptive", "lifted"):
-        raise ConfigError(f"{where}.kind must be honest|shill|adaptive|lifted, got {kind!r}")
+    if not isinstance(kind, str) or kind not in _AUCTIONEERS:
+        raise ConfigError(f"{where}.kind must be {'|'.join(_AUCTIONEERS)}, got {kind!r}")
     if kind == "shill":
         if "false_bids" in spec and "false_bid_quantiles" in spec:
             raise ConfigError(f"{where}: give false_bids or false_bid_quantiles, not both")
@@ -186,7 +186,7 @@ def _validate_auctioneer(spec: dict, where: str) -> None:
                 for i, b in enumerate(spec[key]):
                     _expect_number(b, f"{where}.{key}[{i}]")
         policy = spec.get("reveal_policy", "always")
-        if policy not in _REVEAL_POLICIES:
+        if not isinstance(policy, str) or policy not in _REVEAL_POLICIES:
             raise ConfigError(f"{where}.reveal_policy must be one of {sorted(_REVEAL_POLICIES)}")
     if kind == "adaptive":
         if "threshold" not in spec:
@@ -197,7 +197,7 @@ def _validate_auctioneer(spec: dict, where: str) -> None:
         if inner is None:
             raise ConfigError(f"{where} of kind 'lifted' requires an 'inner' strategy")
         _validate_auctioneer(inner, f"{where}.inner")
-        if inner.get("kind") in ("adaptive", "lifted"):
+        if not liftable(_AUCTIONEERS[inner["kind"]]):
             raise ConfigError(f"{where}.inner must be a broadcast strategy")
 
 
@@ -312,7 +312,7 @@ def _above_reserve(threshold: float, dist: ValueDistribution, where: str) -> flo
     """An adaptive-attack threshold, refused below dist's reserve, where the
     attack is undefined."""
     reserve = reserve_price(dist)
-    if not threshold >= reserve - ROOT_TOL:
+    if not at_or_above_reserve(threshold, reserve):
         raise ConfigError(f"{where} = {threshold} is below the reserve {reserve} of {dist!r}")
     return threshold
 

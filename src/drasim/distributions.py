@@ -48,6 +48,7 @@ __all__ = [
     "virtual_value",
     "plus_virtual_value",
     "reserve_price",
+    "at_or_above_reserve",
     "strong_regularity_alpha",
     "optimal_revenue",
     "collateral",
@@ -394,6 +395,12 @@ def reserve_price(dist: ValueDistribution) -> float:
     return b
 
 
+def at_or_above_reserve(x: float, reserve: float) -> bool:
+    """Whether a price or threshold x lies at or above the reserve, up to the
+    reserve's own bisection tolerance. False for NaN, so every caller refuses it."""
+    return x >= reserve - ROOT_TOL
+
+
 # ---------------------------------------------------------------------------
 # Strong-regularity classification
 # ---------------------------------------------------------------------------
@@ -557,7 +564,7 @@ def check_tail_bound(dist: ValueDistribution, alpha: float, p: float) -> BoundCh
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     r = _require_regular_finite_reserve(dist)
-    if p < r - ROOT_TOL:
+    if not at_or_above_reserve(p, r):
         raise ValueError(f"p={p} below reserve {r}")
     lhs = p * float(dist.sf(p))
     rhs = r * float(dist.sf(r)) * _tail_factor(alpha, r, p)
@@ -575,7 +582,7 @@ def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: fl
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     r = _require_regular_finite_reserve(dist)
-    if threshold < r - ROOT_TOL:
+    if not at_or_above_reserve(threshold, r):
         raise ValueError(f"threshold={threshold} below reserve {r}")
     if float(dist.sf(threshold)) <= 0.0:
         raise ValueError(f"event {{v >= {threshold}}} has zero probability")
@@ -611,7 +618,7 @@ def check_posted_price_bound(dist: ValueDistribution, alpha: float, p: float,
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     r = _require_regular_finite_reserve(dist)
-    if p < r - ROOT_TOL:
+    if not at_or_above_reserve(p, r):
         raise ValueError(f"p={p} below reserve {r}")
     lhs = posted_price_revenue_quadrature(dist, p)
     rhs = posted_price_revenue_quadrature(dist, r) * _tail_factor(alpha, r, p)

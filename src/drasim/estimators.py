@@ -6,11 +6,11 @@ Two engines are provided and kept in exact agreement:
   * "simulate" runs the full message-level auction per sampled value profile.
     It is the reference semantics and is used directly by the structural and
     game-theoretic tests.
-  * "vector" evaluates the same outcome arithmetic over numpy arrays for the
-    strategy families whose resolution is closed-form (honest, shill with the
-    stock reveal policies, their lifts, and the adaptive deviation). The test
-    suite asserts per-profile equality of the two engines, so the fast path
-    carries the simulator's semantics, not a reimplementation of its own.
+  * "vector" prices each profile by vector_net, the closed form that the
+    strategy's class defines beside its execute; a class that overrides execute
+    below that one must run on engine="simulate". The test suite asserts
+    per-profile equality of the two engines, so the fast path carries the
+    simulator's semantics, not a reimplementation of its own.
 
 Every estimator runs on one loop over chunked counter-based streams (see
 seeding) that draws each profile once for all the strategies it prices, and
@@ -55,7 +55,6 @@ import numpy as np
 
 from .distributions import (
     QUAD_ABS_TOL,
-    ROOT_TOL,
     InfiniteReserveError,
     ValueDistribution,
     _quad,
@@ -67,15 +66,16 @@ from .distributions import (
 from .estimate import ChunkAccumulator, Estimate
 from .protocol import AuctionConfig, run_auction
 from .seeding import CHUNK_SAMPLES, chunk_bounds, chunk_generator, chunk_uniforms, derive_seed
-from .strategies import (
+from .strategies import (  # noqa: F401 (perfbench's tracer finds _shill_net here)
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
     AdaptiveReserve,
-    AlwaysReveal,
     Honest,
-    Lifted,
     ShillBroadcast,
     Truthful,
+    _shill_net,
+    _top_two,
+    adaptive_net_delta,
 )
 
 __all__ = [
@@ -105,80 +105,19 @@ _PRUNE_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Vectorized outcome arithmetic (verified against the simulator)
-# ---------------------------------------------------------------------------
-
-def _top_two(values: np.ndarray) -> tuple:
-    """Largest and second-largest value per profile (second 0 when n = 1), exactly
-    as a sort gives them: a running max over the buyer columns only selects."""
-    top, second = values[:, 0], np.zeros(len(values))
-    for j, column in enumerate(values.T[1:]):
-        low = np.minimum(top, column)
-        second = np.maximum(second, low) if j else low
-        top = np.maximum(top, column)
-    return top, second
-
-
-def _shill_net(values: np.ndarray, reserve: float, collateral: float,
-               false_bids: Sequence[float], withhold_winning: bool) -> np.ndarray:
-    """Auctioneer net per profile for truthful buyers and a shill strategy."""
-    top, second = _top_two(values)
-    if not false_bids:
-        price = np.maximum(reserve, second)
-        return np.where(top > reserve, price, 0.0)
-    fb = np.asarray(false_bids, dtype=float)
-    if not withhold_winning:
-        fmax = fb.max()
-        price = np.maximum(reserve, np.maximum(second, fmax))
-        real_wins = top >= fmax  # ties break to the lower (real) index
-        return np.where(real_wins & (top > reserve), price, 0.0)
-    withheld = fb[None, :] > top[:, None]
-    withheld_count = withheld.sum(axis=1)
-    revealed_false_max = np.max(np.where(withheld, -np.inf, fb[None, :]), axis=1)
-    price = np.maximum(reserve, np.maximum(second, revealed_false_max))
-    net = np.where(top > reserve, price, 0.0)
-    return net - collateral * withheld_count
-
-
-def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
-                       collateral: float) -> np.ndarray:
-    """Adaptive-minus-honest auctioneer net per (v_A, v_B) profile.
-
-    Zero off the stratum {v_A >= T}. On it: +collateral when B outbids the
-    false bid v_A + f (first-price extraction), -collateral when B lands in
-    (v_A, v_A + f] (the false deposit is forfeited to B), zero otherwise.
-    """
-    a = values[:, 0]
-    b = values[:, 1]
-    active = a >= threshold
-    plus = active & (b > a + collateral)
-    minus = active & (b > a) & (b <= a + collateral) & (b > reserve)
-    return collateral * plus.astype(float) - collateral * minus.astype(float)
-
-
-def _vector_net(values: np.ndarray, config: AuctionConfig, strategy) -> np.ndarray:
-    if not isinstance(strategy, (Honest, ShillBroadcast, Lifted, AdaptiveReserve)):
-        raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
-    strategy.check_config(config)  # the ValueError that execute raises on the message engine
-    if isinstance(strategy, Lifted):
-        strategy = strategy.inner
-    if isinstance(strategy, Honest):
-        return _shill_net(values, config.reserve, config.collateral, (), False)
-    if isinstance(strategy, ShillBroadcast):
-        policy = strategy.reveal_policy
-        withhold = policy is WITHHOLD_IF_WINNING
-        if not (withhold or isinstance(policy, AlwaysReveal)):
-            raise ValueError(f"no vector path for reveal policy {policy!r}; use engine='simulate'")
-        return _shill_net(values, config.reserve, config.collateral,
-                          strategy.false_bids, withhold)
-    honest = _shill_net(values, config.reserve, config.collateral, (), False)
-    return honest + adaptive_net_delta(values, config.reserve, strategy.threshold,
-                                       config.collateral)
-
-
-# ---------------------------------------------------------------------------
 # Revenue estimation: one loop over profile chunks and one engine switch
 # ---------------------------------------------------------------------------
+
+def _vector_net(values: np.ndarray, config: AuctionConfig, strategy) -> np.ndarray:
+    """strategy.vector_net, refused where an execute overrides the one it mirrors:
+    the first class of the MRO to define either method must define vector_net."""
+    owner = next((cls for cls in type(strategy).__mro__
+                  if {"execute", "vector_net"} & vars(cls).keys()), object)
+    if "vector_net" not in vars(owner):
+        raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
+    strategy.check_config(config)  # the ValueError that execute raises on the message engine
+    return strategy.vector_net(values, config)
+
 
 def simulate_profile_net(config: AuctionConfig, strategy, values_row: Sequence[float],
                          run_seed: int) -> float:
@@ -278,12 +217,10 @@ def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Esti
     Myerson's identity makes the expectation zero for the truthful auction;
     the returned estimate carries the paired standard error for a 3-sigma test.
     """
-    def gap(values, start):
-        top, second = _top_two(values)
-        sale = top > config.reserve
-        payments = np.where(sale, np.maximum(config.reserve, second), 0.0)
-        welfare = np.where(sale, virtual_value(config.dist, top), 0.0)
-        return payments - welfare
+    def gap(values, start):  # the honest auctioneer's net is the buyers' payments
+        top, _ = _top_two(values)
+        welfare = np.where(top > config.reserve, virtual_value(config.dist, top), 0.0)
+        return Honest().vector_net(values, config) - welfare
 
     return _estimate_each(seed, samples, config.n, config.dist.quantile, [gap])[0]
 
@@ -299,10 +236,10 @@ def _attack_config(dist: ValueDistribution, threshold: float,
     reserve = reserve_price(dist)
     if math.isinf(reserve):
         raise InfiniteReserveError(f"{dist.kind} has an infinite reserve")
-    if not threshold >= reserve - ROOT_TOL:  # NaN too
-        raise ValueError(f"threshold {threshold} below reserve {reserve}")
-    return AuctionConfig(n=2, dist=dist, reserve=reserve, collateral=collateral,
-                         mode="centralized", seed=0)
+    config = AuctionConfig(n=2, dist=dist, reserve=reserve, collateral=collateral,
+                           mode="centralized", seed=0)
+    AdaptiveReserve(threshold).check_config(config)  # refuses T below the reserve, or NaN
+    return config
 
 
 def _attack_profiles(dist: ValueDistribution, threshold: float, stratified: bool,

@@ -18,6 +18,11 @@ drive the run:
     buyer B a fresh false commitment at A's bid plus the collateral: priced to
     either extract a first-price payment from B or eat one deposit.
 
+Beside its execute, each auctioneer strategy defines vector_net(values,
+config), the same run's auctioneer net per row of truthful values in closed
+form, for the vector engine. A subclass that overrides execute but not
+vector_net has no vector path: it runs on engine="simulate" only.
+
 A deviation counts as safe here when check_view_consistency accepts every real
 buyer's transcript on every run: each view must be explainable by some honest
 execution. That is a necessary-condition filter rather than the full
@@ -31,6 +36,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .channels import (
     PHASE_COMMIT,
     PHASE_DONE,
@@ -43,6 +50,7 @@ from .channels import (
     View,
     next_phase,
 )
+from .distributions import at_or_above_reserve
 from .protocol import AuctionConfig, AuctionGame, Outcome
 
 __all__ = [
@@ -152,60 +160,127 @@ WITHHOLD_IF_WINNING = WithholdIf(_outbids_all_reals, name="withhold_if_winning")
 
 
 # ---------------------------------------------------------------------------
-# Auctioneer strategies
+# Auctioneer strategies, each with the closed form the vector engine prices it by
 # ---------------------------------------------------------------------------
 
-def _run_two_phase(game: AuctionGame, false_bids: Sequence[float], reveal_policy) -> Outcome:
-    """The promised two-round schedule, mode-aware, with optional false bids."""
-    centralized = game.mode == "centralized"
-    for i in game.buyer_ids:
-        msg = game.buyer_commit(i)
-        if centralized:
-            for j in game.buyer_ids:
-                if j != i:
+def _top_two(values: np.ndarray) -> tuple:
+    """Largest and second-largest value per profile (second 0 when n = 1), exactly
+    as a sort gives them: a running max over the buyer columns only selects."""
+    top, second = values[:, 0], np.zeros(len(values))
+    for j, column in enumerate(values.T[1:]):
+        low = np.minimum(top, column)
+        second = np.maximum(second, low) if j else low
+        top = np.maximum(top, column)
+    return top, second
+
+
+def _shill_net(values: np.ndarray, reserve: float, collateral: float,
+               false_bids: Sequence[float], withhold_winning: bool) -> np.ndarray:
+    """Auctioneer net per profile for truthful buyers and a shill strategy."""
+    top, second = _top_two(values)
+    if not false_bids:
+        price = np.maximum(reserve, second)
+        return np.where(top > reserve, price, 0.0)
+    fb = np.asarray(false_bids, dtype=float)
+    if not withhold_winning:
+        fmax = fb.max()
+        price = np.maximum(reserve, np.maximum(second, fmax))
+        real_wins = top >= fmax  # ties break to the lower (real) index
+        return np.where(real_wins & (top > reserve), price, 0.0)
+    withheld = fb[None, :] > top[:, None]
+    withheld_count = withheld.sum(axis=1)
+    revealed_false_max = np.max(np.where(withheld, -np.inf, fb[None, :]), axis=1)
+    price = np.maximum(reserve, np.maximum(second, revealed_false_max))
+    net = np.where(top > reserve, price, 0.0)
+    return net - collateral * withheld_count
+
+
+def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
+                       collateral: float) -> np.ndarray:
+    """Adaptive-minus-honest auctioneer net per (v_A, v_B) profile.
+
+    Zero off the stratum {v_A >= T}. On it: +collateral when B outbids the
+    false bid v_A + f (first-price extraction), -collateral when B lands in
+    (v_A, v_A + f] (the false deposit is forfeited to B), zero otherwise.
+    """
+    a = values[:, 0]
+    b = values[:, 1]
+    active = a >= threshold
+    plus = active & (b > a + collateral)
+    minus = active & (b > a) & (b <= a + collateral) & (b > reserve)
+    return collateral * plus.astype(float) - collateral * minus.astype(float)
+
+
+class TwoPhase:
+    """The promised auction with schedule()'s false bids and reveal policy, on the
+    mode and n it needs (None: any), which config validation reads too."""
+
+    mode = None
+    n = None
+    false_bids = ()
+    reveal_policy = ALWAYS_REVEAL
+
+    def schedule(self) -> tuple:
+        return self.false_bids, self.reveal_policy
+
+    def check_config(self, config: AuctionConfig) -> None:
+        """Raise ValueError unless the config is one this strategy runs under."""
+        if self.mode not in (None, config.mode):
+            raise ValueError(f"{type(self).__name__} runs on {self.mode} channels, not {config.mode}")
+        if self.n not in (None, config.n):
+            raise ValueError(f"{type(self).__name__} needs n = {self.n}, got n={config.n}")
+
+    def execute(self, game: AuctionGame) -> Outcome:
+        """The promised two-round schedule, mode-aware, with optional false bids."""
+        self.check_config(game.config)
+        false_bids, reveal_policy = self.schedule()
+        centralized = game.mode == "centralized"
+
+        def relay(msg, sender: int) -> None:  # the auctioneer forwards to the others
+            for j in (game.buyer_ids if centralized else ()):
+                if j != sender:
                     game.forward(msg, to=j)
-    fids = []
-    for bid in false_bids:
-        fid = game.mint_false_buyer(bid)
-        game.publish_false_commit(fid)
-        fids.append(fid)
-    game.end_commit()
-    revealed_real: list[float] = []
-    reveal_msgs = []
-    for i in game.buyer_ids:
-        msg = game.buyer_reveal(i)
-        if msg is not None:
-            revealed_real.append(msg.opening.message)
-            reveal_msgs.append(msg)
-            if centralized:
-                for j in game.buyer_ids:
-                    if j != i:
-                        game.forward(msg, to=j)
-    for fid in fids:
-        false_bid = game.openings[fid].message
-        if not reveal_policy.withholds(false_bid, revealed_real):
-            game.reveal_false(fid)
-    game.end_reveal()
-    return game.finalize()
+
+        for i in game.buyer_ids:
+            relay(game.buyer_commit(i), i)
+        fids = []
+        for bid in false_bids:
+            fid = game.mint_false_buyer(bid)
+            game.publish_false_commit(fid)
+            fids.append(fid)
+        game.end_commit()
+        revealed_real: list[float] = []
+        for i in game.buyer_ids:
+            msg = game.buyer_reveal(i)
+            if msg is not None:
+                revealed_real.append(msg.opening.message)
+                relay(msg, i)
+        for fid in fids:
+            false_bid = game.openings[fid].message
+            if not reveal_policy.withholds(false_bid, revealed_real):
+                game.reveal_false(fid)
+        game.end_reveal()
+        return game.finalize()
+
+    def vector_net(self, values: np.ndarray, config: AuctionConfig) -> np.ndarray:
+        false_bids, policy = self.schedule()
+        withhold = policy is WITHHOLD_IF_WINNING
+        if not (withhold or isinstance(policy, AlwaysReveal)):
+            raise ValueError(f"no vector path for reveal policy {policy!r}; use engine='simulate'")
+        return _shill_net(values, config.reserve, config.collateral, false_bids, withhold)
 
 
-class Honest:
+class Honest(TwoPhase):
     """The promised auction; works over broadcast or centralized channels."""
 
     kind = "honest"
-
-    def check_config(self, config: AuctionConfig) -> None:
-        """Honest play runs under every config."""
-
-    def execute(self, game: AuctionGame) -> Outcome:
-        return _run_two_phase(game, false_bids=(), reveal_policy=ALWAYS_REVEAL)
 
     def describe(self) -> str:
         return "honest"
 
 
 @dataclass(frozen=True)
-class ShillBroadcast:
+class ShillBroadcast(TwoPhase):
     """False buyers over the broadcast channel, with a reveal policy.
 
     false_bids must be pinned before the run (instance-dependent, never
@@ -215,40 +290,32 @@ class ShillBroadcast:
     false_bids: tuple = ()
     reveal_policy: object = ALWAYS_REVEAL
     kind = "shill"
-
-    def check_config(self, config: AuctionConfig) -> None:
-        """Raise ValueError unless the config is one this strategy runs under."""
-        if config.mode != "broadcast":
-            raise ValueError("ShillBroadcast runs on the broadcast channel; wrap in Lifted")
-
-    def execute(self, game: AuctionGame) -> Outcome:
-        self.check_config(game.config)
-        return _run_two_phase(game, self.false_bids, self.reveal_policy)
+    mode = "broadcast"
 
     def describe(self) -> str:
         bids = ",".join(f"{b:.6g}" for b in self.false_bids)
         return f"shill[{bids}]/{self.reveal_policy.name}"
 
 
+def liftable(cls: type) -> bool:
+    """Whether Lifted can replay strategies of class cls over private channels."""
+    return issubclass(cls, TwoPhase) and cls.mode in (None, "broadcast")
+
+
 @dataclass(frozen=True)
-class Lifted:
+class Lifted(TwoPhase):
     """A broadcast strategy replayed over centralized private channels."""
 
     inner: object
     kind = "lifted"
+    mode = "centralized"
 
-    def check_config(self, config: AuctionConfig) -> None:
-        """Raise ValueError unless the config is one this strategy runs under."""
-        if config.mode != "centralized":
-            raise ValueError("Lifted strategies require centralized mode")
-        if not isinstance(self.inner, (ShillBroadcast, Honest)):
-            raise ValueError(f"cannot lift {type(self.inner).__name__}")
+    def __post_init__(self):
+        if not liftable(type(self.inner)):
+            raise ValueError(f"{type(self.inner).__name__} is not a broadcast strategy")
 
-    def execute(self, game: AuctionGame) -> Outcome:
-        self.check_config(game.config)
-        if isinstance(self.inner, ShillBroadcast):
-            return _run_two_phase(game, self.inner.false_bids, self.inner.reveal_policy)
-        return _run_two_phase(game, (), ALWAYS_REVEAL)
+    def schedule(self) -> tuple:
+        return self.inner.schedule()
 
     def describe(self) -> str:
         return f"lifted({self.inner.describe()})"
@@ -256,8 +323,6 @@ class Lifted:
 
 def lift_to_centralized(buyer_strategies: Sequence, auctioneer_strategy):
     """Map a broadcast strategy profile to its centralized replay."""
-    if isinstance(auctioneer_strategy, (Lifted, AdaptiveReserve)):
-        raise ValueError(f"{type(auctioneer_strategy).__name__} is not a broadcast strategy")
     return list(buyer_strategies), Lifted(auctioneer_strategy)
 
 
@@ -274,7 +339,7 @@ def reveal_dominant_variant(shill: ShillBroadcast, collateral_amount: float) -> 
 
 
 @dataclass(frozen=True)
-class AdaptiveReserve:
+class AdaptiveReserve(TwoPhase):
     """Centralized two-buyer deviation keyed on a threshold for buyer A's bid.
 
     Stagger the end of the commitment phase: A finishes and opens first. Below
@@ -289,18 +354,21 @@ class AdaptiveReserve:
 
     threshold: float
     kind = "adaptive"
+    mode = "centralized"
+    n = 2
 
     def describe(self) -> str:
         return f"adaptive(T={self.threshold:.6g})"
 
     def check_config(self, config: AuctionConfig) -> None:
-        """Raise ValueError unless the config is one this strategy runs under."""
-        if config.mode != "centralized":
-            raise ValueError("the adaptive reserve deviation needs centralized channels")
-        if config.n != 2:
-            raise ValueError(f"adaptive reserve is a two-buyer deviation, got n={config.n}")
-        if self.threshold < config.reserve - _PRICE_TOL:
+        super().check_config(config)
+        if not at_or_above_reserve(self.threshold, config.reserve):
             raise ValueError(f"threshold {self.threshold} below reserve {config.reserve}")
+
+    def vector_net(self, values: np.ndarray, config: AuctionConfig) -> np.ndarray:
+        # the promised auction's net, which the deviation changes by the delta
+        return super().vector_net(values, config) + adaptive_net_delta(
+            values, config.reserve, self.threshold, config.collateral)
 
     def execute(self, game: AuctionGame) -> Outcome:
         self.check_config(game.config)
@@ -313,26 +381,20 @@ class AdaptiveReserve:
         game.end_commit(to=[a_id])
         reveal_a = game.buyer_reveal(a_id)
 
-        if reveal_a is None:
-            # A withheld: nothing to condition on, fall back to the promised path.
+        if reveal_a is None or reveal_a.opening.message < self.threshold:
+            # The promised path: A withheld, leaving nothing to condition on, or
+            # A's bid is below the threshold.
             game.end_commit(to=[b_id])
             reveal_b = game.buyer_reveal(b_id)
-            if reveal_b is not None:
-                game.forward(reveal_b, to=a_id)
-            game.end_reveal()
-            return game.finalize()
-
-        bid_a = reveal_a.opening.message
-        if bid_a < self.threshold:
-            game.end_commit(to=[b_id])
-            reveal_b = game.buyer_reveal(b_id)
-            game.forward(reveal_a, to=b_id)
+            if reveal_a is not None:
+                game.forward(reveal_a, to=b_id)
             if reveal_b is not None:
                 game.forward(reveal_b, to=a_id)
             game.end_reveal()
             return game.finalize()
 
         # b_A cleared the threshold: the false buyer C exists only for B.
+        bid_a = reveal_a.opening.message
         bid_c = bid_a + game.config.collateral
         fid = game.mint_false_buyer(bid_c)
         game.publish_false_commit(fid, to=[b_id])

@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from drasim import cli
+from drasim import (
+    AdaptiveReserve,
+    AuctionConfig,
+    GeneralizedPareto,
+    Honest,
+    Lifted,
+    ShillBroadcast,
+    cli,
+    reserve_price,
+)
 from drasim.cli import main
 from drasim.config import ConfigError, build_setup, validate_config
 
@@ -54,10 +63,11 @@ def test_bad_values_rejected():
                 {"thresholds": []}, {"deviation_quantiles": [1.5]},
                 {"collateral": float("inf")}, {"collateral": 10**400},
                 {"alpha": float("nan")}, {"thresholds": [float("nan")]},
-                {"thresholds": [float("-inf")]},
+                {"thresholds": [float("-inf")]}, {"auctioneer": {"kind": ["shill"]}},
                 {"auctioneer": {"kind": "adaptive", "threshold": float("nan")}},
                 {"auctioneer": {"kind": "adaptive", "threshold": float("inf")}},
                 {"auctioneer": {"kind": "adaptive", "threshold": "5"}},
+                {"auctioneer": {"kind": "shill", "reveal_policy": ["always"]}},
                 {"buyers": [{"kind": "truthful", "value": float("nan")},
                             {"kind": "truthful"}]},
                 {"buyers": [{"kind": "fixed", "value": 1.0, "bid": float("inf")},
@@ -83,6 +93,32 @@ def test_bad_values_rejected():
         validate_config({**BASE, "auctioneer": {"kind": "lifted",
                                                 "inner": {"kind": "adaptive",
                                                           "threshold": 2.0}}})
+
+
+@pytest.mark.parametrize("spec,strategy", [
+    ({"kind": "honest"}, Honest()),
+    ({"kind": "shill", "false_bids": [3.0]}, ShillBroadcast((3.0,))),
+    ({"kind": "adaptive", "threshold": 5.0}, AdaptiveReserve(5.0)),
+    ({"kind": "lifted", "inner": {"kind": "shill", "false_bids": [3.0]}},
+     Lifted(ShillBroadcast((3.0,)))),
+], ids=["honest", "shill", "adaptive", "lifted"])
+def test_config_accepts_the_settings_that_check_config_accepts(spec, strategy):
+    gpa = GeneralizedPareto(0.5)
+    for mode in ("broadcast", "centralized"):
+        for n in (1, 2, 3):
+            try:
+                validate_config({**BASE, "mode": mode, "n": n, "auctioneer": spec})
+                accepted = True
+            except ConfigError:
+                accepted = False
+            config = AuctionConfig(n=n, dist=gpa, reserve=reserve_price(gpa), collateral=2.0,
+                                   mode=mode)
+            try:
+                strategy.check_config(config)
+                runs = True
+            except ValueError:
+                runs = False
+            assert accepted == runs, (mode, n)
 
 
 def test_setup_builders():

@@ -17,6 +17,7 @@ from drasim import (
     Honest,
     InfiniteReserveError,
     Lifted,
+    ProtocolViolation,
     ShillBroadcast,
     WithholdIf,
     adaptive_gain_quadrature,
@@ -124,7 +125,9 @@ def test_unsupported_policy_needs_simulate_engine():
     ("centralized", 3, AdaptiveReserve(threshold=5.0)),
     ("centralized", 2, ShillBroadcast((3.0,), ALWAYS_REVEAL)),
     ("broadcast", 2, Lifted(ShillBroadcast((3.0,), ALWAYS_REVEAL))),
-], ids=["adaptive-broadcast", "adaptive-n3", "shill-centralized", "lifted-broadcast"])
+    ("centralized", 2, AdaptiveReserve(threshold=math.nan)),
+], ids=["adaptive-broadcast", "adaptive-n3", "shill-centralized", "lifted-broadcast",
+        "adaptive-nan"])
 def test_both_engines_refuse_a_strategy_outside_its_setting(mode, n, strategy):
     config = config_for(GPA, n, 2.0, mode=mode)
     messages = []
@@ -133,6 +136,64 @@ def test_both_engines_refuse_a_strategy_outside_its_setting(mode, n, strategy):
             estimate_revenue(config, strategy, 1_000, 0, engine=engine)
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
+
+
+class Greedy(Honest):
+    """Finalizes twice, as in test_protocol: the message engine refuses it."""
+
+    def execute(self, game):
+        super().execute(game)
+        return game.finalize()
+
+
+class HonestPlayingShill(ShillBroadcast):
+    def execute(self, game):
+        return Honest().execute(game)
+
+
+class RenamedShill(ShillBroadcast):
+    def describe(self):
+        return "renamed " + super().describe()
+
+
+def test_an_overridden_execute_has_no_vector_path():
+    config = config_for(GPA, 2, 2.0)
+    playing_honest = HonestPlayingShill((3.0,), ALWAYS_REVEAL)
+    for strategy in (Greedy(), playing_honest):
+        with pytest.raises(ValueError, match="no vector path"):
+            estimate_revenue(config, strategy, 1_000, 0, engine="vector")
+    with pytest.raises(ProtocolViolation):
+        estimate_revenue(config, Greedy(), 1_000, 0, engine="simulate")
+    assert estimate_revenue(config, playing_honest, 1_000, 0, engine="simulate") \
+        == estimate_revenue(config, Honest(), 1_000, 0)
+
+
+def test_a_subclass_that_keeps_execute_keeps_the_vector_path():
+    config = config_for(GPA, 2, 2.0)
+    base = ShillBroadcast((3.0, 40.0), WITHHOLD_IF_WINNING)
+    renamed = RenamedShill(base.false_bids, base.reveal_policy)
+    assert bits(estimate_revenue(config, renamed, 70_000, 43)) \
+        == bits(estimate_revenue(config, base, 70_000, 43))
+
+
+def test_estimate_revenue_pinned_bits():
+    # float.hex of two-chunk estimates made while the vector engine still chose each
+    # strategy's formula itself: moving the closed forms onto the strategies changes
+    # no bit of a mean or standard error
+    pinned = [
+        ("broadcast", Honest(), "0x1.ed7aeece82c33p-1 0x1.2d98a768238dbp-8"),
+        ("broadcast", ShillBroadcast((3.0, 40.0), ALWAYS_REVEAL),
+         "0x1.674718488ec66p-3 0x1.475cf4ad5c67ap-7"),
+        ("broadcast", ShillBroadcast((3.0, 40.0), WITHHOLD_IF_WINNING),
+         "-0x1.02dc0b3d6349dp+1 0x1.be6fb67f3d74fp-7"),
+        ("centralized", Lifted(ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)),
+         "-0x1.852ec219e754bp-3 0x1.1d8b20d78387ep-7"),
+        ("centralized", AdaptiveReserve(5.0), "0x1.eebcfed6efd55p-1 0x1.32163e3a50f90p-8"),
+    ]
+    for mode, strategy, expected in pinned:
+        est = estimate_revenue(config_for(GPA, 2, 2.0, mode=mode), strategy, 70_000, 43)
+        assert est.samples == 70_000 > CHUNK_SAMPLES
+        assert f"{est.mean.hex()} {est.std_error.hex()}" == expected, strategy.describe()
 
 
 # ---------------------------------------------------------------------------

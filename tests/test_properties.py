@@ -1,8 +1,11 @@
 """Property-based checks of the message-level engine: every generated run of an
 implemented deviation passes its structural audit, conserves money, and leaves
 each buyer a view that the consistency checker accepts. Also the vector
-engine's top-two kernel against a sort, and its pruned adaptive-attack kernel
-against the case arithmetic on every row."""
+engine's top-two kernel against a sort, each auctioneer family's closed form
+against the message engine on every profile, and the pruned adaptive-attack
+kernel against the case arithmetic on every row."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ from drasim import (
     reserve_price,
     run_auction,
 )
-from drasim.estimators import _adaptive_gain_pruned, _top_two
+from drasim.estimators import _adaptive_gain_pruned, _top_two, _vector_net, simulate_profile_net
 from drasim.protocol import MONEY_TOL
 from drasim.verification import audit_run
 
@@ -95,6 +98,42 @@ def test_top_two_matches_sort(rows):
         assert np.array_equal(second, np.zeros(len(values)))
     else:
         assert np.array_equal(second, ordered[:, -2])
+
+
+# bids drawn from one small pool, so that real bids tie each other, the false bids,
+# the threshold and the reserve; 0.0 and R are at or below the reserve
+pool = st.one_of(st.sampled_from([0.0, R, 3.0, 5.0, 40.0]), amounts)
+
+
+@st.composite
+def priced_profiles(draw):
+    """(config, auctioneer, value rows, run seed) over the four auctioneer families
+    with a vector path, each in its setting."""
+    family = draw(st.sampled_from(("honest", "shill", "lifted", "adaptive")))
+    n = 2 if family == "adaptive" else draw(st.integers(1, 3))
+    shill = ShillBroadcast(tuple(draw(st.lists(pool, max_size=3))),
+                           draw(st.sampled_from((ALWAYS_REVEAL, WITHHOLD_IF_WINNING))))
+    auctioneer, mode = {
+        "honest": (Honest(), draw(st.sampled_from(("broadcast", "centralized")))),
+        "shill": (shill, "broadcast"),
+        "lifted": (Lifted(draw(st.sampled_from((Honest(), shill)))), "centralized"),
+        "adaptive": (AdaptiveReserve(draw(st.one_of(
+            st.sampled_from((R, 3.0, 5.0, math.inf)), st.floats(min_value=R, max_value=64.0)))),
+            "centralized"),
+    }[family]
+    collateral = draw(st.floats(min_value=0.0, max_value=32.0, exclude_min=True))
+    config = AuctionConfig(n=n, dist=GPA, reserve=R, collateral=collateral, mode=mode, seed=0)
+    rows = draw(st.lists(st.lists(pool, min_size=n, max_size=n), min_size=1, max_size=4))
+    return config, auctioneer, np.array(rows, dtype=float), draw(st.integers(0, 2**62))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(priced_profiles())
+def test_vector_engine_matches_message_engine_per_profile(case):
+    config, auctioneer, values, seed = case
+    simulated = [simulate_profile_net(config, auctioneer, row, seed + k)
+                 for k, row in enumerate(values)]
+    assert np.array_equal(_vector_net(values, config, auctioneer), np.array(simulated))
 
 
 # Families with a finite reserve, where the attack is defined (two_point has none).

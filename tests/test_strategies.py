@@ -176,6 +176,11 @@ def test_lift_payload_multisets_match():
 def test_lift_rejections():
     with pytest.raises(ValueError):
         lift_to_centralized([], AdaptiveReserve(3.0))
+    for inner in (Lifted(Honest()), AdaptiveReserve(3.0)):  # one rule for both ways in
+        with pytest.raises(ValueError, match="not a broadcast strategy"):
+            Lifted(inner)
+        with pytest.raises(ValueError, match="not a broadcast strategy"):
+            lift_to_centralized([], inner)
     with pytest.raises(ValueError):
         run_auction(broadcast_config(2.0), [Truthful(3.0), Truthful(4.0)],
                     Lifted(Honest()))
