@@ -47,10 +47,12 @@ class ChunkAccumulator:
         self._sq_sums: list[float] = []
         self._count = 0
 
-    def add(self, values: np.ndarray) -> None:
+    def add(self, values: np.ndarray, square: np.ndarray = None) -> None:
+        """Accumulate one chunk; square, if given, is a float array of values' shape
+        that the squares are written into instead of a new one."""
         values = np.asarray(values, dtype=float)
         self._sums.append(float(np.sum(values)))
-        self._sq_sums.append(float(np.sum(values * values)))
+        self._sq_sums.append(float(np.sum(np.multiply(values, values, out=square))))
         self._count += values.size
 
     def result(self) -> Estimate:

@@ -6,17 +6,26 @@ Two engines are provided and kept in exact agreement:
   * "simulate" runs the full message-level auction per sampled value profile.
     It is the reference semantics and is used directly by the structural and
     game-theoretic tests.
-  * "vector" prices each profile by vector_net, the closed form that the
-    strategy's class defines beside its execute; a class that overrides execute
-    below that one must run on engine="simulate". The test suite asserts
-    per-profile equality of the two engines, so the fast path carries the
-    simulator's semantics, not a reimplementation of its own.
+  * "vector" prices each profile by vector_net(chunk, config), the closed form
+    that the strategy's class defines beside its execute; a class that
+    overrides execute below that one must run on engine="simulate". The test
+    suite asserts per-profile equality of the two engines, so the fast path
+    carries the simulator's semantics, not a reimplementation of its own.
 
 Every estimator runs on one loop over chunked counter-based streams (see
 seeding) that draws each profile once for all the strategies it prices, and
 needs MIN_SAMPLES samples or more. An estimate is a pure function of (config,
 strategy, samples, seed) however chunks are scheduled, and strategies under
 one seed share identical value profiles (paired comparisons by construction).
+
+The loop hands each chunk to the functions it prices as one strategies.Chunk:
+the profiles, their top two and the promised auction's price and sale mask,
+each computed once per chunk for all the strategies, and work arrays that the
+kernels and the accumulator write into. One Chunk carries an estimate from
+chunk to chunk, so its work arrays are allocated once per call, on the calling
+thread. An array a kernel returns may be one of them and holds only until the
+next kernel call on the chunk, so a paired difference copies the first net
+before it prices the baseline.
 
 The loop prices the chunks in order on the calling thread. When an estimate
 has more than one chunk, one helper thread, started and joined by the call,
@@ -70,11 +79,12 @@ from .strategies import (  # noqa: F401 (perfbench's tracer finds _shill_net her
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
     AdaptiveReserve,
+    Chunk,
     Honest,
     ShillBroadcast,
     Truthful,
+    _first_definer,
     _shill_net,
-    _top_two,
     adaptive_net_delta,
 )
 
@@ -108,15 +118,13 @@ _PRUNE_MARGIN = 1e-9
 # Revenue estimation: one loop over profile chunks and one engine switch
 # ---------------------------------------------------------------------------
 
-def _vector_net(values: np.ndarray, config: AuctionConfig, strategy) -> np.ndarray:
+def _vector_net(chunk: Chunk, config: AuctionConfig, strategy) -> np.ndarray:
     """strategy.vector_net, refused where an execute overrides the one it mirrors:
     the first class of the MRO to define either method must define vector_net."""
-    owner = next((cls for cls in type(strategy).__mro__
-                  if {"execute", "vector_net"} & vars(cls).keys()), object)
-    if "vector_net" not in vars(owner):
+    if "vector_net" not in vars(_first_definer(type(strategy), "execute", "vector_net")):
         raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
     strategy.check_config(config)  # the ValueError that execute raises on the message engine
-    return strategy.vector_net(values, config)
+    return strategy.vector_net(chunk, config)
 
 
 def simulate_profile_net(config: AuctionConfig, strategy, values_row: Sequence[float],
@@ -139,20 +147,25 @@ def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
 
 
 def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
-    """The Monte Carlo loop: one Estimate per function (values, start) -> array. Each
+    """The Monte Carlo loop: one Estimate per function (chunk, start) -> array. Each
     chunk of the seed's stream is drawn and mapped to profiles by `draw` once, and
     each function's array for it goes to its own accumulator in turn, in chunk
-    order. While one chunk is priced, a helper thread fills the next one's uniforms
-    into the buffer that the chunk before last used (see the module docstring)."""
+    order. The call's one Chunk carries the profiles and the work arrays from
+    chunk to chunk. While one chunk is priced, a helper thread fills the next
+    one's uniforms into the buffer that the chunk before last used (see the
+    module docstring)."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     stream = _value_stream_seed(seed)
     chunks = list(chunk_bounds(samples))
     accumulators = [ChunkAccumulator() for _ in per_profile]
+    chunk = None
 
     def consume(values, start):
+        nonlocal chunk
+        chunk = Chunk(values) if chunk is None else chunk.load(values)
         for net, acc in zip(per_profile, accumulators):
-            acc.add(net(values, start))
+            acc.add(net(chunk, start), square=chunk.work("square"))
 
     if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)
@@ -162,11 +175,11 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
         from concurrent.futures import ThreadPoolExecutor
 
         u = chunk_uniforms(stream, 0, CHUNK_SAMPLES, cols)
-        buffers = (u, np.empty_like(u))  # chunk c fills buffers[c % 2]
+        buffers = (u, np.empty_like(u))  # chunk k fills buffers[k % 2]
         with ThreadPoolExecutor(max_workers=1) as helper:
-            for (_, start, _), (chunk, next_start, next_stop) in zip(chunks, chunks[1:]):
-                pending = helper.submit(chunk_generator(stream, chunk).random,
-                                        out=buffers[chunk % 2][:next_stop - next_start])
+            for (_, start, _), (k, next_start, next_stop) in zip(chunks, chunks[1:]):
+                pending = helper.submit(chunk_generator(stream, k).random,
+                                        out=buffers[k % 2][:next_stop - next_start])
                 consume(draw(u), start)
                 u = pending.result()
         consume(draw(u), chunks[-1][1])
@@ -175,18 +188,21 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
 
 def _net_function(config: AuctionConfig, strategy, seed: int, engine: str,
                   baseline=None):
-    """The engine switch: (values, start) -> net of `strategy` (less `baseline`'s) per
+    """The engine switch: (chunk, start) -> net of `strategy` (less `baseline`'s) per
     profile, by the closed form _vector_net, or by full auctions where profile
     start + k runs with seed derive_seed(seed, "run", start + k)."""
     if engine == "vector":
-        def vectorized(values, start):
-            net = _vector_net(values, config, strategy)
-            return net if baseline is None else net - _vector_net(values, config, baseline)
+        def vectorized(chunk, start):
+            net = _vector_net(chunk, config, strategy)
+            if baseline is None:
+                return net
+            net = net.copy()  # pricing the baseline may write over the chunk's work arrays
+            return np.subtract(net, _vector_net(chunk, config, baseline), out=net)
         return vectorized
     if engine == "simulate":
-        def simulated(values, start):
+        def simulated(chunk, start):
             nets = []
-            for k, row in enumerate(values):
+            for k, row in enumerate(chunk.values):
                 run_seed = derive_seed(seed, "run", start + k)
                 net = simulate_profile_net(config, strategy, row, run_seed)
                 if baseline is not None:
@@ -217,10 +233,12 @@ def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Esti
     Myerson's identity makes the expectation zero for the truthful auction;
     the returned estimate carries the paired standard error for a 3-sigma test.
     """
-    def gap(values, start):  # the honest auctioneer's net is the buyers' payments
-        top, _ = _top_two(values)
-        welfare = np.where(top > config.reserve, virtual_value(config.dist, top), 0.0)
-        return Honest().vector_net(values, config) - welfare
+    def gap(chunk, start):  # the honest auctioneer's net is the buyers' payments
+        top, _ = chunk.top_two()
+        _, sale = chunk.honest(config.reserve)
+        welfare = np.where(sale, virtual_value(config.dist, top), 0.0)
+        net = Honest().vector_net(chunk, config)
+        return np.subtract(net, welfare, out=net)
 
     return _estimate_each(seed, samples, config.n, config.dist.quantile, [gap])[0]
 
@@ -284,8 +302,8 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
         def draw(u):
             return u
 
-        def gain(u, start):
-            return _adaptive_gain_pruned(dist, threshold, collateral, stratified, u)
+        def gain(chunk, start):
+            return _adaptive_gain_pruned(dist, threshold, collateral, stratified, chunk.values)
     else:
         def draw(u):
             return _attack_profiles(dist, threshold, stratified, u)

@@ -18,10 +18,14 @@ drive the run:
     buyer B a fresh false commitment at A's bid plus the collateral: priced to
     either extract a first-price payment from B or eat one deposit.
 
-Beside its execute, each auctioneer strategy defines vector_net(values,
-config), the same run's auctioneer net per row of truthful values in closed
-form, for the vector engine. A subclass that overrides execute but not
-vector_net has no vector path: it runs on engine="simulate" only.
+Beside its execute, each auctioneer strategy defines vector_net(chunk, config),
+the same run's auctioneer net per row of truthful values in closed form, for
+the vector engine. The Chunk holds the rows and computes their top two and the
+promised price once for every strategy priced on it; the kernels write into its
+work arrays, so the array vector_net returns holds only until the next kernel
+call on the chunk. A subclass that overrides execute but not vector_net has no
+vector path: it runs on engine="simulate" only. Lifted refuses it as well,
+since it replays schedule() through the two-phase execute, not the subclass's.
 
 A deviation counts as safe here when check_view_consistency accepts every real
 buyer's transcript on every run: each view must be explainable by some honest
@@ -65,6 +69,7 @@ __all__ = [
     "ShillBroadcast",
     "Lifted",
     "AdaptiveReserve",
+    "Chunk",
     "lift_to_centralized",
     "reveal_dominant_variant",
     "check_view_consistency",
@@ -174,25 +179,86 @@ def _top_two(values: np.ndarray) -> tuple:
     return top, second
 
 
-def _shill_net(values: np.ndarray, reserve: float, collateral: float,
+class Chunk:
+    """One chunk of value profiles, one row each, as the vector kernels see it.
+
+    Beside the values it keeps what every auctioneer strategy prices from: their
+    top two (by _top_two), and the promised auction's price max(reserve, second)
+    and sale mask top > reserve. Each is computed on first use, once per chunk.
+    It also owns the kernels' work arrays, allocated on first use with the first
+    chunk's length; load() brings in the next chunk and keeps them, so a Monte
+    Carlo loop allocates them once per estimate, not once per strategy and chunk.
+
+    An array that a kernel returns may be one of these work arrays. It holds
+    until the next kernel call on the chunk; a caller that needs it longer keeps
+    a copy. A chunk is used on one thread.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self._capacity = len(values)
+        self._work: dict = {}
+        self.load(values)
+
+    def load(self, values: np.ndarray) -> "Chunk":
+        """Make values, no more rows than the first chunk's, the chunk's profiles."""
+        self.values = values
+        self._order = None
+        self._honest = None
+        return self
+
+    def work(self, name: str, dtype=float) -> np.ndarray:
+        """The work array `name`, one entry per profile, contents undefined."""
+        buffer = self._work.get(name)
+        if buffer is None:
+            buffer = self._work[name] = np.empty(self._capacity, dtype)
+        return buffer[:len(self.values)]
+
+    def top_two(self) -> tuple:
+        if self._order is None:
+            self._order = _top_two(self.values)
+        return self._order
+
+    def honest(self, reserve: float) -> tuple:
+        """(max(reserve, second), top > reserve): the promised auction's price and
+        whether it sells, per profile."""
+        if self._honest is None or self._honest[0] != reserve:
+            top, second = self.top_two()
+            self._honest = (reserve, np.maximum(reserve, second, out=self.work("honest_price")),
+                            np.greater(top, reserve, out=self.work("sale", bool)))
+        return self._honest[1:]
+
+
+def _shill_net(chunk: Chunk, reserve: float, collateral: float,
                false_bids: Sequence[float], withhold_winning: bool) -> np.ndarray:
-    """Auctioneer net per profile for truthful buyers and a shill strategy."""
-    top, second = _top_two(values)
+    """Auctioneer net per profile for truthful buyers and a shill strategy, in the
+    chunk's work array "net": the largest of the promised price and the revealed
+    false bids when the top real bid clears the reserve and outbids them all, less
+    one collateral per withheld false bid."""
+    top, _ = chunk.top_two()
+    price, sale = chunk.honest(reserve)
+    net = chunk.work("net")
+    net.fill(0.0)
     if not false_bids:
-        price = np.maximum(reserve, second)
-        return np.where(top > reserve, price, 0.0)
+        np.copyto(net, price, where=sale)
+        return net
     fb = np.asarray(false_bids, dtype=float)
+    mask = chunk.work("mask", bool)
     if not withhold_winning:
         fmax = fb.max()
-        price = np.maximum(reserve, np.maximum(second, fmax))
-        real_wins = top >= fmax  # ties break to the lower (real) index
-        return np.where(real_wins & (top > reserve), price, 0.0)
-    withheld = fb[None, :] > top[:, None]
-    withheld_count = withheld.sum(axis=1)
-    revealed_false_max = np.max(np.where(withheld, -np.inf, fb[None, :]), axis=1)
-    price = np.maximum(reserve, np.maximum(second, revealed_false_max))
-    net = np.where(top > reserve, price, 0.0)
-    return net - collateral * withheld_count
+        np.greater_equal(top, fmax, out=mask)  # ties break to the lower (real) index
+        np.logical_and(mask, sale, out=mask)
+        np.copyto(net, np.maximum(price, fmax, out=chunk.work("price")), where=mask)
+        return net
+    shill_price, raised, withheld = chunk.work("price"), chunk.work("raised"), chunk.work("withheld")
+    np.copyto(shill_price, price)
+    withheld.fill(0.0)
+    for bid in fb:  # withheld when it outbids the top real bid, else revealed
+        np.greater(bid, top, out=mask)
+        np.add(withheld, mask, out=withheld)
+        np.logical_not(mask, out=mask)
+        np.copyto(shill_price, np.maximum(shill_price, bid, out=raised), where=mask)
+    np.copyto(net, shill_price, where=sale)
+    return np.subtract(net, np.multiply(collateral, withheld, out=withheld), out=net)
 
 
 def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
@@ -262,12 +328,12 @@ class TwoPhase:
         game.end_reveal()
         return game.finalize()
 
-    def vector_net(self, values: np.ndarray, config: AuctionConfig) -> np.ndarray:
+    def vector_net(self, chunk: Chunk, config: AuctionConfig) -> np.ndarray:
         false_bids, policy = self.schedule()
         withhold = policy is WITHHOLD_IF_WINNING
         if not (withhold or isinstance(policy, AlwaysReveal)):
             raise ValueError(f"no vector path for reveal policy {policy!r}; use engine='simulate'")
-        return _shill_net(values, config.reserve, config.collateral, false_bids, withhold)
+        return _shill_net(chunk, config.reserve, config.collateral, false_bids, withhold)
 
 
 class Honest(TwoPhase):
@@ -297,9 +363,16 @@ class ShillBroadcast(TwoPhase):
         return f"shill[{bids}]/{self.reveal_policy.name}"
 
 
+def _first_definer(cls: type, *names: str) -> type:
+    """The first class of cls's MRO that itself defines one of the named methods."""
+    return next((c for c in cls.__mro__ if not vars(c).keys().isdisjoint(names)), object)
+
+
 def liftable(cls: type) -> bool:
-    """Whether Lifted can replay strategies of class cls over private channels."""
-    return issubclass(cls, TwoPhase) and cls.mode in (None, "broadcast")
+    """Whether Lifted can replay strategies of class cls over private channels: it
+    replays schedule() through TwoPhase.execute, so cls must run that execute."""
+    return (issubclass(cls, TwoPhase) and cls.mode in (None, "broadcast")
+            and _first_definer(cls, "execute") is TwoPhase)
 
 
 @dataclass(frozen=True)
@@ -312,7 +385,8 @@ class Lifted(TwoPhase):
 
     def __post_init__(self):
         if not liftable(type(self.inner)):
-            raise ValueError(f"{type(self.inner).__name__} is not a broadcast strategy")
+            raise ValueError(f"{type(self.inner).__name__} is not a broadcast strategy "
+                             "that runs the two-phase execute")
 
     def schedule(self) -> tuple:
         return self.inner.schedule()
@@ -365,10 +439,10 @@ class AdaptiveReserve(TwoPhase):
         if not at_or_above_reserve(self.threshold, config.reserve):
             raise ValueError(f"threshold {self.threshold} below reserve {config.reserve}")
 
-    def vector_net(self, values: np.ndarray, config: AuctionConfig) -> np.ndarray:
-        # the promised auction's net, which the deviation changes by the delta
-        return super().vector_net(values, config) + adaptive_net_delta(
-            values, config.reserve, self.threshold, config.collateral)
+    def vector_net(self, chunk: Chunk, config: AuctionConfig) -> np.ndarray:
+        net = super().vector_net(chunk, config)  # the promised auction's, which the delta changes
+        return np.add(net, adaptive_net_delta(chunk.values, config.reserve, self.threshold,
+                                              config.collateral), out=net)
 
     def execute(self, game: AuctionGame) -> Outcome:
         self.check_config(game.config)

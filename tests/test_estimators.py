@@ -41,6 +41,7 @@ from drasim.estimators import (
     simulate_profile_net,
 )
 from drasim.seeding import CHUNK_SAMPLES, chunk_bounds, chunk_generator, chunk_uniforms, derive_seed
+from drasim.strategies import Chunk
 
 GPA = GeneralizedPareto(0.5)
 R = reserve_price(GPA)
@@ -70,7 +71,7 @@ def test_vector_engine_matches_simulator_per_profile(strategy):
     config = config_for(GPA, 2, 32.0)
     values = GPA.quantile(chunk_uniforms(_value_stream_seed(123), 0, 300, 2))
     assert list(values[0]) == sample_values(GPA, 2, 123)  # the estimators' stream
-    vec = _vector_net(values, config, strategy)
+    vec = _vector_net(Chunk(values), config, strategy)
     sim = np.array([simulate_profile_net(config, strategy, row, derive_seed(1, "s", k))
                     for k, row in enumerate(values)])
     assert np.array_equal(vec, sim)
@@ -370,6 +371,49 @@ def test_paired_difference_is_exactly_paired():
     assert diff.mean == 0.0 and diff.std_error == 0.0
 
 
+def test_paired_estimates_of_two_kernels_pinned_bits():
+    # float.hex of three-chunk estimates made when every kernel call returned a new
+    # array. The two strategies of a paired difference, and the honest net and the
+    # allocated virtual value of the Myerson gap, are priced on one chunk, whose work
+    # arrays the second kernel call may reuse: the first net must be held apart.
+    config = config_for(GPA, 2, 2.0)
+    samples = 2 * CHUNK_SAMPLES + 1
+    shill = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
+    pinned = [
+        (estimate_paired_difference(config, shill, Honest(), samples, 43),
+         "-0x1.27d0324db14d0p+0 0x1.dd40ca993c493p-9"),
+        (estimate_paired_difference(config, Honest(), shill, samples, 43),
+         "0x1.27d0324db14d0p+0 0x1.dd40ca993c493p-9"),
+        (estimate_myerson_gap(config, samples, 43), "0x1.001c61fb8ed7ap-5 0x1.1724a06793ad3p-7"),
+        (estimate_myerson_gap(config_for(GPA, 3, 2.0), samples, 43),
+         "0x1.fccabc89ad1eep-6 0x1.80a7dbecfa74fp-7"),
+    ]
+    for est, expected in pinned:
+        assert est.samples == samples
+        assert f"{est.mean.hex()} {est.std_error.hex()}" == expected
+
+
+def test_top_two_runs_once_per_chunk(monkeypatch):
+    from drasim import strategies
+
+    top_two, sizes = strategies._top_two, []
+
+    def counting(values):
+        sizes.append(len(values))
+        return top_two(values)
+
+    monkeypatch.setattr(strategies, "_top_two", counting)
+    samples = 2 * CHUNK_SAMPLES + 1
+    chunk_sizes = [CHUNK_SAMPLES, CHUNK_SAMPLES, 1]
+    report = credibility_suite(GPA, alpha=0.5, n=2, deviation_quantiles=[0.2, 0.9, 0.99],
+                               samples=samples, seed=41)
+    assert len(report.rows) == 7  # honest and two policies for each of three false bids
+    assert sizes == chunk_sizes
+    sizes.clear()
+    estimate_myerson_gap(config_for(GPA, 2, 2.0), samples, 43)
+    assert sizes == chunk_sizes
+
+
 # ---------------------------------------------------------------------------
 # The chunk loop: a helper thread draws ahead, the estimates stay serial
 # ---------------------------------------------------------------------------
@@ -407,7 +451,7 @@ def test_pipelined_estimates_equal_the_serial_loop(samples):
     for n in (1, 3, 8):
         config = config_for(GPA, n, 2.0)
         expected = serial_estimate(
-            seed, samples, n, lambda u: _vector_net(GPA.quantile(u), config, strategy))
+            seed, samples, n, lambda u: _vector_net(Chunk(GPA.quantile(u)), config, strategy))
         assert bits(estimate_revenue(config, strategy, samples, seed)) == bits(expected)
     threshold, collateral, reserve = 5.0, 2.0, R
     for stratified in (True, False):
@@ -424,19 +468,19 @@ def test_pipelined_estimates_equal_the_serial_loop(samples):
 def test_chunk_loop_failure_propagates_and_joins_the_helper():
     before = threading.active_count()
 
-    def fails_on_chunk_2(values, start):
+    def fails_on_chunk_2(chunk, start):
         if start == 2 * CHUNK_SAMPLES:
             raise RuntimeError("chunk 2")
-        return values[:, 0]
+        return chunk.values[:, 0]
 
     with pytest.raises(RuntimeError, match="chunk 2"):
         _estimate_each(3, 4 * CHUNK_SAMPLES, 2, lambda u: u, [fails_on_chunk_2])
     assert threading.active_count() == before
 
     def counts_threads(seen):
-        def net(values, start):
+        def net(chunk, start):
             seen.append(threading.active_count())
-            return values[:, 0]
+            return chunk.values[:, 0]
         return net
 
     one_chunk, three_chunks = [], []

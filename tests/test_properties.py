@@ -31,8 +31,9 @@ from drasim import (
     reserve_price,
     run_auction,
 )
-from drasim.estimators import _adaptive_gain_pruned, _top_two, _vector_net, simulate_profile_net
+from drasim.estimators import _adaptive_gain_pruned, _vector_net, simulate_profile_net
 from drasim.protocol import MONEY_TOL
+from drasim.strategies import Chunk, _top_two
 from drasim.verification import audit_run
 
 GPA = GeneralizedPareto(0.5)
@@ -133,7 +134,7 @@ def test_vector_engine_matches_message_engine_per_profile(case):
     config, auctioneer, values, seed = case
     simulated = [simulate_profile_net(config, auctioneer, row, seed + k)
                  for k, row in enumerate(values)]
-    assert np.array_equal(_vector_net(values, config, auctioneer), np.array(simulated))
+    assert np.array_equal(_vector_net(Chunk(values), config, auctioneer), np.array(simulated))
 
 
 # Families with a finite reserve, where the attack is defined (two_point has none).

@@ -189,6 +189,28 @@ def test_lift_rejections():
                     ShillBroadcast((1.0,), ALWAYS_REVEAL))
 
 
+class HonestPlayingShill(ShillBroadcast):
+    def execute(self, game):
+        return Honest().execute(game)
+
+
+def test_lift_refuses_a_subclass_with_its_own_execute():
+    # Lifted replays schedule() through the two-phase execute, never the inner
+    # strategy's execute: this one nets the honest 2.5 on broadcast, and its replay
+    # would have netted the shill's 3.0
+    strategy = HonestPlayingShill((3.0,), ALWAYS_REVEAL)
+    buyers = [Truthful(5.0), Truthful(2.5)]
+    outcome, _ = run_auction(broadcast_config(2.0), buyers, strategy)
+    assert outcome.auctioneer_net == 2.5
+    with pytest.raises(ValueError, match="not a broadcast strategy"):
+        Lifted(strategy)
+    with pytest.raises(ValueError, match="not a broadcast strategy"):
+        lift_to_centralized(buyers, strategy)
+    lifted_shill = Lifted(ShillBroadcast((3.0,), ALWAYS_REVEAL))
+    outcome, _ = run_auction(centralized_config(2.0), buyers, lifted_shill)
+    assert outcome.auctioneer_net == 3.0
+
+
 # ---------------------------------------------------------------------------
 # Reveal dominance
 # ---------------------------------------------------------------------------
