@@ -480,6 +480,18 @@ def _quad(integrand, upper: float, **options) -> tuple:
     return float(val), float(err)
 
 
+@functools.lru_cache(maxsize=None)
+def _optimal_revenue_quadrature(dist: ValueDistribution, n: int) -> Estimate:
+    """optimal_revenue's quadrature for a regular dist with a finite reserve."""
+    def integrand(s):
+        x = dist.isf(s)
+        return virtual_value(dist, x) * n * (1.0 - s) ** (n - 1)
+
+    val, err = _quad(integrand, float(dist.sf(reserve_price(dist))),
+                     epsabs=1e-10, epsrel=1e-10, limit=200)
+    return Estimate(mean=val, std_error=err, samples=0)
+
+
 def optimal_revenue(dist: ValueDistribution, n: int, method: str = "auto",
                     samples: int = 200_000, seed: int = 0) -> Estimate:
     """Rev(D^n) = E[max_i phi+(v_i)] for n i.i.d. buyers.
@@ -487,24 +499,19 @@ def optimal_revenue(dist: ValueDistribution, n: int, method: str = "auto",
     Adaptive quadrature over the quantile domain for n <= 4 (the max of n
     i.i.d. uniforms has density n u^(n-1), and phi(quantile(u)) is smooth past
     the reserve), with quad's error estimate as the standard error; Monte Carlo
-    with a standard error otherwise.
+    with a standard error otherwise. The quadrature is cached per (frozen)
+    distribution and n, so repeated calls return the first call's Estimate; a
+    quadrature that _quad refuses raises its RuntimeError each time.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return Estimate(mean=0.0, std_error=0.0, samples=0)
-    r = _require_regular_finite_reserve(dist)
+    _require_regular_finite_reserve(dist)
     if method not in ("auto", "quadrature", "monte-carlo"):
         raise ValueError(f"unknown method {method!r}")
     if method == "quadrature" or (method == "auto" and n <= 4):
-        s_r = float(dist.sf(r))
-
-        def integrand(s):
-            x = dist.isf(s)
-            return virtual_value(dist, x) * n * (1.0 - s) ** (n - 1)
-
-        val, err = _quad(integrand, s_r, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return Estimate(mean=val, std_error=err, samples=0)
+        return _optimal_revenue_quadrature(dist, n)
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((int(samples), n))
     values = dist.quantile(u)

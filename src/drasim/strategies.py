@@ -23,9 +23,11 @@ the same run's auctioneer net per row of truthful values in closed form, for
 the vector engine. The Chunk holds the rows and computes their top two and the
 promised price once for every strategy priced on it; the kernels write into its
 work arrays, so the array vector_net returns holds only until the next kernel
-call on the chunk. A subclass that overrides execute but not vector_net has no
-vector path: it runs on engine="simulate" only. Lifted refuses it as well,
-since it replays schedule() through the two-phase execute, not the subclass's.
+call on the chunk. They select by 0/1-mask products, as masked copies
+mispredict on random masks: exact for finite values and bids, reserve > 0 (see
+_shill_net). A subclass that overrides execute but not vector_net has no vector
+path: it runs on engine="simulate" only. Lifted refuses it as well, since it
+replays schedule() through the two-phase execute, not the subclass's.
 
 A deviation counts as safe here when check_view_consistency accepts every real
 buyer's transcript on every run: each view must be explainable by some honest
@@ -233,31 +235,27 @@ def _shill_net(chunk: Chunk, reserve: float, collateral: float,
     """Auctioneer net per profile for truthful buyers and a shill strategy, in the
     chunk's work array "net": the largest of the promised price and the revealed
     false bids when the top real bid clears the reserve and outbids them all, less
-    one collateral per withheld false bid."""
+    one collateral per withheld false bid. Its 0/1-mask selects are exact since
+    x * 1.0 == x and x * 0.0 == +0.0 for finite x >= 0, max(sp, ±0.0) == sp as
+    sp >= reserve > 0, values are quantiles of [0, 1) and false bids are finite."""
     top, _ = chunk.top_two()
     price, sale = chunk.honest(reserve)
     net = chunk.work("net")
-    net.fill(0.0)
     if not false_bids:
-        np.copyto(net, price, where=sale)
-        return net
-    fb = np.asarray(false_bids, dtype=float)
+        return np.multiply(price, sale, out=net)
     mask = chunk.work("mask", bool)
     if not withhold_winning:
-        fmax = fb.max()
-        np.greater_equal(top, fmax, out=mask)  # ties break to the lower (real) index
+        np.greater_equal(top, max(false_bids), out=mask)  # ties break to the lower (real) index
         np.logical_and(mask, sale, out=mask)
-        np.copyto(net, np.maximum(price, fmax, out=chunk.work("price")), where=mask)
-        return net
-    shill_price, raised, withheld = chunk.work("price"), chunk.work("raised"), chunk.work("withheld")
-    np.copyto(shill_price, price)
-    withheld.fill(0.0)
-    for bid in fb:  # withheld when it outbids the top real bid, else revealed
-        np.greater(bid, top, out=mask)
-        np.add(withheld, mask, out=withheld)
-        np.logical_not(mask, out=mask)
-        np.copyto(shill_price, np.maximum(shill_price, bid, out=raised), where=mask)
-    np.copyto(net, shill_price, where=sale)
+        return np.multiply(np.maximum(price, max(false_bids), out=net), mask, out=net)
+    raised, withheld = chunk.work("raised"), chunk.work("withheld")
+    np.copyto(net, price)  # the shill price, until the sale mask applies
+    withheld.fill(len(false_bids))
+    for bid in false_bids:  # revealed unless it outbids the top real bid
+        np.less_equal(bid, top, out=mask)
+        np.subtract(withheld, mask, out=withheld)
+        np.maximum(net, np.multiply(mask, bid, out=raised), out=net)
+    np.multiply(net, sale, out=net)
     return np.subtract(net, np.multiply(collateral, withheld, out=withheld), out=net)
 
 
@@ -295,6 +293,8 @@ class TwoPhase:
             raise ValueError(f"{type(self).__name__} runs on {self.mode} channels, not {config.mode}")
         if self.n not in (None, config.n):
             raise ValueError(f"{type(self).__name__} needs n = {self.n}, got n={config.n}")
+        if not all(map(math.isfinite, self.schedule()[0])):
+            raise ValueError(f"false bids {self.schedule()[0]} must be finite")
 
     def execute(self, game: AuctionGame) -> Outcome:
         """The promised two-round schedule, mode-aware, with optional false bids."""

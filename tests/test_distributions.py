@@ -32,7 +32,11 @@ from drasim import (
     strong_regularity_alpha,
     virtual_value,
 )
-from drasim.distributions import QUAD_ABS_TOL, posted_price_revenue_quadrature
+from drasim.distributions import (
+    QUAD_ABS_TOL,
+    _optimal_revenue_quadrature,
+    posted_price_revenue_quadrature,
+)
 
 CONTINUOUS = [Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
               GeneralizedPareto(0.75), Uniform(0.0, 1.0), EqualRevenue()]
@@ -218,6 +222,14 @@ def test_mhr_implies_regular_and_grid_validation():
 # Optimal revenue
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(autouse=True)
+def fresh_optimal_revenue():
+    """Each test computes Rev(D^n) afresh: none sees another's cached quadrature."""
+    _optimal_revenue_quadrature.cache_clear()
+    yield
+    _optimal_revenue_quadrature.cache_clear()
+
+
 def test_optimal_revenue_anchors():
     # Exponential(1), n=1: E[(v-1)+] = 1/e; equals r * P[v >= r]
     assert optimal_revenue(Exponential(1.0), 1).mean == pytest.approx(math.exp(-1.0), abs=1e-8)
@@ -235,12 +247,38 @@ def test_quadrature_reports_and_refuses_its_error_estimate(monkeypatch):
     assert 0.0 < est.std_error <= QUAD_ABS_TOL  # quad's own error estimate
     import scipy.integrate
     monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: (0.5, 1e-3))
+    _optimal_revenue_quadrature.cache_clear()  # the call above cached Rev(D^2)
     with pytest.raises(RuntimeError, match="error estimate"):
         optimal_revenue(GeneralizedPareto(0.5), 2)
     with pytest.raises(RuntimeError, match="error estimate"):
         posted_price_revenue_quadrature(GeneralizedPareto(0.5), 4.0)
     with pytest.raises(RuntimeError, match="error estimate"):
         adaptive_gain_quadrature(GeneralizedPareto(0.5), 5.0, 2.0)
+
+
+def test_cached_optimal_revenue_equals_a_fresh_quadrature():
+    for dist, n in ((GeneralizedPareto(0.5), 2), (Exponential(1.0), 3), (Uniform(1.0, 5.0), 1)):
+        first = optimal_revenue(dist, n)
+        cached = optimal_revenue(type(dist)(**dist.params), n)  # an equal, new instance
+        _optimal_revenue_quadrature.cache_clear()
+        fresh = optimal_revenue(dist, n)
+        assert cached is first  # served from the cache
+        assert (fresh.mean.hex(), fresh.std_error.hex(), fresh.samples) \
+            == (first.mean.hex(), first.std_error.hex(), 0)
+
+
+def test_a_refused_quadrature_is_not_cached(monkeypatch):
+    import scipy.integrate
+    quad = scipy.integrate.quad
+    monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: (0.5, 1e-3))
+    for _ in range(2):  # refused each time, never served from the cache
+        with pytest.raises(RuntimeError, match="error estimate"):
+            optimal_revenue(GeneralizedPareto(0.5), 2)
+    assert _optimal_revenue_quadrature.cache_info().currsize == 0
+    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    est = optimal_revenue(GeneralizedPareto(0.5), 2)
+    assert est.mean == pytest.approx(23.0 / 24.0, abs=1e-8)
+    assert 0.0 < est.std_error <= QUAD_ABS_TOL
 
 
 def test_import_leaves_scipy_integrate_unloaded():

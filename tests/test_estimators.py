@@ -127,8 +127,14 @@ def test_unsupported_policy_needs_simulate_engine():
     ("centralized", 2, ShillBroadcast((3.0,), ALWAYS_REVEAL)),
     ("broadcast", 2, Lifted(ShillBroadcast((3.0,), ALWAYS_REVEAL))),
     ("centralized", 2, AdaptiveReserve(threshold=math.nan)),
+    ("broadcast", 2, ShillBroadcast((math.nan,), WITHHOLD_IF_WINNING)),
+    ("broadcast", 2, ShillBroadcast((math.nan,), ALWAYS_REVEAL)),
+    ("broadcast", 3, ShillBroadcast((3.0, math.inf), WITHHOLD_IF_WINNING)),
+    ("broadcast", 2, ShillBroadcast((-math.inf,), ALWAYS_REVEAL)),
+    ("centralized", 2, Lifted(ShillBroadcast((math.inf,), WITHHOLD_IF_WINNING))),
 ], ids=["adaptive-broadcast", "adaptive-n3", "shill-centralized", "lifted-broadcast",
-        "adaptive-nan"])
+        "adaptive-nan", "shill-nan-withhold", "shill-nan-reveal", "shill-inf-withhold",
+        "shill-minus-inf-reveal", "lifted-inf"])
 def test_both_engines_refuse_a_strategy_outside_its_setting(mode, n, strategy):
     config = config_for(GPA, n, 2.0, mode=mode)
     messages = []

@@ -1,9 +1,10 @@
 """Property-based checks of the message-level engine: every generated run of an
 implemented deviation passes its structural audit, conserves money, and leaves
 each buyer a view that the consistency checker accepts. Also the vector
-engine's top-two kernel against a sort, each auctioneer family's closed form
-against the message engine on every profile, and the pruned adaptive-attack
-kernel against the case arithmetic on every row."""
+engine's top-two kernel against a sort, the shill kernel's 0/1-mask products
+against the selects they replace, each auctioneer family's closed form against
+the message engine on every profile, and the pruned adaptive-attack kernel
+against the case arithmetic on every row."""
 
 import math
 
@@ -33,7 +34,7 @@ from drasim import (
 )
 from drasim.estimators import _adaptive_gain_pruned, _vector_net, simulate_profile_net
 from drasim.protocol import MONEY_TOL
-from drasim.strategies import Chunk, _top_two
+from drasim.strategies import Chunk, _shill_net, _top_two
 from drasim.verification import audit_run
 
 GPA = GeneralizedPareto(0.5)
@@ -99,6 +100,56 @@ def test_top_two_matches_sort(rows):
         assert np.array_equal(second, np.zeros(len(values)))
     else:
         assert np.array_equal(second, ordered[:, -2])
+
+
+def shill_net_by_selects(values, reserve, collateral, false_bids, withhold_winning):
+    """_shill_net's arithmetic with np.where selects, as the kernel had it before it
+    multiplied by 0/1 masks."""
+    top, second = _top_two(values)
+    price, sale = np.maximum(reserve, second), top > reserve
+    if not false_bids:
+        return np.where(sale, price, 0.0)
+    fb = np.asarray(false_bids, dtype=float)
+    if not withhold_winning:
+        return np.where((top >= fb.max()) & sale, np.maximum(price, fb.max()), 0.0)
+    shill_price, withheld = price, np.zeros(len(values))
+    for bid in fb:
+        withheld = withheld + (bid > top)
+        shill_price = np.where(bid > top, shill_price, np.maximum(shill_price, bid))
+    return np.where(sale, shill_price, 0.0) - collateral * withheld
+
+
+# reserves, values and false bids from one pool, so that bids tie the top and second
+# values and the reserve; false bids may also be zero or negative
+reserves = st.sampled_from((R, 1.0, 3.0))
+shill_values = st.one_of(st.sampled_from((0.0, R, 1.0, 3.0, 5.0)), amounts)
+shill_bids = st.one_of(shill_values, st.sampled_from((-0.0, -1.0, -R)))
+
+
+@st.composite
+def shill_chunks(draw):
+    """(values, reserve, collateral, schedules): one chunk and the shill schedules
+    priced on it in turn, each up to three false bids under either policy."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(shill_values, min_size=n, max_size=n), min_size=1,
+                         max_size=16))
+    schedules = draw(st.lists(st.tuples(st.lists(shill_bids, max_size=3), st.booleans()),
+                              min_size=1, max_size=3))
+    collateral = draw(st.floats(min_value=0.0, max_value=32.0, exclude_min=True))
+    return np.array(rows, dtype=float), draw(reserves), collateral, schedules
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(shill_chunks())
+def test_shill_kernel_products_equal_the_selects(case):
+    # bit for bit, signed zeros included; the chunk's work arrays carry over from
+    # one schedule to the next, as in a credibility suite
+    values, reserve, collateral, schedules = case
+    chunk = Chunk(values)
+    for bids, withhold in schedules:
+        net = _shill_net(chunk, reserve, collateral, bids, withhold)
+        expected = shill_net_by_selects(values, reserve, collateral, bids, withhold)
+        assert [x.hex() for x in net.tolist()] == [x.hex() for x in expected.tolist()]
 
 
 # bids drawn from one small pool, so that real bids tie each other, the false bids,
