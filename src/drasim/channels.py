@@ -39,6 +39,7 @@ __all__ = [
     "Event",
     "View",
     "Channel",
+    "MODES",
     "Transcript",
     "ChannelError",
     "ModeError",
@@ -198,11 +199,16 @@ def _payload_json(p: Payload) -> dict:
     raise TypeError(f"unknown payload {type(p).__name__}")
 
 
+# the communication modes a Channel runs: one log for all, or private channels
+# through the auctioneer
+MODES = ("broadcast", "centralized")
+
+
 class Channel:
     """One run's transport. Confined to a single simulation instance."""
 
     def __init__(self, mode: str, n_buyers: int):
-        if mode not in ("broadcast", "centralized"):
+        if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.n_buyers = n_buyers

@@ -15,7 +15,7 @@ import math
 import sys
 import traceback
 
-from .config import ConfigError, ExperimentSetup, build_setup, load_config
+from .config import ConfigError, ExperimentSetup, build_setup, check_setting, load_config
 from .distributions import (
     InfiniteReserveError,
     NonRegularError,
@@ -27,6 +27,7 @@ from .distributions import (
 )
 from .estimators import attack_sweep, credibility_suite, estimate_revenue
 from .protocol import run_auction
+from .strategies import AdaptiveReserve, ShillBroadcast
 from .verification import run_verification
 
 CSV_HEADER = "strategy,param,mean,std_error,samples,ci_lo,ci_hi,verdict"
@@ -115,7 +116,8 @@ def cmd_estimate(setup: ExperimentSetup) -> int:
     config = setup.auction_config()
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    if setup.deviation_quantiles:
+    if setup.deviation_quantiles:  # the broadcast shill grid, on the config's setting
+        check_setting(ShillBroadcast, setup.mode, setup.n, "deviation_quantiles")
         report = credibility_suite(
             setup.dist, setup.classification_alpha(), setup.n,
             setup.deviation_quantiles, setup.samples, setup.seed,
@@ -134,6 +136,7 @@ def cmd_estimate(setup: ExperimentSetup) -> int:
 
 
 def cmd_attack(setup: ExperimentSetup) -> int:
+    check_setting(AdaptiveReserve, setup.mode, setup.n, "attack")  # the sweep's own setting
     config = setup.auction_config()
     rows = attack_sweep(setup.dist, config.collateral, setup.attack_thresholds(setup.dist),
                         setup.samples, setup.seed, engine=setup.engine)

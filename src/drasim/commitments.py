@@ -25,6 +25,7 @@ __all__ = [
     "IdealScheme",
     "HashScheme",
     "make_scheme",
+    "SCHEMES",
     "DEFAULT_SECURITY_BITS",
     "PROTOCOL_TAG",
 ]
@@ -141,9 +142,11 @@ class HashScheme:
         return token == commitment.token
 
 
+# the scheme names make_scheme takes: each scheme's own, and "hash" for sha256
+SCHEMES = {IdealScheme.name: IdealScheme, HashScheme.name: HashScheme, "hash": HashScheme}
+
+
 def make_scheme(kind: str, security_bits: int = DEFAULT_SECURITY_BITS):
-    if kind == "ideal":
-        return IdealScheme(security_bits)
-    if kind in ("hash", "sha256"):
-        return HashScheme(security_bits)
-    raise ValueError(f"unknown commitment scheme {kind!r}")
+    if kind not in SCHEMES:
+        raise ValueError(f"unknown commitment scheme {kind!r}")
+    return SCHEMES[kind](security_bits)

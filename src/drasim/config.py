@@ -1,8 +1,10 @@
-"""Experiment configuration: JSON schema validation and object builders.
+"""Experiment configuration: JSON shape validation and object builders.
 
 Configs are strict: unknown keys anywhere are rejected before anything runs,
 and every run's randomness flows from the single config seed. A missing seed
-defaults to 0 with a warning rather than an entropy source.
+defaults to 0 with a warning rather than an entropy source. Config checks the
+JSON's shape (keys, types, finite numbers, integer and quantile ranges) and
+asks the library for every auction rule, adding the key path and ConfigError.
 """
 
 from __future__ import annotations
@@ -12,21 +14,24 @@ import math
 import sys
 from typing import Optional
 
+from .channels import MODES
+from .commitments import SCHEMES
 from .distributions import (
-    EqualRevenue,
-    TwoPoint,
+    InfiniteReserveError,
+    NonRegularError,
     ValueDistribution,
+    _require_regular_finite_reserve,
     at_or_above_reserve,
     collateral as collateral_level,
     make_distribution,
     reserve_price,
     strong_regularity_alpha,
 )
-from .estimators import MIN_SAMPLES, sample_values
+from .estimators import ENGINES, MIN_SAMPLES, sample_values
 from .protocol import AuctionConfig
 from .strategies import (
     ALWAYS_REVEAL,
-    WITHHOLD_IF_WINNING,
+    REVEAL_POLICIES,
     AdaptiveReserve,
     FixedBid,
     Honest,
@@ -34,10 +39,10 @@ from .strategies import (
     NoReveal,
     ShillBroadcast,
     Truthful,
-    liftable,
 )
+from .verification import VERIFY_BUDGETS
 
-__all__ = ["ConfigError", "load_config", "ExperimentSetup", "build_setup"]
+__all__ = ["ConfigError", "load_config", "ExperimentSetup", "build_setup", "check_setting"]
 
 
 class ConfigError(ValueError):
@@ -53,20 +58,14 @@ _DIST_KEYS = {"family", "params"}
 _BUYER_KEYS = {"kind", "value", "bid"}
 _AUCTIONEER_KEYS = {"kind", "false_bids", "false_bid_quantiles", "reveal_policy",
                     "threshold", "inner"}
-_VERIFY_KEYS = {
-    "mc_samples", "optimality_samples", "sp_profiles", "credibility_samples",
-    "credibility_quantiles", "attack_samples", "attack_rel_tol",
-    "structural_runs", "lift_runs", "dominance_samples",
-}
-_REVEAL_POLICIES = {"always": ALWAYS_REVEAL, "withhold_if_winning": WITHHOLD_IF_WINNING}
-# each auctioneer kind's class, whose mode and n attributes name the setting it runs under
+_BUYERS = {"truthful": Truthful, "fixed": FixedBid, "no_reveal": NoReveal}
 _AUCTIONEERS = {cls.kind: cls for cls in (Honest, ShillBroadcast, AdaptiveReserve, Lifted)}
 
 
-def _expect_keys(obj: dict, allowed: set, where: str) -> None:
+def _expect_keys(obj: dict, allowed, where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -94,6 +93,37 @@ def _expect_int(obj, where: str, minimum: Optional[int] = None) -> int:
     return obj
 
 
+def _expect_name(obj, names, where: str) -> str:
+    """obj, which must be one of the names the library defines."""
+    if not isinstance(obj, str) or obj not in names:
+        raise ConfigError(f"{where} must be {'|'.join(names)}, got {obj!r}")
+    return obj
+
+
+def _expect_list(obj, where: str, nonempty: bool = False) -> list:
+    if not isinstance(obj, list) or (nonempty and not obj):
+        raise ConfigError(f"{where} must be a {'non-empty ' if nonempty else ''}list")
+    return obj
+
+
+def _expect_quantiles(obj, where: str) -> list:
+    """The list obj of quantile levels, each a number in the open interval (0, 1)."""
+    levels = []
+    for i, u in enumerate(_expect_list(obj, where)):
+        levels.append(_expect_number(u, f"{where}[{i}]"))
+        if not 0.0 < levels[-1] < 1.0:
+            raise ConfigError(f"{where}[{i}] must lie in (0, 1), got {u}")
+    return levels
+
+
+def check_setting(cls, mode: str, n: int, where: str) -> None:
+    """Refuse mode and n unless strategies of class cls run on them."""
+    try:
+        cls.check_setting(mode, n)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def validate_config(cfg: dict) -> dict:
     """Validate the raw JSON object; returns it unchanged on success."""
     _expect_keys(cfg, _TOP_KEYS, "config")
@@ -106,99 +136,97 @@ def validate_config(cfg: dict) -> dict:
         for key, value in cfg["distribution"]["params"].items():
             _expect_number(value, f"distribution.params.{key}")
     try:
-        make_distribution(cfg["distribution"])
+        dist = make_distribution(cfg["distribution"])
     except ValueError as exc:
         raise ConfigError(f"distribution: {exc}") from exc
-    if "n" in cfg:
-        _expect_int(cfg["n"], "n", minimum=1)
+    n = _expect_int(cfg.get("n", 2), "n", minimum=1)
     if "alpha" in cfg and _expect_number(cfg["alpha"], "alpha") <= 0.0:
         raise ConfigError(f"alpha must be > 0, got {cfg['alpha']}")
-    if "mode" in cfg and cfg["mode"] not in ("broadcast", "centralized"):
-        raise ConfigError(f"mode must be 'broadcast' or 'centralized', got {cfg['mode']!r}")
-    if "scheme" in cfg and cfg["scheme"] not in ("ideal", "hash", "sha256"):
-        raise ConfigError(f"scheme must be 'ideal' or 'hash', got {cfg['scheme']!r}")
+    mode = _expect_name(cfg.get("mode", "broadcast"), MODES, "mode")
+    if "scheme" in cfg:
+        _expect_name(cfg["scheme"], SCHEMES, "scheme")
     if "collateral" in cfg:
         _expect_number(cfg["collateral"], "collateral", minimum=0.0)
     if "samples" in cfg:
         _expect_int(cfg["samples"], "samples", minimum=MIN_SAMPLES)
     if "seed" in cfg:
         _expect_int(cfg["seed"], "seed", minimum=0)
-    if "engine" in cfg and cfg["engine"] not in ("vector", "simulate"):
-        raise ConfigError(f"engine must be 'vector' or 'simulate', got {cfg['engine']!r}")
+    if "engine" in cfg:
+        _expect_name(cfg["engine"], ENGINES, "engine")
     if "buyers" in cfg:
-        if not isinstance(cfg["buyers"], list) or not cfg["buyers"]:
-            raise ConfigError("buyers must be a non-empty list")
-        for i, buyer in enumerate(cfg["buyers"]):
+        for i, buyer in enumerate(_expect_list(cfg["buyers"], "buyers", nonempty=True)):
             _expect_keys(buyer, _BUYER_KEYS, f"buyers[{i}]")
-            kind = buyer.get("kind")
-            if kind not in ("truthful", "fixed", "no_reveal"):
-                raise ConfigError(f"buyers[{i}].kind must be truthful|fixed|no_reveal, got {kind!r}")
+            kind = _expect_name(buyer.get("kind"), _BUYERS, f"buyers[{i}].kind")
             if kind == "fixed" and "bid" not in buyer:
                 raise ConfigError(f"buyers[{i}] of kind 'fixed' requires a 'bid'")
             for key in ("value", "bid"):
                 if key in buyer:
                     _expect_number(buyer[key], f"buyers[{i}].{key}")
     if "auctioneer" in cfg:
-        _validate_auctioneer(cfg["auctioneer"], "auctioneer")
-        kind = cfg["auctioneer"]["kind"]
-        cls, mode, n = _AUCTIONEERS[kind], cfg.get("mode", "broadcast"), cfg.get("n", 2)
-        if cls.mode not in (None, mode):
-            raise ConfigError(f"auctioneer of kind {kind!r} runs on {cls.mode} channels, not {mode}")
-        if cls.n not in (None, n):
-            raise ConfigError(f"auctioneer of kind {kind!r} needs n = {cls.n}, got {n}")
+        strategy = _auctioneer(cfg["auctioneer"], "auctioneer", dist)
+        check_setting(type(strategy), mode, n, "auctioneer")
     if "thresholds" in cfg:
-        if not isinstance(cfg["thresholds"], list) or not cfg["thresholds"]:
-            raise ConfigError("thresholds must be a non-empty list of numbers")
-        for i, t in enumerate(cfg["thresholds"]):
+        for i, t in enumerate(_expect_list(cfg["thresholds"], "thresholds", nonempty=True)):
             _expect_number(t, f"thresholds[{i}]")
     if "deviation_quantiles" in cfg:
-        if not isinstance(cfg["deviation_quantiles"], list):
-            raise ConfigError("deviation_quantiles must be a list")
-        for i, u in enumerate(cfg["deviation_quantiles"]):
-            q = _expect_number(u, f"deviation_quantiles[{i}]")
-            if not 0.0 < q < 1.0:
-                raise ConfigError(f"deviation_quantiles[{i}] must lie in (0, 1)")
+        _expect_quantiles(cfg["deviation_quantiles"], "deviation_quantiles")
     if "verify" in cfg:
-        _expect_keys(cfg["verify"], _VERIFY_KEYS, "verify")
+        _expect_keys(cfg["verify"], VERIFY_BUDGETS, "verify")
         for key, value in cfg["verify"].items():
-            if key != "attack_rel_tol":
-                _expect_int(value, f"verify.{key}",
-                            minimum=MIN_SAMPLES if key.endswith("_samples") else 1)
-            elif _expect_number(value, f"verify.{key}") <= 0.0:
-                raise ConfigError(f"verify.{key} must be > 0, got {value}")
+            least = VERIFY_BUDGETS[key][1]
+            if not isinstance(least, float):  # a count
+                _expect_int(value, f"verify.{key}", minimum=least)
+            elif _expect_number(value, f"verify.{key}") <= least:  # a tolerance
+                raise ConfigError(f"verify.{key} must be > {least}, got {value}")
     if "out" in cfg and not isinstance(cfg["out"], str):
         raise ConfigError("out must be a string path")
     return cfg
 
 
-def _validate_auctioneer(spec: dict, where: str) -> None:
+def _auctioneer(spec: dict, where: str, dist: ValueDistribution):
+    """The auctioneer strategy spec describes, checked as it is built: its shape
+    here, its rules by the library. The setting is the caller's to check."""
     _expect_keys(spec, _AUCTIONEER_KEYS, where)
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in _AUCTIONEERS:
-        raise ConfigError(f"{where}.kind must be {'|'.join(_AUCTIONEERS)}, got {kind!r}")
+    kind = _expect_name(spec.get("kind"), _AUCTIONEERS, f"{where}.kind")
     if kind == "shill":
         if "false_bids" in spec and "false_bid_quantiles" in spec:
             raise ConfigError(f"{where}: give false_bids or false_bid_quantiles, not both")
-        for key in ("false_bids", "false_bid_quantiles"):
-            if key in spec:
-                if not isinstance(spec[key], list):
-                    raise ConfigError(f"{where}.{key} must be a list")
-                for i, b in enumerate(spec[key]):
-                    _expect_number(b, f"{where}.{key}[{i}]")
-        policy = spec.get("reveal_policy", "always")
-        if not isinstance(policy, str) or policy not in _REVEAL_POLICIES:
-            raise ConfigError(f"{where}.reveal_policy must be one of {sorted(_REVEAL_POLICIES)}")
+        if "false_bid_quantiles" in spec:
+            levels = _expect_quantiles(spec["false_bid_quantiles"], f"{where}.false_bid_quantiles")
+            bids = [float(dist.quantile(u)) for u in levels]
+        else:
+            bids = [_expect_number(b, f"{where}.false_bids[{i}]") for i, b
+                    in enumerate(_expect_list(spec.get("false_bids", []), f"{where}.false_bids"))]
+        policy = _expect_name(spec.get("reveal_policy", ALWAYS_REVEAL.name), REVEAL_POLICIES,
+                              f"{where}.reveal_policy")
+        return ShillBroadcast(false_bids=tuple(bids), reveal_policy=REVEAL_POLICIES[policy])
     if kind == "adaptive":
         if "threshold" not in spec:
             raise ConfigError(f"{where} of kind 'adaptive' requires a 'threshold'")
-        _expect_number(spec["threshold"], f"{where}.threshold")
+        where = f"{where}.threshold"
+        return AdaptiveReserve(threshold=_above_reserve(_expect_number(spec["threshold"], where),
+                                                        dist, where))
     if kind == "lifted":
-        inner = spec.get("inner")
-        if inner is None:
+        if "inner" not in spec:
             raise ConfigError(f"{where} of kind 'lifted' requires an 'inner' strategy")
-        _validate_auctioneer(inner, f"{where}.inner")
-        if not liftable(_AUCTIONEERS[inner["kind"]]):
-            raise ConfigError(f"{where}.inner must be a broadcast strategy")
+        inner = _auctioneer(spec["inner"], f"{where}.inner", dist)
+        try:
+            return Lifted(inner=inner)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.inner: {exc}") from exc
+    return Honest()
+
+
+def _above_reserve(threshold: float, dist: ValueDistribution, where: str) -> float:
+    """An adaptive-attack threshold, refused below dist's reserve, where the
+    attack is undefined, and where dist has no reserve."""
+    try:
+        reserve = reserve_price(dist)
+    except NonRegularError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if not at_or_above_reserve(threshold, reserve):
+        raise ConfigError(f"{where} = {threshold} is below the reserve {reserve} of {dist!r}")
+    return threshold
 
 
 def load_config(path: str) -> dict:
@@ -256,14 +284,13 @@ class ExperimentSetup:
                 for i, t in enumerate(self.thresholds)]
 
     def auction_config(self) -> AuctionConfig:
-        if isinstance(self.dist, (EqualRevenue, TwoPoint)):
-            raise ConfigError(f"{self.dist.kind} cannot run auctions (no finite reserve)")
-        reserve = reserve_price(self.dist)
-        if math.isinf(reserve):
-            raise ConfigError(f"{self.dist.kind} has an infinite reserve; auction rejected")
-        return AuctionConfig(n=self.n, dist=self.dist, reserve=reserve,
-                             collateral=self.collateral_amount(), mode=self.mode,
-                             scheme=self.scheme, seed=self.seed)
+        try:  # the distribution is refused before the collateral formula is tried on it
+            return AuctionConfig(n=self.n, dist=self.dist,
+                                 reserve=_require_regular_finite_reserve(self.dist),
+                                 collateral=self.collateral_amount(), mode=self.mode,
+                                 scheme=self.scheme, seed=self.seed)
+        except (NonRegularError, InfiniteReserveError) as exc:
+            raise ConfigError(f"distribution: {exc}") from exc
 
     def buyers(self) -> list:
         """Buyer strategies; missing values are sampled from D by the seed."""
@@ -276,45 +303,13 @@ class ExperimentSetup:
         out = []
         for i, spec in enumerate(specs):
             value = float(spec.get("value", sampled[i]))
-            kind = spec.get("kind", "truthful")
-            if kind == "truthful":
-                out.append(Truthful(value=value))
-            elif kind == "fixed":
-                out.append(FixedBid(value=value, bid_amount=float(spec["bid"])))
-            else:
-                out.append(NoReveal(value=value))
+            cls = _BUYERS[spec["kind"]]
+            out.append(cls(value, float(spec["bid"])) if cls is FixedBid else cls(value))
         return out
 
     def auctioneer(self):
-        spec = self.raw.get("auctioneer", {"kind": "honest"})
-        return self._build_auctioneer(spec)
-
-    def _build_auctioneer(self, spec: dict):
-        kind = spec.get("kind", "honest")
-        if kind == "honest":
-            return Honest()
-        if kind == "shill":
-            if "false_bid_quantiles" in spec:
-                bids = tuple(float(self.dist.quantile(u)) for u in spec["false_bid_quantiles"])
-            else:
-                bids = tuple(float(b) for b in spec.get("false_bids", []))
-            policy = _REVEAL_POLICIES[spec.get("reveal_policy", "always")]
-            return ShillBroadcast(false_bids=bids, reveal_policy=policy)
-        if kind == "adaptive":
-            threshold = _above_reserve(float(spec["threshold"]), self.dist, "auctioneer.threshold")
-            return AdaptiveReserve(threshold=threshold)
-        if kind == "lifted":
-            return Lifted(inner=self._build_auctioneer(spec["inner"]))
-        raise ConfigError(f"unknown auctioneer kind {kind!r}")
-
-
-def _above_reserve(threshold: float, dist: ValueDistribution, where: str) -> float:
-    """An adaptive-attack threshold, refused below dist's reserve, where the
-    attack is undefined."""
-    reserve = reserve_price(dist)
-    if not at_or_above_reserve(threshold, reserve):
-        raise ConfigError(f"{where} = {threshold} is below the reserve {reserve} of {dist!r}")
-    return threshold
+        return _auctioneer(self.raw.get("auctioneer", {"kind": Honest.kind}), "auctioneer",
+                           self.dist)
 
 
 def build_setup(cfg: dict) -> ExperimentSetup:

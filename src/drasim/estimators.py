@@ -56,7 +56,6 @@ the margin, as every family here is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -64,7 +63,6 @@ import numpy as np
 
 from .distributions import (
     QUAD_ABS_TOL,
-    InfiniteReserveError,
     ValueDistribution,
     _quad,
     collateral as collateral_level,
@@ -102,6 +100,7 @@ __all__ = [
     "AttackRow",
     "simulate_profile_net",
     "sample_values",
+    "ENGINES",
 ]
 
 MIN_SAMPLES = 1_000
@@ -118,13 +117,14 @@ _PRUNE_MARGIN = 1e-9
 # Revenue estimation: one loop over profile chunks and one engine switch
 # ---------------------------------------------------------------------------
 
-def _vector_net(chunk: Chunk, config: AuctionConfig, strategy) -> np.ndarray:
-    """strategy.vector_net, refused where an execute overrides the one it mirrors:
-    the first class of the MRO to define either method must define vector_net."""
+def _vector_net(config: AuctionConfig, strategy):
+    """strategy.vector_net, checked once for an estimate: refused where an execute
+    overrides the one it mirrors (the first class of the MRO to define either
+    method must define vector_net), and where check_config refuses the config."""
     if "vector_net" not in vars(_first_definer(type(strategy), "execute", "vector_net")):
         raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
     strategy.check_config(config)  # the ValueError that execute raises on the message engine
-    return strategy.vector_net(chunk, config)
+    return strategy.vector_net
 
 
 def simulate_profile_net(config: AuctionConfig, strategy, values_row: Sequence[float],
@@ -186,31 +186,43 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
     return [acc.result() for acc in accumulators]
 
 
+def _vectorized(config: AuctionConfig, strategy, seed: int, baseline):
+    kernel = _vector_net(config, strategy)
+    if baseline is None:
+        return lambda chunk, start: kernel(chunk, config)
+    baseline_kernel = _vector_net(config, baseline)
+
+    def paired(chunk, start):
+        net = kernel(chunk, config).copy()  # pricing the baseline may write over the work arrays
+        return np.subtract(net, baseline_kernel(chunk, config), out=net)
+    return paired
+
+
+def _simulated(config: AuctionConfig, strategy, seed: int, baseline):
+    def simulated(chunk, start):
+        nets = []
+        for k, row in enumerate(chunk.values):
+            run_seed = derive_seed(seed, "run", start + k)
+            net = simulate_profile_net(config, strategy, row, run_seed)
+            if baseline is not None:
+                net -= simulate_profile_net(config, baseline, row, run_seed)
+            nets.append(net)
+        return np.asarray(nets)
+    return simulated
+
+
+# the engines by name, each a builder of _net_function's per-chunk functions
+ENGINES = {"vector": _vectorized, "simulate": _simulated}
+
+
 def _net_function(config: AuctionConfig, strategy, seed: int, engine: str,
                   baseline=None):
     """The engine switch: (chunk, start) -> net of `strategy` (less `baseline`'s) per
-    profile, by the closed form _vector_net, or by full auctions where profile
-    start + k runs with seed derive_seed(seed, "run", start + k)."""
-    if engine == "vector":
-        def vectorized(chunk, start):
-            net = _vector_net(chunk, config, strategy)
-            if baseline is None:
-                return net
-            net = net.copy()  # pricing the baseline may write over the chunk's work arrays
-            return np.subtract(net, _vector_net(chunk, config, baseline), out=net)
-        return vectorized
-    if engine == "simulate":
-        def simulated(chunk, start):
-            nets = []
-            for k, row in enumerate(chunk.values):
-                run_seed = derive_seed(seed, "run", start + k)
-                net = simulate_profile_net(config, strategy, row, run_seed)
-                if baseline is not None:
-                    net -= simulate_profile_net(config, baseline, row, run_seed)
-                nets.append(net)
-            return np.asarray(nets)
-        return simulated
-    raise ValueError(f"unknown engine {engine!r}")
+    profile, by the closed form that _vector_net checks once, or by full auctions
+    where profile start + k runs with seed derive_seed(seed, "run", start + k)."""
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    return ENGINES[engine](config, strategy, seed, baseline)
 
 
 def estimate_revenue(config: AuctionConfig, strategy, samples: int, seed: int,
@@ -250,11 +262,9 @@ def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Esti
 def _attack_config(dist: ValueDistribution, threshold: float,
                    collateral: float) -> AuctionConfig:
     """The attack's two-buyer centralized auction, once its inputs are checked
-    (AuctionConfig rejects a negative or non-finite collateral)."""
-    reserve = reserve_price(dist)
-    if math.isinf(reserve):
-        raise InfiniteReserveError(f"{dist.kind} has an infinite reserve")
-    config = AuctionConfig(n=2, dist=dist, reserve=reserve, collateral=collateral,
+    (AuctionConfig rejects a negative or non-finite collateral and an infinite
+    reserve)."""
+    config = AuctionConfig(n=2, dist=dist, reserve=reserve_price(dist), collateral=collateral,
                            mode="centralized", seed=0)
     AdaptiveReserve(threshold).check_config(config)  # refuses T below the reserve, or NaN
     return config

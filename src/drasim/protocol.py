@@ -16,7 +16,9 @@ Resolution rule, given the set S of ids whose opening verifies:
     collateral a pure cost to a deviating auctioneer).
 
 The engine is strictly sequential and deterministic given (config, seed).
-Money conservation over every run is asserted, not assumed.
+Money conservation is checked by conservation_residual, outside the engine:
+verification.audit_run applies it to every audited run, and the test suite to
+the runs it makes. A run does not check itself.
 """
 
 from __future__ import annotations
@@ -34,13 +36,14 @@ from .channels import (
     CommitMsg,
     EndCommit,
     EndReveal,
+    MODES,
     OutcomeNotice,
     ProtocolViolation,
     RevealMsg,
     Transcript,
 )
 from .commitments import DEFAULT_SECURITY_BITS, Opening, make_scheme
-from .distributions import ValueDistribution, reserve_price
+from .distributions import ValueDistribution, _require_regular_finite_reserve
 from .seeding import derive_seed
 
 __all__ = [
@@ -60,7 +63,8 @@ MONEY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class AuctionConfig:
-    """Static parameters of one auction instance."""
+    """Static parameters of one auction instance. A distribution that cannot run
+    auctions is refused with NonRegularError or InfiniteReserveError."""
 
     n: int
     dist: ValueDistribution
@@ -73,13 +77,11 @@ class AuctionConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one buyer, got n={self.n}")
-        if self.mode not in ("broadcast", "centralized"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if not (math.isfinite(self.collateral) and self.collateral >= 0.0):
             raise ValueError(f"collateral must be finite and >= 0, got {self.collateral}")
-        recomputed = reserve_price(self.dist)
-        if math.isinf(recomputed):
-            raise ValueError(f"{self.dist.kind} has an infinite reserve; auction rejected")
+        recomputed = _require_regular_finite_reserve(self.dist)
         if abs(recomputed - self.reserve) > 1e-6:
             raise ValueError(
                 f"reserve {self.reserve} inconsistent with distribution (expected {recomputed})"
@@ -125,7 +127,8 @@ class Outcome:
 def _build_outcome(depositors: Sequence[int], revealed: frozenset, refunded: frozenset,
                    winner: Optional[int], sale_price: float, transfer_to: Optional[int],
                    collateral_amount: float, false_ids: frozenset) -> Outcome:
-    """Assemble ledger and auctioneer net; conservation is checked exactly.
+    """Assemble ledger and auctioneer net. Conservation is not checked here: see
+    conservation_residual.
 
     refunded may exceed revealed only by auctioneer-controlled ids (a deviating
     auctioneer quietly reclaiming its own deposits); every other non-revealed

@@ -67,6 +67,7 @@ __all__ = [
     "WithholdIf",
     "ALWAYS_REVEAL",
     "WITHHOLD_IF_WINNING",
+    "REVEAL_POLICIES",
     "Honest",
     "ShillBroadcast",
     "Lifted",
@@ -164,6 +165,8 @@ ALWAYS_REVEAL = AlwaysReveal()
 # Withhold exactly when the false bid outbids every opened real bid (it would
 # win the item); otherwise revealing it only props up the price.
 WITHHOLD_IF_WINNING = WithholdIf(_outbids_all_reals, name="withhold_if_winning")
+# the stock policies by name, the names a config may give
+REVEAL_POLICIES = {policy.name: policy for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING)}
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
 
 class TwoPhase:
     """The promised auction with schedule()'s false bids and reveal policy, on the
-    mode and n it needs (None: any), which config validation reads too."""
+    mode and n it needs (None: any), which check_setting holds a setting to."""
 
     mode = None
     n = None
@@ -287,12 +290,18 @@ class TwoPhase:
     def schedule(self) -> tuple:
         return self.false_bids, self.reveal_policy
 
+    @classmethod
+    def check_setting(cls, mode: str, n: int) -> None:
+        """Raise ValueError unless strategies of this class run on `mode` channels
+        with n buyers: the rule that check_config and config validation apply."""
+        if cls.mode not in (None, mode):
+            raise ValueError(f"{cls.__name__} runs on {cls.mode} channels, not {mode}")
+        if cls.n not in (None, n):
+            raise ValueError(f"{cls.__name__} needs n = {cls.n}, got n={n}")
+
     def check_config(self, config: AuctionConfig) -> None:
         """Raise ValueError unless the config is one this strategy runs under."""
-        if self.mode not in (None, config.mode):
-            raise ValueError(f"{type(self).__name__} runs on {self.mode} channels, not {config.mode}")
-        if self.n not in (None, config.n):
-            raise ValueError(f"{type(self).__name__} needs n = {self.n}, got n={config.n}")
+        self.check_setting(config.mode, config.n)
         if not all(map(math.isfinite, self.schedule()[0])):
             raise ValueError(f"false bids {self.schedule()[0]} must be finite")
 

@@ -29,6 +29,7 @@ from .distributions import (
     strong_regularity_alpha,
 )
 from .estimators import (
+    MIN_SAMPLES,
     attack_sweep,
     credibility_suite,
     estimate_myerson_gap,
@@ -62,6 +63,7 @@ from .strategies import (
 
 __all__ = [
     "VerifyCheck",
+    "VERIFY_BUDGETS",
     "run_verification",
     "audit_run",
     "sample_values",
@@ -92,11 +94,10 @@ class AuditResult:
 
 
 def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResult:
-    """Run one auction and check the per-run structural invariants.
-
-    Money conservation is asserted inside the engine; this adds the
-    single-candidate bound, allocation consistency for the candidate, and the
-    per-buyer view-consistency verdicts (for revealing buyers).
+    """Run one auction and check the per-run structural invariants: money
+    conservation (conservation_residual, which the engine does not apply to its
+    own runs), the single-candidate bound, allocation consistency for the
+    candidate, and the per-buyer view-consistency verdicts (for revealing buyers).
     """
     outcome, transcript = run_auction(config, buyers, auctioneer)
     violations = []
@@ -420,11 +421,29 @@ def _check_estimator_determinism(seed: int) -> VerifyCheck:
     return VerifyCheck("estimator_determinism", same, "bit-identical repeat" if same else "mismatch")
 
 
+# Every budget a config's verify section may set: name -> (default, least value).
+# A default of None takes the mc_samples budget. attack_rel_tol, whose least value
+# is a float, is a tolerance that must exceed it; the others are integer counts.
+VERIFY_BUDGETS = {
+    "mc_samples": (200_000, MIN_SAMPLES),
+    "optimality_samples": (None, MIN_SAMPLES),
+    "dominance_samples": (None, MIN_SAMPLES),
+    "credibility_samples": (200_000, MIN_SAMPLES),
+    "attack_samples": (1 << 22, MIN_SAMPLES),
+    "credibility_quantiles": (12, 1),
+    "sp_profiles": (50, 1),
+    "lift_runs": (100, 1),
+    "structural_runs": (200, 1),
+    "attack_rel_tol": (0.05, 0.0),
+}
+
+
 def run_verification(setup) -> list:
     """Run every check with budgets from the config's verify section."""
     opts = setup.verify_options
+    budget = {name: opts.get(name, default) for name, (default, _) in VERIFY_BUDGETS.items()}
+    mc = budget["mc_samples"]
     seed = setup.seed
-    mc = opts.get("mc_samples", 200_000)
     # checked before any check runs; gpareto(0.5) has the larger reserve of the
     # separation check's two families
     thresholds = setup.attack_thresholds(GeneralizedPareto(0.5))
@@ -432,15 +451,13 @@ def run_verification(setup) -> list:
         _check_reserve_and_alpha(),
         *_check_price_bounds(),
         _check_conditional_bounds(mc, seed),
-        _check_optimality(opts.get("optimality_samples", mc), seed),
+        _check_optimality(budget["optimality_samples"] or mc, seed),
         _check_myerson_identity(mc, seed),
-        _check_strategyproofness(opts.get("sp_profiles", 50), seed),
-        _check_credibility(opts.get("credibility_samples", 200_000),
-                           opts.get("credibility_quantiles", 12), seed),
-        _check_reveal_dominance(opts.get("dominance_samples", mc), seed),
-        _check_lift_equality(opts.get("lift_runs", 100), seed),
-        _check_structural(opts.get("structural_runs", 200), seed),
-        _check_separation(opts.get("attack_samples", 1 << 22),
-                          opts.get("attack_rel_tol", 0.05), thresholds, seed),
+        _check_strategyproofness(budget["sp_profiles"], seed),
+        _check_credibility(budget["credibility_samples"], budget["credibility_quantiles"], seed),
+        _check_reveal_dominance(budget["dominance_samples"] or mc, seed),
+        _check_lift_equality(budget["lift_runs"], seed),
+        _check_structural(budget["structural_runs"], seed),
+        _check_separation(budget["attack_samples"], budget["attack_rel_tol"], thresholds, seed),
         _check_estimator_determinism(seed),
     ]

@@ -84,6 +84,8 @@ def test_bad_values_rejected():
                 {"mode": "centralized", "n": 3,
                  "auctioneer": {"kind": "adaptive", "threshold": 5.0}},
                 {"mode": "centralized", "auctioneer": {"kind": "shill", "false_bids": [3.0]}},
+                {"auctioneer": {"kind": "shill", "false_bid_quantiles": [1.0]}},
+                {"auctioneer": {"kind": "shill", "false_bid_quantiles": [1.5]}},
                 {"auctioneer": {"kind": "lifted", "inner": {"kind": "honest"}}}]:
         with pytest.raises(ConfigError):
             validate_config({**BASE, **bad})
@@ -186,6 +188,26 @@ def test_cli_threshold_below_reserve_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {**quick, "thresholds": [1.5]}, "v.json")
     assert main(["verify", "--config", path]) == 2
 
+
+def test_cli_attack_refuses_a_setting_other_than_its_own(tmp_path, capsys):
+    # the sweep prices the centralized two-buyer attack, not a broadcast n = 3 auction
+    path = write_config(tmp_path, {**BASE, "n": 3, "collateral": 2.0, "samples": 1 << 12,
+                                   "thresholds": [5]})
+    assert main(["attack", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "config error: attack: AdaptiveReserve runs on centralized channels" in captured.err
+
+
+def test_cli_credibility_estimate_refuses_a_centralized_config(tmp_path, capsys):
+    # the credibility suite prices broadcast shills, not the centralized setting asked for
+    path = write_config(tmp_path, {**BASE, "mode": "centralized", "samples": 2_000,
+                                   "deviation_quantiles": [0.5, 0.9]})
+    assert main(["estimate", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "config error: deviation_quantiles: ShillBroadcast runs on broadcast channels" \
+        in captured.err
 
 def test_cli_dist_gpareto(tmp_path, capsys):
     path = write_config(tmp_path, BASE)

@@ -71,7 +71,7 @@ def test_vector_engine_matches_simulator_per_profile(strategy):
     config = config_for(GPA, 2, 32.0)
     values = GPA.quantile(chunk_uniforms(_value_stream_seed(123), 0, 300, 2))
     assert list(values[0]) == sample_values(GPA, 2, 123)  # the estimators' stream
-    vec = _vector_net(Chunk(values), config, strategy)
+    vec = _vector_net(config, strategy)(Chunk(values), config)
     sim = np.array([simulate_profile_net(config, strategy, row, derive_seed(1, "s", k))
                     for k, row in enumerate(values)])
     assert np.array_equal(vec, sim)
@@ -420,6 +420,20 @@ def test_top_two_runs_once_per_chunk(monkeypatch):
     assert sizes == chunk_sizes
 
 
+
+def test_vector_path_is_checked_once_per_estimate(monkeypatch):
+    from drasim.strategies import TwoPhase
+
+    check_config, configs = TwoPhase.check_config, []
+
+    def counting(self, config):
+        configs.append(config)
+        return check_config(self, config)
+
+    monkeypatch.setattr(TwoPhase, "check_config", counting)
+    estimate_revenue(config_for(GPA, 2, 2.0), Honest(), 2 * CHUNK_SAMPLES + 1, 5)
+    assert len(configs) == 1  # three chunks, one check
+
 # ---------------------------------------------------------------------------
 # The chunk loop: a helper thread draws ahead, the estimates stay serial
 # ---------------------------------------------------------------------------
@@ -457,7 +471,8 @@ def test_pipelined_estimates_equal_the_serial_loop(samples):
     for n in (1, 3, 8):
         config = config_for(GPA, n, 2.0)
         expected = serial_estimate(
-            seed, samples, n, lambda u: _vector_net(Chunk(GPA.quantile(u)), config, strategy))
+            seed, samples, n,
+            lambda u: _vector_net(config, strategy)(Chunk(GPA.quantile(u)), config))
         assert bits(estimate_revenue(config, strategy, samples, seed)) == bits(expected)
     threshold, collateral, reserve = 5.0, 2.0, R
     for stratified in (True, False):

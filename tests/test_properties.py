@@ -185,7 +185,8 @@ def test_vector_engine_matches_message_engine_per_profile(case):
     config, auctioneer, values, seed = case
     simulated = [simulate_profile_net(config, auctioneer, row, seed + k)
                  for k, row in enumerate(values)]
-    assert np.array_equal(_vector_net(Chunk(values), config, auctioneer), np.array(simulated))
+    vector = _vector_net(config, auctioneer)(Chunk(values), config)
+    assert np.array_equal(vector, np.array(simulated))
 
 
 # Families with a finite reserve, where the attack is defined (two_point has none).
