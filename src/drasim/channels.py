@@ -12,20 +12,22 @@ buyers. An id is bound to the physical party that first uses it, which stands
 in for signatures; buyers cannot tell false ids from real ones by inspection.
 
 A view is the subsequence of events an agent observes: everything addressed to
-it, everything broadcast, and its own sent messages (view_members). Per-view
-phase legality (next_phase: no commits after that view's end-of-commitment, no
-reveals before it) is enforced on delivery; a strategy that breaks the message
-grammar aborts the run, which separates grammar violations from safe
-deviations. The view-consistency checker judges views by the same two rules.
+it, everything broadcast, and its own sent messages (view_members). The channel
+applies that rule once per event, as it delivers: each receiving buyer's view
+must admit the event by its phase grammar (next_phase: no commits after that
+view's end-of-commitment, no reveals before it), and gains it. A strategy that
+breaks the grammar aborts the run, which separates grammar violations from
+safe deviations. The view-consistency checker judges views by the same rules.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import field
 from typing import Optional, Union
 
 from .commitments import Commitment, Opening
+from .records import record
 
 __all__ = [
     "AUCTIONEER",
@@ -69,37 +71,40 @@ class ProtocolViolation(ChannelError):
     """A message broke the phase grammar in some receiving view."""
 
 
-@dataclass(frozen=True)
+@record
 class CommitMsg:
     bidder: int
     commitment: Commitment
+    kind = "commit"
 
 
-@dataclass(frozen=True)
+@record
 class EndCommit:
-    pass
+    kind = "end_commit"
 
 
-@dataclass(frozen=True)
+@record
 class RevealMsg:
     bidder: int
     opening: Opening
+    kind = "reveal"
 
 
-@dataclass(frozen=True)
+@record
 class EndReveal:
-    pass
+    kind = "end_reveal"
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeNotice:
     """Recipient-specific allocation announcement: winner id (or None) and price."""
 
     winner: Optional[int]
     price: float
+    kind = "outcome"
 
 
-@dataclass(frozen=True)
+@record
 class CollateralNotice:
     """Money movement visible to one party: kind in {deposit, refund, transfer}.
 
@@ -116,30 +121,30 @@ Payload = Union[CommitMsg, EndCommit, RevealMsg, EndReveal, OutcomeNotice, Colla
 
 PHASE_COMMIT, PHASE_REVEAL, PHASE_DONE = 0, 1, 2
 
-# The phase grammar of one view. Payload type (for collateral notices, their
-# kind) -> (the one phase it is legal in, the phase after it).
+# The phase grammar of one view: payload kind -> (the one phase it is legal in,
+# the phase after it). A collateral notice carries its own kind, every other
+# payload class names one. Delivery looks each event up once for all its views.
 _GRAMMAR = {
-    CommitMsg: (PHASE_COMMIT, PHASE_COMMIT),
+    "commit": (PHASE_COMMIT, PHASE_COMMIT),
     "deposit": (PHASE_COMMIT, PHASE_COMMIT),
-    EndCommit: (PHASE_COMMIT, PHASE_REVEAL),
-    RevealMsg: (PHASE_REVEAL, PHASE_REVEAL),
-    EndReveal: (PHASE_REVEAL, PHASE_DONE),
-    OutcomeNotice: (PHASE_DONE, PHASE_DONE),
+    "end_commit": (PHASE_COMMIT, PHASE_REVEAL),
+    "reveal": (PHASE_REVEAL, PHASE_REVEAL),
+    "end_reveal": (PHASE_REVEAL, PHASE_DONE),
+    "outcome": (PHASE_DONE, PHASE_DONE),
     "refund": (PHASE_DONE, PHASE_DONE),
     "transfer": (PHASE_DONE, PHASE_DONE),
 }
 
 
 def next_phase(phase: int, payload: Payload) -> Optional[int]:
-    """A view's phase after `payload`, or None when `payload` is illegal in `phase`.
-
-    Every view starts in PHASE_COMMIT, and a complete one ends in PHASE_DONE.
-    """
-    rule = _GRAMMAR.get(payload.kind if isinstance(payload, CollateralNotice) else type(payload))
+    """A view's phase after `payload`, or None when `payload` is illegal in `phase`
+    or `phase` is None (the view's grammar already broke). Every view starts in
+    PHASE_COMMIT, and a complete one ends in PHASE_DONE."""
+    rule = _GRAMMAR.get(payload.kind)
     return rule[1] if rule is not None and rule[0] == phase else None
 
 
-@dataclass(frozen=True)
+@record
 class Event:
     t: int
     sender: int
@@ -147,7 +152,7 @@ class Event:
     payload: Payload
 
 
-@dataclass(frozen=True)
+@record
 class View:
     """Ordered events one agent observed (received, broadcast, or own-sent)."""
 
@@ -155,42 +160,25 @@ class View:
     events: tuple
 
 
-def view_members(event: Event, n_buyers: int):
-    """The buyers whose view contains `event`: every buyer for a broadcast,
-    otherwise the buyer it is addressed to and the buyer who sent it."""
-    if event.recipient is None:
-        return range(1, n_buyers + 1)
-    members = [event.recipient] if 1 <= event.recipient <= n_buyers else []
-    if 1 <= event.sender <= n_buyers and event.sender != event.recipient:
-        members.append(event.sender)
-    return members
-
-
-def _buyer_views(events, n_buyers: int) -> dict[int, View]:
-    """Every buyer's view, from one pass over the events."""
-    selected = {i: [] for i in range(1, n_buyers + 1)}
-    for event in events:
-        for buyer in view_members(event, n_buyers):
-            selected[buyer].append(event)
-    return {i: View(agent=i, events=tuple(seen)) for i, seen in selected.items()}
-
-
-def _buyer_view(events, n_buyers: int, agent: int) -> View:
-    if agent not in range(1, n_buyers + 1):
-        raise ValueError(f"no buyer {agent!r}: buyer views are defined for ids 1..{n_buyers}")
-    return _buyer_views(events, n_buyers)[agent]
+def view_members(event: Event, buyers: range):
+    """The buyers out of `buyers` (ids 1..n) whose view contains `event`: all of
+    them for a broadcast, otherwise the one it is addressed to and its sender."""
+    recipient, sender = event.recipient, event.sender
+    if recipient is None:
+        return buyers
+    if sender == recipient or sender not in buyers:
+        return (recipient,) if recipient in buyers else ()
+    return (recipient, sender) if recipient in buyers else (sender,)
 
 
 def _payload_json(p: Payload) -> dict:
     if isinstance(p, CommitMsg):
         return {"type": "commit", "bidder": p.bidder, "commitment": p.commitment.token_str()}
-    if isinstance(p, EndCommit):
-        return {"type": "end_commit"}
+    if isinstance(p, (EndCommit, EndReveal)):
+        return {"type": p.kind}
     if isinstance(p, RevealMsg):
         return {"type": "reveal", "bidder": p.bidder, "bid": p.opening.message,
                 "randomness": p.opening.randomness.hex()}
-    if isinstance(p, EndReveal):
-        return {"type": "end_reveal"}
     if isinstance(p, OutcomeNotice):
         return {"type": "outcome", "winner": p.winner, "price": p.price}
     if isinstance(p, CollateralNotice):
@@ -199,8 +187,7 @@ def _payload_json(p: Payload) -> dict:
     raise TypeError(f"unknown payload {type(p).__name__}")
 
 
-# the communication modes a Channel runs: one log for all, or private channels
-# through the auctioneer
+# the communication modes a Channel runs: one log for all, or private channels via the auctioneer
 MODES = ("broadcast", "centralized")
 
 
@@ -212,11 +199,11 @@ class Channel:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.n_buyers = n_buyers
+        self.buyers = range(1, n_buyers + 1)
         self.events: list[Event] = []
-        self._clock = 0
-        self._owners: dict[int, int] = {AUCTIONEER: AUCTIONEER}
-        self._owners.update({i: i for i in range(1, n_buyers + 1)})
-        self._phase: dict[int, int] = {i: PHASE_COMMIT for i in range(1, n_buyers + 1)}
+        self._owners = {i: i for i in range(n_buyers + 1)}  # the auctioneer (0) and the buyers
+        self._phase = dict.fromkeys(self.buyers, PHASE_COMMIT)
+        self._views: dict[int, list] = {i: [] for i in self.buyers}
 
     # -- identity -----------------------------------------------------------
 
@@ -226,23 +213,28 @@ class Channel:
             raise SpoofingError(f"id {agent_id} already bound")
         self._owners[agent_id] = physical
 
-    def _check_owner(self, sender: int, physical: int) -> None:
-        owner = self._owners.get(sender)
-        if owner is None:
-            raise SpoofingError(f"id {sender} was never bound to a sender")
-        if owner != physical:
-            raise SpoofingError(f"id {sender} is bound to {owner}, not {physical}")
-
     # -- delivery -----------------------------------------------------------
 
-    def _append(self, sender: int, recipient: Optional[int], payload: Payload) -> Event:
-        event = Event(t=self._clock, sender=sender, recipient=recipient, payload=payload)
-        for buyer in view_members(event, self.n_buyers):
-            phase = next_phase(self._phase[buyer], payload)
-            if phase is None:
+    def _append(self, sender: int, recipient: Optional[int], payload: Payload,
+                physical: Optional[int]) -> Event:
+        """Log the event, if `sender` is an id of the party `physical` (default: the
+        sender itself), and deliver it to each view that sees it, grammar permitting."""
+        physical = sender if physical is None else physical
+        owner = self._owners.get(sender)
+        if owner != physical:
+            raise SpoofingError(f"id {sender} was never bound to a sender" if owner is None
+                                else f"id {sender} is bound to {owner}, not {physical}")
+        event = Event(len(self.events), sender, recipient, payload)
+        members = view_members(event, self.buyers)
+        legal_in, after = _GRAMMAR.get(payload.kind, (None, None))
+        phases = self._phase
+        for buyer in members:
+            if phases[buyer] != legal_in:
                 raise ProtocolViolation(f"{type(payload).__name__} out of phase in view {buyer}")
-            self._phase[buyer] = phase
-        self._clock += 1
+        views = self._views
+        for buyer in members:
+            phases[buyer] = after
+            views[buyer].append(event)
         self.events.append(event)
         return event
 
@@ -250,49 +242,56 @@ class Channel:
         """Atomic delivery to every agent; broadcast mode only."""
         if self.mode != "broadcast":
             raise ModeError("broadcast requires a broadcast channel")
-        self._check_owner(sender, physical if physical is not None else sender)
-        return self._append(sender, None, payload)
+        return self._append(sender, None, payload, physical)
 
     def private_send(self, sender: int, recipient: int, payload: Payload,
                      physical: Optional[int] = None) -> Event:
         """Point-to-point delivery; centralized mode only."""
         if self.mode != "centralized":
             raise ModeError("private_send requires a centralized channel")
-        self._check_owner(sender, physical if physical is not None else sender)
-        return self._append(sender, recipient, payload)
+        return self._append(sender, recipient, payload, physical)
 
     def notify(self, recipient: int, payload: CollateralNotice, sender: int = AUCTIONEER) -> Event:
         """Targeted money notice in either mode (never part of the broadcast log)."""
-        return self._append(sender, recipient, payload)
+        return self._append(sender, recipient, payload, None)
 
     # -- inspection ----------------------------------------------------------
 
+    def transcript(self, scheme) -> "Transcript":
+        """The log so far, with every buyer's view as delivered."""
+        return Transcript(self.mode, self.n_buyers, tuple(self.events), scheme,
+                          {i: View(i, tuple(seen)) for i, seen in self._views.items()})
+
     def view(self, agent: int) -> View:
         if agent != AUCTIONEER:
-            return _buyer_view(self.events, self.n_buyers, agent)
+            return self.transcript(None).view(agent)
         return View(agent=agent, events=tuple(
             e for e in self.events
-            if e.recipient in (None, AUCTIONEER) or e.sender == AUCTIONEER
-            or self._owners.get(e.sender) == AUCTIONEER))
+            if e.recipient in (None, AUCTIONEER) or self._owners.get(e.sender) == AUCTIONEER))
 
     def broadcast_log(self) -> tuple:
         return tuple(e for e in self.events if e.recipient is None)
 
 
-@dataclass(frozen=True)
+@record
 class Transcript:
-    """Full physical event log of one run, plus what a verifier needs from it."""
+    """Full physical event log of one run, plus what a verifier needs from it:
+    the commitment scheme, and each buyer's view as the channel delivered it."""
 
     mode: str
     n_buyers: int
     events: tuple
     scheme: object
+    views: dict = field(compare=False)  # buyer id -> View, derived from events
 
     def view(self, agent: int) -> View:
-        return _buyer_view(self.events, self.n_buyers, agent)
+        if agent not in self.views:
+            raise ValueError(f"no buyer {agent!r}: buyer views are defined for ids "
+                             f"1..{self.n_buyers}")
+        return self.views[agent]
 
     def buyer_views(self) -> dict[int, View]:
-        return _buyer_views(self.events, self.n_buyers)
+        return dict(self.views)
 
     def dump_jsonl(self) -> str:
         """One JSON object per event, stable field order, for golden files."""

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+
+from .records import record
 
 __all__ = [
     "Commitment",
@@ -34,7 +35,7 @@ DEFAULT_SECURITY_BITS = 128
 PROTOCOL_TAG = b"drasim/bid-commit/v1"
 
 
-@dataclass(frozen=True)
+@record
 class Commitment:
     """Opaque commitment handle; equality is the only pre-opening observation.
 
@@ -51,7 +52,7 @@ class Commitment:
         return f"{self.scheme}:{self.token}"
 
 
-@dataclass(frozen=True)
+@record
 class Opening:
     """A commitment's preimage: the bid and the random string used."""
 
@@ -68,9 +69,12 @@ def _check_randomness(randomness: bytes, security_bits: int) -> None:
         )
 
 
+_DOUBLE = struct.Struct(">d")
+
+
 def canonical_message(message: float) -> bytes:
     """Big-endian IEEE-754 double; fixed 8-byte encoding for every bid."""
-    return struct.pack(">d", float(message))
+    return _DOUBLE.pack(float(message))
 
 
 class IdealScheme:

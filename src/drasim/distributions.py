@@ -528,13 +528,16 @@ def collateral(dist: ValueDistribution, n: int, alpha: float) -> float:
                        * (1 / (1 - alpha))^(1 / alpha)
 
     The exponents blow up at alpha = 1; for alpha >= 1 any f >= r(D) works,
-    so the reserve itself is returned.
+    so the reserve itself is returned. A distribution that cannot run auctions
+    is refused (NonRegularError, InfiniteReserveError) before alpha and n are
+    checked, so a level measured on it, such as equal_revenue's alpha_hat of
+    about -3e-14, reports the distribution and not the level.
     """
+    r = _require_regular_finite_reserve(dist)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    r = _require_regular_finite_reserve(dist)
     if alpha >= 1.0:
         return r
     return r * (n / alpha) ** ((1.0 - alpha) / alpha) * (1.0 / (1.0 - alpha)) ** (1.0 / alpha)

@@ -15,7 +15,11 @@ Resolution rule, given the set S of ids whose opening verifies:
     empty (burning, rather than the auctioneer keeping them, keeps withheld
     collateral a pure cost to a deviating auctioneer).
 
-The engine is strictly sequential and deterministic given (config, seed).
+The engine is strictly sequential and deterministic given (config, seed). Each
+party's random strings come from its own Mersenne Twister stream, seeded by
+derive_seed(seed, "buyer", i) or derive_seed(seed, "auctioneer"); a stream is
+built on its first draw (a buyer's commitment, the auctioneer's first false
+buyer), so a run that never mints a false buyer never seeds the auctioneer's.
 Money conservation is checked by conservation_residual, outside the engine:
 verification.audit_run applies it to every audited run, and the test suite to
 the runs it makes. A run does not check itself.
@@ -44,6 +48,7 @@ from .channels import (
 )
 from .commitments import DEFAULT_SECURITY_BITS, Opening, make_scheme
 from .distributions import ValueDistribution, _require_regular_finite_reserve
+from .records import record
 from .seeding import derive_seed
 
 __all__ = [
@@ -88,7 +93,7 @@ class AuctionConfig:
             )
 
 
-@dataclass(frozen=True)
+@record
 class LedgerEntry:
     """Disposition of one deposit: back to the depositor, to a winner, or burned."""
 
@@ -97,7 +102,7 @@ class LedgerEntry:
     amount: float
 
 
-@dataclass(frozen=True)
+@record
 class Outcome:
     """Physical result of a run: who won, what was paid, where deposits went.
 
@@ -134,41 +139,27 @@ def _build_outcome(depositors: Sequence[int], revealed: frozenset, refunded: fro
     auctioneer quietly reclaiming its own deposits); every other non-revealed
     deposit goes to transfer_to, or burns when there is no one to receive it.
     """
-    extra_refunds = refunded - revealed
-    if extra_refunds - false_ids:
+    if refunded - revealed - false_ids:
         raise ValueError("only auctioneer-controlled deposits may be refunded unrevealed")
-    ledger = []
-    for dep in sorted(depositors):
-        if dep in refunded:
-            ledger.append(LedgerEntry(dep, dep, collateral_amount))
-        elif transfer_to is not None:
-            ledger.append(LedgerEntry(dep, transfer_to, collateral_amount))
-        else:
-            ledger.append(LedgerEntry(dep, BURN, collateral_amount))
+    forfeit_to = BURN if transfer_to is None else transfer_to
 
     def owner(agent: int) -> int:
         return AUCTIONEER if agent in false_ids else agent
 
-    lost = captured = 0  # auctioneer-funded deposits lost / real deposits captured
+    ledger, lost, captured = [], 0, 0  # auctioneer-funded deposits lost / real ones captured
+    for dep in sorted(depositors):
+        if dep in refunded:
+            ledger.append(LedgerEntry(dep, dep, collateral_amount))
+            continue
+        ledger.append(LedgerEntry(dep, forfeit_to, collateral_amount))
+        if owner(dep) == AUCTIONEER:
+            lost += forfeit_to == BURN or owner(forfeit_to) != AUCTIONEER
+        elif forfeit_to != BURN and owner(forfeit_to) == AUCTIONEER:
+            captured += 1
     real_sale = winner is not None and owner(winner) != AUCTIONEER and sale_price > 0.0
-    for entry in ledger:
-        if entry.recipient == BURN:
-            if owner(entry.depositor) == AUCTIONEER:
-                lost += 1
-        elif owner(entry.recipient) != owner(entry.depositor):
-            if owner(entry.depositor) == AUCTIONEER:
-                lost += 1
-            elif owner(entry.recipient) == AUCTIONEER:
-                captured += 1
     net = (sale_price if real_sale else 0.0) - collateral_amount * lost \
         + collateral_amount * captured
-    return Outcome(
-        winner=winner,
-        sale_price=sale_price,
-        revealed=revealed,
-        ledger=tuple(ledger),
-        auctioneer_net=net,
-    )
+    return Outcome(winner, sale_price, revealed, tuple(ledger), net)
 
 
 def conservation_residual(outcome: Outcome, depositors=None,
@@ -202,37 +193,23 @@ def conservation_residual(outcome: Outcome, depositors=None,
 
 def resolve(scheme, commitments: dict, openings: dict, reserve: float,
             collateral_amount: float, false_ids: frozenset = frozenset()) -> Outcome:
-    """Apply the resolution rule to per-id commitments and optional openings."""
-    unknown = set(openings) - set(commitments)
+    """Apply the resolution rule to per-id commitments and optional openings (an
+    id without an opening, or with None, withheld)."""
+    unknown = openings.keys() - commitments.keys()
     if unknown:
         raise ValueError(f"openings for ids without commitments: {sorted(unknown)}")
-    revealed = set()
-    bids = {}
-    for bidder, opening in openings.items():
-        if opening is None:
-            continue
-        if scheme.verify(commitments[bidder], opening):
-            revealed.add(bidder)
-            bids[bidder] = opening.message
-    if revealed:
+    bids = {bidder: opening.message for bidder, opening in openings.items()
+            if opening is not None and scheme.verify(commitments[bidder], opening)}
+    revealed = frozenset(bids)
+    winner, price, transfer_to = None, 0.0, None
+    if bids:
         best = max(bids.values())
-        candidate = min(b for b in revealed if bids[b] == best)
-        sale = bids[candidate] > reserve
-        winner = candidate if sale else None
-        price = max([reserve] + [bids[b] for b in revealed if b != candidate]) if sale else 0.0
-        transfer_to = candidate
-    else:
-        winner, price, transfer_to, sale = None, 0.0, None, False
-    return _build_outcome(
-        depositors=list(commitments),
-        revealed=frozenset(revealed),
-        refunded=frozenset(revealed),
-        winner=winner,
-        sale_price=price if sale else 0.0,
-        transfer_to=transfer_to,
-        collateral_amount=collateral_amount,
-        false_ids=false_ids,
-    )
+        transfer_to = min(b for b, bid in bids.items() if bid == best)
+        if best > reserve:
+            winner = transfer_to
+            price = max([reserve] + [bid for b, bid in bids.items() if b != winner])
+    return _build_outcome(list(commitments), revealed, revealed, winner, price, transfer_to,
+                          collateral_amount, false_ids)
 
 
 def buyer_utility(outcome: Outcome, buyer_id: int, value: float) -> float:
@@ -261,13 +238,13 @@ class AuctionGame:
         if len(buyers) != config.n:
             raise ValueError(f"expected {config.n} buyer strategies, got {len(buyers)}")
         self.config = config
-        self.buyers = {i + 1: strat for i, strat in enumerate(buyers)}
+        self.mode = config.mode
+        self.buyers = dict(enumerate(buyers, start=1))
         self.scheme = scheme if scheme is not None else make_scheme(config.scheme)
         self.channel = Channel(config.mode, config.n)
-        self._buyer_rng = {
-            i: random.Random(derive_seed(config.seed, "buyer", i)) for i in self.buyers
-        }
-        self.auctioneer_rng = random.Random(derive_seed(config.seed, "auctioneer"))
+        self.buyer_ids = self.channel.buyers
+        self._buyer_rng: dict[int, random.Random] = {}  # each built on its first draw
+        self._auctioneer_rng: Optional[random.Random] = None
         self.commitments: dict[int, object] = {}
         self.openings: dict[int, Opening] = {}     # private custody, incl. false ids
         self.revealed: dict[int, Opening] = {}     # openings published on-channel
@@ -277,12 +254,11 @@ class AuctionGame:
         self._bytes = DEFAULT_SECURITY_BITS // 8
 
     @property
-    def mode(self) -> str:
-        return self.config.mode
-
-    @property
-    def buyer_ids(self) -> list[int]:
-        return sorted(self.buyers)
+    def auctioneer_rng(self) -> random.Random:
+        """The auctioneer's random stream, seeded on first use."""
+        if self._auctioneer_rng is None:
+            self._auctioneer_rng = random.Random(derive_seed(self.config.seed, "auctioneer"))
+        return self._auctioneer_rng
 
     def _buyer_send(self, i: int, payload) -> None:
         """Buyer i's message: broadcast, or privately to the auctioneer."""
@@ -301,26 +277,27 @@ class AuctionGame:
         """
         if self.mode == "broadcast":
             self.channel.broadcast(sender, payload, physical=AUCTIONEER)
-        else:
-            per_buyer = per_buyer or {}
-            for recipient in (to if to is not None else self.buyer_ids):
-                self.channel.private_send(AUCTIONEER, recipient, per_buyer.get(recipient, payload))
+            return
+        send = self.channel.private_send
+        for recipient in (self.buyer_ids if to is None else to):
+            send(AUCTIONEER, recipient,
+                 payload if per_buyer is None else per_buyer.get(recipient, payload))
 
     # -- commitment phase ----------------------------------------------------
 
     def buyer_commit(self, i: int) -> CommitMsg:
         """Buyer i commits to its strategy's bid and deposits collateral."""
         strat = self.buyers[i]
-        randomness = self._buyer_rng[i].randbytes(self._bytes)
-        opening = Opening(message=float(strat.bid()), randomness=randomness)
+        rng = self._buyer_rng.get(i)
+        if rng is None:
+            rng = self._buyer_rng[i] = random.Random(derive_seed(self.config.seed, "buyer", i))
+        opening = Opening(float(strat.bid()), rng.randbytes(self._bytes))
         commitment = self.scheme.commit(opening.message, opening.randomness)
         self.openings[i] = opening
         self.commitments[i] = commitment
-        msg = CommitMsg(bidder=i, commitment=commitment)
+        msg = CommitMsg(i, commitment)
         self._buyer_send(i, msg)
-        self.channel.notify(AUCTIONEER,
-                            CollateralNotice(party=i, amount=self.config.collateral,
-                                             kind="deposit"),
+        self.channel.notify(AUCTIONEER, CollateralNotice(i, self.config.collateral, "deposit"),
                             sender=i)
         return msg
 
@@ -329,16 +306,14 @@ class AuctionGame:
         fid = self._next_false
         self._next_false += 1
         self.channel.bind_id(fid, AUCTIONEER)
-        randomness = self.auctioneer_rng.randbytes(self._bytes)
-        opening = Opening(message=float(bid), randomness=randomness)
+        opening = Opening(float(bid), self.auctioneer_rng.randbytes(self._bytes))
         self.openings[fid] = opening
         self.commitments[fid] = self.scheme.commit(opening.message, opening.randomness)
         self.false_ids.add(fid)
         return fid
 
     def publish_false_commit(self, fid: int, to: Optional[Sequence[int]] = None) -> None:
-        msg = CommitMsg(bidder=fid, commitment=self.commitments[fid])
-        self._auctioneer_send(msg, to, sender=fid)
+        self._auctioneer_send(CommitMsg(fid, self.commitments[fid]), to, sender=fid)
 
     def forward(self, payload, to: int) -> None:
         """Centralized-mode forwarding of a buyer message by the auctioneer."""
@@ -351,11 +326,10 @@ class AuctionGame:
 
     def buyer_reveal(self, i: int) -> Optional[RevealMsg]:
         """Request buyer i's opening; None if its strategy withholds."""
-        strat = self.buyers[i]
-        if not strat.reveals():
+        if not self.buyers[i].reveals():
             return None
         opening = self.openings[i]
-        msg = RevealMsg(bidder=i, opening=opening)
+        msg = RevealMsg(i, opening)
         self._buyer_send(i, msg)
         self.revealed[i] = opening
         return msg
@@ -365,7 +339,7 @@ class AuctionGame:
         """Open a false bid on-channel; count=False keeps it out of resolution
         (a per-view story rather than a physically counted opening)."""
         opening = self.openings[fid]
-        msg = RevealMsg(bidder=fid, opening=opening)
+        msg = RevealMsg(fid, opening)
         self._auctioneer_send(msg, to, sender=fid)
         if count:
             self.revealed[fid] = opening
@@ -378,10 +352,8 @@ class AuctionGame:
 
     def finalize(self, notices: Optional[dict] = None) -> Outcome:
         """Resolve mechanically from the on-channel revealed set and settle."""
-        openings = {bidder: self.revealed.get(bidder) for bidder in self.commitments}
-        outcome = resolve(self.scheme, self.commitments, openings,
-                          self.config.reserve, self.config.collateral,
-                          frozenset(self.false_ids))
+        outcome = resolve(self.scheme, self.commitments, self.revealed, self.config.reserve,
+                          self.config.collateral, frozenset(self.false_ids))
         self._announce_and_settle(outcome, notices)
         return outcome
 
@@ -392,54 +364,48 @@ class AuctionGame:
         openings the allocation used, `forfeits` maps withheld depositors to the
         recipient of their deposit; auctioneer-controlled deposits not forfeited
         are quietly reclaimed."""
-        forfeits = dict(forfeits or {})
+        forfeits = forfeits or {}
         counted = frozenset(counted)
-        refunded = set(counted)
-        for dep in self.commitments:
-            if dep not in counted and dep not in forfeits and dep in self.false_ids:
-                refunded.add(dep)
-        transfer_to = None
-        for dep, recipient in forfeits.items():
-            if transfer_to is None:
-                transfer_to = recipient
-            elif transfer_to != recipient:
-                raise ValueError("all forfeits must go to a single recipient")
+        false_ids = frozenset(self.false_ids)
+        recipients = set(forfeits.values())
+        if len(recipients) > 1:
+            raise ValueError("all forfeits must go to a single recipient")
         outcome = _build_outcome(
             depositors=list(self.commitments),
             revealed=counted,
-            refunded=frozenset(refunded),
+            refunded=counted | (false_ids - forfeits.keys()),
             winner=winner,
             sale_price=sale_price,
-            transfer_to=transfer_to,
+            transfer_to=recipients.pop() if recipients else None,
             collateral_amount=self.config.collateral,
-            false_ids=frozenset(self.false_ids),
+            false_ids=false_ids,
         )
         self._announce_and_settle(outcome, notices)
         return outcome
 
     def _announce_and_settle(self, outcome: Outcome, notices: Optional[dict]) -> None:
+        """Announce the outcome, then notify each real depositor's refund and each
+        real recipient's forfeited deposit, refunds first, in ledger order."""
         if self._outcome is not None:
             raise ProtocolViolation("run already finalized")
         self._outcome = outcome
-        self._auctioneer_send(OutcomeNotice(winner=outcome.winner, price=outcome.sale_price),
+        self._auctioneer_send(OutcomeNotice(outcome.winner, outcome.sale_price),
                               per_buyer=notices)
+        refunds, transfers = [], []
         for entry in outcome.ledger:
-            if entry.depositor in self.false_ids:
-                continue
             if entry.recipient == entry.depositor:
-                self.channel.notify(entry.depositor,
-                                    CollateralNotice(party=entry.depositor,
-                                                     amount=entry.amount, kind="refund"))
-        for entry in outcome.ledger:
-            if entry.recipient in (BURN, entry.depositor) or entry.recipient in self.false_ids:
-                continue
-            self.channel.notify(entry.recipient,
-                                CollateralNotice(party=entry.recipient, amount=entry.amount,
-                                                 kind="transfer", counterparty=entry.depositor))
+                if entry.depositor not in self.false_ids:
+                    refunds.append((entry.depositor,
+                                    CollateralNotice(entry.depositor, entry.amount, "refund")))
+            elif entry.recipient != BURN and entry.recipient not in self.false_ids:
+                transfers.append((entry.recipient,
+                                  CollateralNotice(entry.recipient, entry.amount, "transfer",
+                                                   entry.depositor)))
+        for recipient, notice in refunds + transfers:
+            self.channel.notify(recipient, notice)
 
     def transcript(self) -> Transcript:
-        return Transcript(mode=self.mode, n_buyers=self.config.n,
-                          events=tuple(self.channel.events), scheme=self.scheme)
+        return self.channel.transcript(self.scheme)
 
 
 def run_auction(config: AuctionConfig, buyer_strategies: Sequence, auctioneer_strategy):

@@ -20,21 +20,27 @@ import numpy as np
 __all__ = ["CHUNK_SAMPLES", "derive_seed", "chunk_generator", "chunk_uniforms", "chunk_bounds"]
 
 CHUNK_SAMPLES = 1 << 16  # protocol constant; changing it changes every stream
+_INT_PART = struct.Struct(">Icq")  # length 9, b"i", the value
+_STR_HEAD = struct.Struct(">Ic")  # length, b"s"; the UTF-8 bytes follow
 
 
 def derive_seed(*parts) -> int:
-    """Stable 64-bit seed from a tuple of ints/strings (SHA-256 based)."""
-    h = hashlib.sha256()
+    """Stable 64-bit seed from a tuple of ints/strings (SHA-256 based).
+
+    Each part is encoded as a 4-byte big-endian length, then b"s" and its UTF-8
+    bytes for a string, or b"i" and its low 63 bits as a signed 64-bit big-endian
+    integer for an int; the seed is the first 8 bytes of the digest of them all.
+    """
+    encoded = []
     for part in parts:
         if isinstance(part, str):
-            data = b"s" + part.encode("utf-8")
+            data = part.encode("utf-8")
+            encoded.append(_STR_HEAD.pack(len(data) + 1, b"s") + data)
         elif isinstance(part, (int, np.integer)):
-            data = b"i" + struct.pack(">q", int(part) & 0x7FFFFFFFFFFFFFFF)
+            encoded.append(_INT_PART.pack(9, b"i", int(part) & 0x7FFFFFFFFFFFFFFF))
         else:
             raise TypeError(f"unsupported seed part {type(part).__name__}")
-        h.update(struct.pack(">I", len(data)))
-        h.update(data)
-    return int.from_bytes(h.digest()[:8], "big")
+    return int.from_bytes(hashlib.sha256(b"".join(encoded)).digest()[:8], "big")
 
 
 def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:

@@ -58,6 +58,7 @@ from .channels import (
 )
 from .distributions import at_or_above_reserve
 from .protocol import AuctionConfig, AuctionGame, Outcome
+from .records import record
 
 __all__ = [
     "Truthful",
@@ -555,7 +556,7 @@ class AdaptiveReserve(TwoPhase):
 # View consistency: the operational "safe deviation" filter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class ViewSummary:
     """What one buyer can reconstruct from its own transcript.
 
@@ -582,31 +583,29 @@ def view_summary(view: View, config: AuctionConfig) -> ViewSummary:
     """Parse one buyer's view in one pass; summary_is_consistent judges the result."""
     phase = PHASE_COMMIT  # None once the grammar is broken
     well_formed = True
-    commits: dict[int, object] = {}
-    openings: dict[int, object] = {}
+    commits, openings = {}, {}  # id -> its Commitment, id -> the Opening it revealed
     notice: Optional[OutcomeNotice] = None
     money = {"deposit": [], "refund": [], "transfer": []}
     for event in view.events:
         p = event.payload
-        if phase is not None:
-            phase = next_phase(phase, p)
-        if isinstance(p, CommitMsg):
+        phase = next_phase(phase, p)
+        kind = type(p)
+        if kind is CommitMsg:
             well_formed = well_formed and p.bidder not in commits
             commits[p.bidder] = p.commitment
-        elif isinstance(p, RevealMsg):
+        elif kind is RevealMsg:
             well_formed = well_formed and p.bidder in commits and p.bidder not in openings
             openings[p.bidder] = p.opening
-        elif isinstance(p, OutcomeNotice):
+        elif kind is OutcomeNotice:
             well_formed = well_formed and notice is None
             notice = p
-        elif isinstance(p, CollateralNotice) and p.kind in money:
+        elif kind is CollateralNotice and p.kind in money:
             money[p.kind].append(p)
     revealed = {bidder: opening.message for bidder, opening in openings.items()}
-    competing = [bid for bidder, bid in revealed.items() if bidder != view.agent]
     return ViewSummary(
         agent=view.agent,
         own_bid=revealed.get(view.agent),
-        beta=max([config.reserve] + competing),
+        beta=max([config.reserve] + [bid for b, bid in revealed.items() if b != view.agent]),
         notice=notice,
         commits=commits,
         revealed_bids=revealed,
@@ -646,7 +645,6 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
         return False
 
     own_bid, beta = summary.own_bid, summary.beta
-    competing = [bid for bidder, bid in revealed.items() if bidder != agent]
 
     if own_bid is not None and own_bid > beta + _PRICE_TOL:
         if notice.winner != agent or abs(notice.price - beta) > _PRICE_TOL:
@@ -686,7 +684,7 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
         # only (the reserve plays no role here).
         if own_bid is None:
             return False
-        comp_max = max(competing, default=-math.inf)
+        comp_max = max((bid for b, bid in revealed.items() if b != agent), default=-math.inf)
         if own_bid < comp_max - _PRICE_TOL:
             return False
         # A tie is an exact one, as in the resolution rule: bids a hair apart

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import RevealMsg
 from .distributions import (
     Exponential,
     GeneralizedPareto,
@@ -45,6 +44,7 @@ from .protocol import (
     conservation_residual,
     run_auction,
 )
+from .records import record
 from .seeding import derive_seed
 from .strategies import (
     ALWAYS_REVEAL,
@@ -83,7 +83,7 @@ class VerifyCheck:
 # Per-run structural audit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AuditResult:
     outcome: Outcome
     violations: tuple
@@ -98,17 +98,17 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
     conservation (conservation_residual, which the engine does not apply to its
     own runs), the single-candidate bound, allocation consistency for the
     candidate, and the per-buyer view-consistency verdicts (for revealing buyers).
+    Each view is parsed once; the bids are the openings the buyers' views show.
     """
     outcome, transcript = run_auction(config, buyers, auctioneer)
+    summaries = {i: view_summary(view, config) for i, view in transcript.buyer_views().items()}
     violations = []
-    depositors = [e.depositor for e in outcome.ledger]
-    residual = conservation_residual(outcome, depositors=depositors,
+    residual = conservation_residual(outcome, depositors=[e.depositor for e in outcome.ledger],
                                      collateral_amount=config.collateral)
     if abs(residual) > MONEY_TOL:
         violations.append(f"money conservation residual {residual}")
     if outcome.winner is not None:
-        bids = {e.payload.bidder: e.payload.opening.message
-                for e in transcript.events if isinstance(e.payload, RevealMsg)}
+        bids = {b: bid for s in summaries.values() for b, bid in s.revealed_bids.items()}
         if outcome.winner not in outcome.revealed:
             violations.append("winner outside the counted reveal set")
         elif not bids.get(outcome.winner, -1.0) > config.reserve:
@@ -120,8 +120,7 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
                 violations.append(
                     f"price {outcome.sale_price} != max(reserve, runner-up) {want}")
     candidates = []
-    for i, view in transcript.buyer_views().items():
-        summary = view_summary(view, config)
+    for i, summary in summaries.items():
         # The resolution rule's candidate comes from revealed bids only, so a
         # buyer who withholds is never one, whatever it committed to.
         if buyers[i - 1].reveals():

@@ -1,5 +1,9 @@
 """Channel tests: broadcast atomicity, id binding, per-view phase grammar,
-mode separation, and transcript determinism."""
+mode separation, transcript determinism, and the records messages are made of."""
+
+import pickle
+from dataclasses import FrozenInstanceError, replace
+from typing import Optional
 
 import pytest
 
@@ -7,6 +11,7 @@ from drasim import (
     AUCTIONEER,
     AuctionConfig,
     Channel,
+    CollateralNotice,
     CommitMsg,
     EndCommit,
     EndReveal,
@@ -22,6 +27,7 @@ from drasim import (
     run_auction,
 )
 from drasim.commitments import IdealScheme, Opening
+from drasim.records import record
 
 
 def fresh_channel(mode="broadcast", n=3):
@@ -174,3 +180,26 @@ def test_transcript_determinism_byte_for_byte():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         Channel("gossip", 2)
+
+
+def test_records_keep_their_dataclass_behaviour():
+    notice = CollateralNotice(2, 1.5, "refund")
+    assert notice == CollateralNotice(party=2, amount=1.5, kind="refund", counterparty=None)
+    assert hash(notice) == hash(CollateralNotice(2, 1.5, "refund"))
+    assert repr(notice) == "CollateralNotice(party=2, amount=1.5, kind='refund', counterparty=None)"
+    assert replace(notice, kind="transfer", counterparty=1) == CollateralNotice(2, 1.5, "transfer", 1)
+    assert pickle.loads(pickle.dumps(notice)) == notice
+    assert EndCommit() == EndCommit() and not hasattr(notice, "__dict__")
+    with pytest.raises(TypeError):
+        CollateralNotice(2, 1.5)
+    with pytest.raises(FrozenInstanceError):
+        notice.amount = 2.0
+
+    class Later:
+        when: Optional[int] = None
+
+        def __post_init__(self):
+            pass
+
+    with pytest.raises(TypeError, match="a record has no __post_init__"):
+        record(Later)

@@ -159,6 +159,15 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     path = write_config(tmp_path, {**BASE, "samples": 5_000}, "g.json")
     assert main(["estimate", "--config", path, "--samples", "999"]) == 2
     assert main(["estimate", "--config", path, "--seed", "-1"]) == 2
+    # a distribution that cannot run auctions, whatever collateral level it measures
+    path = write_config(tmp_path, {"distribution": {"family": "equal_revenue"}, "n": 2,
+                                   "seed": 0, "samples": 2_000, "deviation_quantiles": [0.5]},
+                        "h.json")
+    capsys.readouterr()
+    assert main(["estimate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "config error: distribution: equal_revenue has an infinite reserve price" in err
+    assert "Traceback" not in err
 
 
 def test_cli_exit_3_on_internal_error(tmp_path, capsys, monkeypatch):

@@ -337,6 +337,17 @@ def test_collateral_values():
         collateral(EqualRevenue(), 2, 0.5)
 
 
+def test_collateral_refuses_the_distribution_before_the_level():
+    # equal_revenue's virtual value is exactly -1, so its measured alpha_hat is a
+    # hair below zero: the infinite reserve is the reason to refuse, not the level
+    alpha_hat = strong_regularity_alpha(EqualRevenue()).alpha_hat
+    assert alpha_hat <= 0.0
+    with pytest.raises(InfiniteReserveError):
+        collateral(EqualRevenue(), 2, alpha_hat)
+    with pytest.raises(NonRegularError):
+        collateral(TwoPoint(), 0, -1.0)
+
+
 def test_collateral_dominates_reserve():
     for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5):
         for n in (1, 2, 5):

@@ -1,37 +1,49 @@
 """Property-based checks of the message-level engine: every generated run of an
 implemented deviation passes its structural audit, conserves money, and leaves
-each buyer a view that the consistency checker accepts. Also the vector
+each buyer a view that the consistency checker accepts. The views the channel
+keeps as it delivers are the view rule applied to the full log, a send that
+breaks the phase grammar is refused and leaves log and views as they were, and
+every record of a run is frozen. Also the vector
 engine's top-two kernel against a sort, the shill kernel's 0/1-mask products
 against the selects they replace, each auctioneer family's closed form against
 the message engine on every profile, and the pruned adaptive-attack kernel
 against the case arithmetic on every row."""
 
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drasim import (
     ALWAYS_REVEAL,
+    AUCTIONEER,
     WITHHOLD_IF_WINNING,
     AdaptiveReserve,
     AuctionConfig,
+    AuctionGame,
+    CommitMsg,
+    EndReveal,
     Exponential,
     FixedBid,
     GeneralizedPareto,
     Honest,
     Lifted,
     NoReveal,
+    ProtocolViolation,
     ShillBroadcast,
     Truthful,
     Uniform,
+    View,
     adaptive_net_delta,
     check_view_consistency,
     conservation_residual,
     reserve_price,
     run_auction,
 )
+from drasim.channels import view_members
 from drasim.estimators import _adaptive_gain_pruned, _vector_net, simulate_profile_net
 from drasim.protocol import MONEY_TOL
 from drasim.strategies import Chunk, _shill_net, _top_two
@@ -80,6 +92,56 @@ def test_generated_runs_audit_clean(run):
     _, transcript = run_auction(config, buyers, auctioneer)
     for view in transcript.buyer_views().values():
         assert check_view_consistency(view, config, transcript.scheme)
+
+
+def assert_frozen(record) -> None:
+    for f in fields(record):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, f.name, getattr(record, f.name))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(runs())
+def test_channel_kept_views_are_the_view_rule_over_the_log(run):
+    config, buyers, auctioneer = run
+    game = AuctionGame(config, buyers)
+    outcome = auctioneer.execute(game)
+    transcript = game.transcript()
+    everyone = range(1, config.n + 1)
+    views = transcript.buyer_views()
+    assert list(views) == list(everyone)
+    for i, view in views.items():
+        # the view rule, written out: every broadcast, and what i was sent or sent
+        seen = tuple(e for e in transcript.events
+                     if e.recipient is None or i in (e.recipient, e.sender))
+        assert seen == tuple(e for e in transcript.events if i in view_members(e, everyone))
+        assert view == View(i, seen) == transcript.view(i)
+
+    # every view is done: a commitment or an end of revelation is out of phase in
+    # the first view it reaches, and the channel keeps neither
+    channel, logged = game.channel, len(game.channel.events)
+    first = 1 if config.mode == "broadcast" else config.n
+    for payload in (CommitMsg(1, game.commitments[1]), EndReveal()):
+        with pytest.raises(ProtocolViolation,
+                           match=f"^{type(payload).__name__} out of phase in view {first}$"):
+            if config.mode == "broadcast":
+                channel.broadcast(AUCTIONEER, payload)
+            else:
+                channel.private_send(AUCTIONEER, first, payload)
+    assert len(channel.events) == logged and game.transcript().views == transcript.views
+
+    assert_frozen(transcript)
+    assert_frozen(outcome)
+    for entry in outcome.ledger:
+        assert_frozen(entry)
+    for view in views.values():
+        assert_frozen(view)
+    for event in transcript.events:
+        assert_frozen(event)
+        assert_frozen(event.payload)
+        for inner in ("commitment", "opening"):
+            if hasattr(event.payload, inner):
+                assert_frozen(getattr(event.payload, inner))
 
 
 # few distinct values, so that ties and repeats within a profile are common

@@ -2,7 +2,10 @@
 against an independent second-price oracle, utility accounting, and money
 conservation across deviation strategies."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from drasim import (
     WITHHOLD_IF_WINNING,
     AdaptiveReserve,
     AuctionConfig,
+    AuctionGame,
     EqualRevenue,
     Exponential,
     GeneralizedPareto,
@@ -32,6 +36,8 @@ from drasim import (
     run_auction,
 )
 from drasim.seeding import chunk_uniforms, derive_seed
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def make_resolved(bids, opened, reserve, collateral, false_ids=frozenset()):
@@ -271,3 +277,74 @@ def test_double_finalize_rejected():
     config = AuctionConfig(n=1, dist=dist, reserve=1.0, collateral=1.0, seed=0)
     with pytest.raises(ProtocolViolation):
         run_auction(config, [Truthful(2.0)], Greedy())
+
+
+# ---------------------------------------------------------------------------
+# Pinned randomness: every opening's random string and commitment, per deviation
+# ---------------------------------------------------------------------------
+
+def _pinned_runs():
+    """(name, config, values, strategy) for the five audited deviations, the
+    adaptive one with A's bid below and above its threshold, on both schemes."""
+    dist = GeneralizedPareto(0.5)
+    r = reserve_price(dist)
+    shill_bid = float(dist.quantile(0.9))
+    threshold = float(dist.quantile(0.8))
+    withhold = ShillBroadcast((shill_bid,), WITHHOLD_IF_WINNING)
+    deviations = [
+        ("honest", "broadcast", Honest()),
+        ("shill_reveal", "broadcast", ShillBroadcast((shill_bid,), ALWAYS_REVEAL)),
+        ("shill_withhold", "broadcast", withhold),
+        ("lifted_shill", "centralized", Lifted(withhold)),
+    ]
+    adaptive = AdaptiveReserve(threshold=threshold)
+    # B below A, inside (A, A + f] and above A + f when A clears the threshold
+    above = [(threshold + 1.0, b) for b in (threshold, threshold + 2.5, threshold + 9.0)]
+    runs = []
+    for scheme in ("ideal", "sha256"):
+        for seed in (0, 17, 2**40 + 3):
+            values = [float(v) for v in dist.quantile(np.random.default_rng(seed).random(2))]
+            for name, mode, strategy in deviations:
+                config = AuctionConfig(n=2, dist=dist, reserve=r, collateral=2.0, mode=mode,
+                                       scheme=scheme, seed=seed)
+                runs.append((f"{name}/{scheme}/{seed}", config, values, strategy))
+            config = AuctionConfig(n=2, dist=dist, reserve=r, collateral=2.0, mode="centralized",
+                                   scheme=scheme, seed=seed)
+            runs.append((f"adaptive_below/{scheme}/{seed}", config, [r + 0.5, threshold + 3.0],
+                         adaptive))
+            for k, pair in enumerate(above):
+                runs.append((f"adaptive_above{k}/{scheme}/{seed}", config, list(pair), adaptive))
+    return runs
+
+
+def _pinned_record(config, values, strategy) -> dict:
+    """Each opening's bid, random string and commitment token, false buyers'
+    included, and the digest of the run's transcript."""
+    game = AuctionGame(config, [Truthful(v) for v in values])
+    strategy.execute(game)
+    return {
+        "openings": [[i, game.openings[i].message, game.openings[i].randomness.hex(),
+                      game.commitments[i].token_str()] for i in sorted(game.openings)],
+        "transcript_sha256": hashlib.sha256(game.transcript().dump_jsonl().encode()).hexdigest(),
+    }
+
+
+def test_run_randomness_matches_the_pinned_openings():
+    pinned = json.loads((FIXTURES / "run_openings.json").read_text())
+    runs = _pinned_runs()
+    assert sorted(pinned["runs"]) == sorted(name for name, *_ in runs)
+    assert any(len(record["openings"]) == 3 for record in pinned["runs"].values())
+    for name, config, values, strategy in runs:
+        assert _pinned_record(config, values, strategy) == pinned["runs"][name], name
+
+
+def _seed_part(tag):
+    return {"int": int, "np.int64": np.int64, "np.uint8": np.uint8}.get(tag, str)
+
+
+def test_derive_seed_matches_pinned_values():
+    pinned = json.loads((FIXTURES / "run_openings.json").read_text())["derive_seed"]
+    assert pinned
+    for parts, want in pinned:
+        args = [value if tag == "str" else _seed_part(tag)(value) for tag, value in parts]
+        assert derive_seed(*args) == want, parts
