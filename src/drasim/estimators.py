@@ -29,11 +29,15 @@ before it prices the baseline.
 
 The loop prices the chunks in order on the calling thread. When an estimate
 has more than one chunk, one helper thread, started and joined by the call,
-draws the next chunk's uniforms into one of two alternating buffers while the
-caller prices the current chunk. The helper runs only numpy's own fill
-(Generator.random, which releases the interpreter lock), never a drasim
-function, and the values it fills are those chunk_uniforms returns, so the
-estimates do not depend on it. A one-chunk estimate starts no thread.
+shares each chunk's draw with the caller: a chunk is split into slices of
+SLICE_ROWS rows, which both threads take from one iterator and draw with
+seeding.fill_uniforms into one of two alternating buffers. The helper starts
+on chunk k + 1 while the caller prices chunk k; the caller then draws the
+slices of chunk k + 1 that nobody has started and joins the helper, so the
+split follows the cost of the pricing. The helper runs only fill_uniforms
+(numpy's fill releases the interpreter lock), no function the benchmark's
+tracer wraps, and each slice holds the rows chunk_uniforms would return, so
+the estimates do not depend on it. A one-chunk estimate starts no thread.
 
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
@@ -56,6 +60,7 @@ the margin, as every family here is.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -72,7 +77,7 @@ from .distributions import (
 )
 from .estimate import ChunkAccumulator, Estimate
 from .protocol import AuctionConfig, run_auction
-from .seeding import CHUNK_SAMPLES, chunk_bounds, chunk_generator, chunk_uniforms, derive_seed
+from .seeding import CHUNK_SAMPLES, chunk_bounds, chunk_uniforms, derive_seed, fill_uniforms
 from .strategies import (  # noqa: F401 (perfbench's tracer finds _shill_net here)
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
@@ -104,6 +109,9 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 1_000
+# rows of one share of a chunk's fill, 8 per full chunk; a multiple of 4, so every
+# slice starts where fill_uniforms can start
+SLICE_ROWS = 8_192
 # Relative margin of the adaptive prune's candidate test. A relative gap of 1e-9
 # between two survival probabilities is a gap of about 1e-9 between their
 # logarithms, some 10^3 times the error of a computed log or log1p (a few ulp of
@@ -146,14 +154,27 @@ def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
     return [float(v) for v in np.atleast_1d(dist.quantile(u))]
 
 
+def _fill_slices(stream: int, chunk_index: int, u: np.ndarray, firsts, lock) -> None:
+    """Draw the chunk's rows [first, first + SLICE_ROWS) into u for each first that
+    this thread takes from the iterator it shares with the other thread. The lock
+    hands each first out once: an iterator shared by threads may not, on a Python
+    without the interpreter lock."""
+    while True:
+        with lock:
+            first = next(firsts, None)
+        if first is None:
+            return
+        fill_uniforms(stream, chunk_index, u[first:first + SLICE_ROWS], first)
+
+
 def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
     """The Monte Carlo loop: one Estimate per function (chunk, start) -> array. Each
     chunk of the seed's stream is drawn and mapped to profiles by `draw` once, and
     each function's array for it goes to its own accumulator in turn, in chunk
     order. The call's one Chunk carries the profiles and the work arrays from
-    chunk to chunk. While one chunk is priced, a helper thread fills the next
-    one's uniforms into the buffer that the chunk before last used (see the
-    module docstring)."""
+    chunk to chunk. The caller and a helper thread share each chunk's fill, slice
+    by slice, and the helper starts on the next chunk while the caller prices this
+    one (see the module docstring)."""
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
     stream = _value_stream_seed(seed)
@@ -169,20 +190,36 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
 
     if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)
-    else:
-        # imported here: concurrent.futures loads logging, which `import drasim`,
-        # the message engine and one-chunk estimates have no use for
-        from concurrent.futures import ThreadPoolExecutor
+        return [acc.result() for acc in accumulators]
+    # imported here: concurrent.futures loads logging, which `import drasim`,
+    # the message engine and one-chunk estimates have no use for
+    from concurrent.futures import ThreadPoolExecutor
 
-        u = chunk_uniforms(stream, 0, CHUNK_SAMPLES, cols)
-        buffers = (u, np.empty_like(u))  # chunk k fills buffers[k % 2]
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            for (_, start, _), (k, next_start, next_stop) in zip(chunks, chunks[1:]):
-                pending = helper.submit(chunk_generator(stream, k).random,
-                                        out=buffers[k % 2][:next_stop - next_start])
-                consume(draw(u), start)
-                u = pending.result()
-        consume(draw(u), chunks[-1][1])
+    buffers = (np.empty((CHUNK_SAMPLES, cols)), np.empty((CHUNK_SAMPLES, cols)))
+    lock = threading.Lock()
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        def begin(k):
+            """Start the helper on chunk k's slices, into buffers[k % 2]. The function
+            returned draws the slices nobody has started, joins the helper and gives
+            the chunk's uniforms."""
+            _, start, stop = chunks[k]
+            u = buffers[k % 2][:stop - start]
+            firsts = iter(range(0, stop - start, SLICE_ROWS))
+            pending = helper.submit(_fill_slices, stream, k, u, firsts, lock)
+
+            def finish():
+                _fill_slices(stream, k, u, firsts, lock)
+                pending.result()
+                return u
+            return finish
+
+        finish = begin(0)
+        for k, start, _ in chunks[:-1]:
+            u = finish()
+            finish = begin(k + 1)  # into the buffer that chunk k - 1 was priced from
+            consume(draw(u), start)
+        u = finish()
+    consume(draw(u), chunks[-1][1])
     return [acc.result() for acc in accumulators]
 
 

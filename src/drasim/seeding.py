@@ -4,24 +4,32 @@ All randomness in an experiment flows from one 64-bit seed. Monte Carlo work
 is split into fixed-size chunks; chunk c draws from a Philox stream whose
 counter high word is c, so the values for sample index i depend only on
 (seed, i) and are identical no matter how chunks are scheduled or batched.
-chunk_generator is the one definition of that stream: chunk_uniforms draws a
-chunk from it into a new array, and the estimators' loop also fills a reused
-buffer from it on a helper thread (Generator.random(out=...)), which gives the
-same values.
+
+fill_uniforms is the one definition of that stream. Philox is counter-based,
+so any row of a chunk is reached by setting the counter: fill_uniforms draws
+rows first_row... of a chunk into a given array, on a Philox of the calling
+thread's own that it repositions for each fill (a state assignment, about a
+microsecond, where building a Philox costs some 25). chunk_uniforms draws a
+whole chunk into a new array; the estimators' loop fills row slices of reused
+buffers from two threads, and gets the same values.
 """
 
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
+import threading
 
 import numpy as np
 
-__all__ = ["CHUNK_SAMPLES", "derive_seed", "chunk_generator", "chunk_uniforms", "chunk_bounds"]
+__all__ = ["CHUNK_SAMPLES", "derive_seed", "fill_uniforms", "chunk_uniforms", "chunk_bounds"]
 
 CHUNK_SAMPLES = 1 << 16  # protocol constant; changing it changes every stream
 _INT_PART = struct.Struct(">Icq")  # length 9, b"i", the value
 _STR_HEAD = struct.Struct(">Ic")  # length, b"s"; the UTF-8 bytes follow
+_WORD = (1 << 64) - 1
+_thread = threading.local()  # .philox: see _thread_philox
 
 
 def derive_seed(*parts) -> int:
@@ -43,16 +51,41 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(b"".join(encoded)).digest()[:8], "big")
 
 
-def chunk_generator(seed: int, chunk_index: int) -> np.random.Generator:
-    """The generator of one chunk's stream: Philox keyed by seed, counter high word
-    chunk_index. Its random() fills row by row, so the first r rows of a chunk are
-    the same whatever the number of rows drawn."""
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk_index]))
+def _thread_philox() -> tuple:
+    """The calling thread's (Philox, Generator over it), built on its first fill."""
+    if not hasattr(_thread, "philox"):
+        bit_generator = np.random.Philox(key=0)
+        _thread.philox = bit_generator, np.random.Generator(bit_generator)
+    return _thread.philox
+
+
+def fill_uniforms(seed: int, chunk_index: int, out: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """Fill out, shape (rows, cols), with rows first_row... of the chunk's stream and
+    return it. The stream is Philox keyed by seed, counter high word chunk_index,
+    read row by row: the uniform at (row, col) is double row * cols + col of it, so
+    a row's values do not depend on how many rows are drawn, or where a fill starts.
+    Philox makes four doubles per counter step, so first_row * cols must be a
+    multiple of 4. Every key that Philox(key=seed) refuses is refused, and so is a
+    key that is not an integer."""
+    cols = out.shape[1]
+    step, offset = divmod(first_row * cols, 4)
+    if offset:
+        raise ValueError(f"first_row * cols must be a multiple of 4, got {first_row} * {cols}")
+    key = operator.index(seed)
+    if not 0 <= key < 1 << 128:
+        raise ValueError("key must be positive and less than 2**128.")
+    bit_generator, generator = _thread_philox()
+    bit_generator.state = {  # the next draw makes the block of counter step + 1
+        "bit_generator": "Philox",
+        "state": {"counter": (step, 0, 0, chunk_index), "key": (key & _WORD, key >> 64)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return generator.random(out=out)
 
 
 def chunk_uniforms(seed: int, chunk_index: int, rows: int, cols: int) -> np.ndarray:
     """Uniforms for one chunk: shape (rows, cols), stream fixed by (seed, chunk)."""
-    return chunk_generator(seed, chunk_index).random((rows, cols))
+    return fill_uniforms(seed, chunk_index, np.empty((rows, cols)))
 
 
 def chunk_bounds(samples: int):

@@ -96,15 +96,22 @@ class AuditResult:
 def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResult:
     """Run one auction and check the per-run structural invariants: money
     conservation (conservation_residual, which the engine does not apply to its
-    own runs), the single-candidate bound, allocation consistency for the
-    candidate, and the per-buyer view-consistency verdicts (for revealing buyers).
-    Each view is parsed once; the bids are the openings the buyers' views show.
+    own runs) with a ledger that disposes of each committed id's deposit once,
+    the single-candidate bound, allocation consistency for the candidate, and
+    the per-buyer view-consistency verdicts (for revealing buyers). Each view is
+    parsed once; the committed ids are those the views show, false buyers'
+    included, and the bids are the openings they show.
     """
     outcome, transcript = run_auction(config, buyers, auctioneer)
     summaries = {i: view_summary(view, config) for i, view in transcript.buyer_views().items()}
     violations = []
-    residual = conservation_residual(outcome, depositors=[e.depositor for e in outcome.ledger],
-                                     collateral_amount=config.collateral)
+    committed = set().union(*(s.commits for s in summaries.values()))
+    try:
+        residual = conservation_residual(outcome, depositors=committed,
+                                         collateral_amount=config.collateral)
+    except AssertionError as ledger_fault:  # a violation of the run, not a crash
+        violations.append(str(ledger_fault))
+        residual = conservation_residual(outcome)
     if abs(residual) > MONEY_TOL:
         violations.append(f"money conservation residual {residual}")
     if outcome.winner is not None:

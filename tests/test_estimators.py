@@ -2,6 +2,7 @@
 rare-event estimator against its quadrature oracle, and the credibility suite."""
 
 import math
+import sys
 import threading
 
 import numpy as np
@@ -30,8 +31,10 @@ from drasim import (
     optimal_revenue,
     reserve_price,
 )
+from drasim import estimators
 from drasim.estimate import ChunkAccumulator, Estimate
 from drasim.estimators import (
+    SLICE_ROWS,
     _attack_profiles,
     _estimate_each,
     _value_stream_seed,
@@ -40,7 +43,7 @@ from drasim.estimators import (
     sample_values,
     simulate_profile_net,
 )
-from drasim.seeding import CHUNK_SAMPLES, chunk_bounds, chunk_generator, chunk_uniforms, derive_seed
+from drasim.seeding import CHUNK_SAMPLES, chunk_bounds, chunk_uniforms, derive_seed, fill_uniforms
 from drasim.strategies import Chunk
 
 GPA = GeneralizedPareto(0.5)
@@ -64,6 +67,15 @@ STRATEGIES = [
     ShillBroadcast((40.0,), WITHHOLD_IF_WINNING),
     ShillBroadcast((1.5, 40.0, 6.0), WITHHOLD_IF_WINNING),
 ]
+
+
+def test_sample_values_is_profile_0_of_a_fresh_philox_stream():
+    for seed in range(50):
+        key = _value_stream_seed(seed)
+        for dist, n in ((GPA, 2), (Exponential(1.5), 3)):
+            u = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, 0])).random(n)
+            expected = [float(v).hex() for v in dist.quantile(u)]
+            assert [v.hex() for v in sample_values(dist, n, seed)] == expected
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.describe())
@@ -302,6 +314,20 @@ def test_exponential_gain_nonpositive_everywhere():
         assert est.mean <= 3.0 * est.std_error
 
 
+def test_exponential_gain_matches_its_closed_form():
+    # For T at or above the reserve 1/rate: P[v_B >= v_A + f] - P[v_A <= v_B < v_A + f]
+    # is (2 e^(-rate f) - 1) e^(-rate v_A), so the gain is f (2 e^(-rate f) - 1) e^(-2 rate T) / 2
+    for rate in (0.5, 1.0, 2.0):
+        dist = Exponential(rate)
+        for collateral in (0.25, 0.5, 1.0, 2.0):
+            for threshold in (1.0 / rate, 1.5 / rate, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
+                exact = (collateral * (2.0 * math.exp(-rate * collateral) - 1.0)
+                         * math.exp(-2.0 * rate * threshold) / 2.0)
+                quad = adaptive_gain_quadrature(dist, threshold, collateral)
+                assert quad == pytest.approx(exact, rel=1e-13, abs=0.0), (rate, collateral,
+                                                                          threshold)
+
+
 def test_adaptive_gain_pinned_bits():
     # float.hex of estimates made before the vector engine skipped the rows with
     # v_B <= v_A: skipping them changes no bit of a mean or standard error
@@ -454,14 +480,85 @@ def bits(est):
     return est.mean.hex(), est.std_error.hex(), est.samples
 
 
-@pytest.mark.parametrize("samples", PIPELINE_SAMPLES)
-def test_prefetched_buffers_hold_the_chunk_uniforms(samples):
-    stream = _value_stream_seed(29)
+def fresh_philox_rows(key, chunk, rows, cols):
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk])).random(
+        (rows, cols))
+
+
+@pytest.mark.parametrize("key", [0, 2**63, 2**64 - 1])
+def test_fill_uniforms_equals_a_fresh_philox_draw(key):
     for cols in (1, 2, 3, 8):
-        buffer = np.empty((CHUNK_SAMPLES, cols))
-        for chunk, start, stop in chunk_bounds(samples):
-            filled = chunk_generator(stream, chunk).random(out=buffer[:stop - start])
-            assert np.array_equal(filled, chunk_uniforms(stream, chunk, stop - start, cols))
+        for chunk, rows in ((0, CHUNK_SAMPLES), (5, CHUNK_SAMPLES), (6, 3 * SLICE_ROWS + 999)):
+            expected = fresh_philox_rows(key, chunk, rows, cols)
+            for first in range(0, rows, SLICE_ROWS):
+                out = np.empty((min(SLICE_ROWS, rows - first), cols))
+                assert fill_uniforms(key, chunk, out, first) is out
+                assert np.array_equal(out, expected[first:first + SLICE_ROWS])
+            first = 12  # any start whose double index is a multiple of 4
+            assert np.array_equal(fill_uniforms(key, chunk, np.empty((5, cols)), first),
+                                  expected[first:first + 5])
+            assert np.array_equal(chunk_uniforms(key, chunk, rows, cols), expected)
+
+
+def test_fill_uniforms_refuses_what_philox_refuses():
+    out = np.empty((4, 2))
+    for key in (-1, -2**64, 2**128, 2**130):
+        with pytest.raises(ValueError, match="key must be positive and less than 2"):
+            np.random.Philox(key=key)
+        with pytest.raises(ValueError, match="key must be positive and less than 2"):
+            fill_uniforms(key, 0, out)
+    for key in (2**64, 2**128 - 1, np.uint64(2**64 - 1)):  # accepted by both
+        assert np.array_equal(fill_uniforms(key, 3, out), fresh_philox_rows(int(key), 3, 4, 2))
+    for first, cols in ((1, 1), (1, 2), (3, 3), (1, 6)):  # mid-block starts are refused
+        with pytest.raises(ValueError, match="multiple of 4"):
+            fill_uniforms(0, 0, np.empty((4, cols)), first)
+
+
+def test_concurrent_estimates_give_the_serial_bits():
+    # two estimates at once, each with its helper: four threads share the slices
+    # of two loops, switching every microsecond; a slice lost or drawn into the
+    # wrong chunk would change the bits
+    samples, config = 3 * CHUNK_SAMPLES + 999, config_for(GPA, 3, 2.0)
+    strategy = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
+    calls = [lambda: estimate_revenue(config, strategy, samples, 41),
+             lambda: estimate_adaptive_gain(GPA, 2.0, 2.0, samples, 43)]
+    serial = [bits(call()) for call in calls]
+    results = [None] * len(calls)
+
+    def run(i):
+        results[i] = bits(calls[i]())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial
+
+
+def test_failure_in_the_callers_fill_propagates_and_joins_the_helper(monkeypatch):
+    before = threading.active_count()
+    caller = threading.current_thread()
+    caller_failed = threading.Event()
+
+    def fill(seed, chunk_index, out, first_row=0):
+        if threading.current_thread() is caller:
+            caller_failed.set()
+            raise RuntimeError("caller's fill")
+        caller_failed.wait(timeout=10)  # hold the helper at its first slice
+        return fill_uniforms(seed, chunk_index, out, first_row)
+
+    monkeypatch.setattr(estimators, "fill_uniforms", fill)
+    with pytest.raises(RuntimeError, match="caller's fill"):
+        _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, [lambda chunk, start: chunk.values[:, 0]])
+    assert caller_failed.is_set()
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("samples", PIPELINE_SAMPLES)

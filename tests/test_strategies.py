@@ -373,6 +373,30 @@ def test_audit_counts_only_opening_buyers_as_candidates():
         assert result.outcome.winner == 1
 
 
+def test_audit_reports_a_ledger_that_drops_a_committed_id(monkeypatch):
+    # Leaving a committed id out of the ledger keeps the money balanced, so only the
+    # check against the ids the views show committed can see it, false buyers' too.
+    from drasim import verification
+
+    dropped = []
+
+    def drops_last_deposit(config, buyers, auctioneer):
+        outcome, transcript = run_auction(config, buyers, auctioneer)
+        dropped.append(outcome.ledger[-1].depositor)
+        return replace(outcome, ledger=outcome.ledger[:-1]), transcript
+
+    monkeypatch.setattr(verification, "run_auction", drops_last_deposit)
+    shill = ShillBroadcast((float(GPA.quantile(0.9)),), WITHHOLD_IF_WINNING)
+    for mode, strategy in (("broadcast", Honest()), ("broadcast", shill),
+                           ("centralized", Lifted(shill))):
+        config = AuctionConfig(n=2, dist=GPA, reserve=R, collateral=2.0, mode=mode, seed=3)
+        result = audit_run(config, [Truthful(5.0), Truthful(9.0)], strategy)
+        assert result.violations == ("ledger does not dispose each deposit exactly once",)
+    assert dropped == [2, 3, 3]  # buyer 2, then the false buyer
+    check = verification._check_structural(2, 0)  # verify fails the check: exit 1, not 3
+    assert not check.passed and check.detail.endswith(" 10 violations")
+
+
 # ---------------------------------------------------------------------------
 # False-bid independence (coupling) and policy information restriction
 # ---------------------------------------------------------------------------
