@@ -12,12 +12,16 @@ buyers. An id is bound to the physical party that first uses it, which stands
 in for signatures; buyers cannot tell false ids from real ones by inspection.
 
 A view is the subsequence of events an agent observes: everything addressed to
-it, everything broadcast, and its own sent messages (view_members). The channel
-applies that rule once per event, as it delivers: each receiving buyer's view
-must admit the event by its phase grammar (next_phase: no commits after that
-view's end-of-commitment, no reveals before it), and gains it. A strategy that
-breaks the grammar aborts the run, which separates grammar violations from
-safe deviations. The view-consistency checker judges views by the same rules.
+it, everything broadcast, and its own sent messages (view_members). Its phase
+grammar is one transition table, PHASE_TRANSITIONS: for each payload kind, the
+view's next phase from each phase, and None where the payload is out of phase
+(no commits after the view's end-of-commitment, no reveals before it). Every
+view starts in PHASE_COMMIT and a complete one ends in PHASE_DONE. The channel
+applies the member rule and reads the table once per event, as it delivers:
+every receiving buyer's view must admit the event, and gains it, or none does.
+A strategy that breaks the grammar aborts the run, which separates grammar
+violations from safe deviations. The view-consistency checker parses a view
+by the same table, one read per entry; next_phase reads one transition of it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ __all__ = [
     "EndCommit",
     "RevealMsg",
     "EndReveal",
+    "END_COMMIT",
+    "END_REVEAL",
     "OutcomeNotice",
     "CollateralNotice",
     "Event",
@@ -47,6 +53,11 @@ __all__ = [
     "ModeError",
     "SpoofingError",
     "ProtocolViolation",
+    "PHASE_COMMIT",
+    "PHASE_REVEAL",
+    "PHASE_DONE",
+    "PHASE_TRANSITIONS",
+    "OUT_OF_PHASE",
     "next_phase",
     "view_members",
 ]
@@ -119,29 +130,33 @@ class CollateralNotice:
 
 Payload = Union[CommitMsg, EndCommit, RevealMsg, EndReveal, OutcomeNotice, CollateralNotice]
 
+# the fieldless payloads carry no data: one instance of each serves every run
+END_COMMIT = EndCommit()
+END_REVEAL = EndReveal()
+
 PHASE_COMMIT, PHASE_REVEAL, PHASE_DONE = 0, 1, 2
 
-# The phase grammar of one view: payload kind -> (the one phase it is legal in,
-# the phase after it). A collateral notice carries its own kind, every other
-# payload class names one. Delivery looks each event up once for all its views.
-_GRAMMAR = {
-    "commit": (PHASE_COMMIT, PHASE_COMMIT),
-    "deposit": (PHASE_COMMIT, PHASE_COMMIT),
-    "end_commit": (PHASE_COMMIT, PHASE_REVEAL),
-    "reveal": (PHASE_REVEAL, PHASE_REVEAL),
-    "end_reveal": (PHASE_REVEAL, PHASE_DONE),
-    "outcome": (PHASE_DONE, PHASE_DONE),
-    "refund": (PHASE_DONE, PHASE_DONE),
-    "transfer": (PHASE_DONE, PHASE_DONE),
+# The phase grammar of one view as a transition table: a payload's kind -> the
+# view's phase after it from each phase, PHASE_COMMIT, PHASE_REVEAL, PHASE_DONE
+# in that order; None where the payload is out of phase. A collateral notice
+# carries its own kind, every other payload class names one.
+PHASE_TRANSITIONS = {
+    "commit": (PHASE_COMMIT, None, None),
+    "deposit": (PHASE_COMMIT, None, None),
+    "end_commit": (PHASE_REVEAL, None, None),
+    "reveal": (None, PHASE_REVEAL, None),
+    "end_reveal": (None, PHASE_DONE, None),
+    "outcome": (None, None, PHASE_DONE),
+    "refund": (None, None, PHASE_DONE),
+    "transfer": (None, None, PHASE_DONE),
 }
+OUT_OF_PHASE = (None, None, None)  # the row of a kind the grammar does not know
 
 
-def next_phase(phase: int, payload: Payload) -> Optional[int]:
+def next_phase(phase: Optional[int], payload: Payload) -> Optional[int]:
     """A view's phase after `payload`, or None when `payload` is illegal in `phase`
-    or `phase` is None (the view's grammar already broke). Every view starts in
-    PHASE_COMMIT, and a complete one ends in PHASE_DONE."""
-    rule = _GRAMMAR.get(payload.kind)
-    return rule[1] if rule is not None and rule[0] == phase else None
+    or `phase` is None (the view's grammar already broke)."""
+    return None if phase is None else PHASE_TRANSITIONS.get(payload.kind, OUT_OF_PHASE)[phase]
 
 
 @record
@@ -199,11 +214,12 @@ class Channel:
             raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.n_buyers = n_buyers
-        self.buyers = range(1, n_buyers + 1)
+        self.buyers = buyers = range(1, n_buyers + 1)
         self.events: list[Event] = []
-        self._owners = {i: i for i in range(n_buyers + 1)}  # the auctioneer (0) and the buyers
-        self._phase = dict.fromkeys(self.buyers, PHASE_COMMIT)
-        self._views: dict[int, list] = {i: [] for i in self.buyers}
+        parties = range(n_buyers + 1)  # the auctioneer (0) and the buyers
+        self._owners = dict(zip(parties, parties))
+        self._phase = dict.fromkeys(buyers, PHASE_COMMIT)
+        self._views: dict[int, list] = {i: [] for i in buyers}
 
     # -- identity -----------------------------------------------------------
 
@@ -224,18 +240,18 @@ class Channel:
         if owner != physical:
             raise SpoofingError(f"id {sender} was never bound to a sender" if owner is None
                                 else f"id {sender} is bound to {owner}, not {physical}")
-        event = Event(len(self.events), sender, recipient, payload)
+        events = self.events
+        event = Event(len(events), sender, recipient, payload)
         members = view_members(event, self.buyers)
-        legal_in, after = _GRAMMAR.get(payload.kind, (None, None))
-        phases = self._phase
+        phases, row = self._phase, PHASE_TRANSITIONS.get(payload.kind, OUT_OF_PHASE)
         for buyer in members:
-            if phases[buyer] != legal_in:
+            if row[phases[buyer]] is None:
                 raise ProtocolViolation(f"{type(payload).__name__} out of phase in view {buyer}")
         views = self._views
         for buyer in members:
-            phases[buyer] = after
+            phases[buyer] = row[phases[buyer]]
             views[buyer].append(event)
-        self.events.append(event)
+        events.append(event)
         return event
 
     def broadcast(self, sender: int, payload: Payload, physical: Optional[int] = None) -> Event:

@@ -69,12 +69,12 @@ def _check_randomness(randomness: bytes, security_bits: int) -> None:
         )
 
 
-_DOUBLE = struct.Struct(">d")
+_pack_double = struct.Struct(">d").pack
 
 
 def canonical_message(message: float) -> bytes:
     """Big-endian IEEE-754 double; fixed 8-byte encoding for every bid."""
-    return _DOUBLE.pack(float(message))
+    return _pack_double(float(message))
 
 
 class IdealScheme:
@@ -95,20 +95,23 @@ class IdealScheme:
         _check_randomness(randomness, self.security_bits)
         handle = self._next
         self._next += 1
-        self._registry[handle] = (canonical_message(message), bytes(randomness))
-        return Commitment(scheme=self.name, token=handle)
+        self._registry[handle] = (_pack_double(float(message)), bytes(randomness))
+        return Commitment(self.name, handle)
 
     def verify(self, commitment: Commitment, opening: Opening) -> bool:
+        """Whether the opening is the pair committed to: its canonical_message
+        bytes and its random string, as bytes."""
         if not isinstance(commitment, Commitment) or commitment.scheme != self.name:
             return False
         stored = self._registry.get(commitment.token)
         if stored is None:
             return False
+        randomness = opening.randomness
         try:
-            candidate = (canonical_message(opening.message), bytes(opening.randomness))
+            return stored == (_pack_double(float(opening.message)),
+                              randomness if type(randomness) is bytes else bytes(randomness))
         except (TypeError, ValueError):
             return False
-        return stored == candidate
 
 
 class HashScheme:
@@ -146,8 +149,8 @@ class HashScheme:
         return token == commitment.token
 
 
-# the scheme names make_scheme takes: each scheme's own, and "hash" for sha256
-SCHEMES = {IdealScheme.name: IdealScheme, HashScheme.name: HashScheme, "hash": HashScheme}
+# the scheme names make_scheme takes, each scheme's own
+SCHEMES = {IdealScheme.name: IdealScheme, HashScheme.name: HashScheme}
 
 
 def make_scheme(kind: str, security_bits: int = DEFAULT_SECURITY_BITS):

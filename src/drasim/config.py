@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from .channels import MODES
-from .commitments import SCHEMES
+from .commitments import SCHEMES, HashScheme
 from .distributions import (
     InfiniteReserveError,
     NonRegularError,
@@ -100,6 +100,15 @@ def _expect_name(obj, names, where: str) -> str:
     return obj
 
 
+# the sha256 scheme's old name, which a config may still give
+_SCHEME_ALIASES = {"hash": HashScheme.name}
+
+
+def _scheme_name(obj):
+    """A config's scheme under the name the library defines it by."""
+    return _SCHEME_ALIASES.get(obj, obj) if isinstance(obj, str) else obj
+
+
 def _expect_list(obj, where: str, nonempty: bool = False) -> list:
     if not isinstance(obj, list) or (nonempty and not obj):
         raise ConfigError(f"{where} must be a {'non-empty ' if nonempty else ''}list")
@@ -144,7 +153,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"alpha must be > 0, got {cfg['alpha']}")
     mode = _expect_name(cfg.get("mode", "broadcast"), MODES, "mode")
     if "scheme" in cfg:
-        _expect_name(cfg["scheme"], SCHEMES, "scheme")
+        _expect_name(_scheme_name(cfg["scheme"]), SCHEMES, "scheme")
     if "collateral" in cfg:
         _expect_number(cfg["collateral"], "collateral", minimum=0.0)
     if "samples" in cfg:
@@ -250,7 +259,7 @@ class ExperimentSetup:
         self.dist: ValueDistribution = make_distribution(cfg["distribution"])
         self.n: int = cfg.get("n", 2)
         self.mode: str = cfg.get("mode", "broadcast")
-        self.scheme: str = cfg.get("scheme", "ideal")
+        self.scheme: str = _scheme_name(cfg.get("scheme", "ideal"))
         self.samples: int = cfg.get("samples", 100_000)
         self.engine: str = cfg.get("engine", "vector")
         if "seed" in cfg:

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .channels import (
     AUCTIONEER,
@@ -38,15 +39,15 @@ from .channels import (
     Channel,
     CollateralNotice,
     CommitMsg,
-    EndCommit,
-    EndReveal,
+    END_COMMIT,
+    END_REVEAL,
     MODES,
     OutcomeNotice,
     ProtocolViolation,
     RevealMsg,
     Transcript,
 )
-from .commitments import DEFAULT_SECURITY_BITS, Opening, make_scheme
+from .commitments import DEFAULT_SECURITY_BITS, SCHEMES, Opening, make_scheme
 from .distributions import ValueDistribution, _require_regular_finite_reserve
 from .records import record
 from .seeding import derive_seed
@@ -84,6 +85,8 @@ class AuctionConfig:
             raise ValueError(f"need at least one buyer, got n={self.n}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown commitment scheme {self.scheme!r}")
         if not (math.isfinite(self.collateral) and self.collateral >= 0.0):
             raise ValueError(f"collateral must be finite and >= 0, got {self.collateral}")
         recomputed = _require_regular_finite_reserve(self.dist)
@@ -129,7 +132,7 @@ class Outcome:
         }
 
 
-def _build_outcome(depositors: Sequence[int], revealed: frozenset, refunded: frozenset,
+def _build_outcome(depositors: Iterable[int], revealed: frozenset, refunded: frozenset,
                    winner: Optional[int], sale_price: float, transfer_to: Optional[int],
                    collateral_amount: float, false_ids: frozenset) -> Outcome:
     """Assemble ledger and auctioneer net. Conservation is not checked here: see
@@ -142,9 +145,8 @@ def _build_outcome(depositors: Sequence[int], revealed: frozenset, refunded: fro
     if refunded - revealed - false_ids:
         raise ValueError("only auctioneer-controlled deposits may be refunded unrevealed")
     forfeit_to = BURN if transfer_to is None else transfer_to
-
-    def owner(agent: int) -> int:
-        return AUCTIONEER if agent in false_ids else agent
+    # whether the forfeited deposits stay with the auctioneer (itself or a false buyer)
+    kept = forfeit_to != BURN and (forfeit_to == AUCTIONEER or forfeit_to in false_ids)
 
     ledger, lost, captured = [], 0, 0  # auctioneer-funded deposits lost / real ones captured
     for dep in sorted(depositors):
@@ -152,11 +154,12 @@ def _build_outcome(depositors: Sequence[int], revealed: frozenset, refunded: fro
             ledger.append(LedgerEntry(dep, dep, collateral_amount))
             continue
         ledger.append(LedgerEntry(dep, forfeit_to, collateral_amount))
-        if owner(dep) == AUCTIONEER:
-            lost += forfeit_to == BURN or owner(forfeit_to) != AUCTIONEER
-        elif forfeit_to != BURN and owner(forfeit_to) == AUCTIONEER:
+        if dep == AUCTIONEER or dep in false_ids:
+            lost += not kept
+        elif kept:
             captured += 1
-    real_sale = winner is not None and owner(winner) != AUCTIONEER and sale_price > 0.0
+    real_sale = (winner is not None and winner != AUCTIONEER and winner not in false_ids
+                 and sale_price > 0.0)
     net = (sale_price if real_sale else 0.0) - collateral_amount * lost \
         + collateral_amount * captured
     return Outcome(winner, sale_price, revealed, tuple(ledger), net)
@@ -170,25 +173,30 @@ def conservation_residual(outcome: Outcome, depositors=None,
     collateral amount are supplied, the ledger is also checked structurally:
     every depositor disposed exactly once, at exactly the posted amount.
     """
-    if depositors is not None:
-        if sorted(e.depositor for e in outcome.ledger) != sorted(depositors):
-            raise AssertionError("ledger does not dispose each deposit exactly once")
-        if collateral_amount is not None and any(
-                abs(e.amount - collateral_amount) > MONEY_TOL for e in outcome.ledger):
-            raise AssertionError("ledger amount differs from the posted collateral")
-    terms: dict[int, list] = {}
+    check_amounts = depositors is not None and collateral_amount is not None
+    amounts_off = False
+    ledger_depositors = []
+    flows = defaultdict(list)  # agent -> its payments and collateral, in and out
     burned: list[float] = []
     if outcome.winner is not None and outcome.sale_price > 0.0:
-        terms.setdefault(outcome.winner, []).append(-outcome.sale_price)
-        terms.setdefault(AUCTIONEER, []).append(outcome.sale_price)
+        flows[outcome.winner].append(-outcome.sale_price)
+        flows[AUCTIONEER].append(outcome.sale_price)
     for entry in outcome.ledger:
-        terms.setdefault(entry.depositor, []).append(-entry.amount)
-        if entry.recipient == BURN:
-            burned.append(entry.amount)
+        depositor, recipient, amount = entry.depositor, entry.recipient, entry.amount
+        ledger_depositors.append(depositor)
+        if check_amounts and abs(amount - collateral_amount) > MONEY_TOL:
+            amounts_off = True
+        flows[depositor].append(-amount)
+        if recipient == BURN:
+            burned.append(amount)
         else:
-            terms.setdefault(entry.recipient, []).append(entry.amount)
-    per_agent = [math.fsum(flows) for flows in terms.values()]
-    return math.fsum(per_agent) + math.fsum(burned)
+            flows[recipient].append(amount)
+    if depositors is not None:
+        if sorted(ledger_depositors) != sorted(depositors):
+            raise AssertionError("ledger does not dispose each deposit exactly once")
+        if amounts_off:
+            raise AssertionError("ledger amount differs from the posted collateral")
+    return math.fsum(map(math.fsum, flows.values())) + math.fsum(burned)
 
 
 def resolve(scheme, commitments: dict, openings: dict, reserve: float,
@@ -198,18 +206,35 @@ def resolve(scheme, commitments: dict, openings: dict, reserve: float,
     unknown = openings.keys() - commitments.keys()
     if unknown:
         raise ValueError(f"openings for ids without commitments: {sorted(unknown)}")
-    bids = {bidder: opening.message for bidder, opening in openings.items()
-            if opening is not None and scheme.verify(commitments[bidder], opening)}
+    bids = {}  # id -> its verified bid
+    best = transfer_to = None  # the highest bid, and the lowest id that made it
+    verify = scheme.verify
+    for bidder, opening in openings.items():
+        if opening is not None and verify(commitments[bidder], opening):
+            bid = bids[bidder] = opening.message
+            if transfer_to is None or bid > best:
+                best, transfer_to = bid, bidder
+            elif bid == best and bidder < transfer_to:
+                transfer_to = bidder
+    winner, price = None, 0.0
+    if transfer_to is not None and best > reserve:
+        winner, price = transfer_to, reserve
+        for bidder, bid in bids.items():
+            if bidder != winner and bid > price:
+                price = bid
     revealed = frozenset(bids)
-    winner, price, transfer_to = None, 0.0, None
-    if bids:
-        best = max(bids.values())
-        transfer_to = min(b for b, bid in bids.items() if bid == best)
-        if best > reserve:
-            winner = transfer_to
-            price = max([reserve] + [bid for b, bid in bids.items() if b != winner])
-    return _build_outcome(list(commitments), revealed, revealed, winner, price, transfer_to,
+    return _build_outcome(commitments, revealed, revealed, winner, price, transfer_to,
                           collateral_amount, false_ids)
+
+
+def _party_rng(seed: int) -> random.Random:
+    """random.Random(seed) for an int seed, the same stream: for an int, its
+    seed() calls the base class's seed and clears gauss_next, which this does
+    without the two Python-level calls."""
+    rng = random.Random.__new__(random.Random)
+    super(random.Random, rng).seed(seed)
+    rng.gauss_next = None
+    return rng
 
 
 def buyer_utility(outcome: Outcome, buyer_id: int, value: float) -> float:
@@ -234,6 +259,8 @@ class AuctionGame:
     and final accounting.
     """
 
+    _bytes = DEFAULT_SECURITY_BITS // 8  # a random string's length
+
     def __init__(self, config: AuctionConfig, buyers: Sequence, scheme=None):
         if len(buyers) != config.n:
             raise ValueError(f"expected {config.n} buyer strategies, got {len(buyers)}")
@@ -241,8 +268,8 @@ class AuctionGame:
         self.mode = config.mode
         self.buyers = dict(enumerate(buyers, start=1))
         self.scheme = scheme if scheme is not None else make_scheme(config.scheme)
-        self.channel = Channel(config.mode, config.n)
-        self.buyer_ids = self.channel.buyers
+        self.channel = channel = Channel(config.mode, config.n)
+        self.buyer_ids = channel.buyers
         self._buyer_rng: dict[int, random.Random] = {}  # each built on its first draw
         self._auctioneer_rng: Optional[random.Random] = None
         self.commitments: dict[int, object] = {}
@@ -251,13 +278,12 @@ class AuctionGame:
         self.false_ids: set[int] = set()
         self._next_false = config.n + 1
         self._outcome: Optional[Outcome] = None
-        self._bytes = DEFAULT_SECURITY_BITS // 8
 
     @property
     def auctioneer_rng(self) -> random.Random:
         """The auctioneer's random stream, seeded on first use."""
         if self._auctioneer_rng is None:
-            self._auctioneer_rng = random.Random(derive_seed(self.config.seed, "auctioneer"))
+            self._auctioneer_rng = _party_rng(derive_seed(self.config.seed, "auctioneer"))
         return self._auctioneer_rng
 
     def _buyer_send(self, i: int, payload) -> None:
@@ -290,7 +316,7 @@ class AuctionGame:
         strat = self.buyers[i]
         rng = self._buyer_rng.get(i)
         if rng is None:
-            rng = self._buyer_rng[i] = random.Random(derive_seed(self.config.seed, "buyer", i))
+            rng = self._buyer_rng[i] = _party_rng(derive_seed(self.config.seed, "buyer", i))
         opening = Opening(float(strat.bid()), rng.randbytes(self._bytes))
         commitment = self.scheme.commit(opening.message, opening.randomness)
         self.openings[i] = opening
@@ -320,7 +346,7 @@ class AuctionGame:
         self.channel.private_send(AUCTIONEER, to, payload)
 
     def end_commit(self, to: Optional[Sequence[int]] = None) -> None:
-        self._auctioneer_send(EndCommit(), to)
+        self._auctioneer_send(END_COMMIT, to)
 
     # -- revelation phase ------------------------------------------------------
 
@@ -346,7 +372,7 @@ class AuctionGame:
         return msg
 
     def end_reveal(self, to: Optional[Sequence[int]] = None) -> None:
-        self._auctioneer_send(EndReveal(), to)
+        self._auctioneer_send(END_REVEAL, to)
 
     # -- resolution ------------------------------------------------------------
 
@@ -371,7 +397,7 @@ class AuctionGame:
         if len(recipients) > 1:
             raise ValueError("all forfeits must go to a single recipient")
         outcome = _build_outcome(
-            depositors=list(self.commitments),
+            depositors=self.commitments,
             revealed=counted,
             refunded=counted | (false_ids - forfeits.keys()),
             winner=winner,
@@ -391,18 +417,17 @@ class AuctionGame:
         self._outcome = outcome
         self._auctioneer_send(OutcomeNotice(outcome.winner, outcome.sale_price),
                               per_buyer=notices)
-        refunds, transfers = [], []
+        notify, false_ids = self.channel.notify, self.false_ids
+        transfers = []
         for entry in outcome.ledger:
-            if entry.recipient == entry.depositor:
-                if entry.depositor not in self.false_ids:
-                    refunds.append((entry.depositor,
-                                    CollateralNotice(entry.depositor, entry.amount, "refund")))
-            elif entry.recipient != BURN and entry.recipient not in self.false_ids:
-                transfers.append((entry.recipient,
-                                  CollateralNotice(entry.recipient, entry.amount, "transfer",
-                                                   entry.depositor)))
-        for recipient, notice in refunds + transfers:
-            self.channel.notify(recipient, notice)
+            depositor, recipient = entry.depositor, entry.recipient
+            if recipient == depositor:
+                if depositor not in false_ids:
+                    notify(depositor, CollateralNotice(depositor, entry.amount, "refund"))
+            elif recipient != BURN and recipient not in false_ids:
+                transfers.append(CollateralNotice(recipient, entry.amount, "transfer", depositor))
+        for notice in transfers:
+            notify(notice.party, notice)
 
     def transcript(self) -> Transcript:
         return self.channel.transcript(self.scheme)

@@ -33,7 +33,10 @@ A deviation counts as safe here when check_view_consistency accepts every real
 buyer's transcript on every run: each view must be explainable by some honest
 execution. That is a necessary-condition filter rather than the full
 simulation-based definition, and it is itself under test via the known
-deviations it must accept and the corruptions it must reject.
+deviations it must accept and the corruptions it must reject. view_summary
+parses a view in one pass, reading the channel's phase transition table once
+per entry; summary_is_consistent then reads the buyer's own deposits, refunds
+and transfers once each.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ import numpy as np
 
 from .channels import (
     PHASE_COMMIT,
+    OUT_OF_PHASE,
     PHASE_DONE,
+    PHASE_TRANSITIONS,
     CollateralNotice,
     CommitMsg,
     EndCommit,
@@ -54,7 +59,6 @@ from .channels import (
     RevealMsg,
     Transcript,
     View,
-    next_phase,
 )
 from .distributions import at_or_above_reserve
 from .protocol import AuctionConfig, AuctionGame, Outcome
@@ -313,12 +317,14 @@ class TwoPhase:
         centralized = game.mode == "centralized"
 
         def relay(msg, sender: int) -> None:  # the auctioneer forwards to the others
-            for j in (game.buyer_ids if centralized else ()):
+            for j in game.buyer_ids:
                 if j != sender:
                     game.forward(msg, to=j)
 
         for i in game.buyer_ids:
-            relay(game.buyer_commit(i), i)
+            msg = game.buyer_commit(i)
+            if centralized:
+                relay(msg, i)
         fids = []
         for bid in false_bids:
             fid = game.mint_false_buyer(bid)
@@ -330,7 +336,8 @@ class TwoPhase:
             msg = game.buyer_reveal(i)
             if msg is not None:
                 revealed_real.append(msg.opening.message)
-                relay(msg, i)
+                if centralized:
+                    relay(msg, i)
         for fid in fids:
             false_bid = game.openings[fid].message
             if not reveal_policy.withholds(false_bid, revealed_real):
@@ -583,38 +590,45 @@ def view_summary(view: View, config: AuctionConfig) -> ViewSummary:
     """Parse one buyer's view in one pass; summary_is_consistent judges the result."""
     phase = PHASE_COMMIT  # None once the grammar is broken
     well_formed = True
-    commits, openings = {}, {}  # id -> its Commitment, id -> the Opening it revealed
+    commits, openings, revealed = {}, {}, {}  # id -> its Commitment, Opening, bid
     notice: Optional[OutcomeNotice] = None
-    money = {"deposit": [], "refund": [], "transfer": []}
+    deposits, refunds, transfers = [], [], []
     for event in view.events:
         p = event.payload
-        phase = next_phase(phase, p)
         kind = type(p)
+        if phase is not None:
+            phase = PHASE_TRANSITIONS.get(p.kind, OUT_OF_PHASE)[phase]
         if kind is CommitMsg:
-            well_formed = well_formed and p.bidder not in commits
-            commits[p.bidder] = p.commitment
+            bidder = p.bidder
+            if bidder in commits:
+                well_formed = False
+            commits[bidder] = p.commitment
         elif kind is RevealMsg:
-            well_formed = well_formed and p.bidder in commits and p.bidder not in openings
-            openings[p.bidder] = p.opening
+            bidder = p.bidder
+            if bidder in openings or bidder not in commits:
+                well_formed = False
+            openings[bidder] = opening = p.opening
+            revealed[bidder] = opening.message
+        elif kind is CollateralNotice:
+            money = p.kind
+            if money == "deposit":
+                deposits.append(p)
+            elif money == "refund":
+                refunds.append(p)
+            elif money == "transfer":
+                transfers.append(p)
         elif kind is OutcomeNotice:
-            well_formed = well_formed and notice is None
+            if notice is not None:
+                well_formed = False
             notice = p
-        elif kind is CollateralNotice and p.kind in money:
-            money[p.kind].append(p)
-    revealed = {bidder: opening.message for bidder, opening in openings.items()}
-    return ViewSummary(
-        agent=view.agent,
-        own_bid=revealed.get(view.agent),
-        beta=max([config.reserve] + [bid for b, bid in revealed.items() if b != view.agent]),
-        notice=notice,
-        commits=commits,
-        revealed_bids=revealed,
-        deposits=tuple(money["deposit"]),
-        refunds=tuple(money["refund"]),
-        transfers=tuple(money["transfer"]),
-        openings=openings,
-        well_formed=well_formed and phase == PHASE_DONE and notice is not None,
-    )
+    agent = view.agent
+    beta = config.reserve  # and then the highest competing bid, if above it
+    for bidder, bid in revealed.items():
+        if bid > beta and bidder != agent:
+            beta = bid
+    return ViewSummary(agent, revealed.get(agent), beta, notice, commits, revealed,
+                       tuple(deposits), tuple(refunds), tuple(transfers), openings,
+                       well_formed and phase == PHASE_DONE and notice is not None)
 
 
 def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
@@ -640,9 +654,10 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
                                         summary.revealed_bids)
     if not summary.well_formed or agent not in commits:
         return False
-    if not all(scheme.verify(commits[bidder], opening)
-               for bidder, opening in summary.openings.items()):
-        return False
+    verify = scheme.verify
+    for bidder, opening in summary.openings.items():
+        if not verify(commits[bidder], opening):
+            return False
 
     own_bid, beta = summary.own_bid, summary.beta
 
@@ -659,42 +674,54 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
         if not own_bid > config.reserve:
             return False
 
-    # Own money: one deposit of the posted amount during the commitment phase.
-    own_deposits = [d for d in summary.deposits if d.party == agent]
-    if len(own_deposits) != 1 or abs(own_deposits[0].amount - config.collateral) > _PRICE_TOL:
+    # Own money: one deposit of the posted amount during the commitment phase, a
+    # refund of it exactly when the buyer opened, and transfers as checked below.
+    collateral = config.collateral
+    deposited = 0
+    for deposit in summary.deposits:
+        if deposit.party == agent:
+            deposited += 1
+            if abs(deposit.amount - collateral) > _PRICE_TOL:
+                return False
+    if deposited != 1:
         return False
-    own_refunds = [r for r in summary.refunds if r.party == agent]
-    if own_bid is not None and len(own_refunds) != 1:
-        return False
-    if own_bid is None and own_refunds:
-        return False
-    if any(abs(r.amount - config.collateral) > _PRICE_TOL for r in own_refunds):
+    refunded = 0
+    for refund in summary.refunds:
+        if refund.party == agent:
+            refunded += 1
+            if abs(refund.amount - collateral) > _PRICE_TOL:
+                return False
+    if refunded != (0 if own_bid is None else 1):
         return False
 
-    own_transfers = [t for t in summary.transfers if t.party == agent]
-    if own_transfers:
-        unrevealed = set(commits) - set(revealed)
-        sources = [t.counterparty for t in own_transfers]
-        if len(sources) != len(set(sources)) or set(sources) != unrevealed:
-            return False
-        if any(abs(t.amount - config.collateral) > _PRICE_TOL for t in own_transfers):
+    sources = []  # the forfeiting bidder of each transfer to this buyer
+    for transfer in summary.transfers:
+        if transfer.party == agent:
+            sources.append(transfer.counterparty)
+            if abs(transfer.amount - collateral) > _PRICE_TOL:
+                return False
+    if sources:
+        if len(sources) != len(set(sources)) or set(sources) != commits.keys() - revealed.keys():
             return False
         # Forfeits flow to the candidate: the lowest-id top revealed bidder,
         # sale or no sale, so candidacy is judged against revealed competitors
         # only (the reserve plays no role here).
         if own_bid is None:
             return False
-        comp_max = max((bid for b, bid in revealed.items() if b != agent), default=-math.inf)
+        comp_max = -math.inf
+        for bidder, bid in revealed.items():
+            if bid > comp_max and bidder != agent:
+                comp_max = bid
         if own_bid < comp_max - _PRICE_TOL:
             return False
         # A tie is an exact one, as in the resolution rule: bids a hair apart
         # are not tied, and the higher one is the candidate.
         if own_bid == comp_max:
-            tied = [b for b, bid in revealed.items() if b != agent and bid == comp_max]
-            if tied and min(tied) < agent:
-                return False
+            for bidder, bid in revealed.items():
+                if bid == comp_max and bidder < agent:
+                    return False
     elif notice.winner == agent:
-        if set(commits) - set(revealed):
+        if commits.keys() - revealed.keys():
             return False
     return True
 

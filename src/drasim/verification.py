@@ -103,9 +103,28 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
     included, and the bids are the openings they show.
     """
     outcome, transcript = run_auction(config, buyers, auctioneer)
-    summaries = {i: view_summary(view, config) for i, view in transcript.buyer_views().items()}
+    scheme = transcript.scheme
+    committed, bids = set(), {}  # every id a view shows committed; the bids they show
+    candidates, buyer_violations = [], []
+    for i, view in transcript.buyer_views().items():
+        summary = view_summary(view, config)
+        committed.update(summary.commits)
+        bids.update(summary.revealed_bids)
+        # The resolution rule's candidate comes from revealed bids only, so a
+        # buyer who withholds is never one, whatever it committed to.
+        buyer = buyers[i - 1]
+        if buyer.reveals():
+            bid = float(buyer.bid())
+            if bid > summary.beta:
+                candidates.append(i)
+                notice = summary.notice
+                if notice is None or notice.winner != i or abs(notice.price - summary.beta) > 1e-9:
+                    buyer_violations.append(
+                        f"buyer {i}: bid {bid} above beta {summary.beta} but notice {notice}"
+                    )
+        if not summary_is_consistent(summary, config, scheme):
+            buyer_violations.append(f"buyer {i}: view fails consistency check")
     violations = []
-    committed = set().union(*(s.commits for s in summaries.values()))
     try:
         residual = conservation_residual(outcome, depositors=committed,
                                          collateral_amount=config.collateral)
@@ -114,36 +133,24 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
         residual = conservation_residual(outcome)
     if abs(residual) > MONEY_TOL:
         violations.append(f"money conservation residual {residual}")
-    if outcome.winner is not None:
-        bids = {b: bid for s in summaries.values() for b, bid in s.revealed_bids.items()}
-        if outcome.winner not in outcome.revealed:
+    winner = outcome.winner
+    if winner is not None:
+        if winner not in outcome.revealed:
             violations.append("winner outside the counted reveal set")
-        elif not bids.get(outcome.winner, -1.0) > config.reserve:
+        elif not bids.get(winner, -1.0) > config.reserve:
             violations.append("sale at or below the reserve")
         else:
-            runners = [bids[b] for b in outcome.revealed if b != outcome.winner]
-            want = max([config.reserve] + runners)
+            want = config.reserve  # and then the highest counted runner-up bid, if above it
+            for bidder in outcome.revealed:
+                if bidder != winner and bids[bidder] > want:
+                    want = bids[bidder]
             if abs(outcome.sale_price - want) > MONEY_TOL:
                 violations.append(
                     f"price {outcome.sale_price} != max(reserve, runner-up) {want}")
-    candidates = []
-    for i, summary in summaries.items():
-        # The resolution rule's candidate comes from revealed bids only, so a
-        # buyer who withholds is never one, whatever it committed to.
-        if buyers[i - 1].reveals():
-            bid = float(buyers[i - 1].bid())
-            if bid > summary.beta:
-                candidates.append(i)
-                notice = summary.notice
-                if notice is None or notice.winner != i or abs(notice.price - summary.beta) > 1e-9:
-                    violations.append(
-                        f"buyer {i}: bid {bid} above beta {summary.beta} but notice {notice}"
-                    )
-        if not summary_is_consistent(summary, config, transcript.scheme):
-            violations.append(f"buyer {i}: view fails consistency check")
+    violations += buyer_violations
     if len(candidates) > 1:
         violations.append(f"single-candidate violated: {candidates}")
-    return AuditResult(outcome=outcome, violations=tuple(violations))
+    return AuditResult(outcome, tuple(violations))
 
 
 def coupling_matches(config: AuctionConfig, auctioneer, values_a: Sequence[float],

@@ -26,6 +26,13 @@ from drasim import (
     reserve_price,
     run_auction,
 )
+from drasim.channels import (
+    END_COMMIT,
+    PHASE_COMMIT,
+    PHASE_DONE,
+    PHASE_REVEAL,
+    next_phase,
+)
 from drasim.commitments import IdealScheme, Opening
 from drasim.records import record
 
@@ -151,6 +158,27 @@ def test_phase_grammar_staggered_end_commit_is_legal():
         ch.private_send(AUCTIONEER, 1, OutcomeNotice(None, 0.0))  # before end_reveal
     ch.private_send(AUCTIONEER, 1, EndReveal())
     ch.private_send(AUCTIONEER, 1, OutcomeNotice(None, 0.0))
+
+
+def test_next_phase_reads_the_transition_table():
+    assert next_phase(PHASE_COMMIT, EndCommit()) == PHASE_REVEAL
+    assert next_phase(PHASE_REVEAL, RevealMsg(1, Opening(1.0, b"\x00" * 16))) == PHASE_REVEAL
+    assert next_phase(PHASE_DONE, CollateralNotice(1, 1.0, "refund")) == PHASE_DONE
+    assert next_phase(None, EndCommit()) is None and next_phase(PHASE_DONE, END_COMMIT) is None
+    assert next_phase(PHASE_DONE, CollateralNotice(1, 1.0, "bribe")) is None  # an unknown kind
+
+
+def test_delivery_refused_by_a_later_view_leaves_every_view_as_it_was():
+    ch = fresh_channel("centralized", n=2)
+    scheme = IdealScheme()
+    ch.private_send(AUCTIONEER, 1, EndCommit())  # buyer 1 reveals, buyer 2 still commits
+    before = ch.transcript(scheme)
+    # buyer 1 to buyer 2: view 2 admits the commit, view 1 (its sender's) does not
+    with pytest.raises(ProtocolViolation, match="^CommitMsg out of phase in view 1$"):
+        ch.private_send(1, 2, commit_msg(1, scheme))
+    assert len(ch.events) == 1 and ch.transcript(scheme).views == before.views
+    ch.private_send(AUCTIONEER, 2, commit_msg(1, scheme))  # view 2 is still committing
+    ch.private_send(AUCTIONEER, 2, EndCommit())
 
 
 def test_logical_time_strictly_increases():

@@ -16,7 +16,7 @@ def rnd_bytes(rng, n=16):
     return rng.randbytes(n)
 
 
-@pytest.mark.parametrize("kind", ["ideal", "hash"])
+@pytest.mark.parametrize("kind", ["ideal", "sha256"])
 def test_commit_verify_roundtrip(kind):
     scheme = make_scheme(kind)
     rng = random.Random(1)
@@ -27,7 +27,7 @@ def test_commit_verify_roundtrip(kind):
     assert not scheme.verify(c, Opening(5.25, rnd_bytes(rng)))  # altered randomness
 
 
-@pytest.mark.parametrize("kind", ["ideal", "hash"])
+@pytest.mark.parametrize("kind", ["ideal", "sha256"])
 def test_randomness_length_enforced(kind):
     scheme = make_scheme(kind)
     with pytest.raises(ValueError):

@@ -247,6 +247,17 @@ def test_cli_run_matches_golden_trace(tmp_path):
     assert out.read_bytes() == (FIXTURES / "golden_run_seed0.json").read_bytes()
 
 
+def test_cli_run_reads_the_old_hash_scheme_name_as_sha256(tmp_path, capsys):
+    example = json.loads((CONFIGS / "run_example.json").read_text())
+    stdouts = []
+    for scheme in ("hash", "sha256"):
+        path = write_config(tmp_path, {**example, "scheme": scheme}, name=f"{scheme}.json")
+        assert main(["run", "--config", path]) == 0
+        stdouts.append(capsys.readouterr().out)
+    assert stdouts[0] == stdouts[1]
+    assert json.loads(stdouts[0])["config"]["scheme"] == "sha256"
+
+
 def test_cli_estimate_csv_deterministic(tmp_path):
     path = write_config(tmp_path, {**BASE, "samples": 20_000,
                                    "deviation_quantiles": [0.5, 0.9]})

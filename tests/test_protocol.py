@@ -34,8 +34,11 @@ from drasim import (
     reserve_price,
     resolve,
     run_auction,
+    view_summary,
 )
 from drasim.seeding import chunk_uniforms, derive_seed
+from drasim.strategies import summary_is_consistent
+from drasim.verification import audit_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -256,6 +259,15 @@ def test_config_validation():
         AuctionConfig(n=1, dist=EqualRevenue(), reserve=1.0, collateral=1.0)
 
 
+def test_config_refuses_an_unknown_scheme():
+    dist = Exponential(1.0)
+    for scheme in ("bogus", "hash"):  # "hash" is a config's old name, not the library's
+        with pytest.raises(ValueError, match=f"unknown commitment scheme '{scheme}'"):
+            AuctionConfig(n=2, dist=dist, reserve=1.0, collateral=1.0, scheme=scheme)
+    for scheme in ("ideal", "sha256"):
+        assert AuctionConfig(n=2, dist=dist, reserve=1.0, collateral=1.0, scheme=scheme)
+
+
 def test_strategy_must_finalize_exactly_once():
     class Lazy:
         def execute(self, game):
@@ -336,6 +348,65 @@ def test_run_randomness_matches_the_pinned_openings():
     assert any(len(record["openings"]) == 3 for record in pinned["runs"].values())
     for name, config, values, strategy in runs:
         assert _pinned_record(config, values, strategy) == pinned["runs"][name], name
+
+
+def _audit_runs():
+    """(name, config, buyers, auctioneer) for the audited runs the fixture pins: those
+    of _pinned_runs, and each deviation with buyer 2 withholding its opening, which
+    makes withheld deposits, transfer notices and the buyers' own-transfer checks.
+    There, buyer 1's bid clears the reserve and the adaptive threshold, and the
+    shill's false bid outbids it."""
+    runs = [(name, config, [Truthful(v) for v in values], strategy)
+            for name, config, values, strategy in _pinned_runs()]
+    no_reveal = [Truthful(3.0), NoReveal(2.5)]
+    return runs + [(f"{name.split('/')[0].replace('adaptive_below', 'adaptive')}/no_reveal",
+                    config, no_reveal, strategy)
+                   for name, config, _, strategy in runs
+                   if name.endswith("/ideal/0") and not name.startswith("adaptive_above")]
+
+
+def _notice_json(notice):
+    return [notice.party, notice.amount, notice.kind, notice.counterparty]
+
+
+def _summary_record(summary, config, scheme) -> dict:
+    """Every field of a buyer's ViewSummary, and the consistency verdict on it."""
+    notice = summary.notice
+    return {
+        "agent": summary.agent,
+        "own_bid": summary.own_bid,
+        "beta": summary.beta,
+        "notice": None if notice is None else [notice.winner, notice.price],
+        "commits": [[b, c.token_str()] for b, c in summary.commits.items()],
+        "revealed_bids": [[b, bid] for b, bid in summary.revealed_bids.items()],
+        "deposits": [_notice_json(d) for d in summary.deposits],
+        "refunds": [_notice_json(r) for r in summary.refunds],
+        "transfers": [_notice_json(t) for t in summary.transfers],
+        "openings": [[b, o.message, o.randomness.hex()] for b, o in summary.openings.items()],
+        "well_formed": summary.well_formed,
+        "consistent": summary_is_consistent(summary, config, scheme),
+    }
+
+
+def _audit_record(config, buyers, auctioneer) -> dict:
+    """The audited run's outcome and violations, and each buyer's parsed view."""
+    result = audit_run(config, buyers, auctioneer)
+    _, transcript = run_auction(config, buyers, auctioneer)
+    return {
+        "outcome": result.outcome.to_json(),
+        "violations": list(result.violations),
+        "views": [_summary_record(view_summary(view, config), config, transcript.scheme)
+                  for view in transcript.buyer_views().values()],
+    }
+
+
+def test_audited_runs_match_the_pinned_parses():
+    pinned = json.loads((FIXTURES / "audit_runs.json").read_text())["runs"]
+    runs = _audit_runs()
+    assert sorted(pinned) == sorted(name for name, *_ in runs)
+    assert any(view["transfers"] for record in pinned.values() for view in record["views"])
+    for name, config, buyers, auctioneer in runs:
+        assert _audit_record(config, buyers, auctioneer) == pinned[name], name
 
 
 def _seed_part(tag):
