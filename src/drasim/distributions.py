@@ -63,7 +63,7 @@ INEQUALITY_SLACK = 1e-12  # closed-form inequality comparisons
 REGULARITY_TOL = 1e-6     # alpha-hat classification margin
 _BISECT_MAX_ITER = 200
 _TAIL_BRACKET_U = 1.0 - 1e-12
-QUAD_ABS_TOL = 1e-8       # largest error estimate a quadrature result may carry
+QUAD_REL_TOL = 1e-5       # largest error estimate a quadrature result may carry, per unit value
 
 
 class UndefinedDensityError(ValueError):
@@ -470,53 +470,55 @@ def _require_regular_finite_reserve(dist: ValueDistribution) -> float:
 
 def _quad(integrand, upper: float, **options) -> tuple:
     """(integral of integrand over [0, upper], quad's error estimate); RuntimeError
-    when the estimate exceeds QUAD_ABS_TOL. scipy.integrate is imported on first
-    use: it takes most of the time `import drasim` would otherwise take."""
+    when the estimate exceeds QUAD_REL_TOL of the value's magnitude, which means
+    the same for values of 1 and 1e-88. scipy.integrate is imported on first use:
+    it takes most of the time `import drasim` would otherwise take."""
     from scipy import integrate
 
     val, err = integrate.quad(integrand, 0.0, upper, **options)
-    if not err <= QUAD_ABS_TOL:  # NaN too
-        raise RuntimeError(f"quadrature tolerance not reached: error estimate {err}")
+    if not err <= QUAD_REL_TOL * abs(val):  # NaN too
+        raise RuntimeError(f"quadrature tolerance not reached: error estimate {err} for {val}")
     return float(val), float(err)
 
 
-@functools.lru_cache(maxsize=None)
-def _optimal_revenue_quadrature(dist: ValueDistribution, n: int) -> Estimate:
-    """optimal_revenue's quadrature for a regular dist with a finite reserve."""
+def _phi_integral(dist: ValueDistribution, n: int, p: float) -> tuple:
+    """E[phi(v) 1{v >= p}] for v the largest of n i.i.d. values, with quad's error
+    estimate: phi(isf(s)) against n (1 - s)^(n-1), the density of the largest
+    value's survival probability s, over [0, sf(p)].
+
+    The weight is a spike of width about 1/n at s = 0, below about n e^-63 past
+    64/n. Once 64/n < sf(p), quad gets 64/n as a breakpoint, without which it
+    misses the spike at large n and reports a tiny value with a tiny error
+    estimate; and the weight is taken through log1p, as the power turns the
+    rounding of 1 - s into a relative error of n 1.1e-16, enough to throw off
+    quad's extrapolation at gpareto(0.9)'s singular end beyond its estimate."""
+    upper = float(dist.sf(p))
+    spike = 64.0 / n
+    points = (spike,) if spike < upper else None
+
     def integrand(s):
-        x = dist.isf(s)
-        return virtual_value(dist, x) * n * (1.0 - s) ** (n - 1)
+        decay = math.exp((n - 1) * math.log1p(-s)) if points else (1.0 - s) ** (n - 1)
+        return virtual_value(dist, dist.isf(s)) * n * decay
 
-    val, err = _quad(integrand, float(dist.sf(reserve_price(dist))),
-                     epsabs=1e-10, epsrel=1e-10, limit=200)
-    return Estimate(mean=val, std_error=err, samples=0)
+    return _quad(integrand, upper, epsabs=1e-10, epsrel=1e-10, limit=200, points=points)
 
 
-def optimal_revenue(dist: ValueDistribution, n: int, method: str = "auto",
-                    samples: int = 200_000, seed: int = 0) -> Estimate:
-    """Rev(D^n) = E[max_i phi+(v_i)] for n i.i.d. buyers.
+@functools.lru_cache(maxsize=None)
+def optimal_revenue(dist: ValueDistribution, n: int) -> Estimate:
+    """Rev(D^n) = E[max_i phi+(v_i)] for n i.i.d. buyers, by quadrature at every n.
 
-    Adaptive quadrature over the quantile domain for n <= 4 (the max of n
-    i.i.d. uniforms has density n u^(n-1), and phi(quantile(u)) is smooth past
-    the reserve), with quad's error estimate as the standard error; Monte Carlo
-    with a standard error otherwise. The quadrature is cached per (frozen)
-    distribution and n, so repeated calls return the first call's Estimate; a
+    phi is non-decreasing on a regular D, so max_i phi+(v_i) is phi of the largest
+    value when it is at least r(D): Rev(D^n) is _phi_integral at p = r(D), with
+    quad's error estimate as the standard error. It is cached per (frozen)
+    distribution and n, so a repeated call returns the first call's Estimate; a
     quadrature that _quad refuses raises its RuntimeError each time.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return Estimate(mean=0.0, std_error=0.0, samples=0)
-    _require_regular_finite_reserve(dist)
-    if method not in ("auto", "quadrature", "monte-carlo"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "quadrature" or (method == "auto" and n <= 4):
-        return _optimal_revenue_quadrature(dist, n)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((int(samples), n))
-    values = dist.quantile(u)
-    best = np.max(np.maximum(0.0, virtual_value(dist, values)), axis=1)
-    return estimate_from_samples(best)
+    val, err = _phi_integral(dist, n, _require_regular_finite_reserve(dist))
+    return Estimate(mean=val, std_error=err, samples=0)
 
 
 def collateral(dist: ValueDistribution, n: int, alpha: float) -> float:
@@ -608,12 +610,9 @@ def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: fl
 
 
 def posted_price_revenue_quadrature(dist: ValueDistribution, p: float) -> float:
-    """E[phi(v) * 1{v >= p}] by quadrature over the survival domain."""
-    s_p = float(dist.sf(p))
-    if s_p == 0.0:
-        return 0.0
-    return _quad(lambda s: virtual_value(dist, dist.isf(s)), s_p,
-                 epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+    """E[phi(v) * 1{v >= p}] by quadrature over the survival domain: Rev's
+    integral at n = 1."""
+    return _phi_integral(dist, 1, p)[0]
 
 
 def check_posted_price_bound(dist: ValueDistribution, alpha: float, p: float,

@@ -67,7 +67,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import (
-    QUAD_ABS_TOL,
     ValueDistribution,
     _quad,
     collateral as collateral_level,
@@ -384,7 +383,7 @@ def adaptive_gain_quadrature(dist: ValueDistribution, threshold: float,
         p_minus = max(0.0, float(dist.sf(lo)) - p_plus)
         return collateral * (p_plus - p_minus)
 
-    return _quad(inner, weight, epsabs=QUAD_ABS_TOL * 0.1, epsrel=1e-10, limit=400)[0]
+    return _quad(inner, weight, epsabs=1e-9, epsrel=1e-10, limit=400)[0]
 
 
 # ---------------------------------------------------------------------------

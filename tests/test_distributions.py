@@ -32,11 +32,7 @@ from drasim import (
     strong_regularity_alpha,
     virtual_value,
 )
-from drasim.distributions import (
-    QUAD_ABS_TOL,
-    _optimal_revenue_quadrature,
-    posted_price_revenue_quadrature,
-)
+from drasim.distributions import posted_price_revenue_quadrature
 
 CONTINUOUS = [Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
               GeneralizedPareto(0.75), Uniform(0.0, 1.0), EqualRevenue()]
@@ -225,9 +221,9 @@ def test_mhr_implies_regular_and_grid_validation():
 @pytest.fixture(autouse=True)
 def fresh_optimal_revenue():
     """Each test computes Rev(D^n) afresh: none sees another's cached quadrature."""
-    _optimal_revenue_quadrature.cache_clear()
+    optimal_revenue.cache_clear()
     yield
-    _optimal_revenue_quadrature.cache_clear()
+    optimal_revenue.cache_clear()
 
 
 def test_optimal_revenue_anchors():
@@ -244,23 +240,26 @@ def test_optimal_revenue_anchors():
 
 def test_quadrature_reports_and_refuses_its_error_estimate(monkeypatch):
     est = optimal_revenue(GeneralizedPareto(0.5), 2)
-    assert 0.0 < est.std_error <= QUAD_ABS_TOL  # quad's own error estimate
+    assert 0.0 < est.std_error <= 1e-8  # quad's own error estimate
     import scipy.integrate
-    monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: (0.5, 1e-3))
-    _optimal_revenue_quadrature.cache_clear()  # the call above cached Rev(D^2)
-    with pytest.raises(RuntimeError, match="error estimate"):
-        optimal_revenue(GeneralizedPareto(0.5), 2)
-    with pytest.raises(RuntimeError, match="error estimate"):
-        posted_price_revenue_quadrature(GeneralizedPareto(0.5), 4.0)
-    with pytest.raises(RuntimeError, match="error estimate"):
-        adaptive_gain_quadrature(GeneralizedPareto(0.5), 5.0, 2.0)
+    optimal_revenue.cache_clear()  # the call above cached Rev(D^2)
+    # a large error estimate, and a small one that is large for its value: 1e-9
+    # is below an absolute gate of 1e-8 but 1e-3 of the value 1e-6
+    for faked in ((0.5, 1e-3), (1e-6, 1e-9)):
+        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: faked)
+        with pytest.raises(RuntimeError, match="error estimate"):
+            optimal_revenue(GeneralizedPareto(0.5), 2)
+        with pytest.raises(RuntimeError, match="error estimate"):
+            posted_price_revenue_quadrature(GeneralizedPareto(0.5), 4.0)
+        with pytest.raises(RuntimeError, match="error estimate"):
+            adaptive_gain_quadrature(GeneralizedPareto(0.5), 5.0, 2.0)
 
 
 def test_cached_optimal_revenue_equals_a_fresh_quadrature():
     for dist, n in ((GeneralizedPareto(0.5), 2), (Exponential(1.0), 3), (Uniform(1.0, 5.0), 1)):
         first = optimal_revenue(dist, n)
         cached = optimal_revenue(type(dist)(**dist.params), n)  # an equal, new instance
-        _optimal_revenue_quadrature.cache_clear()
+        optimal_revenue.cache_clear()
         fresh = optimal_revenue(dist, n)
         assert cached is first  # served from the cache
         assert (fresh.mean.hex(), fresh.std_error.hex(), fresh.samples) \
@@ -274,11 +273,11 @@ def test_a_refused_quadrature_is_not_cached(monkeypatch):
     for _ in range(2):  # refused each time, never served from the cache
         with pytest.raises(RuntimeError, match="error estimate"):
             optimal_revenue(GeneralizedPareto(0.5), 2)
-    assert _optimal_revenue_quadrature.cache_info().currsize == 0
+    assert optimal_revenue.cache_info().currsize == 0
     monkeypatch.setattr(scipy.integrate, "quad", quad)
     est = optimal_revenue(GeneralizedPareto(0.5), 2)
     assert est.mean == pytest.approx(23.0 / 24.0, abs=1e-8)
-    assert 0.0 < est.std_error <= QUAD_ABS_TOL
+    assert 0.0 < est.std_error <= 1e-8
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -291,11 +290,34 @@ def test_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_optimal_revenue_monte_carlo_branch():
-    est = optimal_revenue(Exponential(1.0), 5, method="monte-carlo", samples=200_000, seed=3)
-    quad = optimal_revenue(Exponential(1.0), 5, method="quadrature").mean
-    assert abs(est.mean - quad) <= 3.0 * est.std_error
-    assert est.std_error > 0.0 and est.samples == 200_000
+def test_optimal_revenue_uniform_closed_form():
+    # Uniform(0, 1): phi(v) = 2v - 1 and the largest of n values has density n v^(n-1),
+    # so Rev = int_{1/2}^1 (2v - 1) n v^(n-1) dv = 2n/(n+1) (1 - 2^-(n+1)) - (1 - 2^-n).
+    # The log-spaced n reach past 64/n < 1/2, where quad gets the weight's spike as a
+    # breakpoint.
+    def closed_form(n):
+        return 2.0 * n / (n + 1) * (1.0 - 2.0 ** -(n + 1)) - (1.0 - 2.0 ** -n)
+
+    assert closed_form(5) == 0.671875
+    log_spaced = np.unique(np.round(np.geomspace(65, 2e6, 40)).astype(int))
+    for n in [*range(1, 65), *log_spaced.tolist()]:
+        rev = optimal_revenue(Uniform(0.0, 1.0), n).mean
+        assert rev == pytest.approx(closed_form(n), rel=1e-9, abs=0.0), n
+
+
+def test_optimal_revenue_gpareto_closed_form_at_large_n():
+    # GPareto(k): phi(isf(s)) = ((1 - k) s^-k - 1) / k, so Rev(D^n) is (1 - k) / k times
+    # n int_0^sf(r) s^-k (1 - s)^(n-1) ds minus (1 - (1 - sf(r))^n) / k. From n = 1000 on,
+    # (1 - sf(r))^n < e^-79, so the integral may run to 1: n B(1 - k, n), which is
+    # Gamma(1 - k) Gamma(n + 1) / Gamma(n + 1 - k). n = 670,005 on gpareto(0.9) is where
+    # the weight as the plain power (1 - s)^(n-1) leaves quad 1.2e-8 off.
+    from scipy import special
+
+    for k in (0.25, 0.5, 0.9):
+        for n in (1_000, 10_000, 670_005, 2_000_000):
+            closed_form = (1 - k) / k * math.gamma(1 - k) * special.poch(n + 1 - k, k) - 1 / k
+            rev = optimal_revenue(GeneralizedPareto(k), n).mean
+            assert rev == pytest.approx(closed_form, rel=1e-9, abs=0.0), (k, n)
 
 
 def test_optimal_revenue_monotone_in_n():
@@ -424,6 +446,11 @@ def test_posted_price_identity_and_bound():
         for p in (r, 2.0 * r):
             quad = posted_price_revenue_quadrature(dist, p)
             assert quad == pytest.approx(p * float(dist.sf(p)), abs=1e-8)
+    # the posted price is Rev's integral at n = 1: at the reserve, Rev(D^1) to the bit
+    for dist in (Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
+                 GeneralizedPareto(0.75), Uniform(0.0, 1.0)):
+        assert optimal_revenue(dist, 1).mean \
+            == posted_price_revenue_quadrature(dist, reserve_price(dist))
     res = check_posted_price_bound(GeneralizedPareto(0.5), 0.5, 4.0)
     assert res.holds
     assert res.lhs == pytest.approx(4.0 / 9.0, abs=1e-8)

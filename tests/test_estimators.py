@@ -369,6 +369,13 @@ def test_credibility_suite_passes_with_formula_collateral():
         <= 3.0 * honest_row.estimate.std_error
 
 
+def test_credibility_suite_benchmark_at_n5_is_the_quadrature():
+    # the benchmark of an n = 5 suite is the quadrature Rev(D^5), not an estimate with
+    # its own noise: 0.016 of Monte Carlo error would shift every row's bound
+    report = credibility_suite(GPA, 0.5, 5, [0.9], 1_000, 0)
+    assert report.optimal_revenue == pytest.approx(2.140469990079363, abs=1e-9)
+
+
 def test_credibility_suite_flags_reduced_collateral():
     # with 1% of the formula deposit, withholding shills beat the benchmark
     quantiles = [0.8, 0.9, 0.95, 0.99]
