@@ -25,7 +25,11 @@ Sampling is inverse-CDF by construction: sample(rng) == quantile(rng.random()).
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -468,30 +472,70 @@ def _require_regular_finite_reserve(dist: ValueDistribution) -> float:
 # Optimal revenue and the collateral level
 # ---------------------------------------------------------------------------
 
-def _quad(integrand, upper: float, **options) -> tuple:
-    """(integral of integrand over [0, upper], quad's error estimate); RuntimeError
-    when the estimate exceeds QUAD_REL_TOL of the value's magnitude, which means
-    the same for values of 1 and 1e-88. scipy.integrate is imported on first use:
-    it takes most of the time `import drasim` would otherwise take."""
-    from scipy import integrate
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK extension, scipy/integrate/_quadpack, loaded from its
+    file on first use. It is kept out of sys.modules and scipy/integrate/__init__.py
+    never runs: importing the package would also load the ODE solvers, sparse, linalg,
+    special and optimize, about 46 MB that no quadrature here runs."""
+    name = "scipy.integrate._quadpack"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ModuleNotFoundError("quadrature needs scipy, which is not installed")
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    for location in scipy.submodule_search_locations:
+        finder = importlib.machinery.FileFinder(os.path.join(location, "integrate"), loaders)
+        spec = finder.find_spec(name)
+        if spec is not None:
+            imported = name in sys.modules  # by an earlier import of scipy.integrate
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            if not imported:  # an extension of one-phase init enters itself on creation
+                sys.modules.pop(name, None)
+            return module
+    raise ModuleNotFoundError(f"scipy has no compiled {name} extension")
 
-    val, err = integrate.quad(integrand, 0.0, upper, **options)
+
+def _quad(integrand, upper: float, epsabs: float, epsrel: float, limit: int,
+          points=None) -> tuple:
+    """(integral of integrand over [0, upper], its error estimate), by QUADPACK's QAGS
+    (_qagse), or QAGP (_qagpe) with the breakpoints `points`: the call that
+    scipy.integrate.quad makes for a finite interval, made the same way, so each value
+    and error estimate has quad's bits. RuntimeError for a nonzero QUADPACK return
+    code (quad only warns of codes 1-5 and 7, and code 6, invalid input, comes back
+    as 0 with error 0, which the gate alone would pass), and when the estimate
+    exceeds QUAD_REL_TOL of the value's magnitude, which means the same for values
+    of 1 and 1e-88."""
+    if upper == 0.0:  # quad's shortcut for an empty interval
+        return 0.0, 0.0
+    if points is None:
+        val, err, ier = _quadpack()._qagse(integrand, 0.0, upper, (), 0, epsabs, epsrel, limit)
+    else:
+        # inside breakpoints, sorted, and two zeros appended, as quad passes them
+        inner = np.unique(points)
+        inner = inner[(0.0 < inner) & (inner < upper)]
+        breaks = np.concatenate((inner, (0.0, 0.0)))
+        val, err, ier = _quadpack()._qagpe(integrand, 0.0, upper, breaks, (), 0, epsabs, epsrel,
+                                           limit)
+    if ier != 0:
+        raise RuntimeError(f"quadrature tolerance not reached: QUADPACK return code {ier} "
+                           f"for {val} +- {err}")
     if not err <= QUAD_REL_TOL * abs(val):  # NaN too
         raise RuntimeError(f"quadrature tolerance not reached: error estimate {err} for {val}")
     return float(val), float(err)
 
 
 def _phi_integral(dist: ValueDistribution, n: int, p: float) -> tuple:
-    """E[phi(v) 1{v >= p}] for v the largest of n i.i.d. values, with quad's error
-    estimate: phi(isf(s)) against n (1 - s)^(n-1), the density of the largest
+    """E[phi(v) 1{v >= p}] for v the largest of n i.i.d. values, with QUADPACK's
+    error estimate: phi(isf(s)) against n (1 - s)^(n-1), the density of the largest
     value's survival probability s, over [0, sf(p)].
 
     The weight is a spike of width about 1/n at s = 0, below about n e^-63 past
-    64/n. Once 64/n < sf(p), quad gets 64/n as a breakpoint, without which it
+    64/n. Once 64/n < sf(p), QAGP gets 64/n as a breakpoint, without which QAGS
     misses the spike at large n and reports a tiny value with a tiny error
     estimate; and the weight is taken through log1p, as the power turns the
     rounding of 1 - s into a relative error of n 1.1e-16, enough to throw off
-    quad's extrapolation at gpareto(0.9)'s singular end beyond its estimate."""
+    the extrapolation at gpareto(0.9)'s singular end beyond its estimate."""
     upper = float(dist.sf(p))
     spike = 64.0 / n
     points = (spike,) if spike < upper else None
@@ -509,7 +553,7 @@ def optimal_revenue(dist: ValueDistribution, n: int) -> Estimate:
 
     phi is non-decreasing on a regular D, so max_i phi+(v_i) is phi of the largest
     value when it is at least r(D): Rev(D^n) is _phi_integral at p = r(D), with
-    quad's error estimate as the standard error. It is cached per (frozen)
+    QUADPACK's error estimate as the standard error. It is cached per (frozen)
     distribution and n, so a repeated call returns the first call's Estimate; a
     quadrature that _quad refuses raises its RuntimeError each time.
     """

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from drasim import (
     strong_regularity_alpha,
     virtual_value,
 )
+from drasim import distributions
 from drasim.distributions import posted_price_revenue_quadrature
 
 CONTINUOUS = [Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
@@ -238,15 +240,22 @@ def test_optimal_revenue_anchors():
     assert optimal_revenue(Exponential(1.0), 0).mean == 0.0
 
 
+def fake_quadpack(monkeypatch, qagse=None, qagpe=None):
+    """Make _quad's QUADPACK routines the given fakes, each called as the real one is;
+    a routine not given is the real one."""
+    real = distributions._quadpack()
+    faked = types.SimpleNamespace(_qagse=qagse or real._qagse, _qagpe=qagpe or real._qagpe)
+    monkeypatch.setattr(distributions, "_quadpack", lambda: faked)
+
+
 def test_quadrature_reports_and_refuses_its_error_estimate(monkeypatch):
     est = optimal_revenue(GeneralizedPareto(0.5), 2)
-    assert 0.0 < est.std_error <= 1e-8  # quad's own error estimate
-    import scipy.integrate
+    assert 0.0 < est.std_error <= 1e-8  # QUADPACK's own error estimate
     optimal_revenue.cache_clear()  # the call above cached Rev(D^2)
     # a large error estimate, and a small one that is large for its value: 1e-9
     # is below an absolute gate of 1e-8 but 1e-3 of the value 1e-6
     for faked in ((0.5, 1e-3), (1e-6, 1e-9)):
-        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: faked)
+        fake_quadpack(monkeypatch, qagse=lambda *call: (*faked, 0))
         with pytest.raises(RuntimeError, match="error estimate"):
             optimal_revenue(GeneralizedPareto(0.5), 2)
         with pytest.raises(RuntimeError, match="error estimate"):
@@ -267,27 +276,101 @@ def test_cached_optimal_revenue_equals_a_fresh_quadrature():
 
 
 def test_a_refused_quadrature_is_not_cached(monkeypatch):
-    import scipy.integrate
-    quad = scipy.integrate.quad
-    monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **options: (0.5, 1e-3))
+    fake_quadpack(monkeypatch, qagse=lambda *call: (0.5, 1e-3, 0))
     for _ in range(2):  # refused each time, never served from the cache
         with pytest.raises(RuntimeError, match="error estimate"):
             optimal_revenue(GeneralizedPareto(0.5), 2)
     assert optimal_revenue.cache_info().currsize == 0
-    monkeypatch.setattr(scipy.integrate, "quad", quad)
+    monkeypatch.undo()
     est = optimal_revenue(GeneralizedPareto(0.5), 2)
     assert est.mean == pytest.approx(23.0 / 24.0, abs=1e-8)
     assert 0.0 < est.std_error <= 1e-8
 
 
+@pytest.mark.parametrize("routine", ["qagse", "qagpe"])
+def test_quadpack_return_codes_are_refused(monkeypatch, routine):
+    # quad only warns of a nonzero return code, and ier = 6 (invalid input) comes back
+    # as 0 with error 0, which the relative gate alone would pass
+    for faked in ((0.0, 0.0, 6), (0.5, 1e-12, 2)):
+        fake_quadpack(monkeypatch, **{routine: lambda *call: faked})
+        if routine == "qagse":
+            with pytest.raises(RuntimeError, match="return code"):
+                optimal_revenue(GeneralizedPareto(0.5), 2)
+            with pytest.raises(RuntimeError, match="return code"):
+                posted_price_revenue_quadrature(GeneralizedPareto(0.5), 4.0)
+            with pytest.raises(RuntimeError, match="return code"):
+                adaptive_gain_quadrature(GeneralizedPareto(0.5), 5.0, 2.0)
+        else:  # 64/300 < 1/2 = sf(r): Rev(D^300) takes the breakpoint path
+            with pytest.raises(RuntimeError, match="return code"):
+                optimal_revenue(Uniform(0.0, 1.0), 300)
+        assert optimal_revenue.cache_info().currsize == 0
+
+
+def quadratures_of(monkeypatch, compute):
+    """(integrand, upper, options, result) of every _quad call that compute() makes."""
+    from drasim import estimators
+
+    calls = []
+    real = distributions._quad
+
+    def recording(integrand, upper, **options):
+        calls.append((integrand, upper, options, real(integrand, upper, **options)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(distributions, "_quad", recording)
+    monkeypatch.setattr(estimators, "_quad", recording)
+    compute()
+    monkeypatch.undo()
+    return calls
+
+
+def test_quadrature_has_the_bits_of_scipy_integrate_quad(monkeypatch):
+    # the reference is scipy.integrate.quad on the same integrand with the same options:
+    # QUADPACK called directly must return its value and error estimate bit for bit
+    from scipy.integrate import quad
+
+    def compute():
+        for dist in (Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
+                     GeneralizedPareto(0.9), Uniform(0.0, 1.0)):
+            r = reserve_price(dist)
+            below = math.floor(64.0 / float(dist.sf(r)))  # the largest n without a breakpoint
+            if isinstance(dist, Uniform):
+                assert below == 128
+            for n in (below, below + 1, 1_000, 670_005):
+                distributions._phi_integral(dist, n, r)
+            for p in (r, 4.0 * r):
+                posted_price_revenue_quadrature(dist, p)
+        for dist, collateral in ((GeneralizedPareto(0.5), 2.0), (Exponential(1.0), 1.0)):
+            for threshold in (2.0, 20.0, 100.0):
+                adaptive_gain_quadrature(dist, threshold, collateral)
+
+    calls = quadratures_of(monkeypatch, compute)
+    assert len(calls) == 5 * 6 + 6
+    assert sum(options.get("points") is not None for _, _, options, _ in calls) == 5 * 3
+    for integrand, upper, options, (val, err) in calls:
+        ref = quad(integrand, 0.0, upper, **options)
+        assert (val.hex(), err.hex()) == (ref[0].hex(), ref[1].hex()), (upper, options)
+
+
 def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate is imported by the first quadrature, not by `import drasim`
+    # neither `import drasim` nor a quadrature imports scipy.integrate: the oracles
+    # load only its compiled QUADPACK extension, kept out of sys.modules too;
+    # Rev(D^300) on uniform runs QAGP
     src = os.path.dirname(os.path.dirname(drasim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, drasim; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    imports = "import sys, drasim; print('scipy.integrate' in sys.modules)"
+    oracles = ("import sys\n"
+               "from drasim import (Exponential, GeneralizedPareto, Uniform,\n"
+               "                    adaptive_gain_quadrature, optimal_revenue)\n"
+               "optimal_revenue(GeneralizedPareto(0.5), 2)\n"
+               "optimal_revenue(Uniform(0.0, 1.0), 300)\n"
+               "adaptive_gain_quadrature(Exponential(1.0), 20.0, 1.0)\n"
+               "print('scipy.integrate' in sys.modules\n"
+               "      or 'scipy.integrate._quadpack' in sys.modules)")
+    for code in (imports, oracles):
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 def test_optimal_revenue_uniform_closed_form():
