@@ -36,7 +36,6 @@ from .distributions import (
     UndefinedDensityError,
     Uniform,
     ValueDistribution,
-    check_conditional_bound,
     check_posted_price_bound,
     check_tail_bound,
     collateral,
@@ -52,6 +51,7 @@ from .estimators import (
     adaptive_gain_quadrature,
     adaptive_net_delta,
     attack_sweep,
+    check_conditional_bound,
     credibility_suite,
     estimate_adaptive_gain,
     estimate_myerson_gap,

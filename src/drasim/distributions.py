@@ -19,7 +19,9 @@ inverse isf. The survival pair is what makes conditional tail sampling exact
 for heavy tails: a draw conditioned on v >= t is isf(sf(t) * (1 - u)), which
 never suffers the 1 - u cancellation that the quantile form has near u = 1.
 
-Sampling is inverse-CDF by construction: sample(rng) == quantile(rng.random()).
+Nothing here draws: a value is quantile(u) or sample_tail(t, u) of a uniform u
+that the caller takes from seeding's streams. The Monte Carlo checks, the
+conditional tail bound among them, live in estimators.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import Estimate, estimate_from_samples
+from .estimate import Estimate
 
 __all__ = [
     "ValueDistribution",
@@ -57,7 +59,6 @@ __all__ = [
     "optimal_revenue",
     "collateral",
     "check_tail_bound",
-    "check_conditional_bound",
     "check_posted_price_bound",
     "posted_price_revenue_quadrature",
 ]
@@ -115,10 +116,6 @@ class ValueDistribution:
     def isf(self, s):
         """Inverse survival: x with sf(x) = s."""
         return self.quantile(1.0 - np.asarray(s, dtype=float))
-
-    def sample(self, rng: np.random.Generator, size=None):
-        """Inverse-CDF sampling; couples the rng's uniform stream to quantile."""
-        return self.quantile(rng.random(size=size))
 
     def sample_tail(self, threshold: float, u):
         """Value of v | v >= threshold at conditional quantile u in [0, 1)."""
@@ -626,31 +623,6 @@ def check_tail_bound(dist: ValueDistribution, alpha: float, p: float) -> BoundCh
     rhs = r * float(dist.sf(r)) * _tail_factor(alpha, r, p)
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + INEQUALITY_SLACK,
                       slack=INEQUALITY_SLACK)
-
-
-def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: float,
-                            samples: int = 1_000_000, seed: int = 0) -> BoundCheck:
-    """Conditional mean bound E[v | v >= t] <= E[phi(v) | v >= t] / alpha + r(D).
-
-    Monte Carlo over the conditional tail (exact inverse-survival sampling);
-    the pass verdict uses the paired-sample standard error at 3 sigma.
-    """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    r = _require_regular_finite_reserve(dist)
-    if not at_or_above_reserve(threshold, r):
-        raise ValueError(f"threshold={threshold} below reserve {r}")
-    if float(dist.sf(threshold)) <= 0.0:
-        raise ValueError(f"event {{v >= {threshold}}} has zero probability")
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    v = dist.sample_tail(threshold, rng.random(int(samples)))
-    phi = virtual_value(dist, v)
-    gap = phi / alpha + r - v
-    est = estimate_from_samples(gap)
-    lhs = float(np.mean(v))
-    rhs = lhs + est.mean
-    slack = 3.0 * est.std_error
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=est.mean >= -slack, slack=slack)
 
 
 def posted_price_revenue_quadrature(dist: ValueDistribution, p: float) -> float:

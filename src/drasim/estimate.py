@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Estimate", "estimate_from_samples", "ChunkAccumulator"]
+__all__ = ["Estimate", "ChunkAccumulator"]
 
 
 @dataclass(frozen=True)
@@ -21,17 +21,6 @@ class Estimate:
     @property
     def ci95(self) -> tuple[float, float]:
         return (self.mean - 1.96 * self.std_error, self.mean + 1.96 * self.std_error)
-
-
-def estimate_from_samples(values: np.ndarray) -> Estimate:
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    mean = float(np.mean(values))
-    if n > 1:
-        se = float(np.std(values, ddof=1)) / math.sqrt(n)
-    else:
-        se = 0.0
-    return Estimate(mean=mean, std_error=se, samples=n)
 
 
 class ChunkAccumulator:

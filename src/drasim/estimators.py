@@ -1,5 +1,6 @@
 """Revenue estimation: vectorized Monte Carlo, a stratified rare-event estimator
-for the adaptive attack, and a deterministic quadrature oracle for it.
+for the adaptive attack, a deterministic quadrature oracle for it, and the Monte
+Carlo check of the conditional tail bound.
 
 Two engines are provided and kept in exact agreement:
 
@@ -12,11 +13,12 @@ Two engines are provided and kept in exact agreement:
     suite asserts per-profile equality of the two engines, so the fast path
     carries the simulator's semantics, not a reimplementation of its own.
 
-Every estimator runs on one loop over chunked counter-based streams (see
-seeding) that draws each profile once for all the strategies it prices, and
-needs MIN_SAMPLES samples or more. An estimate is a pure function of (config,
-strategy, samples, seed) however chunks are scheduled, and strategies under
-one seed share identical value profiles (paired comparisons by construction).
+Every estimator, and check_conditional_bound, runs on one loop over chunked
+counter-based streams (see seeding) that draws each profile once for all the
+functions it prices, and needs MIN_SAMPLES samples or more. An estimate is a
+pure function of (config, strategy, samples, seed) however chunks are
+scheduled, and strategies under one seed share identical value profiles
+(paired comparisons by construction).
 
 The loop hands each chunk to the functions it prices as one strategies.Chunk:
 the profiles, their top two and the promised auction's price and sale mask,
@@ -67,8 +69,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .distributions import (
+    BoundCheck,
     ValueDistribution,
     _quad,
+    _require_regular_finite_reserve,
+    at_or_above_reserve,
     collateral as collateral_level,
     optimal_revenue,
     reserve_price,
@@ -94,6 +99,7 @@ __all__ = [
     "estimate_revenue",
     "estimate_paired_difference",
     "estimate_myerson_gap",
+    "check_conditional_bound",
     "estimate_adaptive_gain",
     "adaptive_gain_quadrature",
     "adaptive_net_delta",
@@ -289,6 +295,33 @@ def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Esti
         return np.subtract(net, welfare, out=net)
 
     return _estimate_each(seed, samples, config.n, config.dist.quantile, [gap])[0]
+
+
+def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: float,
+                            samples: int = 1_000_000, seed: int = 0) -> BoundCheck:
+    """Conditional mean bound E[v | v >= t] <= E[phi(v) | v >= t] / alpha + r(D).
+
+    Monte Carlo on the one chunk loop: profile i is sample_tail(t, u_i) of the
+    seed's value stream (a t with P[v >= t] = 0 is refused there). lhs is the
+    mean of v, rhs adds the mean of the paired gap phi(v) / alpha + r - v, and
+    the bound holds unless that gap is below zero by more than 3 standard errors.
+    """
+    if alpha <= 0.0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    r = _require_regular_finite_reserve(dist)
+    if not at_or_above_reserve(threshold, r):
+        raise ValueError(f"threshold={threshold} below reserve {r}")
+
+    def gap(chunk, start):
+        v = chunk.values
+        return virtual_value(dist, v) / alpha + r - v
+
+    mean_v, mean_gap = _estimate_each(seed, samples, 1,
+                                      lambda u: dist.sample_tail(threshold, u[:, 0]),
+                                      [lambda chunk, start: chunk.values, gap])
+    slack = 3.0 * mean_gap.std_error
+    return BoundCheck(lhs=mean_v.mean, rhs=mean_v.mean + mean_gap.mean,
+                      holds=mean_gap.mean >= -slack, slack=slack)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ thread's own that it repositions for each fill (a state assignment, about a
 microsecond, where building a Philox costs some 25). chunk_uniforms draws a
 whole chunk into a new array; the estimators' loop fills row slices of reused
 buffers from two threads, and gets the same values.
+
+Every value draw of the lab goes through these streams: each Monte Carlo
+estimate and check in estimators, and sample_values there. This module is the
+one place that builds a numpy bit generator.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from .distributions import (
     TwoPoint,
     Uniform,
     ValueDistribution,
-    check_conditional_bound,
     check_posted_price_bound,
     check_tail_bound,
     collateral as collateral_level,
@@ -30,6 +29,7 @@ from .distributions import (
 from .estimators import (
     MIN_SAMPLES,
     attack_sweep,
+    check_conditional_bound,
     credibility_suite,
     estimate_myerson_gap,
     estimate_paired_difference,

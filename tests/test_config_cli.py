@@ -337,6 +337,13 @@ def test_cli_verify_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_verify_quick_matches_its_fixture(capsys):
+    # the pinned stdout of verify_quick, so a change across commits shows, not only
+    # a change from run to run
+    assert main(["verify", "--config", str(CONFIGS / "verify_quick.json")]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / "verify_quick.txt").read_bytes()
+
+
 def test_cli_verify_exit_1_names_failing_check(tmp_path):
     # an unreachable oracle-agreement tolerance makes the separation check fail
     quick = json.loads((CONFIGS / "verify_quick.json").read_text())

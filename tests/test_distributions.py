@@ -35,6 +35,8 @@ from drasim import (
 )
 from drasim import distributions
 from drasim.distributions import posted_price_revenue_quadrature
+from drasim.estimators import sample_values
+from drasim.seeding import chunk_uniforms, derive_seed
 
 CONTINUOUS = [Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
               GeneralizedPareto(0.75), Uniform(0.0, 1.0), EqualRevenue()]
@@ -72,16 +74,9 @@ def test_cdf_monotone_with_limits(dist):
 
 @pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: repr(d))
 def test_sampling_is_inverse_cdf_coupled(dist):
-    class Recorder:
-        def __init__(self):
-            self.u = np.random.default_rng(7).random(50)
-
-        def random(self, size=None):
-            return self.u if size else self.u[0]
-
-    rec = Recorder()
-    drawn = dist.sample(rec, size=50)
-    assert np.array_equal(drawn, dist.quantile(rec.u))
+    # a value is drawn as the quantile of a uniform of the seed's value stream
+    u = chunk_uniforms(derive_seed(7, "values"), 0, 1, 50)[0]
+    assert np.array_equal(sample_values(dist, 50, 7), dist.quantile(u))
 
 
 @pytest.mark.parametrize("dist", [Exponential(1.0), GeneralizedPareto(0.5), EqualRevenue()],

@@ -23,6 +23,7 @@ from drasim import (
     WithholdIf,
     adaptive_gain_quadrature,
     adaptive_net_delta,
+    check_conditional_bound,
     credibility_suite,
     estimate_adaptive_gain,
     estimate_myerson_gap,
@@ -30,6 +31,7 @@ from drasim import (
     estimate_revenue,
     optimal_revenue,
     reserve_price,
+    virtual_value,
 )
 from drasim import estimators
 from drasim.estimate import ChunkAccumulator, Estimate
@@ -630,10 +632,10 @@ def test_chunk_accumulation_is_order_insensitive():
 
 
 def test_estimate_invariants():
-    import numpy as np
-    from drasim.estimate import estimate_from_samples
     values = np.random.default_rng(0).random(1000)
-    est = estimate_from_samples(values)
+    one_chunk = ChunkAccumulator()
+    one_chunk.add(values)
+    est = one_chunk.result()
     assert est.ci95 == (est.mean - 1.96 * est.std_error, est.mean + 1.96 * est.std_error)
     assert est.std_error == pytest.approx(np.std(values, ddof=1) / math.sqrt(1000), rel=1e-12)
     assert est.samples == 1000
@@ -646,3 +648,31 @@ def test_estimate_invariants():
         estimate_myerson_gap(config, 999, 0)
     with pytest.raises(ValueError):
         estimate_adaptive_gain(GPA, 5.0, 2.0, 999, 0)
+    with pytest.raises(ValueError):
+        check_conditional_bound(GPA, 0.5, 2.0, samples=999)
+
+
+def test_conditional_bound_draws_the_seeds_value_stream():
+    # one chunk: v_i = sample_tail(t, u_i) of the value stream's uniforms; lhs is the
+    # mean of v, rhs adds the mean of the paired gap, and the slack is 3 of its SEs
+    n, alpha, t = 4096, 0.25, 2.0 * R
+    v = GPA.sample_tail(t, chunk_uniforms(_value_stream_seed(5), 0, n, 1)[:, 0])
+    gap = virtual_value(GPA, v) / alpha + R - v
+    res = check_conditional_bound(GPA, alpha, t, samples=n, seed=5)
+    assert res.lhs == pytest.approx(np.mean(v), rel=1e-14)
+    assert res.rhs - res.lhs == pytest.approx(np.mean(gap), rel=1e-12)
+    assert res.slack == pytest.approx(3.0 * np.std(gap, ddof=1) / math.sqrt(n), rel=1e-9)
+    assert res.slack > 0.0 and res.holds
+
+
+def test_conditional_bound_memory_is_bounded_by_the_chunk():
+    # 2^22 draws in 64 chunks: the traced peak holds a few chunk-sized arrays, not
+    # arrays of all the draws (one of them is 33.5 MB)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        check_conditional_bound(GPA, 0.5, 2.0, samples=1 << 22, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
