@@ -18,6 +18,9 @@ Each family exposes cdf/pdf/quantile plus the survival function sf and its
 inverse isf. The survival pair is what makes conditional tail sampling exact
 for heavy tails: a draw conditioned on v >= t is isf(sf(t) * (1 - u)), which
 never suffers the 1 - u cancellation that the quantile form has near u = 1.
+A family defines the transforms as _quantile_into and _isf_into, which compute
+in one array: quantile, isf and sample_tail each allocate the array of the
+result and nothing else, and give a float64 for a scalar input.
 
 Nothing here draws: a value is quantile(u) or sample_tail(t, u) of a uniform u
 that the caller takes from seeding's streams. The Monte Carlo checks, the
@@ -107,7 +110,9 @@ class ValueDistribution:
         raise NotImplementedError
 
     def quantile(self, u):
-        raise NotImplementedError
+        """x with F(x) = u."""
+        u = np.asarray(u, dtype=float)
+        return self._quantile_into(u, _output(u))
 
     def sf(self, x):
         """Survival function 1 - F(x), computed without cancellation."""
@@ -115,14 +120,32 @@ class ValueDistribution:
 
     def isf(self, s):
         """Inverse survival: x with sf(x) = s."""
-        return self.quantile(1.0 - np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        return self._isf_into(s, _output(s))
 
     def sample_tail(self, threshold: float, u):
         """Value of v | v >= threshold at conditional quantile u in [0, 1)."""
         s_thr = float(self.sf(threshold))
         if s_thr <= 0.0:
             raise ValueError(f"event {{v >= {threshold}}} has zero probability")
-        return self.isf(s_thr * (1.0 - np.asarray(u, dtype=float)))
+        u = np.asarray(u, dtype=float)
+        out = _output(u)
+        s = np.subtract(1.0, u, out=out)
+        s *= s_thr
+        return self._isf_into(s, out)
+
+    def _quantile_into(self, u, out):
+        """quantile(u), computed in out and returned: out is a new array of u's shape,
+        or u itself where the default _isf_into calls it. With out None (u is 0-d),
+        each step returns a new float64; the steps past the first that take a Python
+        float are augmented assignments, in place on out and numpy's fast scalar
+        operators on a float64."""
+        raise NotImplementedError
+
+    def _isf_into(self, s, out):
+        """isf(s), computed in out as _quantile_into computes quantile(u), where out may
+        also be s itself: quantile(1 - s), unless a family has a closed form."""
+        return self._quantile_into(np.subtract(1.0, s, out=out), out)
 
     def spec(self) -> dict:
         return {"family": self.kind, "params": self.params}
@@ -130,6 +153,12 @@ class ValueDistribution:
     def __repr__(self) -> str:
         args = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"{type(self).__name__}({args})"
+
+
+def _output(x: np.ndarray):
+    """The one new array that a transform of x computes in, or None for a 0-d x (a
+    scalar input), where numpy's ufuncs return a float64 at each step."""
+    return np.empty_like(x) if x.ndim else None
 
 
 @dataclass(frozen=True, repr=False)
@@ -163,13 +192,17 @@ class Exponential(ValueDistribution):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0)))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return -np.log1p(-u) / self.rate
+    def _quantile_into(self, u, out):
+        return self._from_log_survival(np.log1p(np.negative(u, out=out), out=out), out)
 
-    def isf(self, s):
-        s = np.asarray(s, dtype=float)
-        return -np.log(s) / self.rate
+    def _isf_into(self, s, out):
+        return self._from_log_survival(np.log(s, out=out), out)
+
+    def _from_log_survival(self, log_s, out):
+        """-log s / rate, in out, of the log survival probabilities log_s."""
+        x = np.negative(log_s, out=out)
+        x /= self.rate
+        return x
 
 
 @dataclass(frozen=True, repr=False)
@@ -211,13 +244,18 @@ class GeneralizedPareto(ValueDistribution):
         z = np.maximum(x, 0.0)
         return np.where(x < 0.0, 1.0, np.exp(-np.log1p(self.shape * z) / self.shape))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.expm1(-self.shape * np.log1p(-u)) / self.shape
+    def _quantile_into(self, u, out):
+        return self._from_log_survival(np.log1p(np.negative(u, out=out), out=out), out)
 
-    def isf(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.expm1(-self.shape * np.log(s)) / self.shape
+    def _isf_into(self, s, out):
+        return self._from_log_survival(np.log(s, out=out), out)
+
+    def _from_log_survival(self, log_s, out):
+        """expm1(-k log s) / k, in out, of the log survival probabilities log_s."""
+        log_s *= -self.shape
+        x = np.expm1(log_s, out=out)
+        x /= self.shape
+        return x
 
 
 @dataclass(frozen=True, repr=False)
@@ -249,9 +287,10 @@ class Uniform(ValueDistribution):
         inside = (x >= self.low) & (x <= self.high)
         return np.where(inside, 1.0 / (self.high - self.low), 0.0)
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.low + u * (self.high - self.low)
+    def _quantile_into(self, u, out):  # low + u (high - low)
+        x = np.multiply(u, self.high - self.low, out=out)
+        x += self.low
+        return x
 
 
 @dataclass(frozen=True, repr=False)
@@ -284,13 +323,11 @@ class EqualRevenue(ValueDistribution):
         z = np.maximum(x, 0.0)
         return np.where(x < 0.0, 1.0, 1.0 / (1.0 + z))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return u / (1.0 - u)
+    def _quantile_into(self, u, out):  # u / (1 - u); out is not u, as isf is its own
+        return np.divide(u, np.subtract(1.0, u, out=out), out=out)
 
-    def isf(self, s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 - s) / s
+    def _isf_into(self, s, out):  # (1 - s) / s, where out may be s
+        return np.divide(np.subtract(1.0, s), s, out=out)
 
 
 @dataclass(frozen=True, repr=False)
@@ -315,9 +352,8 @@ class TwoPoint(ValueDistribution):
     def pdf(self, x):
         raise UndefinedDensityError("two_point has point masses, no density")
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= 0.5, 0.0, 1.0)
+    def _quantile_into(self, u, out):  # 0 at u <= 1/2, else 1 (NaN too)
+        return np.subtract(1.0, np.less_equal(u, 0.5, out=out), out=out)
 
 
 _FAMILIES = {

@@ -26,8 +26,9 @@ class Estimate:
 class ChunkAccumulator:
     """Order-insensitive accumulation of chunked sample batches.
 
-    Per-chunk partial sums come from numpy's pairwise summation and are then
-    combined with math.fsum, which is exact, so the final mean and standard
+    Per-chunk partial sums come from numpy's pairwise summation (np.add.reduce,
+    the reduction np.sum runs for an array, without its Python wrapper) and are
+    then combined with math.fsum, which is exact, so the final mean and standard
     error are bit-identical no matter how the fixed-size chunks were scheduled.
     """
 
@@ -40,8 +41,9 @@ class ChunkAccumulator:
         """Accumulate one chunk; square, if given, is a float array of values' shape
         that the squares are written into instead of a new one."""
         values = np.asarray(values, dtype=float)
-        self._sums.append(float(np.sum(values)))
-        self._sq_sums.append(float(np.sum(np.multiply(values, values, out=square))))
+        self._sums.append(float(np.add.reduce(values, axis=None)))
+        self._sq_sums.append(float(np.add.reduce(np.multiply(values, values, out=square),
+                                                 axis=None)))
         self._count += values.size
 
     def result(self) -> Estimate:

@@ -21,13 +21,16 @@ scheduled, and strategies under one seed share identical value profiles
 (paired comparisons by construction).
 
 The loop hands each chunk to the functions it prices as one strategies.Chunk:
-the profiles, their top two and the promised auction's price and sale mask,
-each computed once per chunk for all the strategies, and work arrays that the
-kernels and the accumulator write into. One Chunk carries an estimate from
-chunk to chunk, so its work arrays are allocated once per call, on the calling
-thread. An array a kernel returns may be one of them and holds only until the
-next kernel call on the chunk, so a paired difference copies the first net
-before it prices the baseline.
+the profiles, their top two and the promised auction's net and sale mask, each
+computed once per chunk for all the strategies, and work arrays that the
+kernels and the accumulator write into (the Chunk docstring lists them). One
+Chunk carries an estimate from chunk to chunk, so its work arrays are allocated
+once per call, on the calling thread; the shill kernels and the accumulator
+allocate nothing chunk-sized per strategy (the accumulator writes its squares
+into the work array "scratch", where no kernel result lives). An array a
+kernel returns may be one of them and holds only until the next kernel call on
+the chunk, so a paired difference copies the first net before it prices the
+baseline.
 
 The loop prices the chunks in order on the calling thread. When an estimate
 has more than one chunk, one helper thread, started and joined by the call,
@@ -191,7 +194,7 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
         nonlocal chunk
         chunk = Chunk(values) if chunk is None else chunk.load(values)
         for net, acc in zip(per_profile, accumulators):
-            acc.add(net(chunk, start), square=chunk.work("square"))
+            acc.add(net(chunk, start), square=chunk.work("scratch"))
 
     if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)

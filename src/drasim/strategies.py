@@ -21,9 +21,9 @@ drive the run:
 Beside its execute, each auctioneer strategy defines vector_net(chunk, config),
 the same run's auctioneer net per row of truthful values in closed form, for
 the vector engine. The Chunk holds the rows and computes their top two and the
-promised price once for every strategy priced on it; the kernels write into its
-work arrays, so the array vector_net returns holds only until the next kernel
-call on the chunk. They select by 0/1-mask products, as masked copies
+promised auction's net once for every strategy priced on it; the kernels write
+into its work arrays, so the array vector_net returns holds only until the next
+kernel call on the chunk. They select by 0/1-mask products, as masked copies
 mispredict on random masks: exact for finite values and bids, reserve > 0 (see
 _shill_net). A subclass that overrides execute but not vector_net has no vector
 path: it runs on engine="simulate" only. Lifted refuses it as well, since it
@@ -178,14 +178,24 @@ REVEAL_POLICIES = {policy.name: policy for policy in (ALWAYS_REVEAL, WITHHOLD_IF
 # Auctioneer strategies, each with the closed form the vector engine prices it by
 # ---------------------------------------------------------------------------
 
-def _top_two(values: np.ndarray) -> tuple:
-    """Largest and second-largest value per profile (second 0 when n = 1), exactly
-    as a sort gives them: a running max over the buyer columns only selects."""
-    top, second = values[:, 0], np.zeros(len(values))
-    for j, column in enumerate(values.T[1:]):
-        low = np.minimum(top, column)
-        second = np.maximum(second, low) if j else low
-        top = np.maximum(top, column)
+def _top_two(values: np.ndarray, top: np.ndarray = None, second: np.ndarray = None) -> tuple:
+    """Largest and second-largest value per profile (second 0 when n = 1), written
+    into top and second (new arrays where not given) and returned, exactly as a sort
+    gives them: a running max and min over the buyer columns only select. Each
+    column after the first makes the second value min(top, max(second, column)),
+    which is max(second, min(top, column)) as second <= top; before the second
+    column it is -inf, so that column's step is min(first, column)."""
+    if top is None:
+        top, second = np.empty(len(values)), np.empty(len(values))
+    first, *others = values.T
+    if not others:
+        np.copyto(top, first)
+        second.fill(0.0)
+        return top, second
+    high, low = first, -np.inf
+    for column in others:
+        low = np.minimum(high, np.maximum(low, column, out=second), out=second)
+        high = np.maximum(high, column, out=top)
     return top, second
 
 
@@ -193,11 +203,19 @@ class Chunk:
     """One chunk of value profiles, one row each, as the vector kernels see it.
 
     Beside the values it keeps what every auctioneer strategy prices from: their
-    top two (by _top_two), and the promised auction's price max(reserve, second)
-    and sale mask top > reserve. Each is computed on first use, once per chunk.
-    It also owns the kernels' work arrays, allocated on first use with the first
-    chunk's length; load() brings in the next chunk and keeps them, so a Monte
-    Carlo loop allocates them once per estimate, not once per strategy and chunk.
+    top two (by _top_two), and the promised auction's net max(reserve, second) *
+    sale and sale mask top > reserve. Each is computed on first use, once per
+    chunk, into a work array. The work arrays, one entry per profile, are
+    allocated on first use with the first chunk's length; load() brings in the
+    next chunk and keeps them, so a Monte Carlo loop allocates them once per
+    estimate, not once per strategy and chunk. By (name, dtype):
+
+      * "top", "second": top_two()'s, for the chunk.
+      * "honest_net", ("sale", bool): honest()'s, for the chunk and its reserve.
+      * "net": the array _shill_net returns, so every vector_net of TwoPhase.
+      * ("mask", bool), "withheld": _shill_net's per-bid masks and withheld counts.
+      * "scratch": holds nothing from one call to the next; _shill_net's raised
+        bids, and the squares the estimators' accumulator writes.
 
     An array that a kernel returns may be one of these work arrays. It holds
     until the next kernel call on the chunk; a caller that needs it longer keeps
@@ -217,24 +235,29 @@ class Chunk:
         return self
 
     def work(self, name: str, dtype=float) -> np.ndarray:
-        """The work array `name`, one entry per profile, contents undefined."""
-        buffer = self._work.get(name)
+        """The work array `name` of this dtype, one entry per profile, contents
+        undefined. A name asked for with two dtypes names two arrays."""
+        key = (name, np.dtype(dtype))
+        buffer = self._work.get(key)
         if buffer is None:
-            buffer = self._work[name] = np.empty(self._capacity, dtype)
+            buffer = self._work[key] = np.empty(self._capacity, dtype)
         return buffer[:len(self.values)]
 
     def top_two(self) -> tuple:
+        """(top, second): the largest and second-largest value of each profile."""
         if self._order is None:
-            self._order = _top_two(self.values)
+            self._order = _top_two(self.values, self.work("top"), self.work("second"))
         return self._order
 
     def honest(self, reserve: float) -> tuple:
-        """(max(reserve, second), top > reserve): the promised auction's price and
-        whether it sells, per profile."""
+        """(max(reserve, second) * sale, sale) with sale = top > reserve: the promised
+        auction's auctioneer net, its price where it sells and +0.0 where not, and
+        its sale mask, per profile."""
         if self._honest is None or self._honest[0] != reserve:
             top, second = self.top_two()
-            self._honest = (reserve, np.maximum(reserve, second, out=self.work("honest_price")),
-                            np.greater(top, reserve, out=self.work("sale", bool)))
+            sale = np.greater(top, reserve, out=self.work("sale", bool))
+            net = np.maximum(reserve, second, out=self.work("honest_net"))
+            self._honest = (reserve, np.multiply(net, sale, out=net), sale)
         return self._honest[1:]
 
 
@@ -243,28 +266,36 @@ def _shill_net(chunk: Chunk, reserve: float, collateral: float,
     """Auctioneer net per profile for truthful buyers and a shill strategy, in the
     chunk's work array "net": the largest of the promised price and the revealed
     false bids when the top real bid clears the reserve and outbids them all, less
-    one collateral per withheld false bid. Its 0/1-mask selects are exact since
-    x * 1.0 == x and x * 0.0 == +0.0 for finite x >= 0, max(sp, ±0.0) == sp as
-    sp >= reserve > 0, values are quantiles of [0, 1) and false bids are finite."""
+    one collateral per withheld false bid.
+
+    It starts from the promised auction's net p s (price p, 0/1 sale mask s). A
+    false bid b <= reserve never raises the price, as reserve <= p, so only bids
+    b > reserve enter a max, as m b with m their 0/1 reveal mask top >= b: where
+    m is 1, top > reserve and s is 1, so max(p s, m b) == max(p, m b) s, and no
+    zeros of opposite sign meet in a max. Products with 0/1 masks are exact, as
+    x * 1.0 == x and x * 0.0 == +0.0 for finite x >= 0: values are quantiles of
+    [0, 1), false bids are finite and reserve > 0. Under the always policy, false
+    bids at or below the reserve leave the promised net, and above it the mask
+    top >= max(false bids) plays m's part."""
     top, _ = chunk.top_two()
-    price, sale = chunk.honest(reserve)
+    honest_net, _ = chunk.honest(reserve)
     net = chunk.work("net")
-    if not false_bids:
-        return np.multiply(price, sale, out=net)
     mask = chunk.work("mask", bool)
-    if not withhold_winning:
-        np.greater_equal(top, max(false_bids), out=mask)  # ties break to the lower (real) index
-        np.logical_and(mask, sale, out=mask)
-        return np.multiply(np.maximum(price, max(false_bids), out=net), mask, out=net)
-    raised, withheld = chunk.work("raised"), chunk.work("withheld")
-    np.copyto(net, price)  # the shill price, until the sale mask applies
-    withheld.fill(len(false_bids))
-    for bid in false_bids:  # revealed unless it outbids the top real bid
-        np.less_equal(bid, top, out=mask)
-        np.subtract(withheld, mask, out=withheld)
-        np.maximum(net, np.multiply(mask, bid, out=raised), out=net)
-    np.multiply(net, sale, out=net)
-    return np.subtract(net, np.multiply(collateral, withheld, out=withheld), out=net)
+    if not (withhold_winning and false_bids):
+        high = max(false_bids, default=reserve)
+        if high <= reserve:
+            np.copyto(net, honest_net)
+            return net
+        np.greater_equal(top, high, out=mask)  # ties break to the lower (real) index
+        return np.multiply(np.maximum(honest_net, high, out=net), mask, out=net)
+    raised, withheld = chunk.work("scratch"), chunk.work("withheld")
+    shill_price, withheld_count = honest_net, float(len(false_bids))
+    for bid in false_bids:
+        np.less_equal(bid, top, out=mask)  # revealed unless it outbids the top real bid
+        withheld_count = np.subtract(withheld_count, mask, out=withheld)
+        if bid > reserve:
+            shill_price = np.maximum(shill_price, np.multiply(mask, bid, out=raised), out=net)
+    return np.subtract(shill_price, np.multiply(collateral, withheld_count, out=withheld), out=net)
 
 
 def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,

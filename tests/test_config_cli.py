@@ -344,6 +344,13 @@ def test_cli_verify_quick_matches_its_fixture(capsys):
     assert capsys.readouterr().out.encode() == (FIXTURES / "verify_quick.txt").read_bytes()
 
 
+def test_cli_estimate_credibility_matches_its_fixture(capsys):
+    # the pinned stdout of the credibility grid: 41 rows over four chunks, so the
+    # helper thread's share of the draw and every kernel's bits show
+    assert main(["estimate", "--config", str(CONFIGS / "credibility.json")]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / "estimate_credibility.txt").read_bytes()
+
+
 def test_cli_verify_exit_1_names_failing_check(tmp_path):
     # an unreachable oracle-agreement tolerance makes the separation check fail
     quick = json.loads((CONFIGS / "verify_quick.json").read_text())

@@ -34,6 +34,7 @@ from drasim import (
     virtual_value,
 )
 from drasim import estimators
+from drasim.distributions import ROOT_TOL
 from drasim.estimate import ChunkAccumulator, Estimate
 from drasim.estimators import (
     SLICE_ROWS,
@@ -439,9 +440,9 @@ def test_top_two_runs_once_per_chunk(monkeypatch):
 
     top_two, sizes = strategies._top_two, []
 
-    def counting(values):
+    def counting(values, *out):
         sizes.append(len(values))
-        return top_two(values)
+        return top_two(values, *out)
 
     monkeypatch.setattr(strategies, "_top_two", counting)
     samples = 2 * CHUNK_SAMPLES + 1
@@ -454,6 +455,15 @@ def test_top_two_runs_once_per_chunk(monkeypatch):
     estimate_myerson_gap(config_for(GPA, 2, 2.0), samples, 43)
     assert sizes == chunk_sizes
 
+
+def test_chunk_work_arrays_are_keyed_by_name_and_dtype():
+    chunk = Chunk(np.zeros((4, 2)))
+    mask, weights = chunk.work("mask", bool), chunk.work("mask")
+    assert (mask.dtype, weights.dtype) == (np.dtype(bool), np.dtype(float))
+    assert not np.shares_memory(mask, weights)
+    assert np.shares_memory(chunk.work("mask", bool), mask)
+    assert np.shares_memory(chunk.work("mask", np.float64), weights)
+    assert len(chunk.load(np.zeros((3, 2))).work("mask", bool)) == 3
 
 
 def test_vector_path_is_checked_once_per_estimate(monkeypatch):
@@ -663,6 +673,28 @@ def test_conditional_bound_draws_the_seeds_value_stream():
     assert res.rhs - res.lhs == pytest.approx(np.mean(gap), rel=1e-12)
     assert res.slack == pytest.approx(3.0 * np.std(gap, ddof=1) / math.sqrt(n), rel=1e-9)
     assert res.slack > 0.0 and res.holds
+
+
+@pytest.mark.parametrize("dist, alpha, closed_form_reserve", [
+    (GeneralizedPareto(0.5), 0.5, 2.0),
+    (GeneralizedPareto(0.25), 0.75, 1.0 / 0.75),
+    (Exponential(1.0), 1.0, 1.0),
+])
+@pytest.mark.parametrize("mult", [1.0, 2.0])
+def test_tight_conditional_bounds_measure_the_reserves_bisection_error(
+        dist, alpha, closed_form_reserve, mult):
+    # at alpha = alpha_max, phi(v) / alpha is v less the closed-form reserve, so the
+    # check's per-sample gap phi(v) / alpha + r - v is the constant r - r_true: the
+    # bisection's error, above zero as reserve_price returns the bracket's upper end,
+    # and the check holds only by that. The float error of each sample's gap is a
+    # few ulp of v / alpha, scaled by |log pdf(v)|, as pdf and sf are exponentials.
+    r = reserve_price(dist)
+    v = dist.sample_tail(mult * r, chunk_uniforms(_value_stream_seed(9), 0, CHUNK_SAMPLES, 1)[:, 0])
+    gap = virtual_value(dist, v) / alpha + r - v
+    tol = 4.0 * np.spacing(v / alpha) * (1.0 + np.abs(np.log(dist.pdf(v))))
+    assert 0.0 < r - closed_form_reserve <= ROOT_TOL
+    assert gap.max() - gap.min() <= 2.0 * tol.max()
+    assert np.all(np.abs(gap - (r - closed_form_reserve)) <= tol)
 
 
 def test_conditional_bound_memory_is_bounded_by_the_chunk():

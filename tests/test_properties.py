@@ -154,14 +154,19 @@ profiles = st.integers(1, 8).flatmap(
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(profiles)
 def test_top_two_matches_sort(rows):
+    # alone, in a new chunk's work arrays, and in the work arrays of a chunk reused
+    # with load after it priced 16 other profiles of another width
     values = np.array(rows, dtype=float)
-    top, second = _top_two(values)
+    reused = Chunk(np.full((16, 9 - values.shape[1]), 3.0))
+    reused.top_two()
     ordered = np.sort(values, axis=1)
-    assert np.array_equal(top, ordered[:, -1])
-    if values.shape[1] == 1:
-        assert np.array_equal(second, np.zeros(len(values)))
-    else:
-        assert np.array_equal(second, ordered[:, -2])
+    for top, second in (_top_two(values), Chunk(values).top_two(),
+                        reused.load(values).top_two()):
+        assert np.array_equal(top, ordered[:, -1])
+        if values.shape[1] == 1:
+            assert np.array_equal(second, np.zeros(len(values)))
+        else:
+            assert np.array_equal(second, ordered[:, -2])
 
 
 def shill_net_by_selects(values, reserve, collateral, false_bids, withhold_winning):
