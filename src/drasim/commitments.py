@@ -60,12 +60,12 @@ class Opening:
     randomness: bytes
 
 
-def _check_randomness(randomness: bytes, security_bits: int) -> None:
+def _check_randomness(randomness: bytes) -> None:
     if not isinstance(randomness, (bytes, bytearray)):
         raise TypeError(f"randomness must be bytes, got {type(randomness).__name__}")
-    if len(randomness) * 8 != security_bits:
+    if len(randomness) * 8 != DEFAULT_SECURITY_BITS:
         raise ValueError(
-            f"randomness must be exactly {security_bits} bits, got {len(randomness) * 8}"
+            f"randomness must be exactly {DEFAULT_SECURITY_BITS} bits, got {len(randomness) * 8}"
         )
 
 
@@ -86,13 +86,12 @@ class IdealScheme:
 
     name = "ideal"
 
-    def __init__(self, security_bits: int = DEFAULT_SECURITY_BITS):
-        self.security_bits = security_bits
+    def __init__(self):
         self._registry: dict[int, tuple[bytes, bytes]] = {}
         self._next = 0
 
     def commit(self, message: float, randomness: bytes) -> Commitment:
-        _check_randomness(randomness, self.security_bits)
+        _check_randomness(randomness)
         handle = self._next
         self._next += 1
         self._registry[handle] = (_pack_double(float(message)), bytes(randomness))
@@ -124,19 +123,16 @@ class HashScheme:
 
     name = "sha256"
 
-    def __init__(self, security_bits: int = DEFAULT_SECURITY_BITS):
-        self.security_bits = security_bits
-
     def _digest(self, message: float, randomness: bytes) -> bytes:
         h = hashlib.sha256()
         h.update(PROTOCOL_TAG)
-        h.update(struct.pack(">I", self.security_bits))
+        h.update(struct.pack(">I", DEFAULT_SECURITY_BITS))
         h.update(canonical_message(message))
         h.update(randomness)
         return h.digest()
 
     def commit(self, message: float, randomness: bytes) -> Commitment:
-        _check_randomness(randomness, self.security_bits)
+        _check_randomness(randomness)
         return Commitment(scheme=self.name, token=self._digest(message, bytes(randomness)))
 
     def verify(self, commitment: Commitment, opening: Opening) -> bool:
@@ -153,7 +149,7 @@ class HashScheme:
 SCHEMES = {IdealScheme.name: IdealScheme, HashScheme.name: HashScheme}
 
 
-def make_scheme(kind: str, security_bits: int = DEFAULT_SECURITY_BITS):
+def make_scheme(kind: str):
     if kind not in SCHEMES:
         raise ValueError(f"unknown commitment scheme {kind!r}")
-    return SCHEMES[kind](security_bits)
+    return SCHEMES[kind]()

@@ -68,6 +68,7 @@ __all__ = [
 
 ROOT_TOL = 1e-9          # reserve-price bisection, absolute
 INEQUALITY_SLACK = 1e-12  # closed-form inequality comparisons
+QUADRATURE_SLACK = 1e-9   # quadrature inequality comparisons
 REGULARITY_TOL = 1e-6     # alpha-hat classification margin
 _BISECT_MAX_ITER = 200
 _TAIL_BRACKET_U = 1.0 - 1e-12
@@ -457,14 +458,15 @@ class RegularityReport:
     grid: tuple
 
 
-def _default_alpha_grid(dist: ValueDistribution) -> np.ndarray:
+def _alpha_grid(dist: ValueDistribution) -> np.ndarray:
     # Tail-dense abscissae: 1 - u log-spaced so heavy tails are probed.
     u = 1.0 - np.geomspace(0.999, 0.001, 512)
     return np.asarray(dist.quantile(u), dtype=float)
 
 
-def strong_regularity_alpha(dist: ValueDistribution, grid=None, tol: float = REGULARITY_TOL) -> RegularityReport:
-    """Infimum difference quotient of phi over a grid, and the verdicts it implies.
+def strong_regularity_alpha(dist: ValueDistribution) -> RegularityReport:
+    """Infimum difference quotient of phi over a tail-dense grid, and the verdicts
+    it implies.
 
     Discrete families are classified by the two-atom argument directly: the
     difference quotient between an atom and the gap right of it diverges to
@@ -473,12 +475,7 @@ def strong_regularity_alpha(dist: ValueDistribution, grid=None, tol: float = REG
     if dist.discrete:
         return RegularityReport(alpha_hat=-math.inf, is_regular=False, is_mhr=False,
                                 grid=(0.0, 0.5, 1.0))
-    if grid is None:
-        xs = _default_alpha_grid(dist)
-    else:
-        xs = np.asarray(grid, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or np.any(np.diff(xs) <= 0.0):
-            raise ValueError("grid must contain >= 2 strictly increasing points")
+    xs = _alpha_grid(dist)
     phi = virtual_value(dist, xs)
     quotients = np.diff(phi) / np.diff(xs)
     # A chord over any (i, j) pair is a convex combination of adjacent chords,
@@ -486,8 +483,8 @@ def strong_regularity_alpha(dist: ValueDistribution, grid=None, tol: float = REG
     alpha_hat = float(np.min(quotients))
     return RegularityReport(
         alpha_hat=alpha_hat,
-        is_regular=alpha_hat >= -tol,
-        is_mhr=alpha_hat >= 1.0 - tol,
+        is_regular=alpha_hat >= -REGULARITY_TOL,
+        is_mhr=alpha_hat >= 1.0 - REGULARITY_TOL,
         grid=tuple(xs.tolist()),
     )
 
@@ -667,8 +664,7 @@ def posted_price_revenue_quadrature(dist: ValueDistribution, p: float) -> float:
     return _phi_integral(dist, 1, p)[0]
 
 
-def check_posted_price_bound(dist: ValueDistribution, alpha: float, p: float,
-                             slack: float = 1e-9) -> BoundCheck:
+def check_posted_price_bound(dist: ValueDistribution, alpha: float, p: float) -> BoundCheck:
     """Virtual-value tail bound, the expectation form of the posted-price bound:
 
         E[phi(v) 1{v >= p}] <= E[phi(v) 1{v >= r}] * tail factor(alpha, r, p)
@@ -683,4 +679,5 @@ def check_posted_price_bound(dist: ValueDistribution, alpha: float, p: float,
         raise ValueError(f"p={p} below reserve {r}")
     lhs = posted_price_revenue_quadrature(dist, p)
     rhs = posted_price_revenue_quadrature(dist, r) * _tail_factor(alpha, r, p)
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack, slack=slack)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + QUADRATURE_SLACK,
+                      slack=QUADRATURE_SLACK)

@@ -53,14 +53,14 @@ closed-form tail probability.
 The vector engine prices the attack on candidate profiles only. The deviation
 pays nothing unless v_B > v_A, and whether that can hold is decided on the
 uniforms before any value is computed: v_A comes from the survival probability
-s = P[v >= v_A] (s = sf(T) (1 - u_A) in the stratum, 1 - u_A without it) and
-v_B from 1 - u_B, so a row with 1 - u_B > s (1 + _PRUNE_MARGIN) has v_B <= v_A
-and a zero net difference. Only the other rows, about sf(T)/2 of the stratum
-(half of the rows without it), are mapped through sample_tail/quantile and
-adaptive_net_delta; the rest are exact zeros, so the accumulated arrays, and every estimate, are bit-identical
-to evaluating all rows. This needs the family's quantile and isf to be one
-non-increasing map of the survival probability, up to float error far below
-the margin, as every family here is.
+s = P[v >= v_A] = sf(T) (1 - u_A) and v_B from 1 - u_B, so a row with
+1 - u_B > s (1 + _PRUNE_MARGIN) has v_B <= v_A and a zero net difference. Only
+the other rows, about sf(T)/2 of the stratum, are mapped through
+sample_tail/quantile and adaptive_net_delta; the rest are exact zeros, so the
+accumulated arrays, and every estimate, are bit-identical to evaluating all
+rows. This needs the family's quantile and isf to be one non-increasing map of
+the survival probability, up to float error far below the margin, as every
+family here is.
 """
 
 from __future__ import annotations
@@ -342,31 +342,28 @@ def _attack_config(dist: ValueDistribution, threshold: float,
     return config
 
 
-def _attack_profiles(dist: ValueDistribution, threshold: float, stratified: bool,
-                     u: np.ndarray) -> np.ndarray:
-    """(v_A, v_B) per row of uniforms: v_A conditioned on v_A >= T when stratified."""
-    v_a = dist.sample_tail(threshold, u[:, 0]) if stratified else dist.quantile(u[:, 0])
-    return np.column_stack([v_a, dist.quantile(u[:, 1])])
+def _attack_profiles(dist: ValueDistribution, threshold: float, u: np.ndarray) -> np.ndarray:
+    """(v_A, v_B) per row of uniforms, v_A conditioned on v_A >= T."""
+    return np.column_stack([dist.sample_tail(threshold, u[:, 0]), dist.quantile(u[:, 1])])
 
 
 def _adaptive_gain_pruned(dist: ValueDistribution, threshold: float, collateral: float,
-                          stratified: bool, u: np.ndarray) -> np.ndarray:
+                          u: np.ndarray) -> np.ndarray:
     """adaptive_net_delta of the profiles _attack_profiles maps u to, evaluated only
     on the rows where v_B > v_A can hold (see the module docstring); zero elsewhere."""
     s = 1.0 - u[:, 0]  # in place from here: no second chunk-sized temporary
-    s *= float(dist.sf(threshold)) if stratified else 1.0
+    s *= float(dist.sf(threshold))
     s *= 1.0 + _PRUNE_MARGIN
     rows = np.flatnonzero(1.0 - u[:, 1] <= s)
     del s
     delta = np.zeros(len(u))
-    delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, stratified, u[rows]),
+    delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, u[rows]),
                                      reserve_price(dist), threshold, collateral)
     return delta
 
 
 def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral: float,
-                           samples: int, seed: int, engine: str = "vector",
-                           stratified: bool = True) -> Estimate:
+                           samples: int, seed: int, engine: str = "vector") -> Estimate:
     """E[adaptive net - honest net] for the two-buyer centralized deviation.
 
     Stratified on v_A: below the threshold the deviation coincides with honest
@@ -374,21 +371,23 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
     v_A by conditional inverse-survival sampling and is weighted by the
     closed-form P[v_A >= T]. The vector engine evaluates the case arithmetic
     on the candidate profiles with v_B > v_A only; engine="simulate" runs
-    paired full auctions on every profile instead.
+    paired full auctions on every profile instead. The plain estimate of the
+    same gain, on unconditioned profiles, is estimate_paired_difference of
+    AdaptiveReserve(T) against Honest() on the attack's centralized n = 2 config.
     """
     config = _attack_config(dist, threshold, collateral)
-    weight = float(dist.sf(threshold)) if stratified else 1.0
-    if stratified and weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
+    weight = float(dist.sf(threshold))
+    if weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
         return Estimate(mean=0.0, std_error=0.0, samples=int(samples))
     if engine == "vector":  # the kernel takes the chunk's uniforms themselves
         def draw(u):
             return u
 
         def gain(chunk, start):
-            return _adaptive_gain_pruned(dist, threshold, collateral, stratified, chunk.values)
+            return _adaptive_gain_pruned(dist, threshold, collateral, chunk.values)
     else:
         def draw(u):
-            return _attack_profiles(dist, threshold, stratified, u)
+            return _attack_profiles(dist, threshold, u)
 
         gain = _net_function(config, AdaptiveReserve(threshold=threshold), seed, engine,
                              baseline=Honest())

@@ -261,13 +261,13 @@ class AuctionGame:
 
     _bytes = DEFAULT_SECURITY_BITS // 8  # a random string's length
 
-    def __init__(self, config: AuctionConfig, buyers: Sequence, scheme=None):
+    def __init__(self, config: AuctionConfig, buyers: Sequence):
         if len(buyers) != config.n:
             raise ValueError(f"expected {config.n} buyer strategies, got {len(buyers)}")
         self.config = config
         self.mode = config.mode
         self.buyers = dict(enumerate(buyers, start=1))
-        self.scheme = scheme if scheme is not None else make_scheme(config.scheme)
+        self.scheme = make_scheme(config.scheme)
         self.channel = channel = Channel(config.mode, config.n)
         self.buyer_ids = channel.buyers
         self._buyer_rng: dict[int, random.Random] = {}  # each built on its first draw

@@ -88,6 +88,8 @@ __all__ = [
     "false_commit_payloads",
 ]
 
+# an amount or price matches within _PRICE_TOL; tested as not abs(x - y) <= _PRICE_TOL,
+# so a NaN matches nothing
 _PRICE_TOL = 1e-9
 
 
@@ -693,12 +695,12 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
     own_bid, beta = summary.own_bid, summary.beta
 
     if own_bid is not None and own_bid > beta + _PRICE_TOL:
-        if notice.winner != agent or abs(notice.price - beta) > _PRICE_TOL:
+        if notice.winner != agent or not abs(notice.price - beta) <= _PRICE_TOL:
             return False
     if notice.winner == agent:
         if own_bid is None:
             return False
-        if abs(notice.price - beta) > _PRICE_TOL:
+        if not abs(notice.price - beta) <= _PRICE_TOL:
             return False
         if own_bid < beta - _PRICE_TOL:
             return False
@@ -712,7 +714,7 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
     for deposit in summary.deposits:
         if deposit.party == agent:
             deposited += 1
-            if abs(deposit.amount - collateral) > _PRICE_TOL:
+            if not abs(deposit.amount - collateral) <= _PRICE_TOL:
                 return False
     if deposited != 1:
         return False
@@ -720,7 +722,7 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
     for refund in summary.refunds:
         if refund.party == agent:
             refunded += 1
-            if abs(refund.amount - collateral) > _PRICE_TOL:
+            if not abs(refund.amount - collateral) <= _PRICE_TOL:
                 return False
     if refunded != (0 if own_bid is None else 1):
         return False
@@ -729,7 +731,7 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
     for transfer in summary.transfers:
         if transfer.party == agent:
             sources.append(transfer.counterparty)
-            if abs(transfer.amount - collateral) > _PRICE_TOL:
+            if not abs(transfer.amount - collateral) <= _PRICE_TOL:
                 return False
     if sources:
         if len(sources) != len(set(sources)) or set(sources) != commits.keys() - revealed.keys():

@@ -8,11 +8,13 @@ section; the shipped defaults keep the whole battery in the tens of seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .channels import AUCTIONEER
 from .distributions import (
     Exponential,
     GeneralizedPareto,
@@ -97,10 +99,12 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
     """Run one auction and check the per-run structural invariants: money
     conservation (conservation_residual, which the engine does not apply to its
     own runs) with a ledger that disposes of each committed id's deposit once,
-    the single-candidate bound, allocation consistency for the candidate, and
-    the per-buyer view-consistency verdicts (for revealing buyers). Each view is
-    parsed once; the committed ids are those the views show, false buyers'
-    included, and the bids are the openings they show.
+    an auctioneer net equal to the sale and ledger flows into the auctioneer's
+    ids (0 and those above n), the single-candidate bound, allocation consistency
+    for the candidate, and the per-buyer view-consistency verdicts (for revealing
+    buyers). Each view is parsed once; the committed ids are those the views
+    show, false buyers' included, and the bids are the openings they show. Money
+    and prices are compared as not abs(x - y) <= tolerance, so a NaN fails.
     """
     outcome, transcript = run_auction(config, buyers, auctioneer)
     scheme = transcript.scheme
@@ -118,7 +122,8 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
             if bid > summary.beta:
                 candidates.append(i)
                 notice = summary.notice
-                if notice is None or notice.winner != i or abs(notice.price - summary.beta) > 1e-9:
+                if (notice is None or notice.winner != i
+                        or not abs(notice.price - summary.beta) <= MONEY_TOL):
                     buyer_violations.append(
                         f"buyer {i}: bid {bid} above beta {summary.beta} but notice {notice}"
                     )
@@ -131,9 +136,22 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
     except AssertionError as ledger_fault:  # a violation of the run, not a crash
         violations.append(str(ledger_fault))
         residual = conservation_residual(outcome)
-    if abs(residual) > MONEY_TOL:
+    if not abs(residual) <= MONEY_TOL:
         violations.append(f"money conservation residual {residual}")
-    winner = outcome.winner
+    n, winner = config.n, outcome.winner
+    inflow = []  # the sale and ledger flows into the auctioneer's ids
+    if winner is not None:
+        inflow.append(outcome.sale_price)
+        if winner == AUCTIONEER or winner > n:  # paid by itself
+            inflow.append(-outcome.sale_price)
+    for entry in outcome.ledger:
+        if entry.recipient == AUCTIONEER or entry.recipient > n:
+            inflow.append(entry.amount)
+        if entry.depositor == AUCTIONEER or entry.depositor > n:
+            inflow.append(-entry.amount)
+    expected_net = math.fsum(inflow)
+    if not abs(outcome.auctioneer_net - expected_net) <= MONEY_TOL:
+        violations.append(f"auctioneer net {outcome.auctioneer_net} != its inflow {expected_net}")
     if winner is not None:
         if winner not in outcome.revealed:
             violations.append("winner outside the counted reveal set")
@@ -144,7 +162,7 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
             for bidder in outcome.revealed:
                 if bidder != winner and bids[bidder] > want:
                     want = bids[bidder]
-            if abs(outcome.sale_price - want) > MONEY_TOL:
+            if not abs(outcome.sale_price - want) <= MONEY_TOL:
                 violations.append(
                     f"price {outcome.sale_price} != max(reserve, runner-up) {want}")
     violations += buyer_violations
@@ -435,12 +453,12 @@ def _check_estimator_determinism(seed: int) -> VerifyCheck:
 
 
 # Every budget a config's verify section may set: name -> (default, least value).
-# A default of None takes the mc_samples budget. attack_rel_tol, whose least value
-# is a float, is a tolerance that must exceed it; the others are integer counts.
+# mc_samples is the sample count of every Monte Carlo check without a budget of its
+# own: conditional_bound, optimality, myerson_identity and reveal_dominance.
+# attack_rel_tol, whose least value is a float, is a tolerance that must exceed it;
+# the others are integer counts.
 VERIFY_BUDGETS = {
     "mc_samples": (200_000, MIN_SAMPLES),
-    "optimality_samples": (None, MIN_SAMPLES),
-    "dominance_samples": (None, MIN_SAMPLES),
     "credibility_samples": (200_000, MIN_SAMPLES),
     "attack_samples": (1 << 22, MIN_SAMPLES),
     "credibility_quantiles": (12, 1),
@@ -464,11 +482,11 @@ def run_verification(setup) -> list:
         _check_reserve_and_alpha(),
         *_check_price_bounds(),
         _check_conditional_bounds(mc, seed),
-        _check_optimality(budget["optimality_samples"] or mc, seed),
+        _check_optimality(mc, seed),
         _check_myerson_identity(mc, seed),
         _check_strategyproofness(budget["sp_profiles"], seed),
         _check_credibility(budget["credibility_samples"], budget["credibility_quantiles"], seed),
-        _check_reveal_dominance(budget["dominance_samples"] or mc, seed),
+        _check_reveal_dominance(mc, seed),
         _check_lift_equality(budget["lift_runs"], seed),
         _check_structural(budget["structural_runs"], seed),
         _check_separation(budget["attack_samples"], budget["attack_rel_tol"], thresholds, seed),

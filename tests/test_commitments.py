@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from drasim import HashScheme, IdealScheme, Opening, make_scheme
+from drasim.commitments import DEFAULT_SECURITY_BITS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,7 +92,8 @@ def test_hash_binding_no_collisions_100k():
 
 def test_hash_test_vectors():
     data = json.loads((FIXTURES / "hash_vectors.json").read_text())
-    scheme = HashScheme(security_bits=data["security_bits"])
+    assert data["security_bits"] == DEFAULT_SECURITY_BITS
+    scheme = HashScheme()
     for vec in data["vectors"]:
         r = bytes.fromhex(vec["randomness"])
         c = scheme.commit(vec["message"], r)

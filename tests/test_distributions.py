@@ -200,15 +200,11 @@ def test_alpha_estimates():
     assert uni.is_mhr and uni.is_regular  # phi' = 2
 
 
-def test_mhr_implies_regular_and_grid_validation():
+def test_mhr_implies_regular():
     for dist in CONTINUOUS:
         rep = strong_regularity_alpha(dist)
         if rep.is_mhr:
             assert rep.is_regular
-    with pytest.raises(ValueError):
-        strong_regularity_alpha(Exponential(1.0), grid=[1.0])
-    with pytest.raises(ValueError):
-        strong_regularity_alpha(Exponential(1.0), grid=[2.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

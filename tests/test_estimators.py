@@ -300,11 +300,18 @@ def test_stratified_matches_quadrature():
         assert abs(est.mean - quad) <= 3.5 * est.std_error
 
 
+def plain_adaptive_gain(dist, threshold, collateral, samples, seed):
+    """The adaptive gain by plain Monte Carlo: the paired difference of the deviation
+    and honest play on unconditioned profiles, with no stratum and no prune."""
+    return estimate_paired_difference(config_for(dist, 2, collateral, mode="centralized"),
+                                      AdaptiveReserve(threshold), Honest(), samples, seed)
+
+
 def test_stratified_and_plain_estimators_agree():
     # threshold with P[v_A >= T] ~ 0.1 so the plain estimator still sees the event
     threshold = float(GPA.isf(0.1))
-    strat = estimate_adaptive_gain(GPA, threshold, 2.0, 400_000, 21, stratified=True)
-    plain = estimate_adaptive_gain(GPA, threshold, 2.0, 400_000, 22, stratified=False)
+    strat = estimate_adaptive_gain(GPA, threshold, 2.0, 400_000, 21)
+    plain = plain_adaptive_gain(GPA, threshold, 2.0, 400_000, 22)
     combined = math.hypot(strat.std_error, plain.std_error)
     assert abs(strat.mean - plain.mean) <= 3.0 * combined
 
@@ -342,7 +349,8 @@ def test_adaptive_gain_pinned_bits():
     for dist, collateral, thresholds, expected in pinned:
         rows = attack_sweep(dist, collateral, thresholds, 1 << 18, 0)
         assert [f"{r.estimate.mean.hex()} {r.estimate.std_error.hex()}" for r in rows] == expected
-    plain = estimate_adaptive_gain(GPA, 3.0, 2.0, 200_001, 4, stratified=False)
+    # the plain estimate of the same gain: no stratum and no prune
+    plain = plain_adaptive_gain(GPA, 3.0, 2.0, 200_001, 4)
     assert (plain.mean.hex(), plain.std_error.hex()) == ("0x1.5bfe924f9a514p-8",
                                                          "0x1.0b9f3e77a8e1dp-11")
 
@@ -591,15 +599,13 @@ def test_pipelined_estimates_equal_the_serial_loop(samples):
             lambda u: _vector_net(config, strategy)(Chunk(GPA.quantile(u)), config))
         assert bits(estimate_revenue(config, strategy, samples, seed)) == bits(expected)
     threshold, collateral, reserve = 5.0, 2.0, R
-    for stratified in (True, False):
-        weight = float(GPA.sf(threshold)) if stratified else 1.0
-        cond = serial_estimate(seed, samples, 2, lambda u: adaptive_net_delta(
-            _attack_profiles(GPA, threshold, stratified, u), reserve, threshold, collateral))
-        expected = Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
-                            samples=cond.samples)
-        got = estimate_adaptive_gain(GPA, threshold, collateral, samples, seed,
-                                     stratified=stratified)
-        assert bits(got) == bits(expected)
+    weight = float(GPA.sf(threshold))
+    cond = serial_estimate(seed, samples, 2, lambda u: adaptive_net_delta(
+        _attack_profiles(GPA, threshold, u), reserve, threshold, collateral))
+    expected = Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
+                        samples=cond.samples)
+    got = estimate_adaptive_gain(GPA, threshold, collateral, samples, seed)
+    assert bits(got) == bits(expected)
 
 
 def test_chunk_loop_failure_propagates_and_joins_the_helper():

@@ -267,15 +267,14 @@ GRID = 2.0 ** -53  # chunk uniforms are multiples of GRID in [0, 1)
 
 @st.composite
 def attack_chunks(draw):
-    """(dist, threshold, collateral, stratified, uniforms): rows whose 1 - u_B lies a
-    few grid steps from v_A's survival probability s or from the prune's cut
-    s (1 + 1e-9), mixed with unrelated rows."""
+    """(dist, threshold, collateral, uniforms): rows whose 1 - u_B lies a few grid
+    steps from v_A's survival probability s or from the prune's cut s (1 + 1e-9),
+    mixed with unrelated rows."""
     dist = draw(attack_families)
     reserve = reserve_price(dist)
     tail = float(dist.sf(reserve)) * draw(st.floats(min_value=1e-6, max_value=1.0))
     threshold = max(reserve, float(dist.isf(tail)))
-    stratified = draw(st.booleans())
-    s_thr = float(dist.sf(threshold)) if stratified else 1.0
+    s_thr = float(dist.sf(threshold))
     rows = []
     for _ in range(draw(st.integers(1, 24))):
         u_a = draw(st.integers(0, 2**53 - 1)) * GRID
@@ -286,15 +285,14 @@ def attack_chunks(draw):
             k = draw(st.integers(0, 2**53 - 1))
         rows.append((u_a, min(max(k, 0), 2**53 - 1) * GRID))
     collateral = draw(st.floats(min_value=0.0, max_value=32.0, exclude_min=True))
-    return dist, threshold, collateral, stratified, np.array(rows)
+    return dist, threshold, collateral, np.array(rows)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(attack_chunks())
 def test_pruned_adaptive_kernel_matches_every_row(chunk):
-    dist, threshold, collateral, stratified, u = chunk
-    v_a = dist.sample_tail(threshold, u[:, 0]) if stratified else dist.quantile(u[:, 0])
-    values = np.column_stack([v_a, dist.quantile(u[:, 1])])
+    dist, threshold, collateral, u = chunk
+    values = np.column_stack([dist.sample_tail(threshold, u[:, 0]), dist.quantile(u[:, 1])])
     dense = adaptive_net_delta(values, reserve_price(dist), threshold, collateral)
-    pruned = _adaptive_gain_pruned(dist, threshold, collateral, stratified, u)
+    pruned = _adaptive_gain_pruned(dist, threshold, collateral, u)
     assert np.array_equal(pruned, dense)

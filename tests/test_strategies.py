@@ -287,6 +287,26 @@ def test_checker_rejects_wrong_winner_price():
     assert not check_view_consistency(bad2, config, transcript.scheme)
 
 
+@pytest.mark.parametrize("kind", ["deposit", "refund", "notice"])
+def test_checker_rejects_a_nan_amount_or_price(kind):
+    # buyer 1's own deposit, its refund or the price it is told: NaN fails every
+    # comparison, so only a test that NaN cannot pass refuses it
+    config = broadcast_config(2.0)
+    out, transcript = run_auction(config, [Truthful(5.0), Truthful(3.0)], Honest())
+    assert out.winner == 1
+    view = transcript.view(1)
+    assert check_view_consistency(view, config, transcript.scheme)
+    idx, payload = next(
+        (i, e.payload) for i, e in enumerate(view.events)
+        if (isinstance(e.payload, OutcomeNotice) if kind == "notice" else
+            isinstance(e.payload, CollateralNotice) and e.payload.kind == kind
+            and e.payload.party == 1))
+    for bad in (7.0, math.nan):
+        forged = replace(payload, **{"price" if kind == "notice" else "amount": bad})
+        assert not check_view_consistency(_tamper(view, idx, forged), config,
+                                          transcript.scheme), bad
+
+
 def test_checker_rejects_commit_after_end_commit():
     config, _, transcript = honest_run(seed=5)
     view = transcript.view(1)
@@ -394,7 +414,44 @@ def test_audit_reports_a_ledger_that_drops_a_committed_id(monkeypatch):
         assert result.violations == ("ledger does not dispose each deposit exactly once",)
     assert dropped == [2, 3, 3]  # buyer 2, then the false buyer
     check = verification._check_structural(2, 0)  # verify fails the check: exit 1, not 3
-    assert not check.passed and check.detail.endswith(" 10 violations")
+    # each run's dropped entry, and in 3 runs a false buyer's lost deposit that the
+    # auctioneer's net still books
+    assert not check.passed and check.detail.endswith(" 13 violations")
+
+
+def test_audit_reports_a_nan_sale_price(monkeypatch):
+    # the price check and the auctioneer's net see it; the conservation residual
+    # books only a price above 0, and NaN is not
+    from drasim import verification
+
+    def nan_price(config, buyers, auctioneer):
+        outcome, transcript = run_auction(config, buyers, auctioneer)
+        return replace(outcome, sale_price=math.nan), transcript
+
+    monkeypatch.setattr(verification, "run_auction", nan_price)
+    result = audit_run(broadcast_config(2.0), [Truthful(5.0), Truthful(3.0)], Honest())
+    assert result.violations == ("auctioneer net 3.0 != its inflow nan",
+                                 "price nan != max(reserve, runner-up) 3.0")
+
+
+def test_audit_reports_an_auctioneer_net_its_flows_do_not_give(monkeypatch):
+    # the conservation residual adds each flow once as paid and once as received, so
+    # it reads 0.0 whatever the net; the net is checked against the flows themselves
+    from drasim import verification
+
+    def wrong_net(config, buyers, auctioneer):
+        outcome, transcript = run_auction(config, buyers, auctioneer)
+        return replace(outcome, auctioneer_net=999.0), transcript
+
+    monkeypatch.setattr(verification, "run_auction", wrong_net)
+    shill = ShillBroadcast((float(GPA.quantile(0.9)),), WITHHOLD_IF_WINNING)
+    for mode, strategy in (("broadcast", Honest()), ("broadcast", shill),
+                           ("centralized", Lifted(shill)),
+                           ("centralized", AdaptiveReserve(threshold=4.0))):
+        config = AuctionConfig(n=2, dist=GPA, reserve=R, collateral=2.0, mode=mode, seed=3)
+        result = audit_run(config, [Truthful(5.0), Truthful(9.0)], strategy)
+        assert len(result.violations) == 1
+        assert result.violations[0].startswith("auctioneer net 999.0 != its inflow ")
 
 
 # ---------------------------------------------------------------------------

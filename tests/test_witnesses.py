@@ -3,12 +3,21 @@ asserts that the check it should trip reports failure, so a check that passes
 whatever the code does shows here. The checks run at verify_quick's budgets."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from drasim import strategies
-from drasim.verification import VERIFY_BUDGETS, _check_credibility, _check_reveal_dominance
+from drasim import estimators, protocol, strategies
+from drasim.verification import (
+    VERIFY_BUDGETS,
+    _check_conditional_bounds,
+    _check_credibility,
+    _check_myerson_identity,
+    _check_reveal_dominance,
+    _check_separation,
+    _check_structural,
+)
 
 QUICK = json.loads((Path(__file__).parent.parent / "configs" / "verify_quick.json").read_text())
 BUDGET = {name: QUICK["verify"].get(name, default) for name, (default, _) in VERIFY_BUDGETS.items()}
@@ -33,5 +42,48 @@ def test_credibility_suite_fails_when_withholding_is_free(free_withholding):
 
 
 def test_reveal_dominance_fails_when_withholding_is_free(free_withholding):
-    check = _check_reveal_dominance(BUDGET["dominance_samples"] or BUDGET["mc_samples"], SEED)
+    check = _check_reveal_dominance(BUDGET["mc_samples"], SEED)
     assert check.name == "reveal_dominance" and not check.passed
+
+
+def test_structural_invariants_fail_when_the_net_books_no_loss(monkeypatch):
+    # an auctioneer net that never goes below zero: a withheld false bid's forfeited
+    # deposit is left out of it, while the ledger still sends it to the buyer
+    build = protocol._build_outcome
+
+    def no_losses(*args, **kwargs):
+        outcome = build(*args, **kwargs)
+        return replace(outcome, auctioneer_net=max(outcome.auctioneer_net, 0.0))
+
+    monkeypatch.setattr(protocol, "_build_outcome", no_losses)
+    check = _check_structural(BUDGET["structural_runs"], SEED)
+    assert check.name == "structural_invariants" and not check.passed
+
+
+def test_separation_fails_when_the_adaptive_kernel_flips_sign(monkeypatch):
+    delta = estimators.adaptive_net_delta
+
+    def flipped(values, reserve, threshold, collateral):
+        return -delta(values, reserve, threshold, collateral)
+
+    monkeypatch.setattr(estimators, "adaptive_net_delta", flipped)
+    thresholds = [float(t) for t in QUICK["thresholds"]]
+    check = _check_separation(BUDGET["attack_samples"], BUDGET["attack_rel_tol"], thresholds, SEED)
+    assert check.name == "separation" and not check.passed
+
+
+@pytest.fixture
+def negated_virtual_value(monkeypatch):
+    """The estimators' phi with its sign flipped."""
+    virtual_value = estimators.virtual_value
+    monkeypatch.setattr(estimators, "virtual_value", lambda dist, v: -virtual_value(dist, v))
+
+
+def test_myerson_identity_fails_when_phi_flips_sign(negated_virtual_value):
+    check = _check_myerson_identity(BUDGET["mc_samples"], SEED)
+    assert check.name == "myerson_identity" and not check.passed
+
+
+def test_conditional_bound_fails_when_phi_flips_sign(negated_virtual_value):
+    check = _check_conditional_bounds(BUDGET["mc_samples"], SEED)
+    assert check.name == "conditional_bound" and not check.passed
