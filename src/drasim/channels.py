@@ -260,12 +260,11 @@ class Channel:
             raise ModeError("broadcast requires a broadcast channel")
         return self._append(sender, None, payload, physical)
 
-    def private_send(self, sender: int, recipient: int, payload: Payload,
-                     physical: Optional[int] = None) -> Event:
+    def private_send(self, sender: int, recipient: int, payload: Payload) -> Event:
         """Point-to-point delivery; centralized mode only."""
         if self.mode != "centralized":
             raise ModeError("private_send requires a centralized channel")
-        return self._append(sender, recipient, payload, physical)
+        return self._append(sender, recipient, payload, None)
 
     def notify(self, recipient: int, payload: CollateralNotice, sender: int = AUCTIONEER) -> Event:
         """Targeted money notice in either mode (never part of the broadcast log)."""

@@ -455,7 +455,6 @@ class RegularityReport:
     alpha_hat: float
     is_regular: bool
     is_mhr: bool
-    grid: tuple
 
 
 def _alpha_grid(dist: ValueDistribution) -> np.ndarray:
@@ -473,8 +472,7 @@ def strong_regularity_alpha(dist: ValueDistribution) -> RegularityReport:
     -inf, so they are reported non-regular without a density evaluation.
     """
     if dist.discrete:
-        return RegularityReport(alpha_hat=-math.inf, is_regular=False, is_mhr=False,
-                                grid=(0.0, 0.5, 1.0))
+        return RegularityReport(alpha_hat=-math.inf, is_regular=False, is_mhr=False)
     xs = _alpha_grid(dist)
     phi = virtual_value(dist, xs)
     quotients = np.diff(phi) / np.diff(xs)
@@ -485,7 +483,6 @@ def strong_regularity_alpha(dist: ValueDistribution) -> RegularityReport:
         alpha_hat=alpha_hat,
         is_regular=alpha_hat >= -REGULARITY_TOL,
         is_mhr=alpha_hat >= 1.0 - REGULARITY_TOL,
-        grid=tuple(xs.tolist()),
     )
 
 

@@ -13,7 +13,14 @@ Resolution rule, given the set S of ids whose opening verifies:
   * the price is max(reserve, second-highest revealed bid);
   * deposits of ids outside S transfer to the candidate, or burn if S is
     empty (burning, rather than the auctioneer keeping them, keeps withheld
-    collateral a pure cost to a deviating auctioneer).
+    collateral a pure cost to a deviating auctioneer), except the reclaimed
+    ones: false ids opened only as a story to some buyers (reveal_false with
+    count=False), whose deposits go back to the auctioneer.
+
+Every run settles by this rule, deviations included: a centralized deviation
+differs from honest play only in what each buyer is shown (the openings it
+forwards and the outcome notice each buyer receives), never in how the counted
+openings settle.
 
 The engine is strictly sequential and deterministic given (config, seed). Each
 party's random strings come from its own Mersenne Twister stream, seeded by
@@ -138,9 +145,9 @@ def _build_outcome(depositors: Iterable[int], revealed: frozenset, refunded: fro
     """Assemble ledger and auctioneer net. Conservation is not checked here: see
     conservation_residual.
 
-    refunded may exceed revealed only by auctioneer-controlled ids (a deviating
-    auctioneer quietly reclaiming its own deposits); every other non-revealed
-    deposit goes to transfer_to, or burns when there is no one to receive it.
+    refunded may exceed revealed only by auctioneer-controlled ids (the reclaimed
+    deposits of stories); every other non-revealed deposit goes to transfer_to,
+    or burns when there is no one to receive it.
     """
     if refunded - revealed - false_ids:
         raise ValueError("only auctioneer-controlled deposits may be refunded unrevealed")
@@ -184,7 +191,7 @@ def conservation_residual(outcome: Outcome, depositors=None,
     for entry in outcome.ledger:
         depositor, recipient, amount = entry.depositor, entry.recipient, entry.amount
         ledger_depositors.append(depositor)
-        if check_amounts and abs(amount - collateral_amount) > MONEY_TOL:
+        if check_amounts and not abs(amount - collateral_amount) <= MONEY_TOL:
             amounts_off = True
         flows[depositor].append(-amount)
         if recipient == BURN:
@@ -200,9 +207,11 @@ def conservation_residual(outcome: Outcome, depositors=None,
 
 
 def resolve(scheme, commitments: dict, openings: dict, reserve: float,
-            collateral_amount: float, false_ids: frozenset = frozenset()) -> Outcome:
+            collateral_amount: float, false_ids: frozenset = frozenset(),
+            reclaimed: frozenset = frozenset()) -> Outcome:
     """Apply the resolution rule to per-id commitments and optional openings (an
-    id without an opening, or with None, withheld)."""
+    id without an opening, or with None, withheld). The deposits of the reclaimed
+    ids, false ids opened only as a story, go back to the auctioneer."""
     unknown = openings.keys() - commitments.keys()
     if unknown:
         raise ValueError(f"openings for ids without commitments: {sorted(unknown)}")
@@ -223,8 +232,8 @@ def resolve(scheme, commitments: dict, openings: dict, reserve: float,
             if bidder != winner and bid > price:
                 price = bid
     revealed = frozenset(bids)
-    return _build_outcome(commitments, revealed, revealed, winner, price, transfer_to,
-                          collateral_amount, false_ids)
+    return _build_outcome(commitments, revealed, revealed | reclaimed, winner, price,
+                          transfer_to, collateral_amount, false_ids)
 
 
 def _party_rng(seed: int) -> random.Random:
@@ -256,7 +265,7 @@ class AuctionGame:
     Exposes the primitive moves (collect a commitment, forward, mint a false
     buyer, close phases, request reveals, announce, settle) so strategies can
     schedule them; the engine owns identity binding, deposits, opening custody
-    and final accounting.
+    and final accounting, which is always the resolution rule's.
     """
 
     _bytes = DEFAULT_SECURITY_BITS // 8  # a random string's length
@@ -274,7 +283,8 @@ class AuctionGame:
         self._auctioneer_rng: Optional[random.Random] = None
         self.commitments: dict[int, object] = {}
         self.openings: dict[int, Opening] = {}     # private custody, incl. false ids
-        self.revealed: dict[int, Opening] = {}     # openings published on-channel
+        self.revealed: dict[int, Opening] = {}     # openings counted in resolution
+        self.reclaimed: set[int] = set()           # false ids opened only as a story
         self.false_ids: set[int] = set()
         self._next_false = config.n + 1
         self._outcome: Optional[Outcome] = None
@@ -362,62 +372,37 @@ class AuctionGame:
 
     def reveal_false(self, fid: int, to: Optional[Sequence[int]] = None,
                      count: bool = True) -> RevealMsg:
-        """Open a false bid on-channel; count=False keeps it out of resolution
-        (a per-view story rather than a physically counted opening)."""
+        """Open a false bid on-channel to `to` (default: everyone). count=False makes
+        it a story for those buyers alone: resolution leaves the bid out and
+        refunds the deposit, where a false bid never opened forfeits it."""
         opening = self.openings[fid]
         msg = RevealMsg(fid, opening)
         self._auctioneer_send(msg, to, sender=fid)
         if count:
             self.revealed[fid] = opening
+        else:
+            self.reclaimed.add(fid)
         return msg
 
-    def end_reveal(self, to: Optional[Sequence[int]] = None) -> None:
-        self._auctioneer_send(END_REVEAL, to)
+    def end_reveal(self) -> None:
+        self._auctioneer_send(END_REVEAL)
 
     # -- resolution ------------------------------------------------------------
 
     def finalize(self, notices: Optional[dict] = None) -> Outcome:
-        """Resolve mechanically from the on-channel revealed set and settle."""
-        outcome = resolve(self.scheme, self.commitments, self.revealed, self.config.reserve,
-                          self.config.collateral, frozenset(self.false_ids))
-        self._announce_and_settle(outcome, notices)
-        return outcome
-
-    def finalize_custom(self, winner: Optional[int], sale_price: float,
-                        counted: Sequence[int], forfeits: Optional[dict] = None,
-                        notices: Optional[dict] = None) -> Outcome:
-        """Resolve by explicit decision (deviation path): `counted` is the set of
-        openings the allocation used, `forfeits` maps withheld depositors to the
-        recipient of their deposit; auctioneer-controlled deposits not forfeited
-        are quietly reclaimed."""
-        forfeits = forfeits or {}
-        counted = frozenset(counted)
-        false_ids = frozenset(self.false_ids)
-        recipients = set(forfeits.values())
-        if len(recipients) > 1:
-            raise ValueError("all forfeits must go to a single recipient")
-        outcome = _build_outcome(
-            depositors=self.commitments,
-            revealed=counted,
-            refunded=counted | (false_ids - forfeits.keys()),
-            winner=winner,
-            sale_price=sale_price,
-            transfer_to=recipients.pop() if recipients else None,
-            collateral_amount=self.config.collateral,
-            false_ids=false_ids,
-        )
-        self._announce_and_settle(outcome, notices)
-        return outcome
-
-    def _announce_and_settle(self, outcome: Outcome, notices: Optional[dict]) -> None:
-        """Announce the outcome, then notify each real depositor's refund and each
-        real recipient's forfeited deposit, refunds first, in ledger order."""
+        """Resolve the counted openings, the stories' deposits reclaimed, and settle:
+        announce the outcome (or a buyer's entry of `notices`), then notify each real
+        depositor's refund and each real recipient's forfeited deposit, refunds
+        first, in ledger order."""
         if self._outcome is not None:
             raise ProtocolViolation("run already finalized")
-        self._outcome = outcome
+        false_ids = self.false_ids
+        self._outcome = outcome = resolve(
+            self.scheme, self.commitments, self.revealed, self.config.reserve,
+            self.config.collateral, frozenset(false_ids), frozenset(self.reclaimed))
         self._auctioneer_send(OutcomeNotice(outcome.winner, outcome.sale_price),
                               per_buyer=notices)
-        notify, false_ids = self.channel.notify, self.false_ids
+        notify = self.channel.notify
         transfers = []
         for entry in outcome.ledger:
             depositor, recipient = entry.depositor, entry.recipient
@@ -428,6 +413,7 @@ class AuctionGame:
                 transfers.append(CollateralNotice(recipient, entry.amount, "transfer", depositor))
         for notice in transfers:
             notify(notice.party, notice)
+        return outcome
 
     def transcript(self) -> Transcript:
         return self.channel.transcript(self.scheme)

@@ -468,10 +468,15 @@ class AdaptiveReserve(TwoPhase):
 
     Stagger the end of the commitment phase: A finishes and opens first. Below
     the threshold, proceed exactly as promised. At or above it, mint a false
-    buyer C bidding A's bid plus the collateral, show C's commitment only to B,
-    and resolve so that B either pays C's bid (when B outbids it), or wins at
-    A's bid with C withheld and C's deposit forfeited to B, or loses to A as
-    usual. Every buyer's view stays consistent with an honest run.
+    buyer C bidding A's bid plus the collateral and show C's commitment only to
+    B. The run still settles by the resolution rule, in one of three ways. When
+    B outbids C, C is counted and B pays C's bid. When B lands in (b_A, b_C],
+    C is withheld: B wins at A's bid and C's deposit is forfeited to B.
+    Otherwise A's promised sale stands, and C's opening is a story shown to B
+    alone, its deposit reclaimed. The deviation lies only in what each buyer
+    is shown: B is told that C won its story, and A, when C is counted, that B
+    paid max(reserve, b_A). Every buyer's view stays consistent with an honest
+    run.
 
     threshold may be +inf, which reduces to Honest play exactly.
     """
@@ -496,7 +501,6 @@ class AdaptiveReserve(TwoPhase):
 
     def execute(self, game: AuctionGame) -> Outcome:
         self.check_config(game.config)
-        reserve = game.config.reserve
         a_id, b_id = 1, 2
         msg_a = game.buyer_commit(a_id)
         msg_b = game.buyer_commit(b_id)
@@ -524,72 +528,31 @@ class AdaptiveReserve(TwoPhase):
         game.publish_false_commit(fid, to=[b_id])
         game.end_commit(to=[b_id])
         reveal_b = game.buyer_reveal(b_id)
-
-        if reveal_b is None:
-            # B withheld; the honest-looking resolution sells to A at the reserve.
-            game.forward(reveal_a, to=b_id)
-            game.reveal_false(fid, to=[b_id], count=False)
-            game.end_reveal()
-            sale = bid_a > reserve
-            return game.finalize_custom(
-                winner=a_id if sale else None,
-                sale_price=reserve if sale else 0.0,
-                counted=[a_id],
-                forfeits={b_id: a_id},
-                notices={
-                    a_id: OutcomeNotice(a_id if sale else None, reserve if sale else 0.0),
-                    b_id: OutcomeNotice(fid if bid_c > reserve else None,
-                                        max(reserve, bid_a) if bid_c > reserve else 0.0),
-                },
-            )
-
-        bid_b = reveal_b.opening.message
-        game.forward(reveal_b, to=a_id)
+        if reveal_b is not None:
+            game.forward(reveal_b, to=a_id)
         game.forward(reveal_a, to=b_id)
+        reserve = game.config.reserve
 
-        if reserve >= max(bid_a, bid_b):
-            # Nothing clears the reserve; C's story to B is an idle high bidder.
+        if reveal_b is None or reveal_b.opening.message <= bid_a:
+            # B withheld, or A outbids B (ties go to the lower index), which covers
+            # nothing clearing the reserve: A's promised sale, with C opened to B
+            # alone and, when b_C clears the reserve, announced to B as the winner
+            # at the runner-up's price.
             game.reveal_false(fid, to=[b_id], count=False)
             game.end_reveal()
-            story_b = (OutcomeNotice(fid, max(reserve, bid_a, bid_b)) if bid_c > reserve
-                       else OutcomeNotice(None, 0.0))
-            return game.finalize_custom(
-                winner=None, sale_price=0.0, counted=[a_id, b_id],
-                notices={a_id: OutcomeNotice(None, 0.0), b_id: story_b},
-            )
-        if bid_b <= bid_a:
-            # A outbids B (ties go to the lower index): the promised sale to A,
-            # with C revealed to B as the apparent winner.
-            game.reveal_false(fid, to=[b_id], count=False)
+            story = (OutcomeNotice(fid, max(reserve, bid_a)) if bid_c > reserve
+                     else OutcomeNotice(None, 0.0))
+            return game.finalize({b_id: story})
+        if reveal_b.opening.message <= bid_c:
+            # B lands inside (b_A, b_C]: withhold C, so B wins at A's bid and C's
+            # deposit is forfeited to B.
             game.end_reveal()
-            price = max(reserve, bid_b)
-            return game.finalize_custom(
-                winner=a_id, sale_price=price, counted=[a_id, b_id],
-                notices={
-                    a_id: OutcomeNotice(a_id, price),
-                    b_id: OutcomeNotice(fid, max(reserve, bid_a, bid_b)),
-                },
-            )
-        if bid_b <= bid_c:
-            # B lands inside (b_A, b_C]: withhold C, sell to B at A's bid, and
-            # forfeit C's deposit to B as the honest rule demands.
-            game.end_reveal()
-            price = max(reserve, bid_a)
-            return game.finalize_custom(
-                winner=b_id, sale_price=price, counted=[a_id, b_id],
-                forfeits={fid: b_id},
-                notices={a_id: OutcomeNotice(b_id, price), b_id: OutcomeNotice(b_id, price)},
-            )
-        # B outbids even C: reveal everything and collect the first-price-like b_C.
-        game.reveal_false(fid, to=[b_id], count=True)
+            return game.finalize()
+        # B outbids even C: C is counted and B pays b_C, while A is told that B
+        # paid the price A's view implies.
+        game.reveal_false(fid, to=[b_id])
         game.end_reveal()
-        return game.finalize_custom(
-            winner=b_id, sale_price=bid_c, counted=[a_id, b_id, fid],
-            notices={
-                a_id: OutcomeNotice(b_id, max(reserve, bid_a)),
-                b_id: OutcomeNotice(b_id, bid_c),
-            },
-        )
+        return game.finalize({a_id: OutcomeNotice(b_id, max(reserve, bid_a))})
 
 
 # ---------------------------------------------------------------------------

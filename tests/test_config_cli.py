@@ -351,6 +351,13 @@ def test_cli_estimate_credibility_matches_its_fixture(capsys):
     assert capsys.readouterr().out.encode() == (FIXTURES / "estimate_credibility.txt").read_bytes()
 
 
+def test_cli_dist_matches_its_fixture(capsys):
+    # the pinned stdout of dist on the default verify config: alpha, reserve, the
+    # phi grid, Rev(D^n) and the collateral, each to its last bit
+    assert main(["dist", "--config", str(CONFIGS / "verify_default.json")]) == 0
+    assert capsys.readouterr().out.encode() == (FIXTURES / "dist_verify_default.json").read_bytes()
+
+
 @pytest.mark.parametrize("family", ["gpareto", "exponential"])
 def test_cli_attack_matches_its_fixture(family, capsys):
     # the pinned stdout of each shipped attack sweep; the exponential rows at

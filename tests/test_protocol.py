@@ -5,6 +5,7 @@ conservation across deviation strategies."""
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,15 @@ def test_money_conservation_across_strategies():
             assert abs(residual) <= 1e-9
 
 
+def test_conservation_residual_refuses_a_nan_ledger_amount():
+    # abs(nan - f) > tol is False, so the amount check is written as not <= tol
+    out = make_resolved({1: 5.0, 2: 3.0}, {1}, reserve=1.0, collateral=2.0)
+    ledger = (out.ledger[0], replace(out.ledger[1], amount=math.nan))
+    with pytest.raises(AssertionError, match="posted collateral"):
+        conservation_residual(replace(out, ledger=ledger), depositors=[1, 2],
+                              collateral_amount=2.0)
+
+
 def test_no_reveal_buyer_forfeits():
     dist = Exponential(1.0)
     config = AuctionConfig(n=2, dist=dist, reserve=1.0, collateral=1.5, seed=1)
@@ -407,6 +417,60 @@ def test_audited_runs_match_the_pinned_parses():
     assert any(view["transfers"] for record in pinned.values() for view in record["views"])
     for name, config, buyers, auctioneer in runs:
         assert _audit_record(config, buyers, auctioneer) == pinned[name], name
+
+
+def _adaptive_branches():
+    """(name, config, buyers) for the adaptive deviation's settlement cases, on both
+    schemes: B withholding with b_A above and at the reserve, b_B below, level with,
+    inside, at and above C's bid, nothing clearing the reserve (T = b_A = r), f = 0,
+    and b_A below the threshold. T is r, r + 0.5 or 3r; C bids b_A + f."""
+    gpareto, exponential = GeneralizedPareto(0.5), Exponential(1.0)
+    cases = []  # (name, dist, f, T, b_A, buyer B)
+    for dist, f, tag in ((gpareto, 2.0, "gpareto"), (exponential, 1.0, "exp")):
+        r = reserve_price(dist)
+        a = r + 1.5  # clears T = r + 0.5
+        cases += [
+            (f"{tag}/withhold", dist, f, r + 0.5, a, NoReveal(r + 3.0)),
+            (f"{tag}/b_inside", dist, f, r + 0.5, a, Truthful(a + f / 2)),
+            (f"{tag}/b_at_c", dist, f, r + 0.5, a, Truthful(a + f)),
+            (f"{tag}/b_above_c", dist, f, r + 0.5, a, Truthful(a + f + 3.0)),
+            (f"{tag}/b_below_a", dist, f, 3 * r, 3 * r + 1.0, Truthful(3 * r)),
+            (f"{tag}/nothing_clears", dist, f, r, r, Truthful(r - 0.5)),
+        ]
+    r = reserve_price(gpareto)
+    a = 3 * r + 1.0
+    cases += [
+        ("gpareto/withhold_at_reserve", gpareto, 2.0, r, r, NoReveal(r + 3.0)),
+        ("gpareto/b_ties_a", gpareto, 2.0, 3 * r, a, Truthful(a)),
+        ("gpareto/nothing_clears_tie", gpareto, 2.0, r, r, Truthful(r)),
+        ("gpareto/below_threshold", gpareto, 2.0, r + 0.5, r + 0.25, Truthful(r + 1.0)),
+        ("gpareto/f0_b_below_a", gpareto, 0.0, 3 * r, a, Truthful(a - 1.0)),
+        ("gpareto/f0_b_ties_a", gpareto, 0.0, 3 * r, a, Truthful(a)),
+        ("gpareto/f0_b_above_a", gpareto, 0.0, 3 * r, a, Truthful(a + 1.0)),
+        ("gpareto/f0_withhold", gpareto, 0.0, r, r, NoReveal(r + 3.0)),
+    ]
+    runs = []
+    for scheme in ("ideal", "sha256"):
+        for name, dist, f, threshold, bid_a, buyer_b in cases:
+            config = AuctionConfig(n=2, dist=dist, reserve=reserve_price(dist), collateral=f,
+                                   mode="centralized", scheme=scheme, seed=7)
+            runs.append((f"{name}/{scheme}", config, [Truthful(bid_a), buyer_b],
+                         AdaptiveReserve(threshold=threshold)))
+    return runs
+
+
+def _branch_record(config, buyers, auctioneer) -> dict:
+    outcome, transcript = run_auction(config, buyers, auctioneer)
+    return {"outcome": outcome.to_json(),
+            "transcript_sha256": hashlib.sha256(transcript.dump_jsonl().encode()).hexdigest()}
+
+
+def test_adaptive_settlements_match_the_pinned_branches():
+    pinned = json.loads((FIXTURES / "adaptive_branches.json").read_text())
+    runs = _adaptive_branches()
+    assert sorted(pinned) == sorted(name for name, *_ in runs)
+    for name, config, buyers, auctioneer in runs:
+        assert _branch_record(config, buyers, auctioneer) == pinned[name], name
 
 
 def _seed_part(tag):

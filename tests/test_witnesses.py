@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from drasim import estimators, protocol, strategies
+from drasim.config import build_setup
 from drasim.verification import (
     VERIFY_BUDGETS,
     _check_conditional_bounds,
@@ -17,6 +18,7 @@ from drasim.verification import (
     _check_reveal_dominance,
     _check_separation,
     _check_structural,
+    run_verification,
 )
 
 QUICK = json.loads((Path(__file__).parent.parent / "configs" / "verify_quick.json").read_text())
@@ -58,6 +60,23 @@ def test_structural_invariants_fail_when_the_net_books_no_loss(monkeypatch):
     monkeypatch.setattr(protocol, "_build_outcome", no_losses)
     check = _check_structural(BUDGET["structural_runs"], SEED)
     assert check.name == "structural_invariants" and not check.passed
+
+
+def test_structural_invariants_fail_when_a_story_forfeits_its_deposit(monkeypatch):
+    # a false bid opened to some buyers only (count=False) whose deposit is not
+    # reclaimed: resolution forfeits it to the candidate, a real buyer who never
+    # saw the false id commit
+    reveal_false = protocol.AuctionGame.reveal_false
+
+    def reveal_without_reclaim(self, fid, to=None, count=True):
+        msg = reveal_false(self, fid, to, count)
+        self.reclaimed.discard(fid)
+        return msg
+
+    monkeypatch.setattr(protocol.AuctionGame, "reveal_false", reveal_without_reclaim)
+    check = _check_structural(BUDGET["structural_runs"], SEED)
+    assert check.name == "structural_invariants" and not check.passed
+    assert not all(check.passed for check in run_verification(build_setup(QUICK)))
 
 
 def test_separation_fails_when_the_adaptive_kernel_flips_sign(monkeypatch):
