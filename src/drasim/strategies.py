@@ -470,13 +470,14 @@ class AdaptiveReserve(TwoPhase):
     the threshold, proceed exactly as promised. At or above it, mint a false
     buyer C bidding A's bid plus the collateral and show C's commitment only to
     B. The run still settles by the resolution rule, in one of three ways. When
-    B outbids C, C is counted and B pays C's bid. When B lands in (b_A, b_C],
-    C is withheld: B wins at A's bid and C's deposit is forfeited to B.
-    Otherwise A's promised sale stands, and C's opening is a story shown to B
-    alone, its deposit reclaimed. The deviation lies only in what each buyer
-    is shown: B is told that C won its story, and A, when C is counted, that B
-    paid max(reserve, b_A). Every buyer's view stays consistent with an honest
-    run.
+    B outbids C, C is counted and B pays max(reserve, b_C). When b_B lies in
+    (max(b_A, reserve), b_C], C is withheld: B wins at max(reserve, b_A) and
+    C's deposit is forfeited to B. Otherwise (B withheld, b_B <= b_A, or
+    nothing clears the reserve) the promised settlement stands, and C's opening
+    is a story shown to B alone, its deposit reclaimed. The deviation lies only
+    in what each buyer is shown: B is told that C won its story, and A, when C
+    is counted, that B paid max(reserve, b_A). Every buyer's view stays
+    consistent with an honest run.
 
     threshold may be +inf, which reduces to Honest play exactly.
     """
@@ -533,9 +534,9 @@ class AdaptiveReserve(TwoPhase):
         game.forward(reveal_a, to=b_id)
         reserve = game.config.reserve
 
-        if reveal_b is None or reveal_b.opening.message <= bid_a:
-            # B withheld, or A outbids B (ties go to the lower index), which covers
-            # nothing clearing the reserve: A's promised sale, with C opened to B
+        if reveal_b is None or reveal_b.opening.message <= max(bid_a, reserve):
+            # B withheld, A outbids B (ties go to the lower index), or nothing
+            # clears the reserve: the promised settlement, with C opened to B
             # alone and, when b_C clears the reserve, announced to B as the winner
             # at the runner-up's price.
             game.reveal_false(fid, to=[b_id], count=False)
@@ -544,12 +545,12 @@ class AdaptiveReserve(TwoPhase):
                      else OutcomeNotice(None, 0.0))
             return game.finalize({b_id: story})
         if reveal_b.opening.message <= bid_c:
-            # B lands inside (b_A, b_C]: withhold C, so B wins at A's bid and C's
-            # deposit is forfeited to B.
+            # B clears the reserve and lands inside (b_A, b_C]: withhold C, so B
+            # wins at max(reserve, b_A) and C's deposit is forfeited to B.
             game.end_reveal()
             return game.finalize()
-        # B outbids even C: C is counted and B pays b_C, while A is told that B
-        # paid the price A's view implies.
+        # B outbids even C: C is counted and B pays max(reserve, b_C), while A is
+        # told that B paid the price A's view implies.
         game.reveal_false(fid, to=[b_id])
         game.end_reveal()
         return game.finalize({a_id: OutcomeNotice(b_id, max(reserve, bid_a))})

@@ -423,10 +423,12 @@ def _adaptive_branches():
     """(name, config, buyers) for the adaptive deviation's settlement cases, on both
     schemes: B withholding with b_A above and at the reserve, b_B below, level with,
     inside, at and above C's bid, nothing clearing the reserve (T = b_A = r), f = 0,
-    and b_A below the threshold. T is r, r + 0.5 or 3r; C bids b_A + f."""
+    and b_A below the threshold. T is r, r + 0.5 or 3r; C bids b_A + f. The
+    reserve r is bisected, so it lies just above the closed form r0, which a
+    threshold may equal: T = b_A = r0 with b_B in (b_A, r] clears nothing."""
     gpareto, exponential = GeneralizedPareto(0.5), Exponential(1.0)
     cases = []  # (name, dist, f, T, b_A, buyer B)
-    for dist, f, tag in ((gpareto, 2.0, "gpareto"), (exponential, 1.0, "exp")):
+    for dist, f, r0, tag in ((gpareto, 2.0, 2.0, "gpareto"), (exponential, 1.0, 1.0, "exp")):
         r = reserve_price(dist)
         a = r + 1.5  # clears T = r + 0.5
         cases += [
@@ -437,6 +439,12 @@ def _adaptive_branches():
             (f"{tag}/b_below_a", dist, f, 3 * r, 3 * r + 1.0, Truthful(3 * r)),
             (f"{tag}/nothing_clears", dist, f, r, r, Truthful(r - 0.5)),
         ]
+        for fee, label in ((f, ""), (0.0, "f0_")):
+            cases += [
+                (f"{tag}/{label}b_between_r0_and_reserve", dist, fee, r0, r0,
+                 Truthful((r0 + r) / 2)),
+                (f"{tag}/{label}b_at_reserve_above_r0", dist, fee, r0, r0, Truthful(r)),
+            ]
     r = reserve_price(gpareto)
     a = 3 * r + 1.0
     cases += [

@@ -128,6 +128,17 @@ def test_adaptive_no_reveal_b():
     assert check_view_consistency(transcript.view(1), config, transcript.scheme)
 
 
+def test_adaptive_never_sells_below_the_reserve():
+    # T = b_A = 2.0, the closed-form r, lies just below the bisected R. With f = 0,
+    # C bids b_A too, so a B above R pays R, as in the honest run and the vector engine.
+    config = centralized_config(collateral=0.0)
+    buyers = [Truthful(2.0), Truthful(R + 1.0)]
+    out, _ = run_auction(config, buyers, AdaptiveReserve(2.0))
+    honest, _ = run_auction(config, buyers, Honest())
+    assert out.winner == 2 and out.sale_price == R
+    assert out.auctioneer_net == honest.auctioneer_net
+
+
 def test_adaptive_mode_and_arity_checks():
     with pytest.raises(ValueError):
         run_auction(broadcast_config(2.0), [Truthful(3.0), Truthful(4.0)],
