@@ -54,13 +54,18 @@ The vector engine prices the attack on candidate profiles only. The deviation
 pays nothing unless v_B > v_A, and whether that can hold is decided on the
 uniforms before any value is computed: v_A comes from the survival probability
 s = P[v >= v_A] = sf(T) (1 - u_A) and v_B from 1 - u_B, so a row with
-1 - u_B > s (1 + _PRUNE_MARGIN) has v_B <= v_A and a zero net difference. Only
-the other rows, about sf(T)/2 of the stratum, are mapped through
-sample_tail/quantile and adaptive_net_delta; the rest are exact zeros, so the
-accumulated arrays, and every estimate, are bit-identical to evaluating all
-rows. This needs the family's quantile and isf to be one non-increasing map of
-the survival probability, up to float error far below the margin, as every
-family here is.
+1 - u_B > s (1 + _PRUNE_MARGIN) has v_B <= v_A and a zero net difference. The
+test runs in two stages. Stage 1 reads the column u_B alone and keeps the rows
+with 1 - u_B <= S = sf(T) (1 + _PRUNE_MARGIN), one scalar: as fl(1 - u_A) <= 1
+and rounding is monotone, each row's own bound fl(fl(fl(1 - u_A) sf(T)) (1 +
+_PRUNE_MARGIN)) is at most S, so every row the exact test keeps is among them.
+Stage 2 applies the exact test to those rows only, about sf(T) of the stratum,
+and keeps the same rows, in the same order, as the exact test on all rows. Only
+those, about sf(T)/2 of the stratum, are mapped through sample_tail/quantile and
+adaptive_net_delta; the rest are exact zeros, so the accumulated arrays, and
+every estimate, are bit-identical to evaluating all rows. This needs the
+family's quantile and isf to be one non-increasing map of the survival
+probability, up to float error far below the margin, as every family here is.
 """
 
 from __future__ import annotations
@@ -347,17 +352,25 @@ def _attack_profiles(dist: ValueDistribution, threshold: float, u: np.ndarray) -
     return np.column_stack([dist.sample_tail(threshold, u[:, 0]), dist.quantile(u[:, 1])])
 
 
+def _adaptive_rows(sf: float, u: np.ndarray) -> np.ndarray:
+    """The rows of u, in order, where v_B > v_A can hold for a stratum of weight sf
+    (see the module docstring): stage 1 keeps the rows with 1 - u_B <= S, on the
+    column u_B alone, and stage 2 applies each kept row's own bound to them."""
+    candidates = np.flatnonzero(1.0 - u[:, 1] <= sf * (1.0 + _PRUNE_MARGIN))
+    u = np.take(u, candidates, axis=0)
+    s = 1.0 - u[:, 0]  # in place from here
+    s *= sf
+    s *= 1.0 + _PRUNE_MARGIN
+    return np.take(candidates, np.flatnonzero(1.0 - u[:, 1] <= s))
+
+
 def _adaptive_gain_pruned(dist: ValueDistribution, threshold: float, collateral: float,
                           u: np.ndarray) -> np.ndarray:
     """adaptive_net_delta of the profiles _attack_profiles maps u to, evaluated only
-    on the rows where v_B > v_A can hold (see the module docstring); zero elsewhere."""
-    s = 1.0 - u[:, 0]  # in place from here: no second chunk-sized temporary
-    s *= float(dist.sf(threshold))
-    s *= 1.0 + _PRUNE_MARGIN
-    rows = np.flatnonzero(1.0 - u[:, 1] <= s)
-    del s
+    on the _adaptive_rows; zero elsewhere."""
+    rows = _adaptive_rows(float(dist.sf(threshold)), u)
     delta = np.zeros(len(u))
-    delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, u[rows]),
+    delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, np.take(u, rows, axis=0)),
                                      reserve_price(dist), threshold, collateral)
     return delta
 

@@ -176,16 +176,18 @@ def conservation_residual(outcome: Outcome, depositors=None,
                           collateral_amount: float = None) -> float:
     """Sum over agents of (payments + collateral in - collateral out) plus burned.
 
-    Zero (to MONEY_TOL) for every well-formed outcome. When depositors and the
-    collateral amount are supplied, the ledger is also checked structurally:
-    every depositor disposed exactly once, at exactly the posted amount.
+    Zero (to MONEY_TOL) for every well-formed outcome, and NaN where the sale
+    price is NaN: a winner's price is booked unless it is exactly 0.0. When
+    depositors and the collateral amount are supplied, the ledger is also checked
+    structurally: every depositor disposed exactly once, at exactly the posted
+    amount.
     """
     check_amounts = depositors is not None and collateral_amount is not None
     amounts_off = False
     ledger_depositors = []
     flows = defaultdict(list)  # agent -> its payments and collateral, in and out
     burned: list[float] = []
-    if outcome.winner is not None and outcome.sale_price > 0.0:
+    if outcome.winner is not None and outcome.sale_price != 0.0:
         flows[outcome.winner].append(-outcome.sale_price)
         flows[AUCTIONEER].append(outcome.sale_price)
     for entry in outcome.ledger:

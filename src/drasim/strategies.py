@@ -304,16 +304,37 @@ def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
                        collateral: float) -> np.ndarray:
     """Adaptive-minus-honest auctioneer net per (v_A, v_B) profile.
 
-    Zero off the stratum {v_A >= T}. On it: +collateral when B outbids the
-    false bid v_A + f (first-price extraction), -collateral when B lands in
-    (v_A, v_A + f] (the false deposit is forfeited to B), zero otherwise.
+    Zero off the stratum {v_A >= T} and where B does not clear the reserve.
+    Otherwise: +collateral when B outbids the false bid v_A + f (first-price
+    extraction), -collateral when B lands in (v_A, v_A + f] (the false deposit
+    is forfeited to B), zero otherwise. Where v_A lies below the reserve, as T
+    may (_outbid_below_reserve), outbidding the false bid gains max(reserve,
+    v_A + f) - reserve, its price over the reserve that honest play charges.
     """
     a = values[:, 0]
     b = values[:, 1]
     active = a >= threshold
+    active &= b > reserve  # which b > v_A + f implies only where v_A >= reserve
     plus = active & (b > a + collateral)
-    minus = active & (b > a) & (b <= a + collateral) & (b > reserve)
-    return collateral * plus.astype(float) - collateral * minus.astype(float)
+    minus = active & (b > a) & (b <= a + collateral)
+    delta = collateral * plus.astype(float) - collateral * minus.astype(float)
+    if threshold < reserve:
+        rows, price = _outbid_below_reserve(values, reserve, threshold, collateral)
+        delta[rows] = price - reserve
+    return delta
+
+
+def _outbid_below_reserve(values: np.ndarray, reserve: float, threshold: float,
+                          collateral: float) -> tuple:
+    """(rows, price): the profiles with v_A in [threshold, reserve) where B outbids
+    both the false bid v_A + f and the reserve, and B's price max(reserve, v_A + f)
+    on them, where honest play charges the reserve. check_config admits a threshold
+    up to ROOT_TOL below the bisected reserve, so these rows exist."""
+    a = values[:, 0]
+    b = values[:, 1]
+    rows = np.flatnonzero((a >= threshold) & (a < reserve) & (b > a + collateral)
+                          & (b > reserve))
+    return rows, np.maximum(reserve, a[rows] + collateral)
 
 
 class TwoPhase:
@@ -497,8 +518,13 @@ class AdaptiveReserve(TwoPhase):
 
     def vector_net(self, chunk: Chunk, config: AuctionConfig) -> np.ndarray:
         net = super().vector_net(chunk, config)  # the promised auction's, which the delta changes
-        return np.add(net, adaptive_net_delta(chunk.values, config.reserve, self.threshold,
-                                              config.collateral), out=net)
+        np.add(net, adaptive_net_delta(chunk.values, config.reserve, self.threshold,
+                                       config.collateral), out=net)
+        if self.threshold < config.reserve:  # the price, as reserve + (price - reserve) may round
+            rows, price = _outbid_below_reserve(chunk.values, config.reserve, self.threshold,
+                                                config.collateral)
+            net[rows] = price
+        return net
 
     def execute(self, game: AuctionGame) -> Outcome:
         self.check_config(game.config)

@@ -322,11 +322,14 @@ def test_cli_verify_quick_exit_zero(capsys):
 
 
 def test_cli_verify_shipped_default_exit_zero(tmp_path):
+    # byte for byte the pinned report: its separation check runs the adaptive
+    # attack's pruned kernel at 2^22 samples per threshold
     out = tmp_path / "verify.txt"
     rc = main(["verify", "--config", str(CONFIGS / "verify_default.json"),
                "--out", str(out)])
     assert rc == 0
     assert "VERIFY PASS (13 checks)" in out.read_text()
+    assert out.read_bytes() == (FIXTURES / "verify_default.txt").read_bytes()
 
 
 def test_cli_verify_byte_identical(tmp_path):

@@ -260,10 +260,25 @@ def test_adaptive_delta_cases_explicitly():
     assert np.array_equal(delta, np.array([0.0, 0.0, 0.0, -2.0, -2.0, 2.0]))
 
 
+FAST_EXP = Exponential(1e8)  # reserve 1e-8, bisected to ROOT_TOL: a tenth of its
+# stratum at T = reserve - ROOT_TOL has v_A in [T, reserve)
+
+
 def test_adaptive_gain_simulate_engine_agrees_with_vector():
-    vec = estimate_adaptive_gain(GPA, 5.0, 2.0, 1_200, 3, engine="vector")
-    sim = estimate_adaptive_gain(GPA, 5.0, 2.0, 1_200, 3, engine="simulate")
-    assert vec == sim
+    # Per row, the stratified kernel prices +-f where the simulate engine's paired
+    # difference is fl(fl(v_A +- f) - v_A), so a row where v_A +- f rounds differs in
+    # its last bits, and the estimates are equal only where the sums absorb that:
+    # they do here, and not on FAST_EXP with f = 5e-10
+    below_reserve = reserve_price(FAST_EXP) - ROOT_TOL
+    for dist, threshold, collateral in [
+        (GPA, 5.0, 2.0),
+        (GPA, 2.0, 2.0),  # the shipped T = 2.0 lies below R = 2.000000000482171
+        (FAST_EXP, below_reserve, 2.0 ** -27),
+        (FAST_EXP, below_reserve, 2.0 ** -34),  # below ROOT_TOL
+    ]:
+        vec = estimate_adaptive_gain(dist, threshold, collateral, 1_200, 3, engine="vector")
+        sim = estimate_adaptive_gain(dist, threshold, collateral, 1_200, 3, engine="simulate")
+        assert vec == sim, (dist, threshold, collateral)
 
 
 def test_adaptive_gain_infinite_threshold_is_zero():

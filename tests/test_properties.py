@@ -6,15 +6,16 @@ breaks the phase grammar is refused and leaves log and views as they were, and
 every record of a run is frozen. Also the vector
 engine's top-two kernel against a sort, the shill kernel's 0/1-mask products
 against the selects they replace, each auctioneer family's closed form against
-the message engine on every profile, and the pruned adaptive-attack kernel
-against the case arithmetic on every row."""
+the message engine on every profile, the pruned adaptive-attack kernel
+against the case arithmetic on every row, and its two-stage row test against
+the one-stage test it replaces."""
 
 import math
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drasim import (
@@ -44,7 +45,14 @@ from drasim import (
     run_auction,
 )
 from drasim.channels import view_members
-from drasim.estimators import _adaptive_gain_pruned, _vector_net, simulate_profile_net
+from drasim.distributions import ROOT_TOL
+from drasim.estimators import (
+    _PRUNE_MARGIN,
+    _adaptive_gain_pruned,
+    _adaptive_rows,
+    _vector_net,
+    simulate_profile_net,
+)
 from drasim.protocol import MONEY_TOL
 from drasim.strategies import Chunk, _shill_net, _top_two
 from drasim.verification import audit_run
@@ -219,9 +227,12 @@ def test_shill_kernel_products_equal_the_selects(case):
         assert [x.hex() for x in net.tolist()] == [x.hex() for x in expected.tolist()]
 
 
+# Bids and thresholds in [R - ROOT_TOL, R), which check_config admits: the shipped
+# threshold 2.0 on gpareto(0.5), whose bisected reserve R is 2.000000000482171.
+BELOW_R = (R - ROOT_TOL, 2.0, float(np.nextafter(R, 0.0)))
 # bids drawn from one small pool, so that real bids tie each other, the false bids,
-# the threshold and the reserve; 0.0 and R are at or below the reserve
-pool = st.one_of(st.sampled_from([0.0, R, 3.0, 5.0, 40.0]), amounts)
+# the threshold and the reserve; 0.0, BELOW_R and R are at or below the reserve
+pool = st.one_of(st.sampled_from([0.0, *BELOW_R, R, 3.0, 5.0, 40.0]), amounts)
 
 
 @st.composite
@@ -237,7 +248,8 @@ def priced_profiles(draw):
         "shill": (shill, "broadcast"),
         "lifted": (Lifted(draw(st.sampled_from((Honest(), shill)))), "centralized"),
         "adaptive": (AdaptiveReserve(draw(st.one_of(
-            st.sampled_from((R, 3.0, 5.0, math.inf)), st.floats(min_value=R, max_value=64.0)))),
+            st.sampled_from((*BELOW_R, R, 3.0, 5.0, math.inf)),
+            st.floats(min_value=R - ROOT_TOL, max_value=64.0)))),
             "centralized"),
     }[family]
     collateral = draw(st.floats(min_value=0.0, max_value=32.0, exclude_min=True))
@@ -246,6 +258,18 @@ def priced_profiles(draw):
     return config, auctioneer, np.array(rows, dtype=float), draw(st.integers(0, 2**62))
 
 
+def adaptive_case(threshold, collateral, rows):
+    config = AuctionConfig(n=2, dist=GPA, reserve=R, collateral=collateral, mode="centralized",
+                           seed=0)
+    return config, AdaptiveReserve(threshold), np.array(rows), 7
+
+
+# b_A in [T, R): B outbidding the false bid pays max(R, b_A + f), where honest play
+# charges R, and where B stays at or below R nothing sells (f below ROOT_TOL); at
+# f = 4.2, R + ((2.0 + f) - R) rounds away from 2.0 + f
+@example(adaptive_case(2.0, 2.0, [[2.0, 5.0], [2.0, 3.0], [R - ROOT_TOL, 40.0], [R, 40.0]]))
+@example(adaptive_case(R - ROOT_TOL, 1e-12, [[2.0, R], [R - ROOT_TOL, 2.0], [2.0, 3.0]]))
+@example(adaptive_case(2.0, 4.2, [[2.0, 40.0], [float(np.nextafter(R, 0.0)), 40.0]]))
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(priced_profiles())
 def test_vector_engine_matches_message_engine_per_profile(case):
@@ -296,3 +320,58 @@ def test_pruned_adaptive_kernel_matches_every_row(chunk):
     dense = adaptive_net_delta(values, reserve_price(dist), threshold, collateral)
     pruned = _adaptive_gain_pruned(dist, threshold, collateral, u)
     assert np.array_equal(pruned, dense)
+
+
+def one_stage_rows(sf, u):
+    """The prune's exact test on every row, in one stage: the reference."""
+    s = 1.0 - u[:, 0]
+    s *= sf
+    s *= 1.0 + _PRUNE_MARGIN
+    return np.flatnonzero(1.0 - u[:, 1] <= s)
+
+
+def boundary_uniforms(sf, u_as):
+    """For each u_A, rows whose 1 - u_B lies at, and one grid step either side of,
+    the grid value at or below S = sf (1 + margin) and at or below the row's own
+    bound (1 - u_A) sf (1 + margin): the bound itself where it lies on the grid."""
+    rows = []
+    for u_a in u_as:
+        for bound in (sf * (1.0 + _PRUNE_MARGIN), (1.0 - u_a) * sf * (1.0 + _PRUNE_MARGIN)):
+            k = math.floor(bound / GRID)
+            rows += [(u_a, 1.0 - min(max(j, 0), 2**53) * GRID) for j in (k - 1, k, k + 1)]
+    return np.array(rows)
+
+
+def sf_with_cut_at(cut):
+    """A stratum weight sf whose stage-1 cut sf (1 + margin) is exactly `cut`."""
+    sf = cut / (1.0 + _PRUNE_MARGIN)
+    for _ in range(8):
+        if sf * (1.0 + _PRUNE_MARGIN) == cut:
+            return sf
+        sf = math.nextafter(sf, cut if sf * (1.0 + _PRUNE_MARGIN) < cut else 0.0)
+    raise AssertionError(f"no sf gives the cut {cut}")
+
+
+@st.composite
+def stratum_weights(draw):
+    """sf(T) of a family in attack_families at a threshold at or above its reserve."""
+    dist = draw(attack_families)
+    reserve = reserve_price(dist)
+    tail = float(dist.sf(reserve)) * draw(st.floats(min_value=1e-6, max_value=1.0))
+    return float(dist.sf(max(reserve, float(dist.isf(tail)))))
+
+
+# Cuts on the grid of 1 - u_B, which the rows then meet exactly (u_A = 0.5 and 0.75
+# halve and quarter the bound exactly); sf = 1, uniform(2, 3) at its reserve 2, and
+# just below it; exponential(1) at T = 100, where sf is 3.7e-44.
+@example(sf_with_cut_at(0.25), [])
+@example(sf_with_cut_at(2.0 ** -20), [])
+@example(float(Uniform(2.0, 3.0).sf(2.0)), [])
+@example(float(Uniform(2.0, 3.0).sf(2.0 + 2.0 ** -30)), [])
+@example(float(Exponential(1.0).sf(100.0)), [])
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(stratum_weights(), st.lists(st.integers(0, 2**53 - 1), max_size=6))
+def test_stage_one_keeps_every_row_the_exact_test_keeps(sf, grid_points):
+    # row for row, in order: the two stages against the exact test on every row
+    u = boundary_uniforms(sf, [0.0, 0.5, 0.75] + [k * GRID for k in grid_points])
+    assert np.array_equal(_adaptive_rows(sf, u), one_stage_rows(sf, u))

@@ -431,8 +431,8 @@ def test_audit_reports_a_ledger_that_drops_a_committed_id(monkeypatch):
 
 
 def test_audit_reports_a_nan_sale_price(monkeypatch):
-    # the price check and the auctioneer's net see it; the conservation residual
-    # books only a price above 0, and NaN is not
+    # the price check, the auctioneer's net and the conservation residual see it: the
+    # residual books every price but exactly 0.0
     from drasim import verification
 
     def nan_price(config, buyers, auctioneer):
@@ -441,7 +441,8 @@ def test_audit_reports_a_nan_sale_price(monkeypatch):
 
     monkeypatch.setattr(verification, "run_auction", nan_price)
     result = audit_run(broadcast_config(2.0), [Truthful(5.0), Truthful(3.0)], Honest())
-    assert result.violations == ("auctioneer net 3.0 != its inflow nan",
+    assert result.violations == ("money conservation residual nan",
+                                 "auctioneer net 3.0 != its inflow nan",
                                  "price nan != max(reserve, runner-up) 3.0")
 
 

@@ -1,14 +1,17 @@
 """Witnesses for verify's checks: each injects one named fault into the program and
 asserts that the check it should trip reports failure, so a check that passes
-whatever the code does shows here. The checks run at verify_quick's budgets."""
+whatever the code does shows here. The checks run at verify_quick's budgets, alone
+or as verify_quick's whole report, whose FAIL line and exit code are read."""
 
+import itertools
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from drasim import estimators, protocol, strategies
+from drasim import config, distributions, estimators, protocol, strategies, verification
+from drasim.cli import main
 from drasim.config import build_setup
 from drasim.verification import (
     VERIFY_BUDGETS,
@@ -21,7 +24,8 @@ from drasim.verification import (
     run_verification,
 )
 
-QUICK = json.loads((Path(__file__).parent.parent / "configs" / "verify_quick.json").read_text())
+CONFIGS = Path(__file__).parent.parent / "configs"
+QUICK = json.loads((CONFIGS / "verify_quick.json").read_text())
 BUDGET = {name: QUICK["verify"].get(name, default) for name, (default, _) in VERIFY_BUDGETS.items()}
 SEED = QUICK["seed"]
 
@@ -106,3 +110,40 @@ def test_myerson_identity_fails_when_phi_flips_sign(negated_virtual_value):
 def test_conditional_bound_fails_when_phi_flips_sign(negated_virtual_value):
     check = _check_conditional_bounds(BUDGET["mc_samples"], SEED)
     assert check.name == "conditional_bound" and not check.passed
+
+
+def verify_quick_lines(capsys):
+    """verify_quick's report as the CLI prints it, and its exit code."""
+    rc = main(["verify", "--config", str(CONFIGS / "verify_quick.json")])
+    return rc, capsys.readouterr().out.splitlines()
+
+
+def test_reserve_and_alpha_fails_when_the_reserve_is_one_percent_low(monkeypatch, capsys):
+    # reserve_price 1% low wherever drasim binds the name, so that every check sees
+    # one reserve: patched into verification alone, the price bounds, whose
+    # distributions.check_* functions take the true reserve, would refuse the
+    # prices verification derives from the low one
+    reserve_price = distributions.reserve_price
+
+    def one_percent_low(dist):
+        return 0.99 * reserve_price(dist)
+
+    for module in (distributions, estimators, verification, config):
+        monkeypatch.setattr(module, "reserve_price", one_percent_low)
+    try:
+        rc, lines = verify_quick_lines(capsys)
+    finally:  # Rev(D^n) is cached per distribution: drop what the low reserve priced
+        distributions.optimal_revenue.cache_clear()
+    assert rc == 1 and lines[-1] == "VERIFY FAIL: reserve_and_alpha"
+    assert lines[0].startswith("FAIL reserve_and_alpha: exponential reserve,gpareto(0.25) reserve,")
+
+
+def test_estimator_determinism_fails_when_the_stream_moves_per_call(monkeypatch, capsys):
+    # each estimate draws the stream of its seed plus the number of estimates before it
+    calls = itertools.count()
+    value_stream_seed = estimators._value_stream_seed
+    monkeypatch.setattr(estimators, "_value_stream_seed",
+                        lambda seed: value_stream_seed(seed + next(calls)))
+    rc, lines = verify_quick_lines(capsys)
+    assert rc == 1 and lines[-1] == "VERIFY FAIL: estimator_determinism"
+    assert "FAIL estimator_determinism: mismatch" in lines
