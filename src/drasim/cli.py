@@ -121,15 +121,14 @@ def cmd_estimate(setup: ExperimentSetup) -> int:
         report = credibility_suite(
             setup.dist, setup.classification_alpha(), setup.n,
             setup.deviation_quantiles, setup.samples, setup.seed,
-            collateral_override=config.collateral, engine=setup.engine,
+            collateral_override=config.collateral,
         )
         for row in report.rows:
             buf.write(_csv_row(row.strategy, "", row.estimate,
                                "pass" if row.passed else "fail") + "\n")
     else:
         strategy = setup.auctioneer()
-        est = estimate_revenue(config, strategy, setup.samples, setup.seed,
-                               engine=setup.engine)
+        est = estimate_revenue(config, strategy, setup.samples, setup.seed)
         buf.write(_csv_row(strategy.describe(), "", est, "na") + "\n")
     _write_out(buf.getvalue(), setup.out)
     return 0
@@ -139,7 +138,7 @@ def cmd_attack(setup: ExperimentSetup) -> int:
     check_setting(AdaptiveReserve, setup.mode, setup.n, "attack")  # the sweep's own setting
     config = setup.auction_config()
     rows = attack_sweep(setup.dist, config.collateral, setup.attack_thresholds(setup.dist),
-                        setup.samples, setup.seed, engine=setup.engine)
+                        setup.samples, setup.seed)
     buf = io.StringIO()
     buf.write(CSV_HEADER + ",quadrature\n")
     any_profit = False

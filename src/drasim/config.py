@@ -27,7 +27,7 @@ from .distributions import (
     reserve_price,
     strong_regularity_alpha,
 )
-from .estimators import ENGINES, MIN_SAMPLES, sample_values
+from .estimators import MIN_SAMPLES, sample_values
 from .protocol import AuctionConfig
 from .strategies import (
     ALWAYS_REVEAL,
@@ -51,8 +51,7 @@ class ConfigError(ValueError):
 
 _TOP_KEYS = {
     "distribution", "n", "alpha", "mode", "scheme", "collateral", "samples",
-    "seed", "buyers", "auctioneer", "thresholds", "deviation_quantiles",
-    "engine", "verify", "out",
+    "seed", "buyers", "auctioneer", "thresholds", "deviation_quantiles", "verify", "out",
 }
 _DIST_KEYS = {"family", "params"}
 _BUYER_KEYS = {"kind", "value", "bid"}
@@ -160,8 +159,6 @@ def validate_config(cfg: dict) -> dict:
         _expect_int(cfg["samples"], "samples", minimum=MIN_SAMPLES)
     if "seed" in cfg:
         _expect_int(cfg["seed"], "seed", minimum=0)
-    if "engine" in cfg:
-        _expect_name(cfg["engine"], ENGINES, "engine")
     if "buyers" in cfg:
         for i, buyer in enumerate(_expect_list(cfg["buyers"], "buyers", nonempty=True)):
             _expect_keys(buyer, _BUYER_KEYS, f"buyers[{i}]")
@@ -261,7 +258,6 @@ class ExperimentSetup:
         self.mode: str = cfg.get("mode", "broadcast")
         self.scheme: str = _scheme_name(cfg.get("scheme", "ideal"))
         self.samples: int = cfg.get("samples", 100_000)
-        self.engine: str = cfg.get("engine", "vector")
         if "seed" in cfg:
             self.seed = cfg["seed"]
         else:

@@ -13,6 +13,9 @@ Two engines are provided and kept in exact agreement:
     suite asserts per-profile equality of the two engines, so the fast path
     carries the simulator's semantics, not a reimplementation of its own.
 
+Only estimate_revenue and estimate_adaptive_gain take engine=, the tests'
+reference hook: on every strategy a config builds the engines give the same bits.
+
 Every estimator, and check_conditional_bound, runs on one loop over chunked
 counter-based streams (see seeding) that draws each profile once for all the
 functions it prices, and needs MIN_SAMPLES samples or more. An estimate is a
@@ -62,10 +65,11 @@ _PRUNE_MARGIN)) is at most S, so every row the exact test keeps is among them.
 Stage 2 applies the exact test to those rows only, about sf(T) of the stratum,
 and keeps the same rows, in the same order, as the exact test on all rows. Only
 those, about sf(T)/2 of the stratum, are mapped through sample_tail/quantile and
-adaptive_net_delta; the rest are exact zeros, so the accumulated arrays, and
-every estimate, are bit-identical to evaluating all rows. This needs the
-family's quantile and isf to be one non-increasing map of the survival
-probability, up to float error far below the margin, as every family here is.
+adaptive_net_delta, the message engine's paired difference; the rest are exact
+zeros, so the accumulated arrays, and every estimate, are bit-identical to
+evaluating all rows. This needs the family's quantile and isf to be one
+non-increasing map of the survival probability, up to float error far below
+the margin, as every family here is.
 """
 
 from __future__ import annotations
@@ -180,6 +184,11 @@ def _fill_slices(stream: int, chunk_index: int, u: np.ndarray, firsts, lock) -> 
         fill_uniforms(stream, chunk_index, u[first:first + SLICE_ROWS], first)
 
 
+def _require_samples(samples: int) -> None:
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+
+
 def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
     """The Monte Carlo loop: one Estimate per function (chunk, start) -> array. Each
     chunk of the seed's stream is drawn and mapped to profiles by `draw` once, and
@@ -188,8 +197,7 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
     chunk to chunk. The caller and a helper thread share each chunk's fill, slice
     by slice, and the helper starts on the next chunk while the caller prices this
     one (see the module docstring)."""
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
+    _require_samples(samples)
     stream = _value_stream_seed(seed)
     chunks = list(chunk_bounds(samples))
     accumulators = [ChunkAccumulator() for _ in per_profile]
@@ -382,12 +390,13 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
     Stratified on v_A: below the threshold the deviation coincides with honest
     play and contributes exactly zero (not sampled); the tail stratum draws
     v_A by conditional inverse-survival sampling and is weighted by the
-    closed-form P[v_A >= T]. The vector engine evaluates the case arithmetic
-    on the candidate profiles with v_B > v_A only; engine="simulate" runs
-    paired full auctions on every profile instead. The plain estimate of the
+    closed-form P[v_A >= T]. The vector engine prices adaptive_net_delta on the
+    candidate profiles with v_B > v_A only; engine="simulate" runs paired full
+    auctions on every profile and gives the same bits. The plain estimate of the
     same gain, on unconditioned profiles, is estimate_paired_difference of
     AdaptiveReserve(T) against Honest() on the attack's centralized n = 2 config.
     """
+    _require_samples(samples)  # an empty stratum too, which samples nothing
     config = _attack_config(dist, threshold, collateral)
     weight = float(dist.sf(threshold))
     if weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
@@ -464,8 +473,7 @@ class CredibilityReport:
 
 def credibility_suite(dist: ValueDistribution, alpha: float, n: int,
                       deviation_quantiles: Sequence[float], samples: int, seed: int,
-                      collateral_override: Optional[float] = None,
-                      engine: str = "vector") -> CredibilityReport:
+                      collateral_override: Optional[float] = None) -> CredibilityReport:
     """Estimate revenue for honest play and a grid of shill deviations.
 
     The grid crosses false-bid levels (quantiles of D) with the two stock
@@ -484,7 +492,7 @@ def credibility_suite(dist: ValueDistribution, alpha: float, n: int,
         bid = float(dist.quantile(u))
         for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING):
             strategies.append(ShillBroadcast(false_bids=(bid,), reveal_policy=policy))
-    nets = [_net_function(config, strategy, seed, engine) for strategy in strategies]
+    nets = [_net_function(config, strategy, seed, "vector") for strategy in strategies]
     estimates = _estimate_each(seed, samples, n, dist.quantile, nets)
     rows = []
     for strategy, est in zip(strategies, estimates):
@@ -513,13 +521,12 @@ class AttackRow:
 
 
 def attack_sweep(dist: ValueDistribution, collateral: float,
-                 thresholds: Sequence[float], samples: int, seed: int,
-                 engine: str = "vector") -> list:
+                 thresholds: Sequence[float], samples: int, seed: int) -> list:
     """Stratified gain estimates and quadrature values over a threshold sweep."""
     rows = []
     for i, threshold in enumerate(thresholds):
         est = estimate_adaptive_gain(dist, threshold, collateral, samples,
-                                     derive_seed(seed, "T", i), engine=engine)
+                                     derive_seed(seed, "T", i))
         quad = adaptive_gain_quadrature(dist, threshold, collateral)
         rel = abs(est.mean - quad) / abs(quad) if quad != 0.0 else None
         rows.append(AttackRow(threshold=float(threshold), estimate=est, quadrature=quad,

@@ -49,6 +49,7 @@ from .channels import (
     END_COMMIT,
     END_REVEAL,
     MODES,
+    ModeError,
     OutcomeNotice,
     ProtocolViolation,
     RevealMsg,
@@ -309,11 +310,14 @@ class AuctionGame:
                          sender: int = AUCTIONEER, per_buyer: Optional[dict] = None) -> None:
         """An auctioneer-side message under id `sender` (itself or a false buyer).
 
-        Broadcast mode sends `payload` once to everyone. Centralized mode sends
-        one private copy to each buyer in `to` (default: all of them), or that
-        buyer's entry of `per_buyer` where it has one.
+        Broadcast mode sends `payload` once to everyone, and refuses (ModeError) a
+        `to` or `per_buyer`. Centralized mode sends one private copy to each buyer
+        in `to` (default: all of them), or that buyer's entry of `per_buyer` where
+        it has one.
         """
         if self.mode == "broadcast":
+            if to is not None or per_buyer is not None:
+                raise ModeError("a broadcast channel cannot target a send")
             self.channel.broadcast(sender, payload, physical=AUCTIONEER)
             return
         send = self.channel.private_send
@@ -399,11 +403,12 @@ class AuctionGame:
         if self._outcome is not None:
             raise ProtocolViolation("run already finalized")
         false_ids = self.false_ids
-        self._outcome = outcome = resolve(
+        outcome = resolve(
             self.scheme, self.commitments, self.revealed, self.config.reserve,
             self.config.collateral, frozenset(false_ids), frozenset(self.reclaimed))
         self._auctioneer_send(OutcomeNotice(outcome.winner, outcome.sale_price),
                               per_buyer=notices)
+        self._outcome = outcome  # once announced: a refused notice leaves the run open
         notify = self.channel.notify
         transfers = []
         for entry in outcome.ledger:

@@ -23,11 +23,12 @@ the same run's auctioneer net per row of truthful values in closed form, for
 the vector engine. The Chunk holds the rows and computes their top two and the
 promised auction's net once for every strategy priced on it; the kernels write
 into its work arrays, so the array vector_net returns holds only until the next
-kernel call on the chunk. They select by 0/1-mask products, as masked copies
-mispredict on random masks: exact for finite values and bids, reserve > 0 (see
-_shill_net). A subclass that overrides execute but not vector_net has no vector
-path: it runs on engine="simulate" only. Lifted refuses it as well, since it
-replays schedule() through the two-phase execute, not the subclass's.
+kernel call on the chunk. The shill kernels select by 0/1-mask products, as
+masked copies mispredict on random masks: exact for finite values and bids,
+reserve > 0 (see _shill_net). A subclass that overrides execute but not
+vector_net has no vector path: it runs on engine="simulate" only. Lifted
+refuses it as well, since it replays schedule() through the two-phase execute,
+not the subclass's.
 
 A deviation counts as safe here when check_view_consistency accepts every real
 buyer's transcript on every run: each view must be explainable by some honest
@@ -300,43 +301,6 @@ def _shill_net(chunk: Chunk, reserve: float, collateral: float,
     return np.subtract(shill_price, np.multiply(collateral, withheld_count, out=withheld), out=net)
 
 
-def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
-                       collateral: float) -> np.ndarray:
-    """Adaptive-minus-honest auctioneer net per (v_A, v_B) profile.
-
-    Zero off the stratum {v_A >= T} and where B does not clear the reserve.
-    Otherwise: +collateral when B outbids the false bid v_A + f (first-price
-    extraction), -collateral when B lands in (v_A, v_A + f] (the false deposit
-    is forfeited to B), zero otherwise. Where v_A lies below the reserve, as T
-    may (_outbid_below_reserve), outbidding the false bid gains max(reserve,
-    v_A + f) - reserve, its price over the reserve that honest play charges.
-    """
-    a = values[:, 0]
-    b = values[:, 1]
-    active = a >= threshold
-    active &= b > reserve  # which b > v_A + f implies only where v_A >= reserve
-    plus = active & (b > a + collateral)
-    minus = active & (b > a) & (b <= a + collateral)
-    delta = collateral * plus.astype(float) - collateral * minus.astype(float)
-    if threshold < reserve:
-        rows, price = _outbid_below_reserve(values, reserve, threshold, collateral)
-        delta[rows] = price - reserve
-    return delta
-
-
-def _outbid_below_reserve(values: np.ndarray, reserve: float, threshold: float,
-                          collateral: float) -> tuple:
-    """(rows, price): the profiles with v_A in [threshold, reserve) where B outbids
-    both the false bid v_A + f and the reserve, and B's price max(reserve, v_A + f)
-    on them, where honest play charges the reserve. check_config admits a threshold
-    up to ROOT_TOL below the bisected reserve, so these rows exist."""
-    a = values[:, 0]
-    b = values[:, 1]
-    rows = np.flatnonzero((a >= threshold) & (a < reserve) & (b > a + collateral)
-                          & (b > reserve))
-    return rows, np.maximum(reserve, a[rows] + collateral)
-
-
 class TwoPhase:
     """The promised auction with schedule()'s false bids and reveal policy, on the
     mode and n it needs (None: any), which check_setting holds a setting to."""
@@ -517,14 +481,8 @@ class AdaptiveReserve(TwoPhase):
             raise ValueError(f"threshold {self.threshold} below reserve {config.reserve}")
 
     def vector_net(self, chunk: Chunk, config: AuctionConfig) -> np.ndarray:
-        net = super().vector_net(chunk, config)  # the promised auction's, which the delta changes
-        np.add(net, adaptive_net_delta(chunk.values, config.reserve, self.threshold,
-                                       config.collateral), out=net)
-        if self.threshold < config.reserve:  # the price, as reserve + (price - reserve) may round
-            rows, price = _outbid_below_reserve(chunk.values, config.reserve, self.threshold,
-                                                config.collateral)
-            net[rows] = price
-        return net
+        net = super().vector_net(chunk, config)  # the promised net, which the deviation changes
+        return _adaptive_net(chunk.values, config.reserve, self.threshold, config.collateral, net)
 
     def execute(self, game: AuctionGame) -> Outcome:
         self.check_config(game.config)
@@ -580,6 +538,36 @@ class AdaptiveReserve(TwoPhase):
         game.reveal_false(fid, to=[b_id])
         game.end_reveal()
         return game.finalize({a_id: OutcomeNotice(b_id, max(reserve, bid_a))})
+
+
+def _adaptive_net(values: np.ndarray, reserve: float, threshold: float, collateral: float,
+                  net: np.ndarray) -> np.ndarray:
+    """AdaptiveReserve's auctioneer net per (v_A, v_B) profile, written over net, the
+    promised net on every row the deviation changes, and returned. Those rows have
+    v_A >= T and B above the reserve and A, where the promised auction sells to B
+    at max(reserve, v_A). A B above the false bid v_A + f pays max(reserve, v_A +
+    f); a B in (v_A, v_A + f] wins at the promised price, and C's deposit f is lost.
+    This is execute's settlement in the message engine's arithmetic, at every
+    threshold check_config admits, the ROOT_TOL sliver below the reserve included."""
+    a, b = values[:, 0], values[:, 1]
+    false_bid = a + collateral
+    changed = (a >= threshold) & (b > reserve) & (b > a)
+    outbid = changed & (b > false_bid)
+    changed ^= outbid  # now the rows with B in (v_A, v_A + f]
+    np.subtract(net, collateral, out=net, where=changed)
+    np.maximum(reserve, false_bid, out=net, where=outbid)
+    return net
+
+
+def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
+                       collateral: float) -> np.ndarray:
+    """AdaptiveReserve's net less the promised auction's per (v_A, v_B) profile: the
+    message engine's paired difference of the two, row for row. The promised net
+    is max(reserve, v_A) on every row the deviation changes, so _adaptive_net
+    prices from it, and every other row is an exact zero."""
+    promised = np.maximum(reserve, values[:, 0])
+    net = _adaptive_net(values, reserve, threshold, collateral, promised.copy())
+    return np.subtract(net, promised, out=net)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ def test_unknown_nested_keys_rejected():
 def test_bad_values_rejected():
     for bad in [{"n": 0}, {"mode": "mesh"}, {"scheme": "rsa"}, {"samples": 0},
                 {"seed": -1}, {"collateral": -2.0}, {"engine": "gpu"},
+                {"engine": "vector"},  # both engines give the same bits: no key to set
                 {"thresholds": []}, {"deviation_quantiles": [1.5]},
                 {"collateral": float("inf")}, {"collateral": 10**400},
                 {"alpha": float("nan")}, {"thresholds": [float("nan")]},
@@ -139,6 +140,16 @@ def test_setup_rejects_unrunnable_distributions():
     setup = build_setup({"distribution": {"family": "equal_revenue"}, "n": 1, "seed": 0})
     with pytest.raises(ConfigError):
         setup.auction_config()
+
+
+def test_readme_config_shape_builds():
+    # the README's example config is one that config accepts and builds, so a key
+    # that config rejects cannot linger there
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("Config shape", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    setup = build_setup(json.loads(block))
+    assert setup.auction_config().n == len(setup.buyers()) == 2
+    assert setup.auctioneer().describe() == "shill[4.32456]/withhold_if_winning"
 
 
 # ---------------------------------------------------------------------------

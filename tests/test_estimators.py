@@ -265,16 +265,15 @@ FAST_EXP = Exponential(1e8)  # reserve 1e-8, bisected to ROOT_TOL: a tenth of it
 
 
 def test_adaptive_gain_simulate_engine_agrees_with_vector():
-    # Per row, the stratified kernel prices +-f where the simulate engine's paired
-    # difference is fl(fl(v_A +- f) - v_A), so a row where v_A +- f rounds differs in
-    # its last bits, and the estimates are equal only where the sums absorb that:
-    # they do here, and not on FAST_EXP with f = 5e-10
     below_reserve = reserve_price(FAST_EXP) - ROOT_TOL
     for dist, threshold, collateral in [
         (GPA, 5.0, 2.0),
         (GPA, 2.0, 2.0),  # the shipped T = 2.0 lies below R = 2.000000000482171
         (FAST_EXP, below_reserve, 2.0 ** -27),
         (FAST_EXP, below_reserve, 2.0 ** -34),  # below ROOT_TOL
+        (FAST_EXP, below_reserve, 5e-10),
+        (Exponential(1.0), reserve_price(Exponential(1.0)), 0.3),
+        (GeneralizedPareto(0.25), 1.7, 0.1),
     ]:
         vec = estimate_adaptive_gain(dist, threshold, collateral, 1_200, 3, engine="vector")
         sim = estimate_adaptive_gain(dist, threshold, collateral, 1_200, 3, engine="simulate")
@@ -285,6 +284,22 @@ def test_adaptive_gain_infinite_threshold_is_zero():
     est = estimate_adaptive_gain(GPA, math.inf, 2.0, 10_000, 0)
     assert est.mean == 0.0 and est.std_error == 0.0
     assert adaptive_gain_quadrature(GPA, math.inf, 2.0) == 0.0
+
+
+def test_adaptive_gain_refuses_too_few_samples_on_an_empty_stratum():
+    for samples in (-3, 0, 999):
+        with pytest.raises(ValueError, match="samples must be >= 1000"):
+            estimate_adaptive_gain(GPA, math.inf, 2.0, samples, 0)
+
+
+def test_attack_sweep_rows_are_the_simulate_engines():
+    # the sweep runs the vector engine; each row equals the reference engine's
+    # estimate at the row's own seed, bit for bit, with an f at which v_A + f rounds
+    thresholds = [2.0, 5.0]
+    for row, (i, threshold) in zip(attack_sweep(GPA, 0.3, thresholds, 1_500, 0),
+                                   enumerate(thresholds)):
+        assert row.estimate == estimate_adaptive_gain(GPA, threshold, 0.3, 1_500,
+                                                      derive_seed(0, "T", i), engine="simulate")
 
 
 def test_adaptive_gain_rejects_threshold_below_reserve():

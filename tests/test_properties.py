@@ -6,9 +6,10 @@ breaks the phase grammar is refused and leaves log and views as they were, and
 every record of a run is frozen. Also the vector
 engine's top-two kernel against a sort, the shill kernel's 0/1-mask products
 against the selects they replace, each auctioneer family's closed form against
-the message engine on every profile, the pruned adaptive-attack kernel
-against the case arithmetic on every row, and its two-stage row test against
-the one-stage test it replaces."""
+the message engine on every profile, the adaptive attack's net difference
+against the message engine's paired difference on every profile, the pruned
+adaptive-attack kernel against the unpruned one on every row, and its
+two-stage row test against the one-stage test it replaces."""
 
 import math
 from dataclasses import FrozenInstanceError, fields
@@ -233,6 +234,10 @@ BELOW_R = (R - ROOT_TOL, 2.0, float(np.nextafter(R, 0.0)))
 # bids drawn from one small pool, so that real bids tie each other, the false bids,
 # the threshold and the reserve; 0.0, BELOW_R and R are at or below the reserve
 pool = st.one_of(st.sampled_from([0.0, *BELOW_R, R, 3.0, 5.0, 40.0]), amounts)
+# the thresholds check_config admits on GPA, and the collaterals AuctionConfig does
+adaptive_thresholds = st.one_of(st.sampled_from((*BELOW_R, R, 3.0, 5.0, math.inf)),
+                                st.floats(min_value=R - ROOT_TOL, max_value=64.0))
+collaterals = st.floats(min_value=0.0, max_value=32.0, exclude_min=True)
 
 
 @st.composite
@@ -247,12 +252,9 @@ def priced_profiles(draw):
         "honest": (Honest(), draw(st.sampled_from(("broadcast", "centralized")))),
         "shill": (shill, "broadcast"),
         "lifted": (Lifted(draw(st.sampled_from((Honest(), shill)))), "centralized"),
-        "adaptive": (AdaptiveReserve(draw(st.one_of(
-            st.sampled_from((*BELOW_R, R, 3.0, 5.0, math.inf)),
-            st.floats(min_value=R - ROOT_TOL, max_value=64.0)))),
-            "centralized"),
+        "adaptive": (AdaptiveReserve(draw(adaptive_thresholds)), "centralized"),
     }[family]
-    collateral = draw(st.floats(min_value=0.0, max_value=32.0, exclude_min=True))
+    collateral = draw(collaterals)
     config = AuctionConfig(n=n, dist=GPA, reserve=R, collateral=collateral, mode=mode, seed=0)
     rows = draw(st.lists(st.lists(pool, min_size=n, max_size=n), min_size=1, max_size=4))
     return config, auctioneer, np.array(rows, dtype=float), draw(st.integers(0, 2**62))
@@ -278,6 +280,26 @@ def test_vector_engine_matches_message_engine_per_profile(case):
                  for k, row in enumerate(values)]
     vector = _vector_net(config, auctioneer)(Chunk(values), config)
     assert np.array_equal(vector, np.array(simulated))
+
+
+# Rows where v_A + f or max(R, v_A) - f rounds: f = 0.1 at v_A = 3, and f below
+# ROOT_TOL at and just below R
+@example(R, 0.1, [[3.0, 3.05], [3.0, 3.2], [5.0, 40.0]], 0)
+@example(R - ROOT_TOL, 5e-10, [[R - ROOT_TOL, R], [R, 40.0], [2.0, 2.0 + 5e-10]], 0)
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(adaptive_thresholds, collaterals,
+       st.lists(st.lists(pool, min_size=2, max_size=2), min_size=1, max_size=4),
+       st.integers(0, 2**62))
+def test_adaptive_net_delta_is_the_message_engines_paired_difference(threshold, collateral,
+                                                                     rows, seed):
+    config = AuctionConfig(n=2, dist=GPA, reserve=R, collateral=collateral, mode="centralized",
+                           seed=0)
+    values = np.array(rows, dtype=float)
+    simulated = [simulate_profile_net(config, AdaptiveReserve(threshold), row, seed + k)
+                 - simulate_profile_net(config, Honest(), row, seed + k)
+                 for k, row in enumerate(values)]
+    delta = adaptive_net_delta(values, R, threshold, collateral)
+    assert np.array_equal(delta, np.array(simulated))
 
 
 # Families with a finite reserve, where the attack is defined (two_point has none).

@@ -23,8 +23,10 @@ from drasim import (
     GeneralizedPareto,
     Honest,
     Lifted,
+    ModeError,
     NoReveal,
     Opening,
+    OutcomeNotice,
     ProtocolViolation,
     ShillBroadcast,
     Truthful,
@@ -287,6 +289,24 @@ def test_strategy_must_finalize_exactly_once():
     config = AuctionConfig(n=1, dist=dist, reserve=1.0, collateral=1.0, seed=0)
     with pytest.raises(ProtocolViolation):
         run_auction(config, [Truthful(2.0)], Lazy())
+
+
+def test_broadcast_refuses_a_targeted_send():
+    # on a broadcast channel every send reaches everyone: a send to some buyers, or
+    # a notice for one buyer, would reach each buyer with the same message
+    config = AuctionConfig(n=2, dist=Exponential(1.0), reserve=1.0, collateral=1.0, seed=0)
+    game = AuctionGame(config, [Truthful(2.0), Truthful(3.0)])
+    for i in game.buyer_ids:
+        game.buyer_commit(i)
+    with pytest.raises(ModeError):
+        game.end_commit(to=[1])
+    game.end_commit()
+    for i in game.buyer_ids:
+        game.buyer_reveal(i)
+    game.end_reveal()
+    with pytest.raises(ModeError):
+        game.finalize({1: OutcomeNotice(None, 0.0)})
+    assert game.finalize().winner == 2  # the refused sends left the run to finish
 
 
 def test_double_finalize_rejected():

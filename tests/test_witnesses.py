@@ -147,3 +147,13 @@ def test_estimator_determinism_fails_when_the_stream_moves_per_call(monkeypatch,
     rc, lines = verify_quick_lines(capsys)
     assert rc == 1 and lines[-1] == "VERIFY FAIL: estimator_determinism"
     assert "FAIL estimator_determinism: mismatch" in lines
+
+
+def test_lift_equality_fails_when_the_replay_reveals_every_false_bid(monkeypatch, capsys):
+    # the centralized replay keeps the inner strategy's false bids but not its reveal
+    # policy: a bid the broadcast run withholds is opened and counted
+    monkeypatch.setattr(strategies.Lifted, "schedule",
+                        lambda self: (self.inner.false_bids, strategies.ALWAYS_REVEAL))
+    rc, lines = verify_quick_lines(capsys)
+    assert rc == 1 and lines[-1] == "VERIFY FAIL: lift_equality"
+    assert "FAIL lift_equality: 150 paired runs, 32 mismatches" in lines
