@@ -42,7 +42,7 @@ class ChunkAccumulator:
         that the squares are written into instead of a new one."""
         values = np.asarray(values, dtype=float)
         self._sums.append(float(np.add.reduce(values, axis=None)))
-        self._sq_sums.append(float(np.add.reduce(np.multiply(values, values, out=square),
+        self._sq_sums.append(float(np.add.reduce(np.square(values, out=square),
                                                  axis=None)))
         self._count += values.size
 

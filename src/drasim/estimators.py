@@ -28,24 +28,24 @@ the profiles, their top two and the promised auction's net and sale mask, each
 computed once per chunk for all the strategies, and work arrays that the
 kernels and the accumulator write into (the Chunk docstring lists them). One
 Chunk carries an estimate from chunk to chunk, so its work arrays are allocated
-once per call, on the calling thread; the shill kernels and the accumulator
-allocate nothing chunk-sized per strategy (the accumulator writes its squares
-into the work array "scratch", where no kernel result lives). An array a
-kernel returns may be one of them and holds only until the next kernel call on
-the chunk, so a paired difference copies the first net before it prices the
-baseline.
+once per call, on the calling thread (twice when the short last chunk comes
+first); the shill kernels and the accumulator allocate nothing chunk-sized per
+strategy (the accumulator writes its squares into the work array "scratch",
+where no kernel result lives). An array a kernel returns may be one of them and
+holds only until the next kernel call on the chunk, so a paired difference
+copies the first net before it prices the baseline.
 
-The loop prices the chunks in order on the calling thread. When an estimate
-has more than one chunk, one helper thread, started and joined by the call,
-shares each chunk's draw with the caller: a chunk is split into slices of
-SLICE_ROWS rows, which both threads take from one iterator and draw with
-seeding.fill_uniforms into one of two alternating buffers. The helper starts
-on chunk k + 1 while the caller prices chunk k; the caller then draws the
-slices of chunk k + 1 that nobody has started and joins the helper, so the
-split follows the cost of the pricing. The helper runs only fill_uniforms
-(numpy's fill releases the interpreter lock), no function the benchmark's
-tracer wraps, and each slice holds the rows chunk_uniforms would return, so
-the estimates do not depend on it. A one-chunk estimate starts no thread.
+When an estimate has more than one chunk, one helper thread, started and
+joined by the call, draws whole chunks ahead of the caller with
+seeding.fill_uniforms, into its two buffers, taking each chunk index from a
+queue both threads share. The caller prices the chunks as they arrive and,
+when none is waiting, draws the next one itself into a third buffer, so the
+split follows the cost of the pricing. Each chunk holds the rows
+chunk_uniforms returns, and ChunkAccumulator merges per-chunk sums with the
+exact math.fsum, so the order does not change an estimate. The helper runs
+only fill_uniforms (numpy's fill releases the interpreter lock), which no
+tracer layer wraps; the caller raises its failures. A one-chunk estimate
+starts no thread.
 
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
@@ -74,8 +74,9 @@ the margin, as every family here is.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
+from queue import Empty, SimpleQueue
+from threading import Thread
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,9 +127,6 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 1_000
-# rows of one share of a chunk's fill, 8 per full chunk; a multiple of 4, so every
-# slice starts where fill_uniforms can start
-SLICE_ROWS = 8_192
 # Relative margin of the adaptive prune's candidate test. A relative gap of 1e-9
 # between two survival probabilities is a gap of about 1e-9 between their
 # logarithms, some 10^3 times the error of a computed log or log1p (a few ulp of
@@ -171,19 +169,6 @@ def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
     return [float(v) for v in np.atleast_1d(dist.quantile(u))]
 
 
-def _fill_slices(stream: int, chunk_index: int, u: np.ndarray, firsts, lock) -> None:
-    """Draw the chunk's rows [first, first + SLICE_ROWS) into u for each first that
-    this thread takes from the iterator it shares with the other thread. The lock
-    hands each first out once: an iterator shared by threads may not, on a Python
-    without the interpreter lock."""
-    while True:
-        with lock:
-            first = next(firsts, None)
-        if first is None:
-            return
-        fill_uniforms(stream, chunk_index, u[first:first + SLICE_ROWS], first)
-
-
 def _require_samples(samples: int) -> None:
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
@@ -191,12 +176,11 @@ def _require_samples(samples: int) -> None:
 
 def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
     """The Monte Carlo loop: one Estimate per function (chunk, start) -> array. Each
-    chunk of the seed's stream is drawn and mapped to profiles by `draw` once, and
-    each function's array for it goes to its own accumulator in turn, in chunk
-    order. The call's one Chunk carries the profiles and the work arrays from
-    chunk to chunk. The caller and a helper thread share each chunk's fill, slice
-    by slice, and the helper starts on the next chunk while the caller prices this
-    one (see the module docstring)."""
+    chunk of the seed's stream is drawn whole and mapped to profiles by `draw` once,
+    and each function's array for it goes to its own accumulator. The call's one
+    Chunk carries the profiles and the work arrays from chunk to chunk. A helper
+    thread draws chunks ahead, and the caller prices them in the order they come
+    (see the module docstring)."""
     _require_samples(samples)
     stream = _value_stream_seed(seed)
     chunks = list(chunk_bounds(samples))
@@ -212,35 +196,50 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
     if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)
         return [acc.result() for acc in accumulators]
-    # imported here: concurrent.futures loads logging, which `import drasim`,
-    # the message engine and one-chunk estimates have no use for
-    from concurrent.futures import ThreadPoolExecutor
+    todo, free, ready = SimpleQueue(), SimpleQueue(), SimpleQueue()
+    for bounds in chunks:
+        todo.put(bounds)
+    own = np.empty((CHUNK_SAMPLES, cols))  # the caller's buffer; the helper's two are in free
+    for _ in range(2):
+        free.put(np.empty((CHUNK_SAMPLES, cols)))
 
-    buffers = (np.empty((CHUNK_SAMPLES, cols)), np.empty((CHUNK_SAMPLES, cols)))
-    lock = threading.Lock()
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        def begin(k):
-            """Start the helper on chunk k's slices, into buffers[k % 2]. The function
-            returned draws the slices nobody has started, joins the helper and gives
-            the chunk's uniforms."""
-            _, start, stop = chunks[k]
-            u = buffers[k % 2][:stop - start]
-            firsts = iter(range(0, stop - start, SLICE_ROWS))
-            pending = helper.submit(_fill_slices, stream, k, u, firsts, lock)
+    def take(buffer):
+        """(buffer, start, stop) with the next chunk nobody has taken drawn into
+        buffer, or None when every chunk is taken."""
+        try:
+            k, start, stop = todo.get_nowait()
+        except Empty:
+            return None
+        fill_uniforms(stream, k, buffer[:stop - start])
+        return buffer, start, stop
 
-            def finish():
-                _fill_slices(stream, k, u, firsts, lock)
-                pending.result()
-                return u
-            return finish
+    def draw_ahead():
+        """The helper: draw chunks into free buffers and queue them, until every
+        chunk is taken or it takes None from free. A failure is queued for the
+        caller, which raises it."""
+        try:
+            while (buffer := free.get()) is not None and (drawn := take(buffer)) is not None:
+                ready.put(drawn)
+        except BaseException as exc:
+            ready.put(exc)
 
-        finish = begin(0)
-        for k, start, _ in chunks[:-1]:
-            u = finish()
-            finish = begin(k + 1)  # into the buffer that chunk k - 1 was priced from
-            consume(draw(u), start)
-        u = finish()
-    consume(draw(u), chunks[-1][1])
+    helper = Thread(target=draw_ahead)
+    helper.start()
+    try:
+        for _ in chunks:
+            try:  # a chunk the helper queued, else one drawn here, else the helper's next
+                drawn = ready.get_nowait()
+            except Empty:
+                drawn = take(own) or ready.get()
+            if isinstance(drawn, BaseException):
+                raise drawn
+            buffer, start, stop = drawn
+            consume(draw(buffer[:stop - start]), start)
+            if buffer is not own:
+                free.put(buffer)
+    finally:  # the helper stops at the None, after at most its two buffers
+        free.put(None)
+        helper.join()
     return [acc.result() for acc in accumulators]
 
 
@@ -373,11 +372,13 @@ def _adaptive_rows(sf: float, u: np.ndarray) -> np.ndarray:
 
 
 def _adaptive_gain_pruned(dist: ValueDistribution, threshold: float, collateral: float,
-                          u: np.ndarray) -> np.ndarray:
-    """adaptive_net_delta of the profiles _attack_profiles maps u to, evaluated only
-    on the _adaptive_rows; zero elsewhere."""
+                          chunk: Chunk) -> np.ndarray:
+    """adaptive_net_delta of the profiles _attack_profiles maps the chunk's uniforms
+    to on the _adaptive_rows, and zero elsewhere, in the chunk's work array "net"."""
+    u = chunk.values
     rows = _adaptive_rows(float(dist.sf(threshold)), u)
-    delta = np.zeros(len(u))
+    delta = chunk.work("net")
+    delta.fill(0.0)
     delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, np.take(u, rows, axis=0)),
                                      reserve_price(dist), threshold, collateral)
     return delta
@@ -406,7 +407,7 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
             return u
 
         def gain(chunk, start):
-            return _adaptive_gain_pruned(dist, threshold, collateral, chunk.values)
+            return _adaptive_gain_pruned(dist, threshold, collateral, chunk)
     else:
         def draw(u):
             return _attack_profiles(dist, threshold, u)

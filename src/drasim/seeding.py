@@ -5,13 +5,12 @@ is split into fixed-size chunks; chunk c draws from a Philox stream whose
 counter high word is c, so the values for sample index i depend only on
 (seed, i) and are identical no matter how chunks are scheduled or batched.
 
-fill_uniforms is the one definition of that stream. Philox is counter-based,
-so any row of a chunk is reached by setting the counter: fill_uniforms draws
-rows first_row... of a chunk into a given array, on a Philox of the calling
-thread's own that it repositions for each fill (a state assignment, about a
+fill_uniforms is the one definition of that stream: it draws the first rows of
+a chunk into a given array, on a Philox of the calling thread's own that it
+repositions for each fill by setting the counter (a state assignment, about a
 microsecond, where building a Philox costs some 25). chunk_uniforms draws a
-whole chunk into a new array; the estimators' loop fills row slices of reused
-buffers from two threads, and gets the same values.
+chunk into a new array. The estimators' loop draws whole chunks into pooled
+buffers on two threads, and gets the same values.
 
 Every value draw of the lab goes through these streams: each Monte Carlo
 estimate and check in estimators, and sample_values there. This module is the
@@ -75,25 +74,19 @@ def _thread_philox() -> tuple:
     return _thread.philox
 
 
-def fill_uniforms(seed: int, chunk_index: int, out: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Fill out, shape (rows, cols), with rows first_row... of the chunk's stream and
+def fill_uniforms(seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, shape (rows, cols), with the first rows of the chunk's stream and
     return it. The stream is Philox keyed by seed, counter high word chunk_index,
     read row by row: the uniform at (row, col) is double row * cols + col of it, so
-    a row's values do not depend on how many rows are drawn, or where a fill starts.
-    Philox makes four doubles per counter step, so first_row * cols must be a
-    multiple of 4. Every key that Philox(key=seed) refuses is refused, and so is a
-    key that is not an integer."""
-    cols = out.shape[1]
-    step, offset = divmod(first_row * cols, 4)
-    if offset:
-        raise ValueError(f"first_row * cols must be a multiple of 4, got {first_row} * {cols}")
+    a row's values do not depend on how many rows are drawn. Every key that
+    Philox(key=seed) refuses is refused, and so is a key that is not an integer."""
     key = operator.index(seed)
     if not 0 <= key < 1 << 128:
         raise ValueError("key must be positive and less than 2**128.")
     bit_generator, generator = _thread_philox()
-    bit_generator.state = {  # the next draw makes the block of counter step + 1
+    bit_generator.state = {  # the next draw makes the block of counter 1
         "bit_generator": "Philox",
-        "state": {"counter": (step, 0, 0, chunk_index), "key": (key & _WORD, key >> 64)},
+        "state": {"counter": (0, 0, 0, chunk_index), "key": (key & _WORD, key >> 64)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return generator.random(out=out)

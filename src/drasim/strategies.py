@@ -209,13 +209,14 @@ class Chunk:
     top two (by _top_two), and the promised auction's net max(reserve, second) *
     sale and sale mask top > reserve. Each is computed on first use, once per
     chunk, into a work array. The work arrays, one entry per profile, are
-    allocated on first use with the first chunk's length; load() brings in the
-    next chunk and keeps them, so a Monte Carlo loop allocates them once per
-    estimate, not once per strategy and chunk. By (name, dtype):
+    allocated on first use at the longest length loaded yet and kept by load()
+    until a longer chunk comes, so a Monte Carlo loop allocates them at most
+    twice per estimate, not once per strategy and chunk. By (name, dtype):
 
       * "top", "second": top_two()'s, for the chunk.
       * "honest_net", ("sale", bool): honest()'s, for the chunk and its reserve.
-      * "net": the array _shill_net returns, so every vector_net of TwoPhase.
+      * "net": the array _shill_net returns, so every vector_net of TwoPhase, and
+        the adaptive estimator's pruned delta.
       * ("mask", bool), "withheld": _shill_net's per-bid masks and withheld counts.
       * "scratch": holds nothing from one call to the next; _shill_net's raised
         bids, and the squares the estimators' accumulator writes.
@@ -226,12 +227,15 @@ class Chunk:
     """
 
     def __init__(self, values: np.ndarray):
-        self._capacity = len(values)
+        self._capacity = 0
         self._work: dict = {}
         self.load(values)
 
     def load(self, values: np.ndarray) -> "Chunk":
-        """Make values, no more rows than the first chunk's, the chunk's profiles."""
+        """Make values the chunk's profiles, dropping work arrays too short for them."""
+        if len(values) > self._capacity:
+            self._capacity = len(values)
+            self._work.clear()
         self.values = values
         self._order = None
         self._honest = None
@@ -554,8 +558,9 @@ def _adaptive_net(values: np.ndarray, reserve: float, threshold: float, collater
     changed = (a >= threshold) & (b > reserve) & (b > a)
     outbid = changed & (b > false_bid)
     changed ^= outbid  # now the rows with B in (v_A, v_A + f]
-    np.subtract(net, collateral, out=net, where=changed)
-    np.maximum(reserve, false_bid, out=net, where=outbid)
+    net[np.flatnonzero(changed)] -= collateral
+    rows = np.flatnonzero(outbid)
+    net[rows] = np.maximum(reserve, false_bid[rows])
     return net
 
 

@@ -343,6 +343,38 @@ def test_quadrature_has_the_bits_of_scipy_integrate_quad(monkeypatch):
         assert (val.hex(), err.hex()) == (ref[0].hex(), ref[1].hex()), (upper, options)
 
 
+def test_quadrature_drops_breakpoints_outside_the_interval():
+    # quad keeps only the breakpoints inside (0, upper), as _quad does: QAGP given
+    # 2.0 on [0, 1], or an end point, returns code 6 (invalid input)
+    from scipy.integrate import quad
+
+    def integrand(s):
+        return math.exp(-3.0 * s)
+
+    for points in ((2.0,), (0.0, 1.0), (0.5, 2.0, -1.0)):
+        val, err = distributions._quad(integrand, 1.0, epsabs=1e-10, epsrel=1e-10, limit=50,
+                                       points=points)
+        ref = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=50, points=points)
+        assert (val.hex(), err.hex()) == (ref[0].hex(), ref[1].hex()), points
+
+
+def test_at_or_above_reserve_admits_one_root_tol_below_and_no_more():
+    # the rule admits a threshold up to the reserve's bisection tolerance below it,
+    # directly and where the adaptive strategy checks its threshold
+    from drasim import AdaptiveReserve, AuctionConfig
+    from drasim.distributions import ROOT_TOL
+
+    dist = GeneralizedPareto(0.5)
+    r = reserve_price(dist)
+    config = AuctionConfig(n=2, dist=dist, reserve=r, collateral=2.0, mode="centralized", seed=0)
+    inside, outside = r - 0.5 * ROOT_TOL, r - 1.5 * ROOT_TOL
+    assert distributions.at_or_above_reserve(inside, r)
+    assert not distributions.at_or_above_reserve(outside, r)
+    AdaptiveReserve(inside).check_config(config)
+    with pytest.raises(ValueError, match="below reserve"):
+        AdaptiveReserve(outside).check_config(config)
+
+
 def test_import_leaves_scipy_integrate_unloaded():
     # neither `import drasim` nor a quadrature imports scipy.integrate: the oracles
     # load only its compiled QUADPACK extension, kept out of sys.modules too;

@@ -37,7 +37,6 @@ from drasim import estimators
 from drasim.distributions import ROOT_TOL
 from drasim.estimate import ChunkAccumulator, Estimate
 from drasim.estimators import (
-    SLICE_ROWS,
     _attack_profiles,
     _estimate_each,
     _value_stream_seed,
@@ -484,14 +483,14 @@ def test_top_two_runs_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(strategies, "_top_two", counting)
     samples = 2 * CHUNK_SAMPLES + 1
-    chunk_sizes = [CHUNK_SAMPLES, CHUNK_SAMPLES, 1]
+    chunk_sizes = [1, CHUNK_SAMPLES, CHUNK_SAMPLES]
     report = credibility_suite(GPA, alpha=0.5, n=2, deviation_quantiles=[0.2, 0.9, 0.99],
                                samples=samples, seed=41)
     assert len(report.rows) == 7  # honest and two policies for each of three false bids
-    assert sizes == chunk_sizes
+    assert sorted(sizes) == chunk_sizes  # in the order the chunks arrive
     sizes.clear()
     estimate_myerson_gap(config_for(GPA, 2, 2.0), samples, 43)
-    assert sizes == chunk_sizes
+    assert sorted(sizes) == chunk_sizes
 
 
 def test_chunk_work_arrays_are_keyed_by_name_and_dtype():
@@ -502,6 +501,9 @@ def test_chunk_work_arrays_are_keyed_by_name_and_dtype():
     assert np.shares_memory(chunk.work("mask", bool), mask)
     assert np.shares_memory(chunk.work("mask", np.float64), weights)
     assert len(chunk.load(np.zeros((3, 2))).work("mask", bool)) == 3
+    # a longer chunk drops the short work arrays: a loop's short last chunk may come first
+    assert len(chunk.load(np.zeros((5, 2))).work("mask", bool)) == 5
+    assert not np.shares_memory(chunk.work("mask", bool), mask)
 
 
 def test_vector_path_is_checked_once_per_estimate(monkeypatch):
@@ -518,7 +520,7 @@ def test_vector_path_is_checked_once_per_estimate(monkeypatch):
     assert len(configs) == 1  # three chunks, one check
 
 # ---------------------------------------------------------------------------
-# The chunk loop: a helper thread draws ahead, the estimates stay serial
+# The chunk loop: a helper thread draws whole chunks ahead, the estimates stay serial
 # ---------------------------------------------------------------------------
 
 PIPELINE_SAMPLES = [1_000, CHUNK_SAMPLES, CHUNK_SAMPLES + 1, 3 * CHUNK_SAMPLES + 999]
@@ -545,15 +547,14 @@ def fresh_philox_rows(key, chunk, rows, cols):
 @pytest.mark.parametrize("key", [0, 2**63, 2**64 - 1])
 def test_fill_uniforms_equals_a_fresh_philox_draw(key):
     for cols in (1, 2, 3, 8):
-        for chunk, rows in ((0, CHUNK_SAMPLES), (5, CHUNK_SAMPLES), (6, 3 * SLICE_ROWS + 999)):
+        buffer = np.empty((CHUNK_SAMPLES, cols))  # a pooled buffer, reused across chunks
+        for chunk, rows in ((0, CHUNK_SAMPLES), (5, CHUNK_SAMPLES), (6, 999)):
             expected = fresh_philox_rows(key, chunk, rows, cols)
-            for first in range(0, rows, SLICE_ROWS):
-                out = np.empty((min(SLICE_ROWS, rows - first), cols))
-                assert fill_uniforms(key, chunk, out, first) is out
-                assert np.array_equal(out, expected[first:first + SLICE_ROWS])
-            first = 12  # any start whose double index is a multiple of 4
-            assert np.array_equal(fill_uniforms(key, chunk, np.empty((5, cols)), first),
-                                  expected[first:first + 5])
+            out = buffer[:rows]
+            assert fill_uniforms(key, chunk, out) is out
+            assert np.array_equal(out, expected)
+            # a row's values do not depend on how many rows are drawn
+            assert np.array_equal(fill_uniforms(key, chunk, np.empty((5, cols))), expected[:5])
             assert np.array_equal(chunk_uniforms(key, chunk, rows, cols), expected)
 
 
@@ -566,15 +567,12 @@ def test_fill_uniforms_refuses_what_philox_refuses():
             fill_uniforms(key, 0, out)
     for key in (2**64, 2**128 - 1, np.uint64(2**64 - 1)):  # accepted by both
         assert np.array_equal(fill_uniforms(key, 3, out), fresh_philox_rows(int(key), 3, 4, 2))
-    for first, cols in ((1, 1), (1, 2), (3, 3), (1, 6)):  # mid-block starts are refused
-        with pytest.raises(ValueError, match="multiple of 4"):
-            fill_uniforms(0, 0, np.empty((4, cols)), first)
 
 
 def test_concurrent_estimates_give_the_serial_bits():
-    # two estimates at once, each with its helper: four threads share the slices
-    # of two loops, switching every microsecond; a slice lost or drawn into the
-    # wrong chunk would change the bits
+    # two estimates at once, each with its helper: four threads draw and price the
+    # chunks of two loops, switching every microsecond; a chunk lost, priced twice
+    # or drawn into a buffer in use would change the bits
     samples, config = 3 * CHUNK_SAMPLES + 999, config_for(GPA, 3, 2.0)
     strategy = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
     calls = [lambda: estimate_revenue(config, strategy, samples, 41),
@@ -604,18 +602,87 @@ def test_failure_in_the_callers_fill_propagates_and_joins_the_helper(monkeypatch
     caller = threading.current_thread()
     caller_failed = threading.Event()
 
-    def fill(seed, chunk_index, out, first_row=0):
+    def fill(seed, chunk_index, out):
         if threading.current_thread() is caller:
             caller_failed.set()
             raise RuntimeError("caller's fill")
-        caller_failed.wait(timeout=10)  # hold the helper at its first slice
-        return fill_uniforms(seed, chunk_index, out, first_row)
+        caller_failed.wait(timeout=10)  # hold the helper at its first chunk
+        return fill_uniforms(seed, chunk_index, out)
 
     monkeypatch.setattr(estimators, "fill_uniforms", fill)
     with pytest.raises(RuntimeError, match="caller's fill"):
         _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, [lambda chunk, start: chunk.values[:, 0]])
     assert caller_failed.is_set()
     assert threading.active_count() == before
+
+
+def test_failure_in_the_helpers_fill_reaches_the_caller_and_joins_the_helper(monkeypatch):
+    # the helper dies on the first chunk it takes; the caller, which draws the rest,
+    # must not wait for that chunk for ever. The estimate runs on a thread of its
+    # own, so that a caller left waiting fails the test instead of hanging it
+    before = threading.active_count()
+    caller, helper_failed, raised = [], threading.Event(), []
+
+    def fill(seed, chunk_index, out):
+        if threading.current_thread() not in caller:
+            helper_failed.set()
+            raise RuntimeError("helper's fill")
+        helper_failed.wait(timeout=10)  # let the helper take a chunk first
+        return fill_uniforms(seed, chunk_index, out)
+
+    def estimate():
+        caller.append(threading.current_thread())
+        try:
+            _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u,
+                           [lambda chunk, start: chunk.values[:, 0]])
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    monkeypatch.setattr(estimators, "fill_uniforms", fill)
+    thread = threading.Thread(target=estimate, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert raised == ["helper's fill"]
+    assert threading.active_count() == before
+
+
+def test_a_short_last_chunk_priced_first_gives_the_serial_bits(monkeypatch):
+    # the chunks are taken last first, and the helper starts only once the caller
+    # has drawn one: the caller draws and prices the one-row chunk first, and the
+    # full chunks after it must grow the Chunk's work arrays
+    samples, seed, threshold, collateral = 2 * CHUNK_SAMPLES + 1, 31, 5.0, 2.0
+    strategy = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
+    config = config_for(GPA, 3, 2.0)
+    kernel = _vector_net(config, strategy)
+    weight = float(GPA.sf(threshold))
+    cond = serial_estimate(seed, samples, 2, lambda u: adaptive_net_delta(
+        _attack_profiles(GPA, threshold, u), R, threshold, collateral))
+    expected = [
+        bits(serial_estimate(seed, samples, 3, lambda u: kernel(Chunk(GPA.quantile(u)), config))),
+        bits(Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
+                      samples=cond.samples)),
+    ]
+    drawn = []
+    first_drawn = threading.Event()
+
+    def fill(seed, chunk_index, out):
+        drawn.append(chunk_index)
+        first_drawn.set()
+        return fill_uniforms(seed, chunk_index, out)
+
+    def late_thread(target):
+        return threading.Thread(target=lambda: (first_drawn.wait(timeout=10), target()))
+
+    monkeypatch.setattr(estimators, "chunk_bounds", lambda n: reversed(list(chunk_bounds(n))))
+    monkeypatch.setattr(estimators, "fill_uniforms", fill)
+    monkeypatch.setattr(estimators, "Thread", late_thread)
+    for estimate in (lambda: estimate_revenue(config, strategy, samples, seed),
+                     lambda: estimate_adaptive_gain(GPA, threshold, collateral, samples, seed)):
+        drawn.clear()
+        first_drawn.clear()
+        assert bits(estimate()) == expected.pop(0)
+        assert drawn[0] == 2 and sorted(drawn) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("samples", PIPELINE_SAMPLES)
@@ -660,8 +727,8 @@ def test_chunk_loop_failure_propagates_and_joins_the_helper():
     _estimate_each(3, CHUNK_SAMPLES, 2, lambda u: u, [counts_threads(one_chunk)])
     _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, [counts_threads(three_chunks)])
     assert one_chunk == [before]  # a one-chunk estimate starts no thread
-    assert three_chunks == [before + 1, before + 1, before]  # one helper, joined before the last
-    assert threading.active_count() == before
+    assert len(three_chunks) == 3 and max(three_chunks) <= before + 1  # one helper at most
+    assert threading.active_count() == before  # joined
 
 
 def test_chunk_accumulation_is_order_insensitive():

@@ -157,3 +157,32 @@ def test_lift_equality_fails_when_the_replay_reveals_every_false_bid(monkeypatch
     rc, lines = verify_quick_lines(capsys)
     assert rc == 1 and lines[-1] == "VERIFY FAIL: lift_equality"
     assert "FAIL lift_equality: 150 paired runs, 32 mismatches" in lines
+
+
+def test_tail_bound_fails_when_the_tail_factor_has_the_wrong_exponent(monkeypatch, capsys):
+    # (r/p)^(1/(1-alpha)) where the bound has (r/p)^(alpha/(1-alpha)): the factor
+    # falls too fast in p. Both price bounds take the factor, so both fail, and the
+    # tail bound's comes first
+    def wrong_exponent(alpha, r, p):
+        return (1.0 / (1.0 - alpha)) ** (1.0 / (1.0 - alpha)) * (r / p) ** (1.0 / (1.0 - alpha))
+
+    monkeypatch.setattr(distributions, "_tail_factor", wrong_exponent)
+    rc, lines = verify_quick_lines(capsys)
+    assert rc == 1 and lines[-1] == "VERIFY FAIL: tail_bound"
+    assert "FAIL tail_bound: 36 cases, 15 failures" in lines
+    assert "FAIL posted_price_bound: 36 cases, 15 failures" in lines
+
+
+def test_posted_price_bound_fails_when_the_quadrature_reads_quantiles(monkeypatch, capsys):
+    # the posted-price quadrature maps s through quantile, not isf: it integrates
+    # phi over the lowest sf(p) of the values instead of the highest. The tail bound,
+    # in closed form, still passes
+    def low_tail(dist, p):
+        return distributions._quad(lambda s: distributions.virtual_value(dist, dist.quantile(s)),
+                                   float(dist.sf(p)), epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+
+    monkeypatch.setattr(distributions, "posted_price_revenue_quadrature", low_tail)
+    rc, lines = verify_quick_lines(capsys)
+    assert rc == 1 and lines[-1] == "VERIFY FAIL: posted_price_bound"
+    assert lines[1] == "PASS tail_bound: 36 cases, 0 failures"
+    assert "FAIL posted_price_bound: 36 cases, 36 failures" in lines
