@@ -88,7 +88,7 @@ def cmd_dist(setup: ExperimentSetup) -> int:
 def cmd_run(setup: ExperimentSetup) -> int:
     config = setup.auction_config()
     buyers = setup.buyers()
-    outcome, transcript = run_auction(config, buyers, setup.auctioneer())
+    outcome, transcript = run_auction(config, buyers, setup.auctioneer)
     payload = {
         "config": {
             "n": config.n,
@@ -127,9 +127,8 @@ def cmd_estimate(setup: ExperimentSetup) -> int:
             buf.write(_csv_row(row.strategy, "", row.estimate,
                                "pass" if row.passed else "fail") + "\n")
     else:
-        strategy = setup.auctioneer()
-        est = estimate_revenue(config, strategy, setup.samples, setup.seed)
-        buf.write(_csv_row(strategy.describe(), "", est, "na") + "\n")
+        est = estimate_revenue(config, setup.auctioneer, setup.samples, setup.seed)
+        buf.write(_csv_row(setup.auctioneer.describe(), "", est, "na") + "\n")
     _write_out(buf.getvalue(), setup.out)
     return 0
 
@@ -191,12 +190,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.samples is not None:
-            cfg["samples"] = args.samples
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if args.out is not None:
-            cfg["out"] = args.out
+        for key in ("samples", "seed", "out"):
+            if getattr(args, key) is not None:
+                cfg[key] = getattr(args, key)
         setup = build_setup(cfg)  # the overrides are checked too
         return _COMMANDS[args.command](setup)
     except (ConfigError, NonRegularError, InfiniteReserveError) as exc:

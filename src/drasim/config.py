@@ -1,10 +1,12 @@
-"""Experiment configuration: JSON shape validation and object builders.
+"""Experiment configuration: one pass from a config's JSON to live objects.
 
 Configs are strict: unknown keys anywhere are rejected before anything runs,
-and every run's randomness flows from the single config seed. A missing seed
-defaults to 0 with a warning rather than an entropy source. Config checks the
-JSON's shape (keys, types, finite numbers, integer and quantile ranges) and
-asks the library for every auction rule, adding the key path and ConfigError.
+and every run's randomness flows from the single config seed, which must lie
+below 2^63. A missing seed defaults to 0 with a warning rather than an entropy
+source. build_setup reads each key once, with its one default: it checks the
+JSON's shape (keys, types, finite numbers, integer and quantile ranges, n
+buyers, a bid for fixed buyers only), asks the library for every auction rule,
+adding the key path and ConfigError, and keeps what it builds.
 """
 
 from __future__ import annotations
@@ -53,12 +55,12 @@ _TOP_KEYS = {
     "distribution", "n", "alpha", "mode", "scheme", "collateral", "samples",
     "seed", "buyers", "auctioneer", "thresholds", "deviation_quantiles", "verify", "out",
 }
-_DIST_KEYS = {"family", "params"}
 _BUYER_KEYS = {"kind", "value", "bid"}
 _AUCTIONEER_KEYS = {"kind", "false_bids", "false_bid_quantiles", "reveal_policy",
                     "threshold", "inner"}
 _BUYERS = {"truthful": Truthful, "fixed": FixedBid, "no_reveal": NoReveal}
 _AUCTIONEERS = {cls.kind: cls for cls in (Honest, ShillBroadcast, AdaptiveReserve, Lifted)}
+_SEED_LIMIT = 1 << 63  # derive_seed reads a seed's low 63 bits: a larger one aliases
 
 
 def _expect_keys(obj: dict, allowed, where: str) -> None:
@@ -103,23 +105,23 @@ def _expect_name(obj, names, where: str) -> str:
 _SCHEME_ALIASES = {"hash": HashScheme.name}
 
 
-def _scheme_name(obj):
-    """A config's scheme under the name the library defines it by."""
-    return _SCHEME_ALIASES.get(obj, obj) if isinstance(obj, str) else obj
-
-
 def _expect_list(obj, where: str, nonempty: bool = False) -> list:
     if not isinstance(obj, list) or (nonempty and not obj):
         raise ConfigError(f"{where} must be a {'non-empty ' if nonempty else ''}list")
     return obj
 
 
+def _expect_numbers(obj, where: str, nonempty: bool = False) -> list:
+    """The list obj of finite numbers, as floats."""
+    return [_expect_number(x, f"{where}[{i}]")
+            for i, x in enumerate(_expect_list(obj, where, nonempty))]
+
+
 def _expect_quantiles(obj, where: str) -> list:
     """The list obj of quantile levels, each a number in the open interval (0, 1)."""
-    levels = []
-    for i, u in enumerate(_expect_list(obj, where)):
-        levels.append(_expect_number(u, f"{where}[{i}]"))
-        if not 0.0 < levels[-1] < 1.0:
+    levels = _expect_numbers(obj, where)
+    for i, u in enumerate(levels):
+        if not 0.0 < u < 1.0:
             raise ConfigError(f"{where}[{i}] must lie in (0, 1), got {u}")
     return levels
 
@@ -130,63 +132,6 @@ def check_setting(cls, mode: str, n: int, where: str) -> None:
         cls.check_setting(mode, n)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def validate_config(cfg: dict) -> dict:
-    """Validate the raw JSON object; returns it unchanged on success."""
-    _expect_keys(cfg, _TOP_KEYS, "config")
-    if "distribution" not in cfg:
-        raise ConfigError("config requires a 'distribution' section")
-    _expect_keys(cfg["distribution"], _DIST_KEYS, "distribution")
-    if "params" in cfg["distribution"]:
-        if not isinstance(cfg["distribution"]["params"], dict):
-            raise ConfigError("distribution.params must be an object")
-        for key, value in cfg["distribution"]["params"].items():
-            _expect_number(value, f"distribution.params.{key}")
-    try:
-        dist = make_distribution(cfg["distribution"])
-    except ValueError as exc:
-        raise ConfigError(f"distribution: {exc}") from exc
-    n = _expect_int(cfg.get("n", 2), "n", minimum=1)
-    if "alpha" in cfg and _expect_number(cfg["alpha"], "alpha") <= 0.0:
-        raise ConfigError(f"alpha must be > 0, got {cfg['alpha']}")
-    mode = _expect_name(cfg.get("mode", "broadcast"), MODES, "mode")
-    if "scheme" in cfg:
-        _expect_name(_scheme_name(cfg["scheme"]), SCHEMES, "scheme")
-    if "collateral" in cfg:
-        _expect_number(cfg["collateral"], "collateral", minimum=0.0)
-    if "samples" in cfg:
-        _expect_int(cfg["samples"], "samples", minimum=MIN_SAMPLES)
-    if "seed" in cfg:
-        _expect_int(cfg["seed"], "seed", minimum=0)
-    if "buyers" in cfg:
-        for i, buyer in enumerate(_expect_list(cfg["buyers"], "buyers", nonempty=True)):
-            _expect_keys(buyer, _BUYER_KEYS, f"buyers[{i}]")
-            kind = _expect_name(buyer.get("kind"), _BUYERS, f"buyers[{i}].kind")
-            if kind == "fixed" and "bid" not in buyer:
-                raise ConfigError(f"buyers[{i}] of kind 'fixed' requires a 'bid'")
-            for key in ("value", "bid"):
-                if key in buyer:
-                    _expect_number(buyer[key], f"buyers[{i}].{key}")
-    if "auctioneer" in cfg:
-        strategy = _auctioneer(cfg["auctioneer"], "auctioneer", dist)
-        check_setting(type(strategy), mode, n, "auctioneer")
-    if "thresholds" in cfg:
-        for i, t in enumerate(_expect_list(cfg["thresholds"], "thresholds", nonempty=True)):
-            _expect_number(t, f"thresholds[{i}]")
-    if "deviation_quantiles" in cfg:
-        _expect_quantiles(cfg["deviation_quantiles"], "deviation_quantiles")
-    if "verify" in cfg:
-        _expect_keys(cfg["verify"], VERIFY_BUDGETS, "verify")
-        for key, value in cfg["verify"].items():
-            least = VERIFY_BUDGETS[key][1]
-            if not isinstance(least, float):  # a count
-                _expect_int(value, f"verify.{key}", minimum=least)
-            elif _expect_number(value, f"verify.{key}") <= least:  # a tolerance
-                raise ConfigError(f"verify.{key} must be > {least}, got {value}")
-    if "out" in cfg and not isinstance(cfg["out"], str):
-        raise ConfigError("out must be a string path")
-    return cfg
 
 
 def _auctioneer(spec: dict, where: str, dist: ValueDistribution):
@@ -201,8 +146,7 @@ def _auctioneer(spec: dict, where: str, dist: ValueDistribution):
             levels = _expect_quantiles(spec["false_bid_quantiles"], f"{where}.false_bid_quantiles")
             bids = [float(dist.quantile(u)) for u in levels]
         else:
-            bids = [_expect_number(b, f"{where}.false_bids[{i}]") for i, b
-                    in enumerate(_expect_list(spec.get("false_bids", []), f"{where}.false_bids"))]
+            bids = _expect_numbers(spec.get("false_bids", []), f"{where}.false_bids")
         policy = _expect_name(spec.get("reveal_policy", ALWAYS_REVEAL.name), REVEAL_POLICIES,
                               f"{where}.reveal_policy")
         return ShillBroadcast(false_bids=tuple(bids), reveal_policy=REVEAL_POLICIES[policy])
@@ -235,7 +179,51 @@ def _above_reserve(threshold: float, dist: ValueDistribution, where: str) -> flo
     return threshold
 
 
+def _distribution(spec) -> ValueDistribution:
+    """spec's distribution, each parameter a finite JSON number; make_distribution
+    checks the rest."""
+    params = spec.get("params") if isinstance(spec, dict) else None
+    for key, value in (params.items() if isinstance(params, dict) else ()):
+        _expect_number(value, f"distribution.params.{key}")
+    try:
+        return make_distribution(spec)
+    except ValueError as exc:
+        raise ConfigError(f"distribution: {exc}") from exc
+
+
+def _buyer_specs(specs, n: int) -> list:
+    """(class, value or None, bid) for each of the n buyers in specs: a value None
+    is sampled, and the bid, a fixed buyer's alone, is a tuple of 1 or 0 numbers."""
+    if len(_expect_list(specs, "buyers")) != n:
+        raise ConfigError(f"buyers list has {len(specs)} entries but n={n}")
+    out = []
+    for i, spec in enumerate(specs):
+        where = f"buyers[{i}]"
+        _expect_keys(spec, _BUYER_KEYS, where)
+        cls = _BUYERS[_expect_name(spec.get("kind"), _BUYERS, f"{where}.kind")]
+        if ("bid" in spec) != (cls is FixedBid):
+            raise ConfigError(f"{where}: a 'bid' is for kind 'fixed', which requires one")
+        value = _expect_number(spec["value"], f"{where}.value") if "value" in spec else None
+        bid = (_expect_number(spec["bid"], f"{where}.bid"),) if "bid" in spec else ()
+        out.append((cls, value, bid))
+    return out
+
+
+def _budgets(spec) -> dict:
+    """Every verify budget, spec's checked against its least value, or its default."""
+    _expect_keys(spec, VERIFY_BUDGETS, "verify")
+    budgets = {}
+    for key, (default, least) in VERIFY_BUDGETS.items():
+        value = budgets[key] = spec.get(key, default)
+        if not isinstance(least, float):  # a count
+            _expect_int(value, f"verify.{key}", minimum=least)
+        elif _expect_number(value, f"verify.{key}") <= least:  # a tolerance
+            raise ConfigError(f"verify.{key} must be > {least}, got {value}")
+    return budgets
+
+
 def load_config(path: str) -> dict:
+    """The JSON object at path, unchecked: build_setup checks it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -245,42 +233,58 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    return validate_config(cfg)
+    return cfg
 
 
 class ExperimentSetup:
-    """Validated config resolved into live objects."""
+    """A config, each key checked and built once. The methods build on demand what
+    not every config can build (verify and dist run on two_point and equal_revenue
+    configs) or what n can make large (the buyers)."""
 
     def __init__(self, cfg: dict):
-        self.raw = cfg
-        self.dist: ValueDistribution = make_distribution(cfg["distribution"])
-        self.n: int = cfg.get("n", 2)
-        self.mode: str = cfg.get("mode", "broadcast")
-        self.scheme: str = _scheme_name(cfg.get("scheme", "ideal"))
-        self.samples: int = cfg.get("samples", 100_000)
+        _expect_keys(cfg, _TOP_KEYS, "config")
+        if "distribution" not in cfg:
+            raise ConfigError("config requires a 'distribution' section")
+        self.dist: ValueDistribution = _distribution(cfg["distribution"])
+        self.n: int = _expect_int(cfg.get("n", 2), "n", minimum=1)
+        self.alpha: Optional[float] = cfg.get("alpha")
+        if self.alpha is not None and _expect_number(self.alpha, "alpha") <= 0.0:
+            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
+        self.mode: str = _expect_name(cfg.get("mode", "broadcast"), MODES, "mode")
+        scheme = _expect_name(cfg.get("scheme", "ideal"), [*SCHEMES, *_SCHEME_ALIASES], "scheme")
+        self.scheme: str = _SCHEME_ALIASES.get(scheme, scheme)
+        self.collateral: Optional[float] = (None if "collateral" not in cfg else
+                                            _expect_number(cfg["collateral"], "collateral", 0.0))
+        self.samples: int = _expect_int(cfg.get("samples", 100_000), "samples", MIN_SAMPLES)
+        self.buyer_specs = _buyer_specs(cfg["buyers"], self.n) if "buyers" in cfg else None
+        self.auctioneer = _auctioneer(cfg.get("auctioneer", {"kind": "honest"}), "auctioneer",
+                                      self.dist)
+        check_setting(type(self.auctioneer), self.mode, self.n, "auctioneer")
+        self.thresholds = _expect_numbers(cfg.get("thresholds", [2, 5, 10, 20, 50, 100]),
+                                          "thresholds", nonempty=True)
+        self.deviation_quantiles = _expect_quantiles(cfg.get("deviation_quantiles", []),
+                                                     "deviation_quantiles")
+        self.budgets: dict = _budgets(cfg.get("verify", {}))
+        if "out" in cfg and not isinstance(cfg["out"], str):
+            raise ConfigError("out must be a string path")
+        self.out: Optional[str] = cfg.get("out")
         if "seed" in cfg:
-            self.seed = cfg["seed"]
+            self.seed: int = _expect_int(cfg["seed"], "seed", minimum=0)
+            if self.seed >= _SEED_LIMIT:
+                raise ConfigError(f"seed must be < 2**63, got {self.seed}")
         else:
             self.seed = 0
             print("warning: no seed in config; defaulting to 0", file=sys.stderr)
-        self.alpha: Optional[float] = cfg.get("alpha")
-        self.thresholds = [float(t) for t in cfg.get("thresholds", [2, 5, 10, 20, 50, 100])]
-        self.deviation_quantiles = [float(u) for u in cfg.get("deviation_quantiles", [])]
-        self.out: Optional[str] = cfg.get("out")
-        self.verify_options: dict = dict(cfg.get("verify", {}))
 
     # -- derived quantities ---------------------------------------------------
 
     def classification_alpha(self) -> float:
         """alpha used for the collateral formula: config override or estimate."""
-        if self.alpha is not None:
-            return self.alpha
-        report = strong_regularity_alpha(self.dist)
-        return report.alpha_hat
+        return strong_regularity_alpha(self.dist).alpha_hat if self.alpha is None else self.alpha
 
     def collateral_amount(self) -> float:
-        if "collateral" in self.raw:
-            return float(self.raw["collateral"])
+        if self.collateral is not None:
+            return self.collateral
         return collateral_level(self.dist, self.n, self.classification_alpha())
 
     def attack_thresholds(self, dist: ValueDistribution) -> list:
@@ -299,23 +303,12 @@ class ExperimentSetup:
 
     def buyers(self) -> list:
         """Buyer strategies; missing values are sampled from D by the seed."""
-        specs = self.raw.get("buyers")
-        if specs is None:
-            specs = [{"kind": "truthful"}] * self.n
-        if len(specs) != self.n:
-            raise ConfigError(f"buyers list has {len(specs)} entries but n={self.n}")
         sampled = sample_values(self.dist, self.n, self.seed)
-        out = []
-        for i, spec in enumerate(specs):
-            value = float(spec.get("value", sampled[i]))
-            cls = _BUYERS[spec["kind"]]
-            out.append(cls(value, float(spec["bid"])) if cls is FixedBid else cls(value))
-        return out
-
-    def auctioneer(self):
-        return _auctioneer(self.raw.get("auctioneer", {"kind": Honest.kind}), "auctioneer",
-                           self.dist)
+        specs = self.buyer_specs or [(Truthful, None, ())] * self.n  # built here: n may be large
+        return [cls(float(v) if value is None else value, *bid)
+                for (cls, value, bid), v in zip(specs, sampled)]
 
 
 def build_setup(cfg: dict) -> ExperimentSetup:
-    return ExperimentSetup(validate_config(cfg))
+    """cfg checked and built in one pass; ConfigError at the first key refused."""
+    return ExperimentSetup(cfg)

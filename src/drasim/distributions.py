@@ -35,7 +35,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -98,7 +98,8 @@ class ValueDistribution:
 
     @property
     def params(self) -> dict:
-        return {}
+        """The family's parameters, its dataclass fields, by name."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def support(self) -> tuple[float, float]:
@@ -174,10 +175,6 @@ class Exponential(ValueDistribution):
             raise ValueError(f"rate must be positive, got {self.rate}")
 
     @property
-    def params(self) -> dict:
-        return {"rate": self.rate}
-
-    @property
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
@@ -220,10 +217,6 @@ class GeneralizedPareto(ValueDistribution):
     def __post_init__(self):
         if not 0.0 < self.shape < 1.0:
             raise ValueError(f"shape must lie in (0, 1), got {self.shape}")
-
-    @property
-    def params(self) -> dict:
-        return {"shape": self.shape}
 
     @property
     def support(self) -> tuple[float, float]:
@@ -270,10 +263,6 @@ class Uniform(ValueDistribution):
     def __post_init__(self):
         if not self.high > self.low:
             raise ValueError(f"need high > low, got [{self.low}, {self.high}]")
-
-    @property
-    def params(self) -> dict:
-        return {"low": self.low, "high": self.high}
 
     @property
     def support(self) -> tuple[float, float]:
@@ -357,17 +346,13 @@ class TwoPoint(ValueDistribution):
         return np.subtract(1.0, np.less_equal(u, 0.5, out=out), out=out)
 
 
-_FAMILIES = {
-    "exponential": (Exponential, {"rate"}),
-    "gpareto": (GeneralizedPareto, {"shape"}),
-    "uniform": (Uniform, {"low", "high"}),
-    "equal_revenue": (EqualRevenue, set()),
-    "two_point": (TwoPoint, set()),
-}
+_FAMILIES = {cls.kind: cls for cls in (Exponential, GeneralizedPareto, Uniform, EqualRevenue,
+                                       TwoPoint)}
 
 
 def make_distribution(spec: dict) -> ValueDistribution:
-    """Build a distribution from {"family": ..., "params": {...}}."""
+    """Build a distribution from {"family": ..., "params": {...}}, whose parameter
+    names are the family's dataclass fields."""
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be a dict, got {type(spec).__name__}")
     unknown = set(spec) - {"family", "params"}
@@ -376,9 +361,11 @@ def make_distribution(spec: dict) -> ValueDistribution:
     family = spec.get("family")
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {sorted(_FAMILIES)}")
-    cls, allowed = _FAMILIES[family]
-    params = spec.get("params", {}) or {}
-    bad = set(params) - allowed
+    cls = _FAMILIES[family]
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be a dict, got {type(params).__name__}")
+    bad = set(params).difference(f.name for f in fields(cls))
     if bad:
         raise ValueError(f"unknown params for {family}: {sorted(bad)}")
     return cls(**{k: float(v) for k, v in params.items()})

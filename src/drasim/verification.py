@@ -470,9 +470,8 @@ VERIFY_BUDGETS = {
 
 
 def run_verification(setup) -> list:
-    """Run every check with budgets from the config's verify section."""
-    opts = setup.verify_options
-    budget = {name: opts.get(name, default) for name, (default, _) in VERIFY_BUDGETS.items()}
+    """Run every check with the config's verify budgets, defaults filled."""
+    budget = setup.budgets
     mc = budget["mc_samples"]
     seed = setup.seed
     # checked before any check runs; gpareto(0.5) has the larger reserve of the

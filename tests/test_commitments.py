@@ -1,14 +1,34 @@
 """Commitment scheme tests: opening correctness, binding, hiding by
-construction, and the frozen hash test vectors."""
+construction, the frozen hash test vectors, and a witness that the protocol
+needs its commitments non-malleable."""
 
+import hashlib
 import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 
-from drasim import HashScheme, IdealScheme, Opening, make_scheme
-from drasim.commitments import DEFAULT_SECURITY_BITS
+from drasim import (
+    AuctionConfig,
+    Exponential,
+    HashScheme,
+    Honest,
+    IdealScheme,
+    Opening,
+    Truthful,
+    commitments,
+    make_scheme,
+    optimal_revenue,
+    reserve_price,
+    run_auction,
+)
+from drasim.commitments import DEFAULT_SECURITY_BITS, Commitment
+from drasim.estimators import estimate_revenue, sample_values
+from drasim.seeding import derive_seed
+from drasim.strategies import TwoPhase
+from drasim.verification import audit_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -108,3 +128,112 @@ def test_hash_test_vectors():
 def test_make_scheme_rejects_unknown():
     with pytest.raises(ValueError):
         make_scheme("pedersen")
+
+
+# ---------------------------------------------------------------------------
+# Non-malleability: the attack the paper's assumption rules out
+# ---------------------------------------------------------------------------
+
+GRID = 1 << 20      # fixed-point steps per unit of value
+MODULUS = 1 << 64
+DELTA = 1.0 / GRID  # the mauled bid sits one grid step under the bid it copies
+
+
+def encode(message: float) -> int:
+    return math.floor(float(message) * GRID) % MODULUS
+
+
+class AdditiveScheme:
+    """token = enc(m) + pad(r) mod 2^64, with enc(m) = floor(m * 2^20) and pad(r)
+    from SHA-256 of r: hiding by the pad and binding on the grid, but malleable,
+    as token - enc(d) commits to (m - d, r) for any d on the grid."""
+
+    name = "additive"
+
+    def commit(self, message: float, randomness: bytes) -> Commitment:
+        return Commitment(self.name, self._token(message, randomness))
+
+    def verify(self, commitment: Commitment, opening: Opening) -> bool:
+        return (isinstance(commitment, Commitment) and commitment.scheme == self.name
+                and commitment.token == self._token(opening.message, opening.randomness))
+
+    @staticmethod
+    def _token(message: float, randomness: bytes) -> int:
+        pad = int.from_bytes(hashlib.sha256(bytes(randomness)).digest()[:8], "big")
+        return (encode(message) + pad) % MODULUS
+
+
+def maul(commitment: Commitment) -> Commitment:
+    """The commitment's token less enc(DELTA), as an int or as bytes of its length."""
+    token = commitment.token
+    if isinstance(token, bytes):
+        shifted = (int.from_bytes(token, "big") - encode(DELTA)) % (1 << 8 * len(token))
+        return Commitment(commitment.scheme, shifted.to_bytes(len(token), "big"))
+    return Commitment(commitment.scheme, (token - encode(DELTA)) % MODULUS)
+
+
+class MaulingShill(TwoPhase):
+    """On broadcast, a false buyer for each real commitment c_i, committed to
+    maul(c_i) without knowing its bid b_i, and opened after the real reveals as
+    (b_i - DELTA, r_i): the top bid's copy sets the price one step under it."""
+
+    mode = "broadcast"
+
+    def execute(self, game):
+        self.check_config(game.config)
+        copies = {}  # false id -> the real id whose commitment it mauls
+        for i in game.buyer_ids:
+            msg = game.buyer_commit(i)
+            fid = game.mint_false_buyer(0.0)
+            game.commitments[fid] = maul(msg.commitment)
+            game.publish_false_commit(fid)
+            copies[fid] = i
+        game.end_commit()
+        openings = {i: msg.opening for i in game.buyer_ids
+                    if (msg := game.buyer_reveal(i)) is not None}
+        for fid, i in copies.items():
+            game.openings[fid] = Opening(openings[i].message - DELTA, openings[i].randomness)
+            game.reveal_false(fid)
+        game.end_reveal()
+        return game.finalize()
+
+
+EXPONENTIAL = Exponential(1.0)
+
+
+def mauling_config(scheme: str) -> AuctionConfig:
+    reserve = reserve_price(EXPONENTIAL)
+    return AuctionConfig(n=2, dist=EXPONENTIAL, reserve=reserve, collateral=reserve,
+                         scheme=scheme)
+
+
+@pytest.fixture
+def additive(monkeypatch):
+    monkeypatch.setitem(commitments.SCHEMES, AdditiveScheme.name, AdditiveScheme)
+    return AdditiveScheme.name
+
+
+def test_a_malleable_scheme_lets_the_mauling_shill_beat_rev_d_n_unseen(additive):
+    config = mauling_config(additive)
+    est = estimate_revenue(config, MaulingShill(), 1_000, 1, engine="simulate")
+    assert est.mean > optimal_revenue(EXPONENTIAL, 2).mean + 3.0 * est.std_error
+    for k in range(100):  # a safe deviation: no view can tell it from an honest run
+        values = sample_values(EXPONENTIAL, 2, derive_seed(1, "maul", k))
+        audit = audit_run(mauling_config(additive), [Truthful(v) for v in values],
+                          MaulingShill())
+        assert audit.ok, (values, audit.violations)
+        assert audit.outcome.revealed == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("scheme", ["ideal", "sha256"])
+def test_a_shipped_scheme_refuses_the_mauled_openings(scheme):
+    config = mauling_config(scheme)
+    audit = audit_run(config, [Truthful(2.5), Truthful(1.7)], MaulingShill())
+    outcome = audit.outcome
+    assert outcome.revealed == {1, 2} and outcome.winner == 1
+    assert outcome.sale_price == 1.7  # the honest price: no false bid counts
+    assert [(e.depositor, e.recipient) for e in outcome.ledger] == [(1, 1), (2, 2), (3, 1), (4, 1)]
+    assert "buyer 1: view fails consistency check" in audit.violations
+    est = estimate_revenue(config, MaulingShill(), 1_000, 1, engine="simulate")
+    honest = estimate_revenue(config, Honest(), 1_000, 1)
+    assert est.mean + 3.0 * est.std_error < honest.mean

@@ -14,10 +14,11 @@ from drasim import (
     Lifted,
     ShillBroadcast,
     cli,
+    config,
     reserve_price,
 )
 from drasim.cli import main
-from drasim.config import ConfigError, build_setup, validate_config
+from drasim.config import ConfigError, build_setup
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -43,18 +44,18 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError):
-        validate_config({**BASE, "samples_count": 10})
+        build_setup({**BASE, "samples_count": 10})
 
 
 def test_unknown_nested_keys_rejected():
     with pytest.raises(ConfigError):
-        validate_config({**BASE, "distribution": {"family": "gpareto", "shape": 0.5}})
+        build_setup({**BASE, "distribution": {"family": "gpareto", "shape": 0.5}})
     with pytest.raises(ConfigError):
-        validate_config({**BASE, "auctioneer": {"kind": "shill", "bids": [1.0]}})
+        build_setup({**BASE, "auctioneer": {"kind": "shill", "bids": [1.0]}})
     with pytest.raises(ConfigError):
-        validate_config({**BASE, "buyers": [{"kind": "truthful", "val": 2.0}]})
+        build_setup({**BASE, "buyers": [{"kind": "truthful", "val": 2.0}]})
     with pytest.raises(ConfigError):
-        validate_config({**BASE, "verify": {"samples": 10}})
+        build_setup({**BASE, "verify": {"samples": 10}})
 
 
 def test_bad_values_rejected():
@@ -81,6 +82,7 @@ def test_bad_values_rejected():
                 {"distribution": {"family": "gpareto", "params": {"shape": 1.5}}},
                 {"distribution": {"family": "gpareto", "params": {"shape": float("nan")}}},
                 {"distribution": {"family": "exponential", "params": {"rate": "1"}}},
+                {"distribution": {"family": "exponential", "params": [1.0]}},
                 {"auctioneer": {"kind": "adaptive", "threshold": 5.0}},  # broadcast
                 {"mode": "centralized", "n": 3,
                  "auctioneer": {"kind": "adaptive", "threshold": 5.0}},
@@ -89,13 +91,13 @@ def test_bad_values_rejected():
                 {"auctioneer": {"kind": "shill", "false_bid_quantiles": [1.5]}},
                 {"auctioneer": {"kind": "lifted", "inner": {"kind": "honest"}}}]:
         with pytest.raises(ConfigError):
-            validate_config({**BASE, **bad})
+            build_setup({**BASE, **bad})
     with pytest.raises(ConfigError):
-        validate_config({**BASE, "auctioneer": {"kind": "adaptive"}})  # no threshold
+        build_setup({**BASE, "auctioneer": {"kind": "adaptive"}})  # no threshold
     with pytest.raises(ConfigError):
-        validate_config({**BASE, "auctioneer": {"kind": "lifted",
-                                                "inner": {"kind": "adaptive",
-                                                          "threshold": 2.0}}})
+        build_setup({**BASE, "auctioneer": {"kind": "lifted",
+                                            "inner": {"kind": "adaptive",
+                                                      "threshold": 2.0}}})
 
 
 @pytest.mark.parametrize("spec,strategy", [
@@ -110,7 +112,7 @@ def test_config_accepts_the_settings_that_check_config_accepts(spec, strategy):
     for mode in ("broadcast", "centralized"):
         for n in (1, 2, 3):
             try:
-                validate_config({**BASE, "mode": mode, "n": n, "auctioneer": spec})
+                build_setup({**BASE, "mode": mode, "n": n, "auctioneer": spec})
                 accepted = True
             except ConfigError:
                 accepted = False
@@ -128,7 +130,7 @@ def test_setup_builders():
     setup = build_setup({**BASE, "auctioneer": {"kind": "shill",
                                                 "false_bid_quantiles": [0.5, 0.9],
                                                 "reveal_policy": "withhold_if_winning"}})
-    strategy = setup.auctioneer()
+    strategy = setup.auctioneer
     assert strategy.kind == "shill" and len(strategy.false_bids) == 2
     config = setup.auction_config()
     assert config.collateral == pytest.approx(32.0, abs=1e-6)  # formula at alpha=0.5
@@ -149,7 +151,57 @@ def test_readme_config_shape_builds():
     block = readme.split("Config shape", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     setup = build_setup(json.loads(block))
     assert setup.auction_config().n == len(setup.buyers()) == 2
-    assert setup.auctioneer().describe() == "shill[4.32456]/withhold_if_winning"
+    assert setup.auctioneer.describe() == "shill[4.32456]/withhold_if_winning"
+
+
+def test_run_reads_the_config_in_one_pass(monkeypatch, capsys):
+    # one drasim run builds the distribution and the auctioneer once each
+    calls = {"make_distribution": 0, "_auctioneer": 0}
+
+    def counted(name):
+        function = getattr(config, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(config, name, counted(name))
+    assert main(["run", "--config", str(CONFIGS / "run_example.json")]) == 0
+    assert calls == {"make_distribution": 1, "_auctioneer": 1}
+
+
+def test_seed_at_or_above_2_63_refused(tmp_path, capsys):
+    # derive_seed reads a seed's low 63 bits, so 2**63 would run as seed 0
+    with pytest.raises(ConfigError, match="seed must be < 2\\*\\*63"):
+        build_setup({**BASE, "seed": 2**63})
+    assert build_setup({**BASE, "seed": 2**63 - 1}).seed == 2**63 - 1
+    path = write_config(tmp_path, {**BASE, "seed": 2**63})
+    assert main(["run", "--config", str(CONFIGS / "run_example.json"),
+                 "--seed", str(2**63)]) == 2
+    assert main(["dist", "--config", path]) == 2
+    assert "seed must be < 2**63" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["truthful", "no_reveal"])
+def test_bid_refused_on_a_buyer_that_bids_its_value(kind):
+    # only a fixed buyer bids what the config says; on another kind a bid went unread
+    with pytest.raises(ConfigError, match="a 'bid' is for kind 'fixed'"):
+        build_setup({**BASE, "buyers": [{"kind": kind, "value": 2.0, "bid": 1.0},
+                                        {"kind": "truthful"}]})
+    with pytest.raises(ConfigError, match="which requires one"):
+        build_setup({**BASE, "buyers": [{"kind": "fixed", "value": 2.0}, {"kind": kind}]})
+
+
+@pytest.mark.parametrize("command", ["dist", "run", "verify"])
+def test_buyers_list_of_the_wrong_length_exits_2_on_every_command(command, tmp_path, capsys):
+    quick = json.loads((CONFIGS / "verify_quick.json").read_text())
+    path = write_config(tmp_path, {**quick, "buyers": [{"kind": "truthful"}] * 3})
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: buyers list has 3 entries but n=2" in captured.err
 
 
 # ---------------------------------------------------------------------------

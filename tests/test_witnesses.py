@@ -14,7 +14,6 @@ from drasim import config, distributions, estimators, protocol, strategies, veri
 from drasim.cli import main
 from drasim.config import build_setup
 from drasim.verification import (
-    VERIFY_BUDGETS,
     _check_conditional_bounds,
     _check_credibility,
     _check_myerson_identity,
@@ -26,7 +25,7 @@ from drasim.verification import (
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 QUICK = json.loads((CONFIGS / "verify_quick.json").read_text())
-BUDGET = {name: QUICK["verify"].get(name, default) for name, (default, _) in VERIFY_BUDGETS.items()}
+BUDGET = build_setup(QUICK).budgets
 SEED = QUICK["seed"]
 
 
@@ -186,3 +185,35 @@ def test_posted_price_bound_fails_when_the_quadrature_reads_quantiles(monkeypatc
     assert rc == 1 and lines[-1] == "VERIFY FAIL: posted_price_bound"
     assert lines[1] == "PASS tail_bound: 36 cases, 0 failures"
     assert "FAIL posted_price_bound: 36 cases, 36 failures" in lines
+
+
+def test_optimality_fails_when_the_honest_net_is_five_percent_high(monkeypatch, capsys):
+    # the promised auction's net 5% above its price on every profile; the other
+    # checks that price from it come later in the report
+    honest = strategies.Chunk.honest
+
+    def five_percent_high(self, reserve):
+        net, sale = honest(self, reserve)
+        return net * 1.05, sale
+
+    monkeypatch.setattr(strategies.Chunk, "honest", five_percent_high)
+    rc, lines = verify_quick_lines(capsys)
+    assert rc == 1 and lines[-1] == "VERIFY FAIL: optimality"
+    assert ("FAIL optimality: 6 cases, 6 failures: exponential/n=1,exponential/n=2,"
+            "gpareto/n=1,gpareto/n=2,gpareto/n=1,gpareto/n=2") in lines
+
+
+def test_strategyproofness_fails_when_the_winner_pays_its_own_bid(monkeypatch, capsys):
+    # a first-price sale: resolution charges the winner its own bid, so shading pays
+    resolve = protocol.resolve
+
+    def first_price(scheme, commitments, openings, *args, **kwargs):
+        outcome = resolve(scheme, commitments, openings, *args, **kwargs)
+        if outcome.winner is None:
+            return outcome
+        return replace(outcome, sale_price=openings[outcome.winner].message)
+
+    monkeypatch.setattr(protocol, "resolve", first_price)
+    rc, lines = verify_quick_lines(capsys)
+    assert rc == 1 and lines[-1] == "VERIFY FAIL: strategyproofness_grid"
+    assert "FAIL strategyproofness_grid: 8 profiles x 3 buyers x 21 bids, 13 violations" in lines
