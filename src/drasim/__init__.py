@@ -41,7 +41,6 @@ from .distributions import (
     collateral,
     make_distribution,
     optimal_revenue,
-    plus_virtual_value,
     reserve_price,
     strong_regularity_alpha,
     virtual_value,

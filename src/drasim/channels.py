@@ -21,7 +21,7 @@ applies the member rule and reads the table once per event, as it delivers:
 every receiving buyer's view must admit the event, and gains it, or none does.
 A strategy that breaks the grammar aborts the run, which separates grammar
 violations from safe deviations. The view-consistency checker parses a view
-by the same table, one read per entry; next_phase reads one transition of it.
+by the same table, one read per entry.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "PHASE_DONE",
     "PHASE_TRANSITIONS",
     "OUT_OF_PHASE",
-    "next_phase",
     "view_members",
 ]
 
@@ -151,12 +150,6 @@ PHASE_TRANSITIONS = {
     "transfer": (None, None, PHASE_DONE),
 }
 OUT_OF_PHASE = (None, None, None)  # the row of a kind the grammar does not know
-
-
-def next_phase(phase: Optional[int], payload: Payload) -> Optional[int]:
-    """A view's phase after `payload`, or None when `payload` is illegal in `phase`
-    or `phase` is None (the view's grammar already broke)."""
-    return None if phase is None else PHASE_TRANSITIONS.get(payload.kind, OUT_OF_PHASE)[phase]
 
 
 @record
@@ -283,9 +276,6 @@ class Channel:
         return View(agent=agent, events=tuple(
             e for e in self.events
             if e.recipient in (None, AUCTIONEER) or self._owners.get(e.sender) == AUCTIONEER))
-
-    def broadcast_log(self) -> tuple:
-        return tuple(e for e in self.events if e.recipient is None)
 
 
 @record

@@ -55,7 +55,6 @@ __all__ = [
     "InfiniteReserveError",
     "make_distribution",
     "virtual_value",
-    "plus_virtual_value",
     "reserve_price",
     "at_or_above_reserve",
     "strong_regularity_alpha",
@@ -387,11 +386,6 @@ def virtual_value(dist: ValueDistribution, x):
     return float(phi) if np.isscalar(x) or np.ndim(x) == 0 else phi
 
 
-def plus_virtual_value(dist: ValueDistribution, x):
-    """max{0, phi(x)} elementwise."""
-    return np.maximum(0.0, virtual_value(dist, x))
-
-
 @functools.lru_cache(maxsize=None)
 def reserve_price(dist: ValueDistribution) -> float:
     """inf{x : phi(x) >= 0} by bisection to 1e-9; +inf when phi stays negative.
@@ -615,9 +609,6 @@ class BoundCheck:
     rhs: float
     holds: bool
     slack: float
-
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.holds))
 
 
 def _tail_factor(alpha: float, r: float, p: float) -> float:

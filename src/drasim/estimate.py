@@ -1,4 +1,8 @@
-"""Monte Carlo estimate container and deterministic accumulation helpers."""
+"""Monte Carlo estimate container and deterministic accumulation helpers.
+
+An estimate is finite or refused: a chunk with a NaN or an infinite value makes
+ChunkAccumulator.result raise FloatingPointError, never return a NaN mean with a
+zero standard error that a 3-SE gate could read as a pass."""
 
 from __future__ import annotations
 
@@ -47,11 +51,16 @@ class ChunkAccumulator:
         self._count += values.size
 
     def result(self) -> Estimate:
+        """The mean and standard error of every value added; FloatingPointError when
+        their sum or the sum of their squares is not finite."""
         n = self._count
         if n == 0:
             return Estimate(mean=0.0, std_error=0.0, samples=0)
         total = math.fsum(self._sums)
         total_sq = math.fsum(self._sq_sums)
+        if not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise FloatingPointError(
+                f"non-finite estimate over {n} samples: sum {total}, sum of squares {total_sq}")
         mean = total / n
         if n > 1:
             var = max(0.0, (total_sq - n * mean * mean) / (n - 1))

@@ -313,7 +313,7 @@ def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Esti
 
 
 def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: float,
-                            samples: int = 1_000_000, seed: int = 0) -> BoundCheck:
+                            samples: int, seed: int) -> BoundCheck:
     """Conditional mean bound E[v | v >= t] <= E[phi(v) | v >= t] / alpha + r(D).
 
     Monte Carlo on the one chunk loop: profile i is sample_tail(t, u_i) of the
@@ -467,9 +467,6 @@ class CredibilityReport:
     worst_margin: float
     all_pass: bool
     violations: tuple
-
-    def flagged(self) -> bool:
-        return len(self.violations) > 0
 
 
 def credibility_suite(dist: ValueDistribution, alpha: float, n: int,

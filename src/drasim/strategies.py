@@ -36,14 +36,15 @@ execution. That is a necessary-condition filter rather than the full
 simulation-based definition, and it is itself under test via the known
 deviations it must accept and the corruptions it must reject. view_summary
 parses a view in one pass, reading the channel's phase transition table once
-per entry; summary_is_consistent then reads the buyer's own deposits, refunds
-and transfers once each.
+per entry; summary_is_consistent then checks the buyer's own deposits, refunds
+and transfers in one pass over the three.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ from .channels import (
     View,
 )
 from .distributions import at_or_above_reserve
-from .protocol import AuctionConfig, AuctionGame, Outcome
+from .protocol import MONEY_TOL, AuctionConfig, AuctionGame, Outcome
 from .records import record
 
 __all__ = [
@@ -88,11 +89,6 @@ __all__ = [
     "commit_phase_payloads",
     "false_commit_payloads",
 ]
-
-# an amount or price matches within _PRICE_TOL; tested as not abs(x - y) <= _PRICE_TOL,
-# so a NaN matches nothing
-_PRICE_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # Buyer strategies
@@ -677,15 +673,15 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
 
     own_bid, beta = summary.own_bid, summary.beta
 
-    if own_bid is not None and own_bid > beta + _PRICE_TOL:
-        if notice.winner != agent or not abs(notice.price - beta) <= _PRICE_TOL:
+    if own_bid is not None and own_bid > beta + MONEY_TOL:
+        if notice.winner != agent or not abs(notice.price - beta) <= MONEY_TOL:
             return False
     if notice.winner == agent:
         if own_bid is None:
             return False
-        if not abs(notice.price - beta) <= _PRICE_TOL:
+        if not abs(notice.price - beta) <= MONEY_TOL:
             return False
-        if own_bid < beta - _PRICE_TOL:
+        if own_bid < beta - MONEY_TOL:
             return False
         if not own_bid > config.reserve:
             return False
@@ -693,29 +689,21 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
     # Own money: one deposit of the posted amount during the commitment phase, a
     # refund of it exactly when the buyer opened, and transfers as checked below.
     collateral = config.collateral
-    deposited = 0
-    for deposit in summary.deposits:
-        if deposit.party == agent:
-            deposited += 1
-            if not abs(deposit.amount - collateral) <= _PRICE_TOL:
-                return False
-    if deposited != 1:
-        return False
-    refunded = 0
-    for refund in summary.refunds:
-        if refund.party == agent:
-            refunded += 1
-            if not abs(refund.amount - collateral) <= _PRICE_TOL:
-                return False
-    if refunded != (0 if own_bid is None else 1):
-        return False
-
+    deposited = refunded = 0
     sources = []  # the forfeiting bidder of each transfer to this buyer
-    for transfer in summary.transfers:
-        if transfer.party == agent:
-            sources.append(transfer.counterparty)
-            if not abs(transfer.amount - collateral) <= _PRICE_TOL:
-                return False
+    for money in chain(summary.deposits, summary.refunds, summary.transfers):
+        if money.party != agent:
+            continue
+        if not abs(money.amount - collateral) <= MONEY_TOL:
+            return False
+        if money.kind == "deposit":
+            deposited += 1
+        elif money.kind == "refund":
+            refunded += 1
+        else:
+            sources.append(money.counterparty)
+    if deposited != 1 or refunded != (0 if own_bid is None else 1):
+        return False
     if sources:
         if len(sources) != len(set(sources)) or set(sources) != commits.keys() - revealed.keys():
             return False
@@ -728,7 +716,7 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
         for bidder, bid in revealed.items():
             if bid > comp_max and bidder != agent:
                 comp_max = bid
-        if own_bid < comp_max - _PRICE_TOL:
+        if own_bid < comp_max - MONEY_TOL:
             return False
         # A tie is an exact one, as in the resolution rule: bids a hair apart
         # are not tied, and the higher one is the candidate.

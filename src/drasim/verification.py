@@ -8,9 +8,10 @@ section; the shipped defaults keep the whole battery in the tens of seconds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .distributions import (
     reserve_price,
     strong_regularity_alpha,
 )
+from .estimate import Estimate
 from .estimators import (
     MIN_SAMPLES,
     attack_sweep,
@@ -59,6 +61,7 @@ from .strategies import (
     Truthful,
     commit_phase_payloads,
     false_commit_payloads,
+    reveal_dominant_variant,
     summary_is_consistent,
     view_summary,
 )
@@ -220,46 +223,49 @@ _ALPHAS = (0.25, 0.5, 0.75)
 _PRICE_MULTIPLES = (1.0, 2.0, 4.0, 8.0)
 
 
-def _bound_families():
-    out = [(Exponential(1.0), 1.0)]
-    for shape in (0.25, 0.5, 0.75):
-        out.append((GeneralizedPareto(shape), 1.0 - shape))
-    return out
+def _tally(name: str, cases: Iterable, noun: str, fault: str) -> VerifyCheck:
+    """A counted check from its (label, passed) cases: "N <noun>, M <fault>", and
+    after a failure ": " and the failing cases' labels."""
+    cases = list(cases)
+    failed = [label for label, passed in cases if not passed]
+    detail = f"{len(cases)} {noun}, {len(failed)} {fault}"
+    return VerifyCheck(name, not failed, detail + (": " + ",".join(failed) if failed else ""))
+
+
+def _within_3se(est: Estimate, target: float) -> bool:
+    """The estimate lies within 3 standard errors of target; a NaN does not."""
+    return abs(est.mean - target) <= 3.0 * est.std_error
+
+
+def _bound_cases(alphas: Sequence[float]):
+    """(dist, alpha, reserve) for each bound family and each of alphas up to the
+    family's regularity: 1 for exponential(1), 1 - k for gpareto(k)."""
+    families = [(Exponential(1.0), 1.0)]
+    families += [(GeneralizedPareto(k), 1.0 - k) for k in (0.25, 0.5, 0.75)]
+    for dist, alpha_max in families:
+        r = reserve_price(dist)
+        for alpha in alphas:
+            if alpha <= alpha_max + 1e-12:
+                yield dist, alpha, r
 
 
 def _check_price_bounds() -> list:
     """The tail and posted-price inequality grids, one check each."""
-    checks = []
-    for name, check in (("tail_bound", check_tail_bound),
-                        ("posted_price_bound", check_posted_price_bound)):
-        cases = failures = 0
-        for dist, alpha_max in _bound_families():
-            r = reserve_price(dist)
-            for alpha in _ALPHAS:
-                if alpha > alpha_max + 1e-12:
-                    continue
-                for mult in _PRICE_MULTIPLES:
-                    cases += 1
-                    if not check(dist, alpha, mult * r).holds:
-                        failures += 1
-        checks.append(VerifyCheck(name, failures == 0, f"{cases} cases, {failures} failures"))
-    return checks
+    grid = [(f"{dist!r}/alpha={alpha}/p={mult:g}r", dist, alpha, mult * r)
+            for dist, alpha, r in _bound_cases(_ALPHAS) for mult in _PRICE_MULTIPLES]
+    return [_tally(name, ((label, check(dist, alpha, p).holds) for label, dist, alpha, p in grid),
+                   "cases", "failures")
+            for name, check in (("tail_bound", check_tail_bound),
+                                ("posted_price_bound", check_posted_price_bound))]
 
 
 def _check_conditional_bounds(samples: int, seed: int) -> VerifyCheck:
-    cases = failures = 0
-    for dist, alpha_max in _bound_families():
-        r = reserve_price(dist)
-        for alpha in (0.25, 0.5, 0.75, 1.0):
-            if alpha > alpha_max + 1e-12:
-                continue
-            for mult in (1.0, 2.0):
-                cases += 1
-                res = check_conditional_bound(dist, alpha, mult * r, samples=samples,
-                                              seed=derive_seed(seed, "cond", cases))
-                if not res.holds:
-                    failures += 1
-    return VerifyCheck("conditional_bound", failures == 0, f"{cases} cases, {failures} failures")
+    grid = [(f"{dist!r}/alpha={alpha}/t={mult:g}r", dist, alpha, mult * r)
+            for dist, alpha, r in _bound_cases((0.25, 0.5, 0.75, 1.0)) for mult in (1.0, 2.0)]
+    return _tally("conditional_bound", (
+        (label, check_conditional_bound(dist, alpha, t, samples,
+                                        derive_seed(seed, "cond", case)).holds)
+        for case, (label, dist, alpha, t) in enumerate(grid, 1)), "cases", "failures")
 
 
 def _check_reserve_and_alpha() -> VerifyCheck:
@@ -297,31 +303,22 @@ def _auction_config(dist: ValueDistribution, n: int, mode: str = "broadcast",
 
 
 def _check_optimality(samples: int, seed: int) -> VerifyCheck:
-    cases = failures = 0
-    details = []
-    for dist in _mc_families():
-        for n in (1, 2):
-            cases += 1
-            config = _auction_config(dist, n)
-            est = estimate_revenue(config, Honest(), samples, derive_seed(seed, "opt", cases))
-            target = optimal_revenue(dist, n).mean
-            if abs(est.mean - target) > 3.0 * est.std_error:
-                failures += 1
-                details.append(f"{dist.kind}/n={n}")
-    return VerifyCheck("optimality", failures == 0,
-                       f"{cases} cases, {failures} failures" + (": " + ",".join(details) if details else ""))
+    grid = itertools.product(_mc_families(), (1, 2))
+    return _tally("optimality", (
+        (f"{dist!r}/n={n}",
+         _within_3se(estimate_revenue(_auction_config(dist, n), Honest(), samples,
+                                      derive_seed(seed, "opt", case)),
+                     optimal_revenue(dist, n).mean))
+        for case, (dist, n) in enumerate(grid, 1)), "cases", "failures")
 
 
 def _check_myerson_identity(samples: int, seed: int) -> VerifyCheck:
-    cases = failures = 0
-    for dist in _mc_families():
-        for n in (1, 2, 3):
-            cases += 1
-            config = _auction_config(dist, n)
-            gap = estimate_myerson_gap(config, samples, derive_seed(seed, "mye", cases))
-            if abs(gap.mean) > 3.0 * gap.std_error:
-                failures += 1
-    return VerifyCheck("myerson_identity", failures == 0, f"{cases} cases, {failures} failures")
+    grid = itertools.product(_mc_families(), (1, 2, 3))
+    return _tally("myerson_identity", (
+        (f"{dist!r}/n={n}",
+         _within_3se(estimate_myerson_gap(_auction_config(dist, n), samples,
+                                          derive_seed(seed, "mye", case)), 0.0))
+        for case, (dist, n) in enumerate(grid, 1)), "cases", "failures")
 
 
 def _check_strategyproofness(profiles: int, seed: int) -> VerifyCheck:
@@ -344,19 +341,16 @@ def _check_reveal_dominance(samples: int, seed: int) -> VerifyCheck:
     dist = GeneralizedPareto(0.5)
     f_amount = collateral_level(dist, 2, 0.5)
     config = _auction_config(dist, 2, collateral=f_amount)
-    quantiles = np.linspace(0.1, 0.99, 10)
-    failures = 0
-    for i, u in enumerate(quantiles):
-        bid = float(dist.quantile(u))
-        if bid > f_amount:
-            continue
-        withhold = ShillBroadcast(false_bids=(bid,), reveal_policy=WITHHOLD_IF_WINNING)
-        reveal = ShillBroadcast(false_bids=(bid,), reveal_policy=ALWAYS_REVEAL)
-        diff = estimate_paired_difference(config, reveal, withhold, samples,
-                                          derive_seed(seed, "dom", i))
-        if diff.mean < -3.0 * diff.std_error:
-            failures += 1
-    return VerifyCheck("reveal_dominance", failures == 0, f"10 strategies, {failures} failures")
+
+    def case(i, u):
+        withhold = ShillBroadcast(false_bids=(float(dist.quantile(u)),),
+                                  reveal_policy=WITHHOLD_IF_WINNING)
+        diff = estimate_paired_difference(config, reveal_dominant_variant(withhold, f_amount),
+                                          withhold, samples, derive_seed(seed, "dom", i))
+        return withhold.describe(), diff.mean >= -3.0 * diff.std_error
+
+    return _tally("reveal_dominance", itertools.starmap(case, enumerate(np.linspace(0.1, 0.99, 10))),
+                  "strategies", "failures")
 
 
 def _lift_strategies(dist: ValueDistribution):
@@ -370,22 +364,18 @@ def _lift_strategies(dist: ValueDistribution):
 
 def _check_lift_equality(runs: int, seed: int) -> VerifyCheck:
     dist = GeneralizedPareto(0.5)
-    f_amount = collateral_level(dist, 2, 0.5)
-    mismatches = 0
-    total = 0
-    for strategy in _lift_strategies(dist):
-        for j in range(runs):
-            run_seed = derive_seed(seed, "lift", strategy.describe(), j)
-            values = sample_values(dist, 2, run_seed)
-            buyers = [Truthful(v) for v in values]
-            cfg_b = replace(_auction_config(dist, 2, collateral=f_amount), seed=run_seed)
-            cfg_c = replace(cfg_b, mode="centralized")
-            out_b, _ = run_auction(cfg_b, buyers, strategy)
-            out_c, _ = run_auction(cfg_c, buyers, Lifted(strategy))
-            total += 1
-            if out_b != out_c:
-                mismatches += 1
-    return VerifyCheck("lift_equality", mismatches == 0, f"{total} paired runs, {mismatches} mismatches")
+    config = _auction_config(dist, 2, collateral=collateral_level(dist, 2, 0.5))
+
+    def case(strategy, j):
+        run_seed = derive_seed(seed, "lift", strategy.describe(), j)
+        buyers = [Truthful(v) for v in sample_values(dist, 2, run_seed)]
+        cfg_b = replace(config, seed=run_seed)
+        out_b, _ = run_auction(cfg_b, buyers, strategy)
+        out_c, _ = run_auction(replace(cfg_b, mode="centralized"), buyers, Lifted(strategy))
+        return f"{strategy.describe()}/run={j}", out_b == out_c
+
+    return _tally("lift_equality", itertools.starmap(
+        case, itertools.product(_lift_strategies(dist), range(runs))), "paired runs", "mismatches")
 
 
 def _structural_deviations(dist: ValueDistribution):

@@ -28,10 +28,11 @@ from drasim import (
 )
 from drasim.channels import (
     END_COMMIT,
+    OUT_OF_PHASE,
     PHASE_COMMIT,
     PHASE_DONE,
     PHASE_REVEAL,
-    next_phase,
+    PHASE_TRANSITIONS,
 )
 from drasim.commitments import IdealScheme, Opening
 from drasim.records import record
@@ -61,7 +62,7 @@ def test_broadcast_atomicity_identical_projection():
     for i in (1, 2, 3):
         ch.broadcast(i, commit_msg(i, scheme))
     ch.broadcast(AUCTIONEER, EndCommit())
-    log = ch.broadcast_log()
+    log = tuple(e for e in ch.events if e.recipient is None)
     for agent in (1, 2, 3):
         projected = tuple(e for e in ch.view(agent).events if e.recipient is None)
         assert projected == log
@@ -160,12 +161,16 @@ def test_phase_grammar_staggered_end_commit_is_legal():
     ch.private_send(AUCTIONEER, 1, OutcomeNotice(None, 0.0))
 
 
-def test_next_phase_reads_the_transition_table():
-    assert next_phase(PHASE_COMMIT, EndCommit()) == PHASE_REVEAL
-    assert next_phase(PHASE_REVEAL, RevealMsg(1, Opening(1.0, b"\x00" * 16))) == PHASE_REVEAL
-    assert next_phase(PHASE_DONE, CollateralNotice(1, 1.0, "refund")) == PHASE_DONE
-    assert next_phase(None, EndCommit()) is None and next_phase(PHASE_DONE, END_COMMIT) is None
-    assert next_phase(PHASE_DONE, CollateralNotice(1, 1.0, "bribe")) is None  # an unknown kind
+def test_phase_transitions_rows():
+    # a payload's row, keyed by its kind, gives the view's next phase from each phase
+    def row(payload):
+        return PHASE_TRANSITIONS.get(payload.kind, OUT_OF_PHASE)
+
+    assert row(EndCommit())[PHASE_COMMIT] == PHASE_REVEAL
+    assert row(RevealMsg(1, Opening(1.0, b"\x00" * 16)))[PHASE_REVEAL] == PHASE_REVEAL
+    assert row(CollateralNotice(1, 1.0, "refund"))[PHASE_DONE] == PHASE_DONE
+    assert row(END_COMMIT)[PHASE_DONE] is None
+    assert row(CollateralNotice(1, 1.0, "bribe")) == OUT_OF_PHASE  # an unknown kind
 
 
 def test_delivery_refused_by_a_later_view_leaves_every_view_as_it_was():

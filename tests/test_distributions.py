@@ -28,7 +28,6 @@ from drasim import (
     collateral,
     make_distribution,
     optimal_revenue,
-    plus_virtual_value,
     reserve_price,
     strong_regularity_alpha,
     virtual_value,
@@ -131,8 +130,6 @@ def test_virtual_value_closed_forms():
     # Uniform(0,1): phi(x) = 2x - 1; at the top of support 1 - F = 0
     assert virtual_value(Uniform(0.0, 1.0), 1.0) == pytest.approx(1.0, abs=1e-12)
     assert virtual_value(Uniform(0.0, 1.0), 0.25) == pytest.approx(-0.5, abs=1e-12)
-    assert plus_virtual_value(EqualRevenue(), 3.0) == 0.0
-    assert plus_virtual_value(Exponential(1.0), 3.0) == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("dist", CONTINUOUS, ids=lambda d: repr(d))
@@ -542,7 +539,7 @@ def test_conditional_bound_grid():
                                   samples=200_000, seed=3)
     assert res.holds
     with pytest.raises(ValueError):
-        check_conditional_bound(Exponential(1.0), 0.5, 0.2)
+        check_conditional_bound(Exponential(1.0), 0.5, 0.2, samples=1_000_000, seed=0)
 
 
 def test_posted_price_identity_and_bound():

@@ -421,7 +421,7 @@ def test_credibility_suite_flags_reduced_collateral():
     quantiles = [0.8, 0.9, 0.95, 0.99]
     report = credibility_suite(GPA, alpha=0.5, n=2, deviation_quantiles=quantiles,
                                samples=150_000, seed=37, collateral_override=0.32)
-    assert report.flagged()
+    assert report.violations
     assert any("withhold" in v for v in report.violations)
 
 
@@ -762,7 +762,18 @@ def test_estimate_invariants():
     with pytest.raises(ValueError):
         estimate_adaptive_gain(GPA, 5.0, 2.0, 999, 0)
     with pytest.raises(ValueError):
-        check_conditional_bound(GPA, 0.5, 2.0, samples=999)
+        check_conditional_bound(GPA, 0.5, 2.0, samples=999, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_value_makes_the_estimate_raise(bad):
+    # a NaN mean came back with std_error max(0.0, nan) = 0.0, which a 3-SE gate passed
+    values = np.random.default_rng(0).random(1000)
+    values[17] = bad
+    acc = ChunkAccumulator()
+    acc.add(values)
+    with pytest.raises(FloatingPointError):
+        acc.result()
 
 
 def test_conditional_bound_draws_the_seeds_value_stream():

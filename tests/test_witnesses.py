@@ -5,6 +5,7 @@ or as verify_quick's whole report, whose FAIL line and exit code are read."""
 
 import itertools
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from drasim import config, distributions, estimators, protocol, strategies, verification
 from drasim.cli import main
 from drasim.config import build_setup
+from drasim.estimate import Estimate
 from drasim.verification import (
     _check_conditional_bounds,
     _check_credibility,
@@ -20,6 +22,7 @@ from drasim.verification import (
     _check_reveal_dominance,
     _check_separation,
     _check_structural,
+    _within_3se,
     run_verification,
 )
 
@@ -155,7 +158,10 @@ def test_lift_equality_fails_when_the_replay_reveals_every_false_bid(monkeypatch
                         lambda self: (self.inner.false_bids, strategies.ALWAYS_REVEAL))
     rc, lines = verify_quick_lines(capsys)
     assert rc == 1 and lines[-1] == "VERIFY FAIL: lift_equality"
-    assert "FAIL lift_equality: 150 paired runs, 32 mismatches" in lines
+    mismatched = (("1.16228", (0, 3, 7, 8, 10, 12, 24)), ("6.94427", range(25)))
+    assert "FAIL lift_equality: 150 paired runs, 32 mismatches: " + ",".join(
+        f"shill[{bid}]/withhold_if_winning/run={j}" for bid, runs in mismatched for j in runs
+    ) in lines
 
 
 def test_tail_bound_fails_when_the_tail_factor_has_the_wrong_exponent(monkeypatch, capsys):
@@ -168,8 +174,23 @@ def test_tail_bound_fails_when_the_tail_factor_has_the_wrong_exponent(monkeypatc
     monkeypatch.setattr(distributions, "_tail_factor", wrong_exponent)
     rc, lines = verify_quick_lines(capsys)
     assert rc == 1 and lines[-1] == "VERIFY FAIL: tail_bound"
-    assert "FAIL tail_bound: 36 cases, 15 failures" in lines
-    assert "FAIL posted_price_bound: 36 cases, 15 failures" in lines
+    failed = ("Exponential(rate=1.0)/alpha=0.25/p=2r,"
+              "GeneralizedPareto(shape=0.25)/alpha=0.25/p=2r,"
+              "GeneralizedPareto(shape=0.25)/alpha=0.25/p=4r,"
+              "GeneralizedPareto(shape=0.25)/alpha=0.25/p=8r,"
+              "GeneralizedPareto(shape=0.25)/alpha=0.5/p=4r,"
+              "GeneralizedPareto(shape=0.25)/alpha=0.5/p=8r,"
+              "GeneralizedPareto(shape=0.25)/alpha=0.75/p=8r,"
+              "GeneralizedPareto(shape=0.5)/alpha=0.25/p=2r,"
+              "GeneralizedPareto(shape=0.5)/alpha=0.25/p=4r,"
+              "GeneralizedPareto(shape=0.5)/alpha=0.25/p=8r,"
+              "GeneralizedPareto(shape=0.5)/alpha=0.5/p=4r,"
+              "GeneralizedPareto(shape=0.5)/alpha=0.5/p=8r,"
+              "GeneralizedPareto(shape=0.75)/alpha=0.25/p=2r,"
+              "GeneralizedPareto(shape=0.75)/alpha=0.25/p=4r,"
+              "GeneralizedPareto(shape=0.75)/alpha=0.25/p=8r")
+    assert "FAIL tail_bound: 36 cases, 15 failures: " + failed in lines
+    assert "FAIL posted_price_bound: 36 cases, 15 failures: " + failed in lines
 
 
 def test_posted_price_bound_fails_when_the_quadrature_reads_quantiles(monkeypatch, capsys):
@@ -184,7 +205,14 @@ def test_posted_price_bound_fails_when_the_quadrature_reads_quantiles(monkeypatc
     rc, lines = verify_quick_lines(capsys)
     assert rc == 1 and lines[-1] == "VERIFY FAIL: posted_price_bound"
     assert lines[1] == "PASS tail_bound: 36 cases, 0 failures"
-    assert "FAIL posted_price_bound: 36 cases, 36 failures" in lines
+    grid = (("Exponential(rate=1.0)", (0.25, 0.5, 0.75)),
+            ("GeneralizedPareto(shape=0.25)", (0.25, 0.5, 0.75)),
+            ("GeneralizedPareto(shape=0.5)", (0.25, 0.5)),
+            ("GeneralizedPareto(shape=0.75)", (0.25,)))
+    assert "FAIL posted_price_bound: 36 cases, 36 failures: " + ",".join(
+        f"{dist}/alpha={alpha}/p={mult}r"
+        for dist, alphas in grid for alpha in alphas for mult in (1, 2, 4, 8)
+    ) in lines
 
 
 def test_optimality_fails_when_the_honest_net_is_five_percent_high(monkeypatch, capsys):
@@ -199,8 +227,29 @@ def test_optimality_fails_when_the_honest_net_is_five_percent_high(monkeypatch, 
     monkeypatch.setattr(strategies.Chunk, "honest", five_percent_high)
     rc, lines = verify_quick_lines(capsys)
     assert rc == 1 and lines[-1] == "VERIFY FAIL: optimality"
-    assert ("FAIL optimality: 6 cases, 6 failures: exponential/n=1,exponential/n=2,"
-            "gpareto/n=1,gpareto/n=2,gpareto/n=1,gpareto/n=2") in lines
+    assert ("FAIL optimality: 6 cases, 6 failures: Exponential(rate=1.0)/n=1,"
+            "Exponential(rate=1.0)/n=2,GeneralizedPareto(shape=0.25)/n=1,"
+            "GeneralizedPareto(shape=0.25)/n=2,GeneralizedPareto(shape=0.5)/n=1,"
+            "GeneralizedPareto(shape=0.5)/n=2") in lines
+
+
+def test_verify_refuses_a_nan_net_in_one_profile_per_chunk(monkeypatch, capsys):
+    # a NaN estimate came with a zero standard error, and optimality, myerson_identity
+    # and reveal_dominance passed it; now the estimate raises and verify exits 3
+    honest = strategies.Chunk.honest
+
+    def one_nan(self, reserve):
+        net, sale = honest(self, reserve)
+        net = net.copy()
+        net[0] = math.nan
+        return net, sale
+
+    monkeypatch.setattr(strategies.Chunk, "honest", one_nan)
+    rc = main(["verify", "--config", str(CONFIGS / "verify_quick.json")])
+    out, err = capsys.readouterr()
+    assert rc == 3 and "PASS optimality" not in out
+    assert "FloatingPointError: non-finite estimate" in err
+    assert not _within_3se(Estimate(math.nan, 0.0, 1000), 0.0)
 
 
 def test_strategyproofness_fails_when_the_winner_pays_its_own_bid(monkeypatch, capsys):
