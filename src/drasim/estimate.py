@@ -8,10 +8,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["Estimate", "ChunkAccumulator"]
+__all__ = ["Estimate", "ChunkAccumulator", "pairwise_split"]
+
+# numpy's pairwise summation adds up to this many elements in one unrolled block,
+# and splits a longer array in two
+_PAIRWISE_BLOCK = 128
+
+
+def pairwise_split(n: int) -> Optional[int]:
+    """Where np.add.reduce splits a contiguous float array of n elements, or None
+    when it sums them in one block (n <= 128). numpy's pairwise_sum returns the sum
+    of rows [0, h) plus the sum of rows [h, n), h = n//2 - (n//2) % 8, each summed
+    the same way, so those two floats added give the bits of the whole sum."""
+    if n <= _PAIRWISE_BLOCK:
+        return None
+    half = n // 2
+    return half - half % 8
 
 
 @dataclass(frozen=True)
@@ -33,7 +49,10 @@ class ChunkAccumulator:
     Per-chunk partial sums come from numpy's pairwise summation (np.add.reduce,
     the reduction np.sum runs for an array, without its Python wrapper) and are
     then combined with math.fsum, which is exact, so the final mean and standard
-    error are bit-identical no matter how the fixed-size chunks were scheduled.
+    error are bit-identical however the fixed-size chunks were scheduled or split.
+    A chunk may be added as its two halves at pairwise_split, one add each, and
+    then joined by merge_halves, which adds their sums as np.add.reduce adds
+    them: the chunk's sums keep the bits of adding it whole.
     """
 
     def __init__(self):
@@ -49,6 +68,14 @@ class ChunkAccumulator:
         self._sq_sums.append(float(np.add.reduce(np.square(values, out=square),
                                                  axis=None)))
         self._count += values.size
+
+    def merge_halves(self) -> None:
+        """Join the last two chunks added, rows [0, h) and [h, n) of one chunk with
+        h = pairwise_split(n), into that chunk: its sum and sum of squares are the
+        halves' added in that order, the floats np.add.reduce gives for it whole."""
+        sums, sq_sums = self._sums, self._sq_sums
+        sums[-2:] = [sums[-2] + sums[-1]]
+        sq_sums[-2:] = [sq_sums[-2] + sq_sums[-1]]
 
     def result(self) -> Estimate:
         """The mean and standard error of every value added; FloatingPointError when

@@ -35,6 +35,18 @@ where no kernel result lives). An array a kernel returns may be one of them and
 holds only until the next kernel call on the chunk, so a paired difference
 copies the first net before it prices the baseline.
 
+A chunk of more than 128 rows that several functions price (the credibility
+suite's 41 strategies, the conditional bound's two means) is loaded into the
+Chunk twice, as rows [0, h) and [h, n) with h = estimate.pairwise_split(n),
+and every function runs on each half, given the half's own start. The work
+arrays then hold half a chunk, so the ones every strategy reads (top, second,
+the promised net) stay in a core's L2 cache from one strategy to the next
+instead of spilling out of it on each pass. numpy's pairwise summation splits an
+array of n > 128 floats at that same h and adds the halves' sums, so the
+accumulator's merge_halves gives each chunk sum the bits of summing it whole.
+An estimate of one function keeps whole chunks: it reads each array once, and
+splitting it costs more than it saves.
+
 When an estimate has more than one chunk, one helper thread, started and
 joined by the call, draws whole chunks ahead of the caller with
 seeding.fill_uniforms, into its two buffers, taking each chunk index from a
@@ -92,7 +104,7 @@ from .distributions import (
     reserve_price,
     virtual_value,
 )
-from .estimate import ChunkAccumulator, Estimate
+from .estimate import ChunkAccumulator, Estimate, pairwise_split
 from .protocol import AuctionConfig, run_auction
 from .seeding import CHUNK_SAMPLES, chunk_bounds, chunk_uniforms, derive_seed, fill_uniforms
 from .strategies import (  # noqa: F401 (perfbench's tracer finds _shill_net here)
@@ -177,21 +189,33 @@ def _require_samples(samples: int) -> None:
 def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
     """The Monte Carlo loop: one Estimate per function (chunk, start) -> array. Each
     chunk of the seed's stream is drawn whole and mapped to profiles by `draw` once,
-    and each function's array for it goes to its own accumulator. The call's one
-    Chunk carries the profiles and the work arrays from chunk to chunk. A helper
-    thread draws chunks ahead, and the caller prices them in the order they come
-    (see the module docstring)."""
+    and each function's array for it goes to its own accumulator. With more than one
+    function, a chunk is priced as its two halves at pairwise_split, merged per
+    accumulator. The call's one Chunk carries the profiles and the work arrays from
+    chunk to chunk. A helper thread draws chunks ahead, and the caller prices them
+    in the order they come (see the module docstring)."""
     _require_samples(samples)
     stream = _value_stream_seed(seed)
     chunks = list(chunk_bounds(samples))
     accumulators = [ChunkAccumulator() for _ in per_profile]
     chunk = None
 
-    def consume(values, start):
+    def price(values, start):
         nonlocal chunk
         chunk = Chunk(values) if chunk is None else chunk.load(values)
         for net, acc in zip(per_profile, accumulators):
             acc.add(net(chunk, start), square=chunk.work("scratch"))
+
+    def price_halves(values, start):
+        half = pairwise_split(len(values))
+        if half is None:
+            return price(values, start)
+        price(values[:half], start)
+        price(values[half:], start + half)
+        for acc in accumulators:
+            acc.merge_halves()
+
+    consume = price if len(per_profile) == 1 else price_halves
 
     if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)

@@ -206,8 +206,9 @@ class Chunk:
     sale and sale mask top > reserve. Each is computed on first use, once per
     chunk, into a work array. The work arrays, one entry per profile, are
     allocated on first use at the longest length loaded yet and kept by load()
-    until a longer chunk comes, so a Monte Carlo loop allocates them at most
-    twice per estimate, not once per strategy and chunk. By (name, dtype):
+    until a longer one comes, so a Monte Carlo loop allocates them at most
+    twice per estimate, not once per strategy and chunk. Where the loop loads
+    each chunk as its two halves, that length is the longest half. By (name, dtype):
 
       * "top", "second": top_two()'s, for the chunk.
       * "honest_net", ("sale", bool): honest()'s, for the chunk and its reserve.

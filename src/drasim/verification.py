@@ -193,7 +193,8 @@ def coupling_matches(config: AuctionConfig, auctioneer, values_a: Sequence[float
 
 def strategyproofness_violations(dist: ValueDistribution, n: int, profiles: int,
                                  bid_grid: Sequence[float], seed: int) -> int:
-    """Count (profile, buyer, bid) cells where a unilateral deviation beats truth."""
+    """Count (profile, buyer, bid) cells where a unilateral deviation beats truth,
+    or where the two utilities do not compare (a NaN counts)."""
     reserve = reserve_price(dist)
     f_amount = collateral_level(dist, n, 1.0)
     config = AuctionConfig(n=n, dist=dist, reserve=reserve, collateral=f_amount,
@@ -210,7 +211,7 @@ def strategyproofness_violations(dist: ValueDistribution, n: int, profiles: int,
                 deviated = list(truthful)
                 deviated[i - 1] = FixedBid(value=values[i - 1], bid_amount=float(bid))
                 out, _ = run_auction(config, deviated, honest)
-                if buyer_utility(out, i, values[i - 1]) > truth_util:
+                if not buyer_utility(out, i, values[i - 1]) <= truth_util:
                     bad += 1
     return bad
 

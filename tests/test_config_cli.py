@@ -417,6 +417,15 @@ def test_cli_estimate_credibility_matches_its_fixture(capsys):
     assert capsys.readouterr().out.encode() == (FIXTURES / "estimate_credibility.txt").read_bytes()
 
 
+def test_cli_estimate_credibility_150k_matches_its_fixture(capsys):
+    # two full chunks and an 18,928-row tail, each priced in pairwise halves; the
+    # fixture was written by the loop that priced every chunk whole
+    assert main(["estimate", "--config", str(CONFIGS / "credibility.json"),
+                 "--samples", "150000"]) == 0
+    assert capsys.readouterr().out.encode() \
+        == (FIXTURES / "estimate_credibility_150k.txt").read_bytes()
+
+
 def test_cli_dist_matches_its_fixture(capsys):
     # the pinned stdout of dist on the default verify config: alpha, reserve, the
     # phi grid, Rev(D^n) and the collateral, each to its last bit

@@ -1,9 +1,11 @@
 """Estimator tests: engine agreement, determinism, pairing, the stratified
 rare-event estimator against its quadrature oracle, and the credibility suite."""
 
+import json
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from drasim import (
 )
 from drasim import estimators
 from drasim.distributions import ROOT_TOL
-from drasim.estimate import ChunkAccumulator, Estimate
+from drasim.estimate import ChunkAccumulator, Estimate, pairwise_split
 from drasim.estimators import (
     _attack_profiles,
     _estimate_each,
@@ -48,6 +50,7 @@ from drasim.estimators import (
 from drasim.seeding import CHUNK_SAMPLES, chunk_bounds, chunk_uniforms, derive_seed, fill_uniforms
 from drasim.strategies import Chunk
 
+CONFIGS = Path(__file__).parent.parent / "configs"
 GPA = GeneralizedPareto(0.5)
 R = reserve_price(GPA)
 
@@ -425,22 +428,37 @@ def test_credibility_suite_flags_reduced_collateral():
     assert any("withhold" in v for v in report.violations)
 
 
+def assert_rows_are_separate_estimates(report, n, quantiles, samples, seed):
+    """Each row of the report has the bits of estimate_revenue of its strategy alone,
+    which prices one function on whole chunks."""
+    config = config_for(GPA, n, report.collateral)
+    strategies = [Honest()] + [ShillBroadcast((float(GPA.quantile(u)),), policy)
+                               for u in quantiles
+                               for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING)]
+    assert len(report.rows) == len(strategies)
+    for row, strategy in zip(report.rows, strategies):
+        assert row.strategy == strategy.describe()
+        assert bits(row.estimate) == bits(estimate_revenue(config, strategy, samples, seed))
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_credibility_rows_match_separate_estimates(n):
     # one pass over the profiles for all strategies changes no bit of any row
     quantiles = [0.2, 0.9, 0.99]
     report = credibility_suite(GPA, alpha=0.5, n=n, deviation_quantiles=quantiles,
                                samples=70_000, seed=41, collateral_override=0.5)
-    config = config_for(GPA, n, 0.5)
-    strategies = [Honest()] + [ShillBroadcast((float(GPA.quantile(u)),), policy)
-                               for u in quantiles
-                               for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING)]
-    assert len(report.rows) == len(strategies)
-    for row, strategy in zip(report.rows, strategies):
-        alone = estimate_revenue(config, strategy, 70_000, 41)
-        assert row.strategy == strategy.describe()
-        assert (row.estimate.mean.hex(), row.estimate.std_error.hex(), row.estimate.samples) \
-            == (alone.mean.hex(), alone.std_error.hex(), alone.samples)
+    assert_rows_are_separate_estimates(report, n, quantiles, 70_000, 41)
+
+
+@pytest.mark.parametrize("samples", [2 * CHUNK_SAMPLES + 1_000, 40_000])
+def test_credibility_rows_priced_in_halves_equal_whole_chunk_estimates(samples):
+    # the shipped grid of 41 strategies, each chunk priced in two halves: at
+    # 2 * CHUNK_SAMPLES + 1,000, two full chunks and a 1,000-row one split at 496
+    quantiles = json.loads((CONFIGS / "credibility.json").read_text())["deviation_quantiles"]
+    report = credibility_suite(GPA, alpha=0.5, n=2, deviation_quantiles=quantiles,
+                               samples=samples, seed=7)
+    assert len(report.rows) == 41
+    assert_rows_are_separate_estimates(report, 2, quantiles, samples, 7)
 
 
 def test_paired_difference_is_exactly_paired():
@@ -482,15 +500,16 @@ def test_top_two_runs_once_per_chunk(monkeypatch):
         return top_two(values, *out)
 
     monkeypatch.setattr(strategies, "_top_two", counting)
-    samples = 2 * CHUNK_SAMPLES + 1
-    chunk_sizes = [1, CHUNK_SAMPLES, CHUNK_SAMPLES]
+    samples, half = 2 * CHUNK_SAMPLES + 1, CHUNK_SAMPLES // 2
     report = credibility_suite(GPA, alpha=0.5, n=2, deviation_quantiles=[0.2, 0.9, 0.99],
                                samples=samples, seed=41)
     assert len(report.rows) == 7  # honest and two policies for each of three false bids
-    assert sorted(sizes) == chunk_sizes  # in the order the chunks arrive
+    # in the order the chunks arrive; seven functions price each full chunk in halves,
+    # and a chunk of 128 rows or fewer whole
+    assert sorted(sizes) == [1, half, half, half, half]
     sizes.clear()
     estimate_myerson_gap(config_for(GPA, 2, 2.0), samples, 43)
-    assert sorted(sizes) == chunk_sizes
+    assert sorted(sizes) == [1, CHUNK_SAMPLES, CHUNK_SAMPLES]  # one function: whole chunks
 
 
 def test_chunk_work_arrays_are_keyed_by_name_and_dtype():
@@ -742,6 +761,54 @@ def test_chunk_accumulation_is_order_insensitive():
     for c in reversed(chunks):
         backward.add(c)
     assert forward.result() == backward.result()
+
+
+@pytest.mark.parametrize("n", [129, 130, 136, 1000, 18928, 34464, 65535, 65536])
+def test_numpy_sums_an_array_as_its_two_halves_at_pairwise_split(n):
+    # the split a chunk priced in halves relies on: np.add.reduce of n > 128 floats is
+    # the sum of rows [0, h) plus that of rows [h, n). A numpy that sums otherwise
+    # fails here by name. The data span twelve orders of magnitude, so that a split
+    # eight rows off changes some sum
+    assert pairwise_split(128) is None
+    h = pairwise_split(n)
+    assert h == n // 2 - (n // 2) % 8
+    rng = np.random.default_rng(n)
+    off_by_eight = 0
+    for _ in range(20):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
+        for y in (x, np.square(x)):
+            whole = np.add.reduce(y)
+            assert whole == np.add.reduce(y[:h]) + np.add.reduce(y[h:])
+            off_by_eight += whole != np.add.reduce(y[:h + 8]) + np.add.reduce(y[h + 8:])
+    assert off_by_eight > 0
+
+
+def test_each_half_is_priced_with_its_own_start():
+    # the simulate engine seeds profile start + k's run by its index in the stream
+    seen = []
+
+    def record(chunk, start):
+        seen.append((start, len(chunk.values)))
+        return chunk.values[:, 0]
+
+    _estimate_each(3, 2 * CHUNK_SAMPLES + 1_000, 2, lambda u: u, [record, record])
+    half = CHUNK_SAMPLES // 2
+    halves = [(0, half), (half, half), (CHUNK_SAMPLES, half), (CHUNK_SAMPLES + half, half),
+              (2 * CHUNK_SAMPLES, 496), (2 * CHUNK_SAMPLES + 496, 504)]
+    assert sorted(set(seen)) == halves and len(seen) == 2 * len(halves)
+
+
+def test_merge_halves_gives_the_bits_of_the_chunk_added_whole():
+    rng = np.random.default_rng(3)
+    chunks = [rng.standard_normal(size) * 1e3 for size in (65536, 1000, 18928)]
+    whole, halves = ChunkAccumulator(), ChunkAccumulator()
+    for c in chunks:
+        whole.add(c)
+        h = pairwise_split(len(c))
+        halves.add(c[:h])
+        halves.add(c[h:])
+        halves.merge_halves()
+    assert bits(halves.result()) == bits(whole.result())
 
 
 def test_estimate_invariants():

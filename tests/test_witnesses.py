@@ -21,6 +21,7 @@ from drasim.verification import (
     _check_myerson_identity,
     _check_reveal_dominance,
     _check_separation,
+    _check_strategyproofness,
     _check_structural,
     _within_3se,
     run_verification,
@@ -266,3 +267,19 @@ def test_strategyproofness_fails_when_the_winner_pays_its_own_bid(monkeypatch, c
     rc, lines = verify_quick_lines(capsys)
     assert rc == 1 and lines[-1] == "VERIFY FAIL: strategyproofness_grid"
     assert "FAIL strategyproofness_grid: 8 profiles x 3 buyers x 21 bids, 13 violations" in lines
+
+
+def test_strategyproofness_fails_when_every_sale_is_priced_at_nan(monkeypatch):
+    # a NaN utility compares false with everything, so a cell counted only when the
+    # deviation's utility is greater than truth's never counted it
+    resolve = protocol.resolve
+
+    def nan_price(*args, **kwargs):
+        outcome = resolve(*args, **kwargs)
+        if outcome.winner is None:
+            return outcome
+        return replace(outcome, sale_price=math.nan)
+
+    monkeypatch.setattr(protocol, "resolve", nan_price)
+    check = _check_strategyproofness(BUDGET["sp_profiles"], SEED)
+    assert check.name == "strategyproofness_grid" and not check.passed
