@@ -22,6 +22,7 @@ from .distributions import (
     InfiniteReserveError,
     NonRegularError,
     ValueDistribution,
+    _require_quantile_levels,
     _require_regular_finite_reserve,
     at_or_above_reserve,
     collateral as collateral_level,
@@ -120,9 +121,10 @@ def _expect_numbers(obj, where: str, nonempty: bool = False) -> list:
 def _expect_quantiles(obj, where: str) -> list:
     """The list obj of quantile levels, each a number in the open interval (0, 1)."""
     levels = _expect_numbers(obj, where)
-    for i, u in enumerate(levels):
-        if not 0.0 < u < 1.0:
-            raise ConfigError(f"{where}[{i}] must lie in (0, 1), got {u}")
+    try:
+        _require_quantile_levels(levels, where)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return levels
 
 

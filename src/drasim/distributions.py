@@ -370,6 +370,14 @@ def make_distribution(spec: dict) -> ValueDistribution:
     return cls(**{k: float(v) for k, v in params.items()})
 
 
+def _require_quantile_levels(levels, where: str) -> None:
+    """Raise ValueError unless every level lies in the open interval (0, 1), where
+    a quantile is a value of the support's interior (NaN lies nowhere)."""
+    for i, u in enumerate(levels):
+        if not 0.0 < u < 1.0:
+            raise ValueError(f"{where}[{i}] must lie in (0, 1), got {u}")
+
+
 # ---------------------------------------------------------------------------
 # Virtual values and the reserve price
 # ---------------------------------------------------------------------------

@@ -18,34 +18,41 @@ reference hook: on every strategy a config builds the engines give the same bits
 
 Every estimator, and check_conditional_bound, runs on one loop over chunked
 counter-based streams (see seeding) that draws each profile once for all the
-functions it prices, and needs MIN_SAMPLES samples or more. An estimate is a
+arrays it prices, and needs MIN_SAMPLES samples or more. An estimate is a
 pure function of (config, strategy, samples, seed) however chunks are
 scheduled, and strategies under one seed share identical value profiles
 (paired comparisons by construction).
 
-The loop hands each chunk to the functions it prices as one strategies.Chunk:
-the profiles, their top two and the promised auction's net and sale mask, each
-computed once per chunk for all the strategies, and work arrays that the
-kernels and the accumulator write into (the Chunk docstring lists them). One
-Chunk carries an estimate from chunk to chunk, so its work arrays are allocated
-once per call, on the calling thread (twice when the short last chunk comes
-first); the shill kernels and the accumulator allocate nothing chunk-sized per
-strategy (the accumulator writes its squares into the work array "scratch",
-where no kernel result lives). An array a kernel returns may be one of them and
-holds only until the next kernel call on the chunk, so a paired difference
-copies the first net before it prices the baseline.
+The loop runs one function per estimate call on each chunk, (chunk, start),
+which yields the chunk's arrays in the order of their accumulators; each array
+is added before the next one is asked for, so the function may write one array
+over the last. The one-function estimators yield one array, the conditional
+bound two, and the credibility suite its grid: the honest net, then both reveal
+policies of each false bid from one reveal mask, with every always row at or
+below the reserve left out, as it is the honest net bit for bit.
 
-A chunk of more than 128 rows that several functions price (the credibility
-suite's 41 strategies, the conditional bound's two means) is loaded into the
-Chunk twice, as rows [0, h) and [h, n) with h = estimate.pairwise_split(n),
-and every function runs on each half, given the half's own start. The work
-arrays then hold half a chunk, so the ones every strategy reads (top, second,
-the promised net) stay in a core's L2 cache from one strategy to the next
-instead of spilling out of it on each pass. numpy's pairwise summation splits an
-array of n > 128 floats at that same h and adds the halves' sums, so the
-accumulator's merge_halves gives each chunk sum the bits of summing it whole.
-An estimate of one function keeps whole chunks: it reads each array once, and
-splitting it costs more than it saves.
+The loop hands the function each chunk as one strategies.Chunk: the profiles,
+their top two and the promised auction's net and sale mask, each computed once
+per chunk for all the arrays, and work arrays that the kernels and the
+accumulator write into (the Chunk docstring lists them). One Chunk carries an
+estimate from chunk to chunk, so its work arrays are allocated once per call,
+on the calling thread (twice when the short last chunk comes first); the shill
+kernels and the accumulator allocate nothing chunk-sized per array (the
+accumulator writes its squares into the work array "scratch", where no kernel
+result lives). An array a kernel returns may be one of them and holds only
+until the next kernel call on the chunk, so a paired difference copies the
+first net before it prices the baseline.
+
+An estimate of several arrays (the credibility grid, the conditional bound's
+two means) loads each chunk of more than 128 rows into the Chunk twice, as rows
+[0, h) and [h, n) with h = estimate.pairwise_split(n), and runs its function on
+each half, given the half's own start. The work arrays then hold half a chunk,
+so the ones every row reads (top, second, the promised net) stay in a core's L2
+cache from one array to the next instead of spilling out of it on each pass.
+numpy's pairwise summation splits an array of n > 128 floats at that same h and
+adds the halves' sums, so the accumulator's merge_halves gives each chunk sum
+the bits of summing it whole. An estimate of one array keeps whole chunks: it
+reads each array once, and splitting it costs more than it saves.
 
 When an estimate has more than one chunk, one helper thread, started and
 joined by the call, draws whole chunks ahead of the caller with
@@ -97,6 +104,7 @@ from .distributions import (
     BoundCheck,
     ValueDistribution,
     _quad,
+    _require_quantile_levels,
     _require_regular_finite_reserve,
     at_or_above_reserve,
     collateral as collateral_level,
@@ -115,6 +123,7 @@ from .strategies import (  # noqa: F401 (perfbench's tracer finds _shill_net her
     Honest,
     ShillBroadcast,
     Truthful,
+    _bid_nets,
     _first_definer,
     _shill_net,
     adaptive_net_delta,
@@ -186,25 +195,26 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
 
 
-def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> list:
-    """The Monte Carlo loop: one Estimate per function (chunk, start) -> array. Each
-    chunk of the seed's stream is drawn whole and mapped to profiles by `draw` once,
-    and each function's array for it goes to its own accumulator. With more than one
-    function, a chunk is priced as its two halves at pairwise_split, merged per
-    accumulator. The call's one Chunk carries the profiles and the work arrays from
-    chunk to chunk. A helper thread draws chunks ahead, and the caller prices them
-    in the order they come (see the module docstring)."""
+def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -> list:
+    """The Monte Carlo loop: `count` Estimates, one per array that nets(chunk, start)
+    yields for each chunk, in the order it yields them. Each chunk of the seed's
+    stream is drawn whole and mapped to profiles by `draw` once, and each array is
+    added to its own accumulator before the next one is asked for, so nets may write
+    one array over the last. With count > 1, a chunk is priced as its two halves at
+    pairwise_split, merged per accumulator. The call's one Chunk carries the profiles
+    and the work arrays from chunk to chunk. A helper thread draws chunks ahead, and
+    the caller prices them in the order they come (see the module docstring)."""
     _require_samples(samples)
     stream = _value_stream_seed(seed)
     chunks = list(chunk_bounds(samples))
-    accumulators = [ChunkAccumulator() for _ in per_profile]
+    accumulators = [ChunkAccumulator() for _ in range(count)]
     chunk = None
 
     def price(values, start):
         nonlocal chunk
         chunk = Chunk(values) if chunk is None else chunk.load(values)
-        for net, acc in zip(per_profile, accumulators):
-            acc.add(net(chunk, start), square=chunk.work("scratch"))
+        for acc, net in zip(accumulators, nets(chunk, start), strict=True):
+            acc.add(net, square=chunk.work("scratch"))
 
     def price_halves(values, start):
         half = pairwise_split(len(values))
@@ -215,7 +225,7 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
         for acc in accumulators:
             acc.merge_halves()
 
-    consume = price if len(per_profile) == 1 else price_halves
+    consume = price if count == 1 else price_halves
 
     if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)
@@ -267,6 +277,12 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, per_profile) -> lis
     return [acc.result() for acc in accumulators]
 
 
+def _estimate(seed: int, samples: int, cols: int, draw, net) -> Estimate:
+    """The Estimate of one function (chunk, start) -> array, on _estimate_each."""
+    return _estimate_each(seed, samples, cols, draw, 1,
+                          lambda chunk, start: (net(chunk, start),))[0]
+
+
 def _vectorized(config: AuctionConfig, strategy, seed: int, baseline):
     kernel = _vector_net(config, strategy)
     if baseline is None:
@@ -310,14 +326,14 @@ def estimate_revenue(config: AuctionConfig, strategy, samples: int, seed: int,
                      engine: str = "vector") -> Estimate:
     """Mean auctioneer net over i.i.d. truthful value profiles, paired by seed."""
     net = _net_function(config, strategy, seed, engine)
-    return _estimate_each(seed, samples, config.n, config.dist.quantile, [net])[0]
+    return _estimate(seed, samples, config.n, config.dist.quantile, net)
 
 
 def estimate_paired_difference(config: AuctionConfig, strategy_a, strategy_b,
                                samples: int, seed: int) -> Estimate:
     """Mean of (net_a - net_b) over shared value profiles (common random numbers)."""
     diff = _net_function(config, strategy_a, seed, "vector", baseline=strategy_b)
-    return _estimate_each(seed, samples, config.n, config.dist.quantile, [diff])[0]
+    return _estimate(seed, samples, config.n, config.dist.quantile, diff)
 
 
 def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Estimate:
@@ -333,7 +349,7 @@ def estimate_myerson_gap(config: AuctionConfig, samples: int, seed: int) -> Esti
         net = Honest().vector_net(chunk, config)
         return np.subtract(net, welfare, out=net)
 
-    return _estimate_each(seed, samples, config.n, config.dist.quantile, [gap])[0]
+    return _estimate(seed, samples, config.n, config.dist.quantile, gap)
 
 
 def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: float,
@@ -351,13 +367,14 @@ def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: fl
     if not at_or_above_reserve(threshold, r):
         raise ValueError(f"threshold={threshold} below reserve {r}")
 
-    def gap(chunk, start):
+    def value_and_gap(chunk, start):
         v = chunk.values
-        return virtual_value(dist, v) / alpha + r - v
+        yield v
+        yield virtual_value(dist, v) / alpha + r - v
 
     mean_v, mean_gap = _estimate_each(seed, samples, 1,
-                                      lambda u: dist.sample_tail(threshold, u[:, 0]),
-                                      [lambda chunk, start: chunk.values, gap])
+                                      lambda u: dist.sample_tail(threshold, u[:, 0]), 2,
+                                      value_and_gap)
     slack = 3.0 * mean_gap.std_error
     return BoundCheck(lhs=mean_v.mean, rhs=mean_v.mean + mean_gap.mean,
                       holds=mean_gap.mean >= -slack, slack=slack)
@@ -438,7 +455,7 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
 
         gain = _net_function(config, AdaptiveReserve(threshold=threshold), seed, engine,
                              baseline=Honest())
-    cond = _estimate_each(seed, samples, 2, draw, [gain])[0]
+    cond = _estimate(seed, samples, 2, draw, gain)
     return Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
                     samples=cond.samples)
 
@@ -493,29 +510,51 @@ class CredibilityReport:
     violations: tuple
 
 
+def _credibility_grid(chunk: Chunk, reserve: float, collateral: float, bids: Sequence[float]):
+    """The credibility grid's nets on one chunk, in row order: the honest net, then
+    each false bid's nets under the two stock policies from one reveal mask, by
+    strategies._bid_nets, which leaves out the always net of a bid at or below the
+    reserve (it is the honest net)."""
+    yield chunk.honest(reserve)[0]
+    yield from _bid_nets(chunk, reserve, collateral, bids)
+
+
 def credibility_suite(dist: ValueDistribution, alpha: float, n: int,
                       deviation_quantiles: Sequence[float], samples: int, seed: int,
                       collateral_override: Optional[float] = None) -> CredibilityReport:
     """Estimate revenue for honest play and a grid of shill deviations.
 
-    The grid crosses false-bid levels (quantiles of D) with the two stock
-    reveal policies. Each estimate is compared against the quadrature optimal
-    revenue plus 3 standard errors; with the collateral formula in force all
-    rows must pass, and with a deliberately reduced deposit the report flags
+    The grid crosses false-bid levels (quantiles of D, each in (0, 1)) with the
+    two stock reveal policies. Each estimate is compared against the quadrature
+    optimal revenue plus 3 standard errors; with the collateral formula in force
+    all rows must pass, and with a deliberately reduced deposit the report flags
     the deviations that beat the benchmark (informational).
+
+    The grid is priced in one pass per chunk, by _credibility_grid. An always row
+    whose bid is at or below the reserve prices the honest net bit for bit, so it
+    takes the honest row's estimate and is not priced again.
     """
+    _require_quantile_levels(deviation_quantiles, "deviation_quantiles")
     f_amount = collateral_override if collateral_override is not None \
         else collateral_level(dist, n, alpha)
     config = AuctionConfig(n=n, dist=dist, reserve=reserve_price(dist), collateral=f_amount,
                            mode="broadcast", seed=0)
     rev = optimal_revenue(dist, n).mean
+    bids = [float(dist.quantile(u)) for u in deviation_quantiles]
     strategies = [Honest()]
-    for u in deviation_quantiles:
-        bid = float(dist.quantile(u))
+    for bid in bids:
         for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING):
             strategies.append(ShillBroadcast(false_bids=(bid,), reveal_policy=policy))
-    nets = [_net_function(config, strategy, seed, "vector") for strategy in strategies]
-    estimates = _estimate_each(seed, samples, n, dist.quantile, nets)
+    ShillBroadcast(false_bids=tuple(bids)).check_config(config)  # every row's setting and bid
+    reserve = config.reserve
+    count = 1 + len(bids) + sum(bid > reserve for bid in bids)
+    priced = iter(_estimate_each(
+        seed, samples, n, dist.quantile, count,
+        lambda chunk, start: _credibility_grid(chunk, reserve, f_amount, bids)))
+    honest = next(priced)
+    estimates = [honest]
+    for bid in bids:
+        estimates += [next(priced) if bid > reserve else honest, next(priced)]
     rows = []
     for strategy, est in zip(strategies, estimates):
         bound = rev + 3.0 * est.std_error

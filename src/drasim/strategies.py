@@ -25,7 +25,9 @@ promised auction's net once for every strategy priced on it; the kernels write
 into its work arrays, so the array vector_net returns holds only until the next
 kernel call on the chunk. The shill kernels select by 0/1-mask products, as
 masked copies mispredict on random masks: exact for finite values and bids,
-reserve > 0 (see _shill_net). A subclass that overrides execute but not
+reserve > 0 (see _shill_net). The nets of one false bid under the two stock
+policies are written once, in _bid_nets, which _shill_net and the estimators'
+credibility grid both run. A subclass that overrides execute but not
 vector_net has no vector path: it runs on engine="simulate" only. Lifted
 refuses it as well, since it replays schedule() through the two-phase execute,
 not the subclass's.
@@ -212,9 +214,11 @@ class Chunk:
 
       * "top", "second": top_two()'s, for the chunk.
       * "honest_net", ("sale", bool): honest()'s, for the chunk and its reserve.
-      * "net": the array _shill_net returns, so every vector_net of TwoPhase, and
-        the adaptive estimator's pruned delta.
-      * ("mask", bool), "withheld": _shill_net's per-bid masks and withheld counts.
+      * "net": the array _shill_net returns, so every vector_net of TwoPhase, each
+        net _bid_nets yields, and the adaptive estimator's pruned delta.
+      * ("mask", bool), "withheld": the shill kernels' per-bid masks, and
+        _shill_net's withheld counts or _bid_nets's forfeit on withheld rows.
+      * "forfeit": _bid_nets's promised net less the collateral, for one call.
       * "scratch": holds nothing from one call to the next; _shill_net's raised
         bids, and the squares the estimators' accumulator writes.
 
@@ -265,6 +269,36 @@ class Chunk:
         return self._honest[1:]
 
 
+def _bid_nets(chunk: Chunk, reserve: float, collateral: float, false_bids: Sequence[float]):
+    """For each false bid b in turn, the auctioneer net per profile with b the one
+    false bid: yielded first under the always policy where b > reserve (at or below
+    it that net is the promised one, chunk.honest's, and is not yielded), then under
+    withhold-if-winning. Each net is the chunk's work array "net", which the next one
+    overwrites, so a consumer is done with one net before it asks for the next.
+
+    With p s the promised net and m = top >= b the reveal mask (ties break to the
+    lower, real, index), the always net is max(p s, b) m (see _shill_net). Withheld
+    where m is 0, b costs one collateral: above the reserve the withhold net is the
+    always net plus (1 - m)(p s - f), with p s - f computed once per call into
+    "forfeit", so a revealed row keeps its bits, as x + (+-0.0) == x, and a withheld
+    row is +0.0 + (p s - f) == p s - f; at or below it, it is p s - f (1 - m)."""
+    top, _ = chunk.top_two()
+    honest_net, _ = chunk.honest(reserve)
+    net, mask = chunk.work("net"), chunk.work("mask", bool)
+    forfeit = None
+    for bid in false_bids:
+        revealed = np.greater_equal(top, bid, out=mask)
+        if bid <= reserve:
+            withheld = np.logical_not(revealed, out=mask)
+            yield np.subtract(honest_net, np.multiply(collateral, withheld, out=net), out=net)
+            continue
+        yield np.multiply(np.maximum(honest_net, bid, out=net), revealed, out=net)
+        if forfeit is None:
+            forfeit = np.subtract(honest_net, collateral, out=chunk.work("forfeit"))
+        withheld = np.logical_not(revealed, out=mask)
+        yield np.add(net, np.multiply(withheld, forfeit, out=chunk.work("withheld")), out=net)
+
+
 def _shill_net(chunk: Chunk, reserve: float, collateral: float,
                false_bids: Sequence[float], withhold_winning: bool) -> np.ndarray:
     """Auctioneer net per profile for truthful buyers and a shill strategy, in the
@@ -279,19 +313,22 @@ def _shill_net(chunk: Chunk, reserve: float, collateral: float,
     zeros of opposite sign meet in a max. Products with 0/1 masks are exact, as
     x * 1.0 == x and x * 0.0 == +0.0 for finite x >= 0: values are quantiles of
     [0, 1), false bids are finite and reserve > 0. Under the always policy, false
-    bids at or below the reserve leave the promised net, and above it the mask
-    top >= max(false bids) plays m's part."""
-    top, _ = chunk.top_two()
-    honest_net, _ = chunk.honest(reserve)
+    bids at or below the reserve leave the promised net, and above it the largest
+    bid alone sets the price; that case and one withheld-if-winning bid are
+    _bid_nets's, and several such bids run the loop below."""
     net = chunk.work("net")
-    mask = chunk.work("mask", bool)
     if not (withhold_winning and false_bids):
         high = max(false_bids, default=reserve)
         if high <= reserve:
-            np.copyto(net, honest_net)
+            np.copyto(net, chunk.honest(reserve)[0])
             return net
-        np.greater_equal(top, high, out=mask)  # ties break to the lower (real) index
-        return np.multiply(np.maximum(honest_net, high, out=net), mask, out=net)
+        return next(_bid_nets(chunk, reserve, collateral, (high,)))
+    if len(false_bids) == 1:
+        *_, net = _bid_nets(chunk, reserve, collateral, false_bids)
+        return net
+    top, _ = chunk.top_two()
+    honest_net, _ = chunk.honest(reserve)
+    mask = chunk.work("mask", bool)
     raised, withheld = chunk.work("scratch"), chunk.work("withheld")
     shill_price, withheld_count = honest_net, float(len(false_bids))
     for bid in false_bids:

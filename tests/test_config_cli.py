@@ -426,6 +426,20 @@ def test_cli_estimate_credibility_150k_matches_its_fixture(capsys):
         == (FIXTURES / "estimate_credibility_150k.txt").read_bytes()
 
 
+def test_cli_estimate_credibility_exponential_n3_matches_its_fixture(tmp_path, capsys):
+    # the grid on exponential(1) at n = 3, whose reserve is 1: the always rows of the
+    # four false bids below it are the honest net and take the honest row's estimate.
+    # The fixture was written by the loop that priced every row as its own strategy
+    cfg = json.loads((CONFIGS / "credibility.json").read_text())
+    cfg["distribution"] = {"family": "exponential", "params": {"rate": 1.0}}
+    cfg["n"] = 3
+    path = tmp_path / "credibility_exponential_n3.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["estimate", "--config", str(path), "--samples", "150000"]) == 0
+    assert capsys.readouterr().out.encode() \
+        == (FIXTURES / "estimate_credibility_exponential_n3.txt").read_bytes()
+
+
 def test_cli_dist_matches_its_fixture(capsys):
     # the pinned stdout of dist on the default verify config: alpha, reserve, the
     # phi grid, Rev(D^n) and the collateral, each to its last bit

@@ -40,6 +40,7 @@ from drasim.distributions import ROOT_TOL
 from drasim.estimate import ChunkAccumulator, Estimate, pairwise_split
 from drasim.estimators import (
     _attack_profiles,
+    _estimate,
     _estimate_each,
     _value_stream_seed,
     _vector_net,
@@ -428,11 +429,11 @@ def test_credibility_suite_flags_reduced_collateral():
     assert any("withhold" in v for v in report.violations)
 
 
-def assert_rows_are_separate_estimates(report, n, quantiles, samples, seed):
+def assert_rows_are_separate_estimates(report, dist, n, quantiles, samples, seed):
     """Each row of the report has the bits of estimate_revenue of its strategy alone,
     which prices one function on whole chunks."""
-    config = config_for(GPA, n, report.collateral)
-    strategies = [Honest()] + [ShillBroadcast((float(GPA.quantile(u)),), policy)
+    config = config_for(dist, n, report.collateral)
+    strategies = [Honest()] + [ShillBroadcast((float(dist.quantile(u)),), policy)
                                for u in quantiles
                                for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING)]
     assert len(report.rows) == len(strategies)
@@ -447,7 +448,7 @@ def test_credibility_rows_match_separate_estimates(n):
     quantiles = [0.2, 0.9, 0.99]
     report = credibility_suite(GPA, alpha=0.5, n=n, deviation_quantiles=quantiles,
                                samples=70_000, seed=41, collateral_override=0.5)
-    assert_rows_are_separate_estimates(report, n, quantiles, 70_000, 41)
+    assert_rows_are_separate_estimates(report, GPA, n, quantiles, 70_000, 41)
 
 
 @pytest.mark.parametrize("samples", [2 * CHUNK_SAMPLES + 1_000, 40_000])
@@ -458,7 +459,29 @@ def test_credibility_rows_priced_in_halves_equal_whole_chunk_estimates(samples):
     report = credibility_suite(GPA, alpha=0.5, n=2, deviation_quantiles=quantiles,
                                samples=samples, seed=7)
     assert len(report.rows) == 41
-    assert_rows_are_separate_estimates(report, 2, quantiles, samples, 7)
+    assert_rows_are_separate_estimates(report, GPA, 2, quantiles, samples, 7)
+
+
+@pytest.mark.parametrize("level", [-0.1, 0.0, 1.0, 1.5, math.nan])
+def test_credibility_suite_refuses_a_deviation_quantile_outside_the_open_unit_interval(level):
+    # by the rule the config applies, before any level becomes a bid: no negative or
+    # zero bid is priced, and level 1 raises no divide-by-zero warning first (which
+    # the tests' warning filter would raise in place of the ValueError)
+    with pytest.raises(ValueError, match=r"deviation_quantiles\[1\] must lie in \(0, 1\)"):
+        credibility_suite(GPA, 0.5, 2, [0.5, level], 1_000, 0)
+
+
+def test_credibility_rows_with_a_bid_at_the_reserve_equal_separate_estimates():
+    # exponential(1)'s quantile of this level is its bisected reserve to the last bit:
+    # that bid's always row takes the honest row's estimate, and every row after it
+    # must still be its own strategy's
+    exp, at_reserve = Exponential(1.0), 0.6321205590796548
+    assert float(exp.quantile(at_reserve)) == reserve_price(exp)
+    quantiles = [0.3, at_reserve, 0.9]
+    report = credibility_suite(exp, alpha=0.5, n=2, deviation_quantiles=quantiles,
+                               samples=40_000, seed=5, collateral_override=1.0)
+    assert_rows_are_separate_estimates(report, exp, 2, quantiles, 40_000, 5)
+    assert bits(report.rows[3].estimate) == bits(report.rows[0].estimate)
 
 
 def test_paired_difference_is_exactly_paired():
@@ -630,7 +653,7 @@ def test_failure_in_the_callers_fill_propagates_and_joins_the_helper(monkeypatch
 
     monkeypatch.setattr(estimators, "fill_uniforms", fill)
     with pytest.raises(RuntimeError, match="caller's fill"):
-        _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, [lambda chunk, start: chunk.values[:, 0]])
+        _estimate(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, lambda chunk, start: chunk.values[:, 0])
     assert caller_failed.is_set()
     assert threading.active_count() == before
 
@@ -652,8 +675,8 @@ def test_failure_in_the_helpers_fill_reaches_the_caller_and_joins_the_helper(mon
     def estimate():
         caller.append(threading.current_thread())
         try:
-            _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u,
-                           [lambda chunk, start: chunk.values[:, 0]])
+            _estimate(3, 3 * CHUNK_SAMPLES, 2, lambda u: u,
+                      lambda chunk, start: chunk.values[:, 0])
         except RuntimeError as exc:
             raised.append(str(exc))
 
@@ -733,7 +756,7 @@ def test_chunk_loop_failure_propagates_and_joins_the_helper():
         return chunk.values[:, 0]
 
     with pytest.raises(RuntimeError, match="chunk 2"):
-        _estimate_each(3, 4 * CHUNK_SAMPLES, 2, lambda u: u, [fails_on_chunk_2])
+        _estimate(3, 4 * CHUNK_SAMPLES, 2, lambda u: u, fails_on_chunk_2)
     assert threading.active_count() == before
 
     def counts_threads(seen):
@@ -743,8 +766,8 @@ def test_chunk_loop_failure_propagates_and_joins_the_helper():
         return net
 
     one_chunk, three_chunks = [], []
-    _estimate_each(3, CHUNK_SAMPLES, 2, lambda u: u, [counts_threads(one_chunk)])
-    _estimate_each(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, [counts_threads(three_chunks)])
+    _estimate(3, CHUNK_SAMPLES, 2, lambda u: u, counts_threads(one_chunk))
+    _estimate(3, 3 * CHUNK_SAMPLES, 2, lambda u: u, counts_threads(three_chunks))
     assert one_chunk == [before]  # a one-chunk estimate starts no thread
     assert len(three_chunks) == 3 and max(three_chunks) <= before + 1  # one helper at most
     assert threading.active_count() == before  # joined
@@ -787,11 +810,12 @@ def test_each_half_is_priced_with_its_own_start():
     # the simulate engine seeds profile start + k's run by its index in the stream
     seen = []
 
-    def record(chunk, start):
-        seen.append((start, len(chunk.values)))
-        return chunk.values[:, 0]
+    def record_twice(chunk, start):
+        for _ in range(2):
+            seen.append((start, len(chunk.values)))
+            yield chunk.values[:, 0]
 
-    _estimate_each(3, 2 * CHUNK_SAMPLES + 1_000, 2, lambda u: u, [record, record])
+    _estimate_each(3, 2 * CHUNK_SAMPLES + 1_000, 2, lambda u: u, 2, record_twice)
     half = CHUNK_SAMPLES // 2
     halves = [(0, half), (half, half), (CHUNK_SAMPLES, half), (CHUNK_SAMPLES + half, half),
               (2 * CHUNK_SAMPLES, 496), (2 * CHUNK_SAMPLES + 496, 504)]

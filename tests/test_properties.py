@@ -5,8 +5,9 @@ keeps as it delivers are the view rule applied to the full log, a send that
 breaks the phase grammar is refused and leaves log and views as they were, and
 every record of a run is frozen. Also the vector
 engine's top-two kernel against a sort, the shill kernel's 0/1-mask products
-against the selects they replace, each auctioneer family's closed form against
-the message engine on every profile, the adaptive attack's net difference
+against the selects they replace, the credibility grid's arrays against the
+shill kernel of each row's own strategy, each auctioneer family's closed form
+against the message engine on every profile, the adaptive attack's net difference
 against the message engine's paired difference on every profile, the pruned
 adaptive-attack kernel against the unpruned one on every row, and its
 two-stage row test against the one-stage test it replaces."""
@@ -51,6 +52,7 @@ from drasim.estimators import (
     _PRUNE_MARGIN,
     _adaptive_gain_pruned,
     _adaptive_rows,
+    _credibility_grid,
     _vector_net,
     simulate_profile_net,
 )
@@ -226,6 +228,62 @@ def test_shill_kernel_products_equal_the_selects(case):
         net = _shill_net(chunk, reserve, collateral, bids, withhold)
         expected = shill_net_by_selects(values, reserve, collateral, bids, withhold)
         assert [x.hex() for x in net.tolist()] == [x.hex() for x in expected.tolist()]
+
+
+@st.composite
+def credibility_halves(draw):
+    """(values, reserve, collateral, bids, nan_rows): one half-chunk of at most 128
+    profiles of n = 1, 2 or 3 buyers, false bids that tie a profile's top value or
+    lie at, just below or above the reserve, and rows whose honest net is NaN."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 128))
+    values = np.array(draw(st.lists(shill_values, min_size=m * n, max_size=m * n)),
+                      dtype=float).reshape(m, n)
+    reserve = draw(reserves)
+    near = (reserve, float(np.nextafter(reserve, 0.0)), float(np.nextafter(reserve, np.inf)))
+    bids = draw(st.lists(st.one_of(st.sampled_from(values.max(axis=1).tolist()),
+                                   st.sampled_from(near), shill_bids), max_size=6))
+    nan_rows = draw(st.lists(st.integers(0, m - 1), max_size=3))
+    collateral = draw(st.floats(min_value=0.0, max_value=32.0, exclude_min=True))
+    return values, reserve, collateral, bids, nan_rows
+
+
+def with_nan_honest_nets(chunk, reserve, rows):
+    """The chunk, its promised net NaN on rows (the cached array every kernel reads)."""
+    chunk.honest(reserve)[0][rows] = math.nan
+    return chunk
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(credibility_halves())
+def test_credibility_grid_equals_the_shill_kernel_row_by_row(case):
+    # the grid's arrays, one reveal mask per bid, the withhold net written over the
+    # always net and an always row at or below the reserve left out, against
+    # _shill_net of each row's own strategy on a chunk of its own: bit for bit, NaN
+    # rows included. The grid's chunk first held twice the rows, as a loop's work
+    # arrays do when a half follows a longer one
+    values, reserve, collateral, bids, nan_rows = case
+    chunk = with_nan_honest_nets(Chunk(np.vstack([values, values])).load(values),
+                                 reserve, nan_rows)
+    got = [[x.hex() for x in net.tolist()]
+           for net in _credibility_grid(chunk, reserve, collateral, bids)]
+
+    def alone(false_bids, withhold):
+        own = with_nan_honest_nets(Chunk(values), reserve, nan_rows)
+        return [x.hex() for x in _shill_net(own, reserve, collateral, false_bids,
+                                            withhold).tolist()]
+
+    honest = alone((), False)
+    expected = [honest]
+    for bid in bids:
+        always, withheld = alone((bid,), False), alone((bid,), True)
+        if bid > reserve:
+            expected.append(always)
+        else:
+            assert always == honest
+        expected.append(withheld)
+    assert got == expected
+    assert all(math.isnan(float.fromhex(row[k])) for row in got for k in nan_rows)
 
 
 # Bids and thresholds in [R - ROOT_TOL, R), which check_config admits: the shipped

@@ -35,14 +35,16 @@ SEED = QUICK["seed"]
 
 @pytest.fixture
 def free_withholding(monkeypatch):
-    """The shill kernel without its withheld-collateral term: a withheld false bid
-    costs the auctioneer nothing."""
-    shill_net = strategies._shill_net
+    """The per-bid shill kernel without its withheld-collateral term: a withheld false
+    bid costs the auctioneer nothing, in _shill_net's one-bid cases and in the
+    credibility grid, which both run _bid_nets."""
+    bid_nets = strategies._bid_nets
 
-    def without_collateral(chunk, reserve, collateral, false_bids, withhold_winning):
-        return shill_net(chunk, reserve, 0.0, false_bids, withhold_winning)
+    def without_collateral(chunk, reserve, collateral, false_bids):
+        return bid_nets(chunk, reserve, 0.0, false_bids)
 
-    monkeypatch.setattr(strategies, "_shill_net", without_collateral)
+    for module in (strategies, estimators):
+        monkeypatch.setattr(module, "_bid_nets", without_collateral)
 
 
 def test_credibility_suite_fails_when_withholding_is_free(free_withholding):
