@@ -71,14 +71,13 @@ from .strategies import (
     ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
     AdaptiveReserve,
-    AlwaysReveal,
     FixedBid,
     Honest,
     Lifted,
     NoReveal,
+    RevealPolicy,
     ShillBroadcast,
     Truthful,
-    WithholdIf,
     check_view_consistency,
     lift_to_centralized,
     reveal_dominant_variant,

@@ -34,12 +34,12 @@ from .estimators import MIN_SAMPLES, sample_values
 from .protocol import AuctionConfig
 from .strategies import (
     ALWAYS_REVEAL,
-    REVEAL_POLICIES,
     AdaptiveReserve,
     FixedBid,
     Honest,
     Lifted,
     NoReveal,
+    RevealPolicy,
     ShillBroadcast,
     Truthful,
 )
@@ -149,9 +149,9 @@ def _auctioneer(spec: dict, where: str, dist: ValueDistribution):
             bids = [float(dist.quantile(u)) for u in levels]
         else:
             bids = _expect_numbers(spec.get("false_bids", []), f"{where}.false_bids")
-        policy = _expect_name(spec.get("reveal_policy", ALWAYS_REVEAL.name), REVEAL_POLICIES,
-                              f"{where}.reveal_policy")
-        return ShillBroadcast(false_bids=tuple(bids), reveal_policy=REVEAL_POLICIES[policy])
+        policy = _expect_name(spec.get("reveal_policy", ALWAYS_REVEAL.value),
+                              [p.value for p in RevealPolicy], f"{where}.reveal_policy")
+        return ShillBroadcast(false_bids=tuple(bids), reveal_policy=RevealPolicy(policy))
     if kind == "adaptive":
         if "threshold" not in spec:
             raise ConfigError(f"{where} of kind 'adaptive' requires a 'threshold'")
@@ -287,7 +287,11 @@ class ExperimentSetup:
     def collateral_amount(self) -> float:
         if self.collateral is not None:
             return self.collateral
-        return collateral_level(self.dist, self.n, self.classification_alpha())
+        alpha = self.classification_alpha()
+        try:  # both callers have refused a distribution that cannot run auctions
+            return collateral_level(self.dist, self.n, alpha)
+        except ValueError as exc:  # the level at alpha is no finite float
+            raise ConfigError(f"alpha: {exc}") from exc
 
     def attack_thresholds(self, dist: ValueDistribution) -> list:
         """The sweep thresholds, each checked by _above_reserve against dist."""

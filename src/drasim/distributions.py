@@ -35,7 +35,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -351,7 +351,7 @@ _FAMILIES = {cls.kind: cls for cls in (Exponential, GeneralizedPareto, Uniform, 
 
 def make_distribution(spec: dict) -> ValueDistribution:
     """Build a distribution from {"family": ..., "params": {...}}, whose parameter
-    names are the family's dataclass fields."""
+    names are the family's dataclass fields; a field without a default is required."""
     if not isinstance(spec, dict):
         raise ValueError(f"distribution spec must be a dict, got {type(spec).__name__}")
     unknown = set(spec) - {"family", "params"}
@@ -367,6 +367,9 @@ def make_distribution(spec: dict) -> ValueDistribution:
     bad = set(params).difference(f.name for f in fields(cls))
     if bad:
         raise ValueError(f"unknown params for {family}: {sorted(bad)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in params]
+    if missing:
+        raise ValueError(f"missing params for {family}: {missing}")
     return cls(**{k: float(v) for k, v in params.items()})
 
 
@@ -602,7 +605,13 @@ def collateral(dist: ValueDistribution, n: int, alpha: float) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha >= 1.0:
         return r
-    return r * (n / alpha) ** ((1.0 - alpha) / alpha) * (1.0 / (1.0 - alpha)) ** (1.0 / alpha)
+    try:  # a float power that overflows raises; a product that does is inf
+        level = r * (n / alpha) ** ((1.0 - alpha) / alpha) * (1.0 / (1.0 - alpha)) ** (1.0 / alpha)
+    except OverflowError:
+        level = math.inf
+    if not math.isfinite(level):
+        raise ValueError(f"the collateral level at alpha={alpha}, n={n} is not a finite float")
+    return level
 
 
 # ---------------------------------------------------------------------------

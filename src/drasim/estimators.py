@@ -144,7 +144,6 @@ __all__ = [
     "AttackRow",
     "simulate_profile_net",
     "sample_values",
-    "ENGINES",
 ]
 
 MIN_SAMPLES = 1_000
@@ -283,7 +282,7 @@ def _estimate(seed: int, samples: int, cols: int, draw, net) -> Estimate:
                           lambda chunk, start: (net(chunk, start),))[0]
 
 
-def _vectorized(config: AuctionConfig, strategy, seed: int, baseline):
+def _vectorized(config: AuctionConfig, strategy, baseline):
     kernel = _vector_net(config, strategy)
     if baseline is None:
         return lambda chunk, start: kernel(chunk, config)
@@ -308,18 +307,16 @@ def _simulated(config: AuctionConfig, strategy, seed: int, baseline):
     return simulated
 
 
-# the engines by name, each a builder of _net_function's per-chunk functions
-ENGINES = {"vector": _vectorized, "simulate": _simulated}
-
-
 def _net_function(config: AuctionConfig, strategy, seed: int, engine: str,
                   baseline=None):
     """The engine switch: (chunk, start) -> net of `strategy` (less `baseline`'s) per
     profile, by the closed form that _vector_net checks once, or by full auctions
     where profile start + k runs with seed derive_seed(seed, "run", start + k)."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    return ENGINES[engine](config, strategy, seed, baseline)
+    if engine == "vector":
+        return _vectorized(config, strategy, baseline)
+    if engine == "simulate":
+        return _simulated(config, strategy, seed, baseline)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def estimate_revenue(config: AuctionConfig, strategy, samples: int, seed: int,

@@ -6,10 +6,12 @@ drive the run:
 
   * Honest: the promised auction, in either communication mode.
   * ShillBroadcast: honest play plus false buyers whose bid values are fixed
-    before the commitment phase closes. They are functions of the instance and
-    the strategy seed only, never of buyer values or openings; commitments hide
-    bids, so there is nothing value-dependent to condition on. The reveal
-    policy decides per false bid, after real openings, whether to withhold.
+    before the commitment phase closes. They are the strategy's own fields,
+    never functions of buyer values or openings; commitments hide bids, so
+    there is nothing value-dependent to condition on. After the real openings,
+    its RevealPolicy, ALWAYS_REVEAL or WITHHOLD_IF_WINNING (withhold each false
+    bid that outbids every opened real bid, forfeiting its collateral), decides
+    per false bid whether to withhold it; both engines read that closed set.
   * Lifted: replays a broadcast strategy over private channels, the auctioneer
     forwarding every buyer message to everyone else. Outcome-identical to the
     broadcast run under matched seeds.
@@ -25,7 +27,7 @@ promised auction's net once for every strategy priced on it; the kernels write
 into its work arrays, so the array vector_net returns holds only until the next
 kernel call on the chunk. The shill kernels select by 0/1-mask products, as
 masked copies mispredict on random masks: exact for finite values and bids,
-reserve > 0 (see _shill_net). The nets of one false bid under the two stock
+reserve > 0 (see _shill_net). The nets of one false bid under the two reveal
 policies are written once, in _bid_nets, which _shill_net and the estimators'
 credibility grid both run. A subclass that overrides execute but not
 vector_net has no vector path: it runs on engine="simulate" only. Lifted
@@ -44,10 +46,11 @@ and transfers in one pass over the three.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -72,11 +75,9 @@ __all__ = [
     "Truthful",
     "FixedBid",
     "NoReveal",
-    "AlwaysReveal",
-    "WithholdIf",
+    "RevealPolicy",
     "ALWAYS_REVEAL",
     "WITHHOLD_IF_WINNING",
-    "REVEAL_POLICIES",
     "Honest",
     "ShillBroadcast",
     "Lifted",
@@ -140,54 +141,36 @@ class NoReveal:
 # Reveal policies for false bids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlwaysReveal:
-    name = "always"
+class RevealPolicy(enum.Enum):
+    """What a shill auctioneer does with each false bid after the real openings;
+    the value is the policy's name in configs and describe()."""
+
+    ALWAYS_REVEAL = "always"
+    # withhold exactly when the false bid outbids every opened real bid (it would
+    # win the item); otherwise revealing it only props up the price
+    WITHHOLD_IF_WINNING = "withhold_if_winning"
 
     def withholds(self, false_bid: float, revealed_real_bids: Sequence[float]) -> bool:
-        return False
+        """Whether to withhold false_bid, from what the auctioneer legitimately
+        holds at reveal time: the false bid and the opened real bids."""
+        return (self is WITHHOLD_IF_WINNING
+                and false_bid > max(revealed_real_bids, default=-math.inf))
 
 
-@dataclass(frozen=True)
-class WithholdIf:
-    """Withhold a false bid when the predicate over revealed real bids fires.
-
-    The predicate sees exactly what the auctioneer legitimately holds at
-    reveal time: the false bid's value and all opened real bids.
-    """
-
-    predicate: Callable[[float, Sequence[float]], bool]
-    name: str = "withhold_if"
-
-    def withholds(self, false_bid: float, revealed_real_bids: Sequence[float]) -> bool:
-        return bool(self.predicate(false_bid, revealed_real_bids))
-
-
-def _outbids_all_reals(false_bid: float, revealed_real_bids: Sequence[float]) -> bool:
-    return false_bid > max(revealed_real_bids, default=-math.inf)
-
-
-ALWAYS_REVEAL = AlwaysReveal()
-# Withhold exactly when the false bid outbids every opened real bid (it would
-# win the item); otherwise revealing it only props up the price.
-WITHHOLD_IF_WINNING = WithholdIf(_outbids_all_reals, name="withhold_if_winning")
-# the stock policies by name, the names a config may give
-REVEAL_POLICIES = {policy.name: policy for policy in (ALWAYS_REVEAL, WITHHOLD_IF_WINNING)}
+ALWAYS_REVEAL, WITHHOLD_IF_WINNING = RevealPolicy
 
 
 # ---------------------------------------------------------------------------
 # Auctioneer strategies, each with the closed form the vector engine prices it by
 # ---------------------------------------------------------------------------
 
-def _top_two(values: np.ndarray, top: np.ndarray = None, second: np.ndarray = None) -> tuple:
+def _top_two(values: np.ndarray, top: np.ndarray, second: np.ndarray) -> tuple:
     """Largest and second-largest value per profile (second 0 when n = 1), written
-    into top and second (new arrays where not given) and returned, exactly as a sort
-    gives them: a running max and min over the buyer columns only select. Each
-    column after the first makes the second value min(top, max(second, column)),
-    which is max(second, min(top, column)) as second <= top; before the second
-    column it is -inf, so that column's step is min(first, column)."""
-    if top is None:
-        top, second = np.empty(len(values)), np.empty(len(values))
+    into top and second and returned, exactly as a sort gives them: a running max
+    and min over the buyer columns only select. Each column after the first makes
+    the second value min(top, max(second, column)), which is max(second, min(top,
+    column)) as second <= top; before the second column it is -inf, so that
+    column's step is min(first, column)."""
     first, *others = values.T
     if not others:
         np.copyto(top, first)
@@ -363,8 +346,11 @@ class TwoPhase:
     def check_config(self, config: AuctionConfig) -> None:
         """Raise ValueError unless the config is one this strategy runs under."""
         self.check_setting(config.mode, config.n)
-        if not all(map(math.isfinite, self.schedule()[0])):
-            raise ValueError(f"false bids {self.schedule()[0]} must be finite")
+        false_bids, policy = self.schedule()
+        if not all(map(math.isfinite, false_bids)):
+            raise ValueError(f"false bids {false_bids} must be finite")
+        if not isinstance(policy, RevealPolicy):
+            raise ValueError(f"reveal policy {policy!r} is not a RevealPolicy")
 
     def execute(self, game: AuctionGame) -> Outcome:
         """The promised two-round schedule, mode-aware, with optional false bids."""
@@ -403,10 +389,8 @@ class TwoPhase:
 
     def vector_net(self, chunk: Chunk, config: AuctionConfig) -> np.ndarray:
         false_bids, policy = self.schedule()
-        withhold = policy is WITHHOLD_IF_WINNING
-        if not (withhold or isinstance(policy, AlwaysReveal)):
-            raise ValueError(f"no vector path for reveal policy {policy!r}; use engine='simulate'")
-        return _shill_net(chunk, config.reserve, config.collateral, false_bids, withhold)
+        return _shill_net(chunk, config.reserve, config.collateral, false_bids,
+                          policy is WITHHOLD_IF_WINNING)
 
 
 class Honest(TwoPhase):
@@ -427,13 +411,13 @@ class ShillBroadcast(TwoPhase):
     """
 
     false_bids: tuple = ()
-    reveal_policy: object = ALWAYS_REVEAL
+    reveal_policy: RevealPolicy = ALWAYS_REVEAL
     kind = "shill"
     mode = "broadcast"
 
     def describe(self) -> str:
         bids = ",".join(f"{b:.6g}" for b in self.false_bids)
-        return f"shill[{bids}]/{self.reveal_policy.name}"
+        return f"shill[{bids}]/{self.reveal_policy.value}"
 
 
 def _first_definer(cls: type, *names: str) -> type:
@@ -474,7 +458,7 @@ def lift_to_centralized(buyer_strategies: Sequence, auctioneer_strategy):
 
 
 def reveal_dominant_variant(shill: ShillBroadcast, collateral_amount: float) -> ShillBroadcast:
-    """Replace the reveal policy by AlwaysReveal; valid when every false bid is
+    """Replace the reveal policy by ALWAYS_REVEAL; valid when every false bid is
     covered by the collateral, where revealing weakly dominates withholding."""
     excess = [b for b in shill.false_bids if b > collateral_amount]
     if excess:

@@ -204,6 +204,35 @@ def test_buyers_list_of_the_wrong_length_exits_2_on_every_command(command, tmp_p
     assert "config error: buyers list has 3 entries but n=2" in captured.err
 
 
+def test_distribution_without_a_required_parameter_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"distribution": {"family": "gpareto", "params": {}},
+                                   "n": 2, "seed": 0})
+    for command in ("run", "dist"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "config error: distribution: missing params for gpareto: ['shape']" \
+            in captured.err
+
+
+def test_collateral_level_that_overflows_exits_2(tmp_path, capsys):
+    # the formula's level overflows a float at alpha = 1e-9, and at gpareto(0.999999)'s
+    # estimated alpha, about 1e-6; dist reports no collateral, as for its other refusals
+    tiny = {**BASE, "alpha": 1e-9, "samples": 2_000}
+    near_one = {"distribution": {"family": "gpareto", "params": {"shape": 0.999999}},
+                "n": 2, "seed": 0, "samples": 2_000}
+    cases = [("run", tiny), ("estimate", tiny), ("estimate", near_one),
+             ("attack", {**tiny, "mode": "centralized", "thresholds": [5]})]
+    for i, (command, cfg) in enumerate(cases):
+        assert main([command, "--config", write_config(tmp_path, cfg, f"{i}.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "config error: alpha: the collateral level at alpha=" in captured.err
+    assert main(["dist", "--config", write_config(tmp_path, tiny)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reserve_finite"] and payload["collateral"] is None
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 # ---------------------------------------------------------------------------

@@ -113,6 +113,15 @@ def test_make_distribution_spec_roundtrip():
         make_distribution({"family": "uniform", "params": {"low": 0, "hi": 1}})
 
 
+def test_make_distribution_names_a_missing_parameter():
+    # a field without a default is required: refused by name, not by the family's
+    # __init__ raising TypeError
+    for spec in ({"family": "gpareto", "params": {}}, {"family": "gpareto"}):
+        with pytest.raises(ValueError, match=r"missing params for gpareto: \['shape'\]"):
+            make_distribution(spec)
+    assert make_distribution({"family": "uniform"}) == Uniform(0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Virtual values
 # ---------------------------------------------------------------------------
@@ -471,6 +480,15 @@ def test_collateral_refuses_the_distribution_before_the_level():
         collateral(EqualRevenue(), 2, alpha_hat)
     with pytest.raises(NonRegularError):
         collateral(TwoPoint(), 0, -1.0)
+
+
+def test_collateral_refuses_a_level_that_is_not_a_finite_float():
+    # at alpha = 1e-9 a power of the formula overflows; at alpha = 0.00777 each power
+    # is finite (the first 6.8e307), and their product with r rounds to inf
+    for alpha in (1e-9, 0.00777):
+        with pytest.raises(ValueError, match=f"alpha={alpha}, n=2 is not a finite float"):
+            collateral(GeneralizedPareto(0.5), 2, alpha)
+    assert math.isfinite(collateral(GeneralizedPareto(0.5), 2, 0.01))
 
 
 def test_collateral_dominates_reserve():

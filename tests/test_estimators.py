@@ -22,7 +22,6 @@ from drasim import (
     Lifted,
     ProtocolViolation,
     ShillBroadcast,
-    WithholdIf,
     adaptive_gain_quadrature,
     adaptive_net_delta,
     check_conditional_bound,
@@ -130,15 +129,6 @@ def test_lifted_strategy_estimates_match_broadcast():
     assert est_b == est_c
 
 
-def test_unsupported_policy_needs_simulate_engine():
-    config = config_for(GPA, 2, 32.0)
-    weird = ShillBroadcast((3.0,), WithholdIf(lambda b, rb: len(rb) > 1, name="odd"))
-    with pytest.raises(ValueError):
-        estimate_revenue(config, weird, 2_000, 0, engine="vector")
-    est = estimate_revenue(config, weird, 1_200, 0, engine="simulate")
-    assert est.samples == 1_200
-
-
 @pytest.mark.parametrize("mode,n,strategy", [
     ("broadcast", 2, AdaptiveReserve(threshold=5.0)),
     ("centralized", 3, AdaptiveReserve(threshold=5.0)),
@@ -150,9 +140,10 @@ def test_unsupported_policy_needs_simulate_engine():
     ("broadcast", 3, ShillBroadcast((3.0, math.inf), WITHHOLD_IF_WINNING)),
     ("broadcast", 2, ShillBroadcast((-math.inf,), ALWAYS_REVEAL)),
     ("centralized", 2, Lifted(ShillBroadcast((math.inf,), WITHHOLD_IF_WINNING))),
+    ("broadcast", 2, ShillBroadcast((3.0,), "always")),
 ], ids=["adaptive-broadcast", "adaptive-n3", "shill-centralized", "lifted-broadcast",
         "adaptive-nan", "shill-nan-withhold", "shill-nan-reveal", "shill-inf-withhold",
-        "shill-minus-inf-reveal", "lifted-inf"])
+        "shill-minus-inf-reveal", "lifted-inf", "shill-policy-name"])
 def test_both_engines_refuse_a_strategy_outside_its_setting(mode, n, strategy):
     config = config_for(GPA, n, 2.0, mode=mode)
     messages = []

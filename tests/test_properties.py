@@ -171,7 +171,8 @@ def test_top_two_matches_sort(rows):
     reused = Chunk(np.full((16, 9 - values.shape[1]), 3.0))
     reused.top_two()
     ordered = np.sort(values, axis=1)
-    for top, second in (_top_two(values), Chunk(values).top_two(),
+    alone = _top_two(values, np.empty(len(values)), np.empty(len(values)))
+    for top, second in (alone, Chunk(values).top_two(),
                         reused.load(values).top_two()):
         assert np.array_equal(top, ordered[:, -1])
         if values.shape[1] == 1:
@@ -183,7 +184,7 @@ def test_top_two_matches_sort(rows):
 def shill_net_by_selects(values, reserve, collateral, false_bids, withhold_winning):
     """_shill_net's arithmetic with np.where selects, as the kernel had it before it
     multiplied by 0/1 masks."""
-    top, second = _top_two(values)
+    top, second = _top_two(values, np.empty(len(values)), np.empty(len(values)))
     price, sale = np.maximum(reserve, second), top > reserve
     if not false_bids:
         return np.where(sale, price, 0.0)

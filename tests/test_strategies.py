@@ -22,7 +22,6 @@ from drasim import (
     OutcomeNotice,
     ShillBroadcast,
     Truthful,
-    WithholdIf,
     buyer_utility,
     check_view_consistency,
     estimate_paired_difference,
@@ -482,17 +481,18 @@ def test_false_bid_coupling_across_value_profiles():
     assert len(false_commit_payloads(t_a)) == 2
 
 
-def test_withhold_predicate_sees_only_revealed_real_bids():
-    seen = []
-
-    def spy(false_bid, revealed_bids):
-        seen.append((false_bid, tuple(revealed_bids)))
-        return False
-
+def test_withhold_if_winning_sees_only_opened_real_bids():
+    # the false bid 4.0 outbids the opened 2.0, so it is withheld and forfeits its
+    # collateral, though the unopened 5.0 would have outbid it
     config = broadcast_config(2.0, seed=2)
-    strategy = ShillBroadcast((6.0,), WithholdIf(spy, name="spy"))
-    run_auction(config, [Truthful(5.0), NoReveal(3.0)], strategy)
-    assert seen == [(6.0, (5.0,))]  # the withheld real bid is invisible
+    strategy = ShillBroadcast((4.0,), WITHHOLD_IF_WINNING)
+    out, transcript = run_auction(config, [Truthful(2.0), NoReveal(5.0)], strategy)
+    [false_commit] = false_commit_payloads(transcript)
+    assert out.revealed == {1}
+    assert out.winner is None  # the opened 2.0 does not clear the reserve, a hair above 2
+    assert out.auctioneer_net == -2.0  # the withheld false bid's collateral, to buyer 1
+    assert (false_commit.bidder, 1, 2.0) in {(e.depositor, e.recipient, e.amount)
+                                             for e in out.ledger}
 
 
 def test_view_summary_beta():
