@@ -31,6 +31,7 @@ from .distributions import (
     GeneralizedPareto,
     InfiniteReserveError,
     NonRegularError,
+    QuadratureError,
     RegularityReport,
     TwoPoint,
     UndefinedDensityError,

@@ -270,13 +270,6 @@ class Channel:
         return Transcript(self.mode, self.n_buyers, tuple(self.events), scheme,
                           {i: View(i, tuple(seen)) for i, seen in self._views.items()})
 
-    def view(self, agent: int) -> View:
-        if agent != AUCTIONEER:
-            return self.transcript(None).view(agent)
-        return View(agent=agent, events=tuple(
-            e for e in self.events
-            if e.recipient in (None, AUCTIONEER) or self._owners.get(e.sender) == AUCTIONEER))
-
 
 @record
 class Transcript:

@@ -3,7 +3,13 @@
 All outputs are machine readable (JSON for single objects and traces, CSV for
 sweeps) and deterministic for a fixed config: same bytes on every invocation.
 Exit codes: 0 success, 1 a check failed, 2 configuration error, 3 internal
-error (an exception raised inside the library, traceback on stderr).
+error (an exception raised inside the library, traceback on stderr) or a
+refusal. A distribution without a positive density where phi is read
+(UndefinedDensityError) is a configuration error. The refusals are the
+library's deliberate refusals to print a number it cannot stand behind, each
+with a `refused:` line on stderr and no traceback: a quadrature that does not
+reach its tolerance (QuadratureError), and an estimate whose sum or sum of
+squares is not finite (FloatingPointError, from ChunkAccumulator.result).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .config import ConfigError, ExperimentSetup, build_setup, check_setting, lo
 from .distributions import (
     InfiniteReserveError,
     NonRegularError,
+    QuadratureError,
     UndefinedDensityError,
     optimal_revenue,
     reserve_price,
@@ -198,6 +205,12 @@ def main(argv=None) -> int:
     except (ConfigError, NonRegularError, InfiniteReserveError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except UndefinedDensityError as exc:  # phi of the config's distribution is unreadable
+        print(f"config error: distribution: {exc}", file=sys.stderr)
+        return 2
+    except (QuadratureError, FloatingPointError) as exc:  # the refusals: no traceback
+        print(f"refused: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except Exception:  # a fault of the library, not of the config: never exit 1 or 2
         traceback.print_exc()
         print(f"internal error in drasim {args.command}", file=sys.stderr)

@@ -53,6 +53,7 @@ __all__ = [
     "UndefinedDensityError",
     "NonRegularError",
     "InfiniteReserveError",
+    "QuadratureError",
     "make_distribution",
     "virtual_value",
     "reserve_price",
@@ -84,6 +85,10 @@ class NonRegularError(ValueError):
 
 class InfiniteReserveError(ValueError):
     """Operation requires a finite reserve price."""
+
+
+class QuadratureError(RuntimeError):
+    """A quadrature refused: QUADPACK did not reach its tolerance."""
 
 
 class ValueDistribution:
@@ -386,13 +391,15 @@ def _require_quantile_levels(levels, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 def virtual_value(dist: ValueDistribution, x):
-    """phi(x) = x - sf(x) / f(x). Raises where no positive density exists."""
+    """phi(x) = x - sf(x) / f(x). Raises where the density is not a positive finite
+    float: zero, or too large for one, as on a support narrower than a float resolves."""
     if dist.discrete:
         raise UndefinedDensityError(f"{dist.kind} has no density; phi is undefined")
     x_arr = np.asarray(x, dtype=float)
     dens = np.asarray(dist.pdf(x_arr), dtype=float)
-    if np.any(dens <= 0.0):
-        raise UndefinedDensityError(f"pdf is zero at some evaluation points for {dist.kind}")
+    if not np.all((dens > 0.0) & (dens < math.inf)):  # NaN too
+        raise UndefinedDensityError(
+            f"pdf is not a positive finite float at some evaluation points for {dist.kind}")
     phi = x_arr - np.asarray(dist.sf(x_arr), dtype=float) / dens
     return float(phi) if np.isscalar(x) or np.ndim(x) == 0 else phi
 
@@ -520,7 +527,7 @@ def _quad(integrand, upper: float, epsabs: float, epsrel: float, limit: int,
     """(integral of integrand over [0, upper], its error estimate), by QUADPACK's QAGS
     (_qagse), or QAGP (_qagpe) with the breakpoints `points`: the call that
     scipy.integrate.quad makes for a finite interval, made the same way, so each value
-    and error estimate has quad's bits. RuntimeError for a nonzero QUADPACK return
+    and error estimate has quad's bits. QuadratureError for a nonzero QUADPACK return
     code (quad only warns of codes 1-5 and 7, and code 6, invalid input, comes back
     as 0 with error 0, which the gate alone would pass), and when the estimate
     exceeds QUAD_REL_TOL of the value's magnitude, which means the same for values
@@ -537,10 +544,10 @@ def _quad(integrand, upper: float, epsabs: float, epsrel: float, limit: int,
         val, err, ier = _quadpack()._qagpe(integrand, 0.0, upper, breaks, (), 0, epsabs, epsrel,
                                            limit)
     if ier != 0:
-        raise RuntimeError(f"quadrature tolerance not reached: QUADPACK return code {ier} "
-                           f"for {val} +- {err}")
+        raise QuadratureError(f"quadrature tolerance not reached: QUADPACK return code {ier} "
+                              f"for {val} +- {err}")
     if not err <= QUAD_REL_TOL * abs(val):  # NaN too
-        raise RuntimeError(f"quadrature tolerance not reached: error estimate {err} for {val}")
+        raise QuadratureError(f"quadrature tolerance not reached: error estimate {err} for {val}")
     return float(val), float(err)
 
 
@@ -574,7 +581,7 @@ def optimal_revenue(dist: ValueDistribution, n: int) -> Estimate:
     value when it is at least r(D): Rev(D^n) is _phi_integral at p = r(D), with
     QUADPACK's error estimate as the standard error. It is cached per (frozen)
     distribution and n, so a repeated call returns the first call's Estimate; a
-    quadrature that _quad refuses raises its RuntimeError each time.
+    quadrature that _quad refuses raises its QuadratureError each time.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -40,8 +40,10 @@ execution. That is a necessary-condition filter rather than the full
 simulation-based definition, and it is itself under test via the known
 deviations it must accept and the corruptions it must reject. view_summary
 parses a view in one pass, reading the channel's phase transition table once
-per entry; summary_is_consistent then checks the buyer's own deposits, refunds
-and transfers in one pass over the three.
+per entry, and keeps each fact the view shows once: its commitments, openings,
+notice, collateral notices and the highest competing revealed bid.
+summary_is_consistent then checks the buyer's own deposits, refunds and
+transfers in one pass over the collateral notices.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,6 +88,7 @@ __all__ = [
     "reveal_dominant_variant",
     "check_view_consistency",
     "summary_is_consistent",
+    "view_beta",
     "view_summary",
     "ViewSummary",
     "commit_phase_payloads",
@@ -599,34 +601,30 @@ def adaptive_net_delta(values: np.ndarray, reserve: float, threshold: float,
 
 @record
 class ViewSummary:
-    """What one buyer can reconstruct from its own transcript.
+    """What one buyer can reconstruct from its own transcript, each fact once.
 
     Where an id commits or opens twice, or a second notice arrives, the later
     event wins; such a view is not well-formed.
     """
 
     agent: int
-    own_bid: Optional[float]          # None if the buyer never opened on-channel
-    beta: float                       # max(reserve, highest revealed competing bid)
     notice: Optional[OutcomeNotice]
-    commits: dict
-    revealed_bids: dict
-    deposits: tuple
-    refunds: tuple
-    transfers: tuple
+    commits: dict                     # id -> the Commitment it posted
     openings: dict                    # id -> the Opening it revealed
+    money: tuple                      # the view's collateral notices, in view order
+    rival: float                      # the highest competing revealed bid; -inf if none
     # the phase grammar held to the end of revelation, with one commitment per
     # id, at most one opening per id and only of committed ids, and one notice
     well_formed: bool
 
 
-def view_summary(view: View, config: AuctionConfig) -> ViewSummary:
+def view_summary(view: View) -> ViewSummary:
     """Parse one buyer's view in one pass; summary_is_consistent judges the result."""
     phase = PHASE_COMMIT  # None once the grammar is broken
     well_formed = True
-    commits, openings, revealed = {}, {}, {}  # id -> its Commitment, Opening, bid
+    commits, openings = {}, {}  # id -> its Commitment, Opening
     notice: Optional[OutcomeNotice] = None
-    deposits, refunds, transfers = [], [], []
+    money = []
     for event in view.events:
         p = event.payload
         kind = type(p)
@@ -641,28 +639,28 @@ def view_summary(view: View, config: AuctionConfig) -> ViewSummary:
             bidder = p.bidder
             if bidder in openings or bidder not in commits:
                 well_formed = False
-            openings[bidder] = opening = p.opening
-            revealed[bidder] = opening.message
+            openings[bidder] = p.opening
         elif kind is CollateralNotice:
-            money = p.kind
-            if money == "deposit":
-                deposits.append(p)
-            elif money == "refund":
-                refunds.append(p)
-            elif money == "transfer":
-                transfers.append(p)
+            money.append(p)
         elif kind is OutcomeNotice:
             if notice is not None:
                 well_formed = False
             notice = p
     agent = view.agent
-    beta = config.reserve  # and then the highest competing bid, if above it
-    for bidder, bid in revealed.items():
-        if bid > beta and bidder != agent:
-            beta = bid
-    return ViewSummary(agent, revealed.get(agent), beta, notice, commits, revealed,
-                       tuple(deposits), tuple(refunds), tuple(transfers), openings,
+    rival = -math.inf  # a NaN bid never compares above it
+    for bidder, opening in openings.items():
+        bid = opening.message
+        if bid > rival and bidder != agent:
+            rival = bid
+    return ViewSummary(agent, notice, commits, openings, tuple(money), rival,
                        well_formed and phase == PHASE_DONE and notice is not None)
+
+
+def view_beta(summary: ViewSummary, config: AuctionConfig) -> float:
+    """beta, the price a win in this view must carry: the view's rival bid, or the
+    reserve if the rival does not exceed it."""
+    rival = summary.rival
+    return rival if rival > config.reserve else config.reserve
 
 
 def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
@@ -679,21 +677,22 @@ def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
     Only the buyer's own allocation and money are validated; announcements
     about other buyers are not verifiable from a single view.
     """
-    return summary_is_consistent(view_summary(view, config), config, scheme)
+    return summary_is_consistent(view_summary(view), config, scheme)
 
 
 def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -> bool:
     """check_view_consistency on a view that view_summary has already parsed."""
-    agent, notice, commits, revealed = (summary.agent, summary.notice, summary.commits,
-                                        summary.revealed_bids)
+    agent, notice, commits, openings = (summary.agent, summary.notice, summary.commits,
+                                        summary.openings)
     if not summary.well_formed or agent not in commits:
         return False
     verify = scheme.verify
-    for bidder, opening in summary.openings.items():
+    for bidder, opening in openings.items():
         if not verify(commits[bidder], opening):
             return False
 
-    own_bid, beta = summary.own_bid, summary.beta
+    own_bid = openings[agent].message if agent in openings else None  # None: never opened
+    beta = view_beta(summary, config)
 
     if own_bid is not None and own_bid > beta + MONEY_TOL:
         if notice.winner != agent or not abs(notice.price - beta) <= MONEY_TOL:
@@ -710,10 +709,11 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
 
     # Own money: one deposit of the posted amount during the commitment phase, a
     # refund of it exactly when the buyer opened, and transfers as checked below.
+    # A well-formed view's notices are deposits, refunds and transfers only.
     collateral = config.collateral
     deposited = refunded = 0
     sources = []  # the forfeiting bidder of each transfer to this buyer
-    for money in chain(summary.deposits, summary.refunds, summary.transfers):
+    for money in summary.money:
         if money.party != agent:
             continue
         if not abs(money.amount - collateral) <= MONEY_TOL:
@@ -727,27 +727,24 @@ def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -
     if deposited != 1 or refunded != (0 if own_bid is None else 1):
         return False
     if sources:
-        if len(sources) != len(set(sources)) or set(sources) != commits.keys() - revealed.keys():
+        if len(sources) != len(set(sources)) or set(sources) != commits.keys() - openings.keys():
             return False
         # Forfeits flow to the candidate: the lowest-id top revealed bidder,
         # sale or no sale, so candidacy is judged against revealed competitors
         # only (the reserve plays no role here).
         if own_bid is None:
             return False
-        comp_max = -math.inf
-        for bidder, bid in revealed.items():
-            if bid > comp_max and bidder != agent:
-                comp_max = bid
-        if own_bid < comp_max - MONEY_TOL:
+        rival = summary.rival
+        if own_bid < rival - MONEY_TOL:
             return False
         # A tie is an exact one, as in the resolution rule: bids a hair apart
         # are not tied, and the higher one is the candidate.
-        if own_bid == comp_max:
-            for bidder, bid in revealed.items():
-                if bid == comp_max and bidder < agent:
+        if own_bid == rival:
+            for bidder, opening in openings.items():
+                if opening.message == rival and bidder < agent:
                     return False
     elif notice.winner == agent:
-        if commits.keys() - revealed.keys():
+        if commits.keys() - openings.keys():
             return False
     return True
 

@@ -63,6 +63,7 @@ from .strategies import (
     false_commit_payloads,
     reveal_dominant_variant,
     summary_is_consistent,
+    view_beta,
     view_summary,
 )
 
@@ -114,21 +115,21 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
     committed, bids = set(), {}  # every id a view shows committed; the bids they show
     candidates, buyer_violations = [], []
     for i, view in transcript.buyer_views().items():
-        summary = view_summary(view, config)
+        summary = view_summary(view)
         committed.update(summary.commits)
-        bids.update(summary.revealed_bids)
+        bids.update({bidder: opening.message for bidder, opening in summary.openings.items()})
         # The resolution rule's candidate comes from revealed bids only, so a
         # buyer who withholds is never one, whatever it committed to.
         buyer = buyers[i - 1]
         if buyer.reveals():
-            bid = float(buyer.bid())
-            if bid > summary.beta:
+            bid, beta = float(buyer.bid()), view_beta(summary, config)
+            if bid > beta:
                 candidates.append(i)
                 notice = summary.notice
                 if (notice is None or notice.winner != i
-                        or not abs(notice.price - summary.beta) <= MONEY_TOL):
+                        or not abs(notice.price - beta) <= MONEY_TOL):
                     buyer_violations.append(
-                        f"buyer {i}: bid {bid} above beta {summary.beta} but notice {notice}"
+                        f"buyer {i}: bid {bid} above beta {beta} but notice {notice}"
                     )
         if not summary_is_consistent(summary, config, scheme):
             buyer_violations.append(f"buyer {i}: view fails consistency check")

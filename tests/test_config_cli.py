@@ -233,6 +233,45 @@ def test_collateral_level_that_overflows_exits_2(tmp_path, capsys):
     assert payload["reserve_finite"] and payload["collateral"] is None
 
 
+# numpy's overflow warnings on these configs print under the console script; here
+# they are not raised, so the exit under test is the one a user sees
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_distribution_without_a_density_float_exits_2(tmp_path, capsys):
+    # exponential(5e-324)'s quantiles overflow, so its pdf reads 0 where phi is taken;
+    # two_point has no density at all, which dist reports as a null phi grid
+    path = write_config(tmp_path, {"distribution": {"family": "exponential",
+                                                    "params": {"rate": 5e-324}},
+                                   "n": 2, "seed": 0, "samples": 2_000})
+    for command in ("dist", "run", "estimate"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "config error: distribution: pdf is not a positive finite float" in captured.err
+    path = write_config(tmp_path, {"distribution": {"family": "two_point"}, "n": 2, "seed": 0},
+                        "two_point.json")
+    assert main(["dist", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["phi_grid"] is None
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_refusals_exit_3_with_a_refused_line(tmp_path, capsys):
+    # gpareto(0.999999)'s Rev(D^n) quadrature gets QUADPACK return code 1; uniform at
+    # alpha 0.01 and n = 7 posts a collateral of about 6e281, whose squares overflow
+    near_one = {"distribution": {"family": "gpareto", "params": {"shape": 0.999999}},
+                "n": 2, "seed": 0}
+    huge_collateral = {"distribution": {"family": "uniform", "params": {"low": 0, "high": 1}},
+                       "n": 7, "alpha": 0.01, "seed": 0, "samples": 1_000,
+                       "auctioneer": {"kind": "shill", "false_bids": [0.9],
+                                      "reveal_policy": "withhold_if_winning"}}
+    cases = [("dist", near_one, "refused: QuadratureError: quadrature tolerance not reached"),
+             ("estimate", huge_collateral, "refused: FloatingPointError: non-finite estimate")]
+    for i, (command, cfg, line) in enumerate(cases):
+        assert main([command, "--config", write_config(tmp_path, cfg, f"{i}.json")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and line in captured.err
+        assert "internal error" not in captured.err and "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # CLI commands
 # ---------------------------------------------------------------------------

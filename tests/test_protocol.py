@@ -40,7 +40,7 @@ from drasim import (
     view_summary,
 )
 from drasim.seeding import chunk_uniforms, derive_seed
-from drasim.strategies import summary_is_consistent
+from drasim.strategies import summary_is_consistent, view_beta
 from drasim.verification import audit_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -400,19 +400,21 @@ def _notice_json(notice):
 
 
 def _summary_record(summary, config, scheme) -> dict:
-    """Every field of a buyer's ViewSummary, and the consistency verdict on it."""
-    notice = summary.notice
+    """Every fact of a buyer's ViewSummary, and the consistency verdict on it, under
+    the fixture's keys: the own bid, beta, the revealed bids and the three kinds of
+    collateral notice are derived from the openings, the rival and the money."""
+    notice, openings = summary.notice, summary.openings
+    agent = summary.agent
     return {
-        "agent": summary.agent,
-        "own_bid": summary.own_bid,
-        "beta": summary.beta,
+        "agent": agent,
+        "own_bid": openings[agent].message if agent in openings else None,
+        "beta": view_beta(summary, config),
         "notice": None if notice is None else [notice.winner, notice.price],
         "commits": [[b, c.token_str()] for b, c in summary.commits.items()],
-        "revealed_bids": [[b, bid] for b, bid in summary.revealed_bids.items()],
-        "deposits": [_notice_json(d) for d in summary.deposits],
-        "refunds": [_notice_json(r) for r in summary.refunds],
-        "transfers": [_notice_json(t) for t in summary.transfers],
-        "openings": [[b, o.message, o.randomness.hex()] for b, o in summary.openings.items()],
+        "revealed_bids": [[b, o.message] for b, o in openings.items()],
+        **{f"{kind}s": [_notice_json(m) for m in summary.money if m.kind == kind]
+           for kind in ("deposit", "refund", "transfer")},
+        "openings": [[b, o.message, o.randomness.hex()] for b, o in openings.items()],
         "well_formed": summary.well_formed,
         "consistent": summary_is_consistent(summary, config, scheme),
     }
@@ -425,7 +427,7 @@ def _audit_record(config, buyers, auctioneer) -> dict:
     return {
         "outcome": result.outcome.to_json(),
         "violations": list(result.violations),
-        "views": [_summary_record(view_summary(view, config), config, transcript.scheme)
+        "views": [_summary_record(view_summary(view), config, transcript.scheme)
                   for view in transcript.buyer_views().values()],
     }
 

@@ -32,7 +32,7 @@ from drasim import (
     view_summary,
 )
 from drasim.channels import Event, View
-from drasim.strategies import commit_phase_payloads, false_commit_payloads
+from drasim.strategies import commit_phase_payloads, false_commit_payloads, view_beta
 from drasim.verification import audit_run, coupling_matches, sample_values
 
 GPA = GeneralizedPareto(0.5)
@@ -498,6 +498,6 @@ def test_withhold_if_winning_sees_only_opened_real_bids():
 def test_view_summary_beta():
     config, out, transcript = honest_run(seed=9)
     for i in (1, 2, 3):
-        summary = view_summary(transcript.view(i), config)
-        competing = [summary.revealed_bids[j] for j in summary.revealed_bids if j != i]
-        assert summary.beta == max([config.reserve] + competing)
+        summary = view_summary(transcript.view(i))
+        competing = [o.message for j, o in summary.openings.items() if j != i]
+        assert view_beta(summary, config) == max([config.reserve] + competing)
