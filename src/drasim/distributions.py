@@ -177,6 +177,8 @@ class Exponential(ValueDistribution):
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
+        if -math.log1p(-_TAIL_BRACKET_U) / self.rate == math.inf:  # reserve_price's bracket
+            raise ValueError(f"rate {self.rate} is too small: quantile(1 - 1e-12) overflows")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -221,6 +223,8 @@ class GeneralizedPareto(ValueDistribution):
     def __post_init__(self):
         if not 0.0 < self.shape < 1.0:
             raise ValueError(f"shape must lie in (0, 1), got {self.shape}")
+        if 1.0 / self.shape == math.inf:  # pdf's exponent
+            raise ValueError(f"shape {self.shape} is too small: 1 / shape overflows")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -531,18 +535,24 @@ def _quad(integrand, upper: float, epsabs: float, epsrel: float, limit: int,
     code (quad only warns of codes 1-5 and 7, and code 6, invalid input, comes back
     as 0 with error 0, which the gate alone would pass), and when the estimate
     exceeds QUAD_REL_TOL of the value's magnitude, which means the same for values
-    of 1 and 1e-88."""
+    of 1 and 1e-88. A run that QUADPACK ends on epsabs alone, with an estimate the gate
+    refuses, runs once more with epsabs = 0, to epsrel alone, and that run is gated."""
     if upper == 0.0:  # quad's shortcut for an empty interval
         return 0.0, 0.0
-    if points is None:
-        val, err, ier = _quadpack()._qagse(integrand, 0.0, upper, (), 0, epsabs, epsrel, limit)
-    else:
+    if points is not None:
         # inside breakpoints, sorted, and two zeros appended, as quad passes them
         inner = np.unique(points)
         inner = inner[(0.0 < inner) & (inner < upper)]
         breaks = np.concatenate((inner, (0.0, 0.0)))
-        val, err, ier = _quadpack()._qagpe(integrand, 0.0, upper, breaks, (), 0, epsabs, epsrel,
-                                           limit)
+
+    def run(epsabs):
+        if points is None:
+            return _quadpack()._qagse(integrand, 0.0, upper, (), 0, epsabs, epsrel, limit)
+        return _quadpack()._qagpe(integrand, 0.0, upper, breaks, (), 0, epsabs, epsrel, limit)
+
+    val, err, ier = run(epsabs)
+    if ier == 0 and not err <= QUAD_REL_TOL * abs(val):
+        val, err, ier = run(0.0)
     if ier != 0:
         raise QuadratureError(f"quadrature tolerance not reached: QUADPACK return code {ier} "
                               f"for {val} +- {err}")

@@ -2,19 +2,14 @@
 for the adaptive attack, a deterministic quadrature oracle for it, and the Monte
 Carlo check of the conditional tail bound.
 
-Two engines are provided and kept in exact agreement:
-
-  * "simulate" runs the full message-level auction per sampled value profile.
-    It is the reference semantics and is used directly by the structural and
-    game-theoretic tests.
-  * "vector" prices each profile by vector_net(chunk, config), the closed form
-    that the strategy's class defines beside its execute; a class that
-    overrides execute below that one must run on engine="simulate". The test
-    suite asserts per-profile equality of the two engines, so the fast path
-    carries the simulator's semantics, not a reimplementation of its own.
-
-Only estimate_revenue and estimate_adaptive_gain take engine=, the tests'
-reference hook: on every strategy a config builds the engines give the same bits.
+Each strategy is priced by the path its class provides. Where the first class
+of its MRO to define execute or vector_net defines vector_net, the vector engine
+prices each chunk of profiles by that closed form; any other strategy, a custom
+deviation whose execute overrides the one vector_net mirrors, runs the full
+message-level auction per profile, the reference semantics. The test suite holds
+the two to per-profile equality, and each estimator to a private reference that
+runs full auctions on every profile, so the fast path carries the simulator's
+semantics, not a reimplementation of its own.
 
 Every estimator, and check_conditional_bound, runs on one loop over chunked
 counter-based streams (see seeding) that draws each profile once for all the
@@ -157,18 +152,8 @@ _PRUNE_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Revenue estimation: one loop over profile chunks and one engine switch
+# Revenue estimation: one loop over profile chunks, each strategy on its own path
 # ---------------------------------------------------------------------------
-
-def _vector_net(config: AuctionConfig, strategy):
-    """strategy.vector_net, checked once for an estimate: refused where an execute
-    overrides the one it mirrors (the first class of the MRO to define either
-    method must define vector_net), and where check_config refuses the config."""
-    if "vector_net" not in vars(_first_definer(type(strategy), "execute", "vector_net")):
-        raise ValueError(f"no vector path for {type(strategy).__name__}; use engine='simulate'")
-    strategy.check_config(config)  # the ValueError that execute raises on the message engine
-    return strategy.vector_net
-
 
 def simulate_profile_net(config: AuctionConfig, strategy, values_row: Sequence[float],
                          run_seed: int) -> float:
@@ -282,54 +267,45 @@ def _estimate(seed: int, samples: int, cols: int, draw, net) -> Estimate:
                           lambda chunk, start: (net(chunk, start),))[0]
 
 
-def _vectorized(config: AuctionConfig, strategy, baseline):
-    kernel = _vector_net(config, strategy)
-    if baseline is None:
-        return lambda chunk, start: kernel(chunk, config)
-    baseline_kernel = _vector_net(config, baseline)
+def _auction_net(config: AuctionConfig, strategy, seed: int):
+    """(chunk, start) -> net of `strategy` per profile by full message-level auctions,
+    profile start + k run with seed derive_seed(seed, "run", start + k)."""
+    def auctions(chunk, start):
+        return np.array([simulate_profile_net(config, strategy, row,
+                                              derive_seed(seed, "run", start + k))
+                         for k, row in enumerate(chunk.values)])
+    return auctions
 
+
+def _pricing(config: AuctionConfig, strategy, seed: int):
+    """(chunk, start) -> net of `strategy` per profile, by the path its class provides:
+    its own vector_net, checked once for the estimate by check_config, where the first
+    class of its MRO to define execute or vector_net defines vector_net; else
+    _auction_net, as an execute overrides the one that vector_net mirrors."""
+    if "vector_net" not in vars(_first_definer(type(strategy), "execute", "vector_net")):
+        return _auction_net(config, strategy, seed)
+    strategy.check_config(config)  # the ValueError that execute raises on the message engine
+    return lambda chunk, start: strategy.vector_net(chunk, config)
+
+
+def _difference(price, price_baseline):
+    """(chunk, start) -> one pricing's net less the other's, per profile."""
     def paired(chunk, start):
-        net = kernel(chunk, config).copy()  # pricing the baseline may write over the work arrays
-        return np.subtract(net, baseline_kernel(chunk, config), out=net)
+        net = price(chunk, start).copy()  # pricing the baseline may write over the work arrays
+        return np.subtract(net, price_baseline(chunk, start), out=net)
     return paired
 
 
-def _simulated(config: AuctionConfig, strategy, seed: int, baseline):
-    def simulated(chunk, start):
-        nets = []
-        for k, row in enumerate(chunk.values):
-            run_seed = derive_seed(seed, "run", start + k)
-            net = simulate_profile_net(config, strategy, row, run_seed)
-            if baseline is not None:
-                net -= simulate_profile_net(config, baseline, row, run_seed)
-            nets.append(net)
-        return np.asarray(nets)
-    return simulated
-
-
-def _net_function(config: AuctionConfig, strategy, seed: int, engine: str,
-                  baseline=None):
-    """The engine switch: (chunk, start) -> net of `strategy` (less `baseline`'s) per
-    profile, by the closed form that _vector_net checks once, or by full auctions
-    where profile start + k runs with seed derive_seed(seed, "run", start + k)."""
-    if engine == "vector":
-        return _vectorized(config, strategy, baseline)
-    if engine == "simulate":
-        return _simulated(config, strategy, seed, baseline)
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def estimate_revenue(config: AuctionConfig, strategy, samples: int, seed: int,
-                     engine: str = "vector") -> Estimate:
+def estimate_revenue(config: AuctionConfig, strategy, samples: int, seed: int) -> Estimate:
     """Mean auctioneer net over i.i.d. truthful value profiles, paired by seed."""
-    net = _net_function(config, strategy, seed, engine)
-    return _estimate(seed, samples, config.n, config.dist.quantile, net)
+    return _estimate(seed, samples, config.n, config.dist.quantile,
+                     _pricing(config, strategy, seed))
 
 
 def estimate_paired_difference(config: AuctionConfig, strategy_a, strategy_b,
                                samples: int, seed: int) -> Estimate:
     """Mean of (net_a - net_b) over shared value profiles (common random numbers)."""
-    diff = _net_function(config, strategy_a, seed, "vector", baseline=strategy_b)
+    diff = _difference(_pricing(config, strategy_a, seed), _pricing(config, strategy_b, seed))
     return _estimate(seed, samples, config.n, config.dist.quantile, diff)
 
 
@@ -422,39 +398,50 @@ def _adaptive_gain_pruned(dist: ValueDistribution, threshold: float, collateral:
     return delta
 
 
-def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral: float,
-                           samples: int, seed: int, engine: str = "vector") -> Estimate:
-    """E[adaptive net - honest net] for the two-buyer centralized deviation.
-
-    Stratified on v_A: below the threshold the deviation coincides with honest
-    play and contributes exactly zero (not sampled); the tail stratum draws
-    v_A by conditional inverse-survival sampling and is weighted by the
-    closed-form P[v_A >= T]. The vector engine prices adaptive_net_delta on the
-    candidate profiles with v_B > v_A only; engine="simulate" runs paired full
-    auctions on every profile and gives the same bits. The plain estimate of the
-    same gain, on unconditioned profiles, is estimate_paired_difference of
-    AdaptiveReserve(T) against Honest() on the attack's centralized n = 2 config.
-    """
+def _stratified_gain(dist: ValueDistribution, threshold: float, collateral: float,
+                     samples: int, seed: int, draw, gain) -> Estimate:
+    """The tail stratum's Estimate, weighted by P[v_A >= T]: `draw` maps the chunk's
+    uniforms to what gain(config) prices, (chunk, start) -> net difference per row."""
     _require_samples(samples)  # an empty stratum too, which samples nothing
     config = _attack_config(dist, threshold, collateral)
     weight = float(dist.sf(threshold))
     if weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
         return Estimate(mean=0.0, std_error=0.0, samples=int(samples))
-    if engine == "vector":  # the kernel takes the chunk's uniforms themselves
-        def draw(u):
-            return u
-
-        def gain(chunk, start):
-            return _adaptive_gain_pruned(dist, threshold, collateral, chunk)
-    else:
-        def draw(u):
-            return _attack_profiles(dist, threshold, u)
-
-        gain = _net_function(config, AdaptiveReserve(threshold=threshold), seed, engine,
-                             baseline=Honest())
-    cond = _estimate(seed, samples, 2, draw, gain)
+    cond = _estimate(seed, samples, 2, draw, gain(config))
     return Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
                     samples=cond.samples)
+
+
+def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral: float,
+                           samples: int, seed: int) -> Estimate:
+    """E[adaptive net - honest net] for the two-buyer centralized deviation.
+
+    Stratified on v_A: below the threshold the deviation coincides with honest
+    play and contributes exactly zero (not sampled); the tail stratum draws
+    v_A by conditional inverse-survival sampling and is weighted by the
+    closed-form P[v_A >= T]. adaptive_net_delta prices the candidate profiles
+    with v_B > v_A only, on the chunk's uniforms themselves; paired full auctions
+    on every profile, _adaptive_gain_by_auctions, give the same bits. The plain
+    estimate of the same gain, on unconditioned profiles, is
+    estimate_paired_difference of AdaptiveReserve(T) against Honest() on the
+    attack's centralized n = 2 config.
+    """
+    def gain(config):
+        return lambda chunk, start: _adaptive_gain_pruned(dist, threshold, collateral, chunk)
+
+    return _stratified_gain(dist, threshold, collateral, samples, seed, lambda u: u, gain)
+
+
+def _adaptive_gain_by_auctions(dist: ValueDistribution, threshold: float, collateral: float,
+                               samples: int, seed: int) -> Estimate:
+    """estimate_adaptive_gain by paired full auctions of AdaptiveReserve(T) and Honest()
+    on every profile of the stratum: the reference the tests hold it to."""
+    def gain(config):
+        return _difference(_auction_net(config, AdaptiveReserve(threshold=threshold), seed),
+                           _auction_net(config, Honest(), seed))
+
+    return _stratified_gain(dist, threshold, collateral, samples, seed,
+                            lambda u: _attack_profiles(dist, threshold, u), gain)
 
 
 def adaptive_gain_quadrature(dist: ValueDistribution, threshold: float,

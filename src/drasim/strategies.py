@@ -30,9 +30,9 @@ masked copies mispredict on random masks: exact for finite values and bids,
 reserve > 0 (see _shill_net). The nets of one false bid under the two reveal
 policies are written once, in _bid_nets, which _shill_net and the estimators'
 credibility grid both run. A subclass that overrides execute but not
-vector_net has no vector path: it runs on engine="simulate" only. Lifted
-refuses it as well, since it replays schedule() through the two-phase execute,
-not the subclass's.
+vector_net has no vector path: the estimators price it by full auctions. Lifted
+refuses it, since it replays schedule() through the two-phase execute, not the
+subclass's.
 
 A deviation counts as safe here when check_view_consistency accepts every real
 buyer's transcript on every run: each view must be explainable by some honest
@@ -299,8 +299,8 @@ def _shill_net(chunk: Chunk, reserve: float, collateral: float,
     x * 1.0 == x and x * 0.0 == +0.0 for finite x >= 0: values are quantiles of
     [0, 1), false bids are finite and reserve > 0. Under the always policy, false
     bids at or below the reserve leave the promised net, and above it the largest
-    bid alone sets the price; that case and one withheld-if-winning bid are
-    _bid_nets's, and several such bids run the loop below."""
+    bid alone sets the price, in _bid_nets, and withheld-if-winning bids run the
+    loop below."""
     net = chunk.work("net")
     if not (withhold_winning and false_bids):
         high = max(false_bids, default=reserve)
@@ -308,9 +308,6 @@ def _shill_net(chunk: Chunk, reserve: float, collateral: float,
             np.copyto(net, chunk.honest(reserve)[0])
             return net
         return next(_bid_nets(chunk, reserve, collateral, (high,)))
-    if len(false_bids) == 1:
-        *_, net = _bid_nets(chunk, reserve, collateral, false_bids)
-        return net
     top, _ = chunk.top_two()
     honest_net, _ = chunk.honest(reserve)
     mask = chunk.work("mask", bool)

@@ -215,7 +215,7 @@ def additive(monkeypatch):
 
 def test_a_malleable_scheme_lets_the_mauling_shill_beat_rev_d_n_unseen(additive):
     config = mauling_config(additive)
-    est = estimate_revenue(config, MaulingShill(), 1_000, 1, engine="simulate")
+    est = estimate_revenue(config, MaulingShill(), 1_000, 1)
     assert est.mean > optimal_revenue(EXPONENTIAL, 2).mean + 3.0 * est.std_error
     for k in range(100):  # a safe deviation: no view can tell it from an honest run
         values = sample_values(EXPONENTIAL, 2, derive_seed(1, "maul", k))
@@ -234,6 +234,6 @@ def test_a_shipped_scheme_refuses_the_mauled_openings(scheme):
     assert outcome.sale_price == 1.7  # the honest price: no false bid counts
     assert [(e.depositor, e.recipient) for e in outcome.ledger] == [(1, 1), (2, 2), (3, 1), (4, 1)]
     assert "buyer 1: view fails consistency check" in audit.violations
-    est = estimate_revenue(config, MaulingShill(), 1_000, 1, engine="simulate")
+    est = estimate_revenue(config, MaulingShill(), 1_000, 1)
     honest = estimate_revenue(config, Honest(), 1_000, 1)
     assert est.mean + 3.0 * est.std_error < honest.mean

@@ -2,6 +2,7 @@
 deterministic machine-readable output, and the pinned golden run trace."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -233,14 +234,11 @@ def test_collateral_level_that_overflows_exits_2(tmp_path, capsys):
     assert payload["reserve_finite"] and payload["collateral"] is None
 
 
-# numpy's overflow warnings on these configs print under the console script; here
-# they are not raised, so the exit under test is the one a user sees
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_distribution_without_a_density_float_exits_2(tmp_path, capsys):
-    # exponential(5e-324)'s quantiles overflow, so its pdf reads 0 where phi is taken;
+    # uniform(0, 5e-324)'s density 1 / 5e-324 overflows to inf, which phi refuses;
     # two_point has no density at all, which dist reports as a null phi grid
-    path = write_config(tmp_path, {"distribution": {"family": "exponential",
-                                                    "params": {"rate": 5e-324}},
+    path = write_config(tmp_path, {"distribution": {"family": "uniform",
+                                                    "params": {"low": 0, "high": 5e-324}},
                                    "n": 2, "seed": 0, "samples": 2_000})
     for command in ("dist", "run", "estimate"):
         assert main([command, "--config", path]) == 2
@@ -253,6 +251,32 @@ def test_distribution_without_a_density_float_exits_2(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["phi_grid"] is None
 
 
+def test_parameters_whose_transforms_overflow_exit_2_with_one_line(tmp_path, capsys):
+    # refused by name before any transform runs, so numpy warns of nothing, under the
+    # console script's filters and under errors: exponential rates at which
+    # reserve_price's bracket quantile(1 - 1e-12) overflows, and a gpareto shape whose
+    # reciprocal does
+    cases = [("exponential", "rate", 5e-324, "quantile(1 - 1e-12) overflows"),
+             ("exponential", "rate", 1e-310, "quantile(1 - 1e-12) overflows"),
+             ("exponential", "rate", 1e-307, "quantile(1 - 1e-12) overflows"),
+             ("gpareto", "shape", 5e-324, "1 / shape overflows")]
+    for i, (family, name, value, why) in enumerate(cases):
+        path = write_config(tmp_path, {"distribution": {"family": family,
+                                                        "params": {name: value}},
+                                       "n": 2, "seed": 0, "samples": 2_000}, f"{i}.json")
+        line = f"config error: distribution: {name} {value} is too small: {why}"
+        for command in ("dist", "run", "estimate"):
+            for action in ("default", "error"):
+                with warnings.catch_warnings(record=True) as seen:
+                    warnings.simplefilter(action)
+                    assert main([command, "--config", path]) == 2
+                captured = capsys.readouterr()
+                assert seen == [] and captured.out == ""
+                assert captured.err.splitlines() == [line], (command, action)
+
+
+# numpy's overflow warning on the squares of the huge collateral's nets prints under
+# the console script; here it is not raised, so the exit under test is the one a user sees
 @pytest.mark.filterwarnings("default::RuntimeWarning")
 def test_refusals_exit_3_with_a_refused_line(tmp_path, capsys):
     # gpareto(0.999999)'s Rev(D^n) quadrature gets QUADPACK return code 1; uniform at

@@ -261,6 +261,32 @@ def test_quadrature_reports_and_refuses_its_error_estimate(monkeypatch):
             adaptive_gain_quadrature(GeneralizedPareto(0.5), 5.0, 2.0)
 
 
+def test_an_estimate_that_meets_only_epsabs_runs_once_more_to_epsrel(monkeypatch):
+    # the attack oracle asks for epsabs = 1e-9, and on this sweep's T = 20 QUADPACK
+    # stops there with an estimate of 1e-5 of the value -3.3e-05, which the relative
+    # gate refuses; the run to epsrel alone passes it
+    from drasim.config import build_setup
+
+    setup = build_setup({"distribution": {"family": "gpareto",
+                                          "params": {"shape": 0.3749808279764962}},
+                         "n": 2, "seed": 615, "mode": "centralized"})
+    collateral_amount = setup.auction_config().collateral
+    value = adaptive_gain_quadrature(setup.dist, 20.0, collateral_amount)
+    assert value == pytest.approx(-3.339191176462079e-05, rel=1e-9)
+    real, tolerances = distributions._quadpack()._qagse, []
+
+    def recording(f, a, b, args, full, epsabs, epsrel, limit):
+        tolerances.append((epsabs, epsrel, limit))
+        return real(f, a, b, args, full, epsabs, epsrel, limit)
+
+    fake_quadpack(monkeypatch, qagse=recording)
+    assert adaptive_gain_quadrature(setup.dist, 20.0, collateral_amount) == value
+    assert tolerances == [(1e-9, 1e-10, 400), (0.0, 1e-10, 400)]
+    tolerances.clear()
+    adaptive_gain_quadrature(setup.dist, 10.0, collateral_amount)  # passed at epsabs
+    assert tolerances == [(1e-9, 1e-10, 400)]
+
+
 def test_cached_optimal_revenue_equals_a_fresh_quadrature():
     for dist, n in ((GeneralizedPareto(0.5), 2), (Exponential(1.0), 3), (Uniform(1.0, 5.0), 1)):
         first = optimal_revenue(dist, n)

@@ -38,11 +38,13 @@ from drasim import estimators
 from drasim.distributions import ROOT_TOL
 from drasim.estimate import ChunkAccumulator, Estimate, pairwise_split
 from drasim.estimators import (
+    _adaptive_gain_by_auctions,
     _attack_profiles,
+    _auction_net,
     _estimate,
     _estimate_each,
+    _pricing,
     _value_stream_seed,
-    _vector_net,
     attack_sweep,
     sample_values,
     simulate_profile_net,
@@ -88,17 +90,23 @@ def test_vector_engine_matches_simulator_per_profile(strategy):
     config = config_for(GPA, 2, 32.0)
     values = GPA.quantile(chunk_uniforms(_value_stream_seed(123), 0, 300, 2))
     assert list(values[0]) == sample_values(GPA, 2, 123)  # the estimators' stream
-    vec = _vector_net(config, strategy)(Chunk(values), config)
+    vec = _pricing(config, strategy, 0)(Chunk(values), 0)
     sim = np.array([simulate_profile_net(config, strategy, row, derive_seed(1, "s", k))
                     for k, row in enumerate(values)])
     assert np.array_equal(vec, sim)
 
 
+def revenue_by_auctions(config, strategy, samples, seed):
+    """estimate_revenue with every profile priced by a full message-level auction."""
+    return _estimate(seed, samples, config.n, config.dist.quantile,
+                     _auction_net(config, strategy, seed))
+
+
 def test_engines_agree_at_estimate_level():
     config = config_for(GPA, 2, 32.0)
     strategy = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
-    vec = estimate_revenue(config, strategy, 1_500, 7, engine="vector")
-    sim = estimate_revenue(config, strategy, 1_500, 7, engine="simulate")
+    vec = estimate_revenue(config, strategy, 1_500, 7)
+    sim = revenue_by_auctions(config, strategy, 1_500, 7)
     assert vec == sim  # same profiles, bit-identical nets
 
 
@@ -147,9 +155,9 @@ def test_lifted_strategy_estimates_match_broadcast():
 def test_both_engines_refuse_a_strategy_outside_its_setting(mode, n, strategy):
     config = config_for(GPA, n, 2.0, mode=mode)
     messages = []
-    for engine in ("vector", "simulate"):
+    for estimate in (estimate_revenue, revenue_by_auctions):
         with pytest.raises(ValueError) as refused:
-            estimate_revenue(config, strategy, 1_000, 0, engine=engine)
+            estimate(config, strategy, 1_000, 0)
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
 
@@ -172,24 +180,27 @@ class RenamedShill(ShillBroadcast):
         return "renamed " + super().describe()
 
 
-def test_an_overridden_execute_has_no_vector_path():
+def test_an_overridden_execute_is_priced_by_full_auctions():
     config = config_for(GPA, 2, 2.0)
-    playing_honest = HonestPlayingShill((3.0,), ALWAYS_REVEAL)
-    for strategy in (Greedy(), playing_honest):
-        with pytest.raises(ValueError, match="no vector path"):
-            estimate_revenue(config, strategy, 1_000, 0, engine="vector")
     with pytest.raises(ProtocolViolation):
-        estimate_revenue(config, Greedy(), 1_000, 0, engine="simulate")
-    assert estimate_revenue(config, playing_honest, 1_000, 0, engine="simulate") \
-        == estimate_revenue(config, Honest(), 1_000, 0)
+        estimate_revenue(config, Greedy(), 1_000, 0)
+    playing_honest = HonestPlayingShill((3.0,), ALWAYS_REVEAL)
+    assert bits(estimate_revenue(config, playing_honest, 1_000, 0)) \
+        == bits(estimate_revenue(config, Honest(), 1_000, 0))
 
 
-def test_a_subclass_that_keeps_execute_keeps_the_vector_path():
+def test_a_subclass_that_keeps_execute_keeps_the_vector_path(monkeypatch):
+    monkeypatch.setattr(estimators, "simulate_profile_net", None)  # an auction would fail
     config = config_for(GPA, 2, 2.0)
     base = ShillBroadcast((3.0, 40.0), WITHHOLD_IF_WINNING)
     renamed = RenamedShill(base.false_bids, base.reveal_policy)
     assert bits(estimate_revenue(config, renamed, 70_000, 43)) \
         == bits(estimate_revenue(config, base, 70_000, 43))
+    for mode, strategy in [("broadcast", s) for s in STRATEGIES] + [
+            ("centralized", Lifted(ShillBroadcast((3.0,), WITHHOLD_IF_WINNING))),
+            ("centralized", AdaptiveReserve(5.0))]:
+        estimate_revenue(config_for(GPA, 2, 2.0, mode=mode), strategy, 1_000, 0)
+    estimate_adaptive_gain(GPA, 5.0, 2.0, 1_000, 0)
 
 
 def test_estimate_revenue_pinned_bits():
@@ -269,8 +280,8 @@ def test_adaptive_gain_simulate_engine_agrees_with_vector():
         (Exponential(1.0), reserve_price(Exponential(1.0)), 0.3),
         (GeneralizedPareto(0.25), 1.7, 0.1),
     ]:
-        vec = estimate_adaptive_gain(dist, threshold, collateral, 1_200, 3, engine="vector")
-        sim = estimate_adaptive_gain(dist, threshold, collateral, 1_200, 3, engine="simulate")
+        vec = estimate_adaptive_gain(dist, threshold, collateral, 1_200, 3)
+        sim = _adaptive_gain_by_auctions(dist, threshold, collateral, 1_200, 3)
         assert vec == sim, (dist, threshold, collateral)
 
 
@@ -292,8 +303,8 @@ def test_attack_sweep_rows_are_the_simulate_engines():
     thresholds = [2.0, 5.0]
     for row, (i, threshold) in zip(attack_sweep(GPA, 0.3, thresholds, 1_500, 0),
                                    enumerate(thresholds)):
-        assert row.estimate == estimate_adaptive_gain(GPA, threshold, 0.3, 1_500,
-                                                      derive_seed(0, "T", i), engine="simulate")
+        assert row.estimate == _adaptive_gain_by_auctions(GPA, threshold, 0.3, 1_500,
+                                                          derive_seed(0, "T", i))
 
 
 def test_adaptive_gain_rejects_threshold_below_reserve():
@@ -687,12 +698,12 @@ def test_a_short_last_chunk_priced_first_gives_the_serial_bits(monkeypatch):
     samples, seed, threshold, collateral = 2 * CHUNK_SAMPLES + 1, 31, 5.0, 2.0
     strategy = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
     config = config_for(GPA, 3, 2.0)
-    kernel = _vector_net(config, strategy)
+    kernel = _pricing(config, strategy, seed)
     weight = float(GPA.sf(threshold))
     cond = serial_estimate(seed, samples, 2, lambda u: adaptive_net_delta(
         _attack_profiles(GPA, threshold, u), R, threshold, collateral))
     expected = [
-        bits(serial_estimate(seed, samples, 3, lambda u: kernel(Chunk(GPA.quantile(u)), config))),
+        bits(serial_estimate(seed, samples, 3, lambda u: kernel(Chunk(GPA.quantile(u)), 0))),
         bits(Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
                       samples=cond.samples)),
     ]
@@ -726,7 +737,7 @@ def test_pipelined_estimates_equal_the_serial_loop(samples):
         config = config_for(GPA, n, 2.0)
         expected = serial_estimate(
             seed, samples, n,
-            lambda u: _vector_net(config, strategy)(Chunk(GPA.quantile(u)), config))
+            lambda u: _pricing(config, strategy, seed)(Chunk(GPA.quantile(u)), 0))
         assert bits(estimate_revenue(config, strategy, samples, seed)) == bits(expected)
     threshold, collateral, reserve = 5.0, 2.0, R
     weight = float(GPA.sf(threshold))
@@ -798,7 +809,7 @@ def test_numpy_sums_an_array_as_its_two_halves_at_pairwise_split(n):
 
 
 def test_each_half_is_priced_with_its_own_start():
-    # the simulate engine seeds profile start + k's run by its index in the stream
+    # the auction pricing seeds profile start + k's run by its index in the stream
     seen = []
 
     def record_twice(chunk, start):

@@ -53,7 +53,7 @@ from drasim.estimators import (
     _adaptive_gain_pruned,
     _adaptive_rows,
     _credibility_grid,
-    _vector_net,
+    _pricing,
     simulate_profile_net,
 )
 from drasim.protocol import MONEY_TOL
@@ -337,7 +337,7 @@ def test_vector_engine_matches_message_engine_per_profile(case):
     config, auctioneer, values, seed = case
     simulated = [simulate_profile_net(config, auctioneer, row, seed + k)
                  for k, row in enumerate(values)]
-    vector = _vector_net(config, auctioneer)(Chunk(values), config)
+    vector = _pricing(config, auctioneer, seed)(Chunk(values), 0)
     assert np.array_equal(vector, np.array(simulated))
 
 

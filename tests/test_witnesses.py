@@ -35,16 +35,14 @@ SEED = QUICK["seed"]
 
 @pytest.fixture
 def free_withholding(monkeypatch):
-    """The per-bid shill kernel without its withheld-collateral term: a withheld false
-    bid costs the auctioneer nothing, in _shill_net's one-bid cases and in the
-    credibility grid, which both run _bid_nets."""
-    bid_nets = strategies._bid_nets
+    """The shill kernels without their withheld-collateral term: a withheld false bid
+    costs the auctioneer nothing, in _shill_net, which every shill's vector_net runs,
+    and in the credibility grid's _bid_nets."""
+    def free(kernel):
+        return lambda chunk, reserve, collateral, *rest: kernel(chunk, reserve, 0.0, *rest)
 
-    def without_collateral(chunk, reserve, collateral, false_bids):
-        return bid_nets(chunk, reserve, 0.0, false_bids)
-
-    for module in (strategies, estimators):
-        monkeypatch.setattr(module, "_bid_nets", without_collateral)
+    monkeypatch.setattr(strategies, "_shill_net", free(strategies._shill_net))
+    monkeypatch.setattr(estimators, "_bid_nets", free(strategies._bid_nets))
 
 
 def test_credibility_suite_fails_when_withholding_is_free(free_withholding):
