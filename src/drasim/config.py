@@ -291,7 +291,9 @@ class ExperimentSetup:
         try:  # both callers have refused a distribution that cannot run auctions
             return collateral_level(self.dist, self.n, alpha)
         except ValueError as exc:  # the level at alpha is no finite float
-            raise ConfigError(f"alpha: {exc}") from exc
+            # an estimated alpha is the distribution's, whose scale can overflow the level
+            key = "distribution" if self.alpha is None else "alpha"
+            raise ConfigError(f"{key}: {exc}") from exc
 
     def attack_thresholds(self, dist: ValueDistribution) -> list:
         """The sweep thresholds, each checked by _above_reserve against dist."""

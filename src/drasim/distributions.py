@@ -20,7 +20,10 @@ for heavy tails: a draw conditioned on v >= t is isf(sf(t) * (1 - u)), which
 never suffers the 1 - u cancellation that the quantile form has near u = 1.
 A family defines the transforms as _quantile_into and _isf_into, which compute
 in one array: quantile, isf and sample_tail each allocate the array of the
-result and nothing else, and give a float64 for a scalar input.
+result and nothing else, and give a float64 for a scalar input. Exponential and
+GeneralizedPareto share one base, _LogSurvival, that writes cdf, sf and both
+transforms once from each family's log survival (-rate z and -log1p(k z) / k at
+z = max(x, 0)) and its inverse _from_log_survival.
 
 Nothing here draws: a value is quantile(u) or sample_tail(t, u) of a uniform u
 that the caller takes from seeding's streams. The Monte Carlo checks, the
@@ -92,7 +95,8 @@ class QuadratureError(RuntimeError):
 
 
 class ValueDistribution:
-    """Base class: CDF/PDF/quantile/survival bundle over support [lo, hi].
+    """Base class: CDF/PDF/quantile/survival bundle over support [lo, hi], the
+    half-line [0, inf) unless a family bounds it.
 
     Subclasses implement the closed forms; all accept scalars or ndarrays.
     """
@@ -107,7 +111,7 @@ class ValueDistribution:
 
     @property
     def support(self) -> tuple[float, float]:
-        raise NotImplementedError
+        return (0.0, math.inf)
 
     def cdf(self, x):
         raise NotImplementedError
@@ -167,8 +171,29 @@ def _output(x: np.ndarray):
     return np.empty_like(x) if x.ndim else None
 
 
+class _LogSurvival(ValueDistribution):
+    """A family on the half-line by its log survival: sf(x) is exp(_log_survival(z))
+    at z = max(x, 0), and each transform is _from_log_survival(log_s, out), the x of
+    the log survival probability log_s (log1p(-u) for quantile(u), log s for isf(s)),
+    computed in out, which may be log_s."""
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 0.0, -np.expm1(self._log_survival(np.maximum(x, 0.0))))
+
+    def sf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < 0.0, 1.0, np.exp(self._log_survival(np.maximum(x, 0.0))))
+
+    def _quantile_into(self, u, out):
+        return self._from_log_survival(np.log1p(np.negative(u, out=out), out=out), out)
+
+    def _isf_into(self, s, out):
+        return self._from_log_survival(np.log(s, out=out), out)
+
+
 @dataclass(frozen=True, repr=False)
-class Exponential(ValueDistribution):
+class Exponential(_LogSurvival):
     """Exponential(rate): F(x) = 1 - exp(-rate * x) on x >= 0. MHR."""
 
     rate: float = 1.0
@@ -180,27 +205,12 @@ class Exponential(ValueDistribution):
         if -math.log1p(-_TAIL_BRACKET_U) / self.rate == math.inf:  # reserve_price's bracket
             raise ValueError(f"rate {self.rate} is too small: quantile(1 - 1e-12) overflows")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x < 0.0, 0.0, self.rate * np.exp(-self.rate * np.maximum(x, 0.0)))
 
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 1.0, np.exp(-self.rate * np.maximum(x, 0.0)))
-
-    def _quantile_into(self, u, out):
-        return self._from_log_survival(np.log1p(np.negative(u, out=out), out=out), out)
-
-    def _isf_into(self, s, out):
-        return self._from_log_survival(np.log(s, out=out), out)
+    def _log_survival(self, z):  # -rate z
+        return -self.rate * z
 
     def _from_log_survival(self, log_s, out):
         """-log s / rate, in out, of the log survival probabilities log_s."""
@@ -210,7 +220,7 @@ class Exponential(ValueDistribution):
 
 
 @dataclass(frozen=True, repr=False)
-class GeneralizedPareto(ValueDistribution):
+class GeneralizedPareto(_LogSurvival):
     """Generalized Pareto with shape k in (0, 1): F(x) = 1 - (1 + k x)^(-1/k).
 
     Polynomial tail of index 1/k; virtual value (1 - k) x - 1, so the family
@@ -226,31 +236,14 @@ class GeneralizedPareto(ValueDistribution):
         if 1.0 / self.shape == math.inf:  # pdf's exponent
             raise ValueError(f"shape {self.shape} is too small: 1 / shape overflows")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = np.maximum(x, 0.0)
-        return np.where(x < 0.0, 0.0, -np.expm1(-np.log1p(self.shape * z) / self.shape))
-
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         z = np.maximum(x, 0.0)
         val = np.exp(-(1.0 / self.shape + 1.0) * np.log1p(self.shape * z))
         return np.where(x < 0.0, 0.0, val)
 
-    def sf(self, x):
-        x = np.asarray(x, dtype=float)
-        z = np.maximum(x, 0.0)
-        return np.where(x < 0.0, 1.0, np.exp(-np.log1p(self.shape * z) / self.shape))
-
-    def _quantile_into(self, u, out):
-        return self._from_log_survival(np.log1p(np.negative(u, out=out), out=out), out)
-
-    def _isf_into(self, s, out):
-        return self._from_log_survival(np.log(s, out=out), out)
+    def _log_survival(self, z):  # -log1p(k z) / k
+        return -np.log1p(self.shape * z) / self.shape
 
     def _from_log_survival(self, log_s, out):
         """expm1(-k log s) / k, in out, of the log survival probabilities log_s."""
@@ -301,10 +294,6 @@ class EqualRevenue(ValueDistribution):
     """
 
     kind = "equal_revenue"
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -649,6 +638,17 @@ def _tail_factor(alpha: float, r: float, p: float) -> float:
     return (1.0 / (1.0 - alpha)) ** (1.0 / (1.0 - alpha)) * (r / p) ** (alpha / (1.0 - alpha))
 
 
+def _bound_reserve(dist: ValueDistribution, alpha: float, p: float) -> float:
+    """The reserve r of a tail bound's inputs, which are refused unless alpha lies in
+    (0, 1), dist is regular with a finite r, and p is at or above r."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    r = _require_regular_finite_reserve(dist)
+    if not at_or_above_reserve(p, r):
+        raise ValueError(f"p={p} below reserve {r}")
+    return r
+
+
 def check_tail_bound(dist: ValueDistribution, alpha: float, p: float) -> BoundCheck:
     """Posted-price tail bound for an alpha-strongly regular D, alpha in (0,1):
 
@@ -656,11 +656,7 @@ def check_tail_bound(dist: ValueDistribution, alpha: float, p: float) -> BoundCh
 
     Closed-form on both sides.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    r = _require_regular_finite_reserve(dist)
-    if not at_or_above_reserve(p, r):
-        raise ValueError(f"p={p} below reserve {r}")
+    r = _bound_reserve(dist, alpha, p)
     lhs = p * float(dist.sf(p))
     rhs = r * float(dist.sf(r)) * _tail_factor(alpha, r, p)
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + INEQUALITY_SLACK,
@@ -681,11 +677,7 @@ def check_posted_price_bound(dist: ValueDistribution, alpha: float, p: float) ->
     Both sides by quadrature; Myerson's identity E[phi(v) 1{v >= p}] = p P[v >= p]
     ties this to check_tail_bound and is tested separately.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    r = _require_regular_finite_reserve(dist)
-    if not at_or_above_reserve(p, r):
-        raise ValueError(f"p={p} below reserve {r}")
+    r = _bound_reserve(dist, alpha, p)
     lhs = posted_price_revenue_quadrature(dist, p)
     rhs = posted_price_revenue_quadrature(dist, r) * _tail_factor(alpha, r, p)
     return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + QUADRATURE_SLACK,

@@ -62,11 +62,13 @@ class ChunkAccumulator:
 
     def add(self, values: np.ndarray, square: np.ndarray = None) -> None:
         """Accumulate one chunk; square, if given, is a float array of values' shape
-        that the squares are written into instead of a new one."""
+        that the squares are written into instead of a new one. A sum or a square that
+        overflows is inf, which result refuses, without numpy's warning."""
         values = np.asarray(values, dtype=float)
-        self._sums.append(float(np.add.reduce(values, axis=None)))
-        self._sq_sums.append(float(np.add.reduce(np.square(values, out=square),
-                                                 axis=None)))
+        with np.errstate(over="ignore"):
+            self._sums.append(float(np.add.reduce(values, axis=None)))
+            self._sq_sums.append(float(np.add.reduce(np.square(values, out=square),
+                                                     axis=None)))
         self._count += values.size
 
     def merge_halves(self) -> None:

@@ -17,7 +17,9 @@ Resolution rule, given the set S of ids whose opening verifies:
     ones: false ids opened only as a story to some buyers (reveal_false with
     count=False), whose deposits go back to the auctioneer.
 
-Every run settles by this rule, deviations included: a centralized deviation
+resolve applies the rule and settles the collateral in one function: it gives the
+winner, the price, the ledger of every deposit and the auctioneer's net.
+Every run settles by it, deviations included: a centralized deviation
 differs from honest play only in what each buyer is shown (the openings it
 forwards and the outcome notice each buyer receives), never in how the counted
 openings settle.
@@ -38,7 +40,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .channels import (
     AUCTIONEER,
@@ -140,39 +142,6 @@ class Outcome:
         }
 
 
-def _build_outcome(depositors: Iterable[int], revealed: frozenset, refunded: frozenset,
-                   winner: Optional[int], sale_price: float, transfer_to: Optional[int],
-                   collateral_amount: float, false_ids: frozenset) -> Outcome:
-    """Assemble ledger and auctioneer net. Conservation is not checked here: see
-    conservation_residual.
-
-    refunded may exceed revealed only by auctioneer-controlled ids (the reclaimed
-    deposits of stories); every other non-revealed deposit goes to transfer_to,
-    or burns when there is no one to receive it.
-    """
-    if refunded - revealed - false_ids:
-        raise ValueError("only auctioneer-controlled deposits may be refunded unrevealed")
-    forfeit_to = BURN if transfer_to is None else transfer_to
-    # whether the forfeited deposits stay with the auctioneer (itself or a false buyer)
-    kept = forfeit_to != BURN and (forfeit_to == AUCTIONEER or forfeit_to in false_ids)
-
-    ledger, lost, captured = [], 0, 0  # auctioneer-funded deposits lost / real ones captured
-    for dep in sorted(depositors):
-        if dep in refunded:
-            ledger.append(LedgerEntry(dep, dep, collateral_amount))
-            continue
-        ledger.append(LedgerEntry(dep, forfeit_to, collateral_amount))
-        if dep == AUCTIONEER or dep in false_ids:
-            lost += not kept
-        elif kept:
-            captured += 1
-    real_sale = (winner is not None and winner != AUCTIONEER and winner not in false_ids
-                 and sale_price > 0.0)
-    net = (sale_price if real_sale else 0.0) - collateral_amount * lost \
-        + collateral_amount * captured
-    return Outcome(winner, sale_price, revealed, tuple(ledger), net)
-
-
 def conservation_residual(outcome: Outcome, depositors=None,
                           collateral_amount: float = None) -> float:
     """Sum over agents of (payments + collateral in - collateral out) plus burned.
@@ -213,8 +182,11 @@ def resolve(scheme, commitments: dict, openings: dict, reserve: float,
             collateral_amount: float, false_ids: frozenset = frozenset(),
             reclaimed: frozenset = frozenset()) -> Outcome:
     """Apply the resolution rule to per-id commitments and optional openings (an
-    id without an opening, or with None, withheld). The deposits of the reclaimed
-    ids, false ids opened only as a story, go back to the auctioneer."""
+    id without an opening, or with None, withheld), and settle the deposits: the
+    revealed ids' and the reclaimed ids' (false ids opened only as a story) go back
+    to their depositors, every other to the candidate, or burns when no opening
+    verifies. A reclaimed id that is neither revealed nor false is refused.
+    Conservation is not checked here: see conservation_residual."""
     unknown = openings.keys() - commitments.keys()
     if unknown:
         raise ValueError(f"openings for ids without commitments: {sorted(unknown)}")
@@ -235,8 +207,27 @@ def resolve(scheme, commitments: dict, openings: dict, reserve: float,
             if bidder != winner and bid > price:
                 price = bid
     revealed = frozenset(bids)
-    return _build_outcome(commitments, revealed, revealed | reclaimed, winner, price,
-                          transfer_to, collateral_amount, false_ids)
+    if reclaimed - revealed - false_ids:
+        raise ValueError("only auctioneer-controlled deposits may be refunded unrevealed")
+    forfeit_to = BURN if transfer_to is None else transfer_to
+    # whether the forfeited deposits stay with the auctioneer (itself or a false buyer)
+    kept = forfeit_to != BURN and (forfeit_to == AUCTIONEER or forfeit_to in false_ids)
+
+    ledger, lost, captured = [], 0, 0  # auctioneer-funded deposits lost / real ones captured
+    for dep in sorted(commitments):
+        if dep in revealed or dep in reclaimed:
+            ledger.append(LedgerEntry(dep, dep, collateral_amount))
+            continue
+        ledger.append(LedgerEntry(dep, forfeit_to, collateral_amount))
+        if dep == AUCTIONEER or dep in false_ids:
+            lost += not kept
+        elif kept:
+            captured += 1
+    real_sale = (winner is not None and winner != AUCTIONEER and winner not in false_ids
+                 and price > 0.0)
+    net = (price if real_sale else 0.0) - collateral_amount * lost \
+        + collateral_amount * captured
+    return Outcome(winner, price, revealed, tuple(ledger), net)
 
 
 def _party_rng(seed: int) -> random.Random:

@@ -2,11 +2,13 @@
 derived independently in this file or produced by a stated oracle (finite
 differences, quadrature, direct arithmetic) before being asserted."""
 
+import json
 import math
 import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,8 @@ from drasim import distributions
 from drasim.distributions import posted_price_revenue_quadrature
 from drasim.estimators import sample_values
 from drasim.seeding import chunk_uniforms, derive_seed
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 CONTINUOUS = [Exponential(1.0), GeneralizedPareto(0.25), GeneralizedPareto(0.5),
               GeneralizedPareto(0.75), Uniform(0.0, 1.0), EqualRevenue()]
@@ -88,6 +92,43 @@ def test_tail_sampling_matches_conditional_quantile(dist):
     # agrees with the naive conditional quantile where that is numerically safe
     naive = dist.quantile(dist.cdf(t) + u * (1.0 - dist.cdf(t)))
     assert np.allclose(v, naive, rtol=1e-7)
+
+
+def _family_bits() -> dict:
+    """Each transform of each closed-form family on a fixed grid: for every call, the
+    result's type, its shape and the float.hex of each of its values. The arguments
+    are arrays, Python floats and 0-d arrays, and the x grid reaches below 0 (-0.0
+    included)."""
+    xs = [-1.0, -0.0, 0.0, 1e-300, 1e-9, 0.3, 1.0, 2.5, 17.0, 1e3, 1e12]
+    us = [0.0, 1e-17, 1e-9, 0.1, 0.5, 0.9, 0.999999, 1.0 - 1e-12]
+    ss = [1.0, 0.999, 0.5, 1e-3, 1e-12, 1e-300]
+    args = {"x": [np.array(xs), -0.5, 0.0, 0.7, np.array(4.0)],
+            "u": [np.array(us), 0.0, 0.25, np.array(0.75)],
+            "s": [np.array(ss), 1.0, 0.25, np.array(1e-6)]}
+    calls = [("cdf", "x"), ("pdf", "x"), ("sf", "x"), ("quantile", "u"), ("isf", "s")]
+
+    def bits(value):
+        return [type(value).__name__, list(np.shape(value)),
+                [float(v).hex() for v in np.ravel(value)]]
+
+    families = [Exponential(1.0), Exponential(0.37), GeneralizedPareto(0.25),
+                GeneralizedPareto(0.5), GeneralizedPareto(0.9), EqualRevenue()]
+    record = {}
+    for dist in families:
+        calls_of = record[repr(dist)] = {}
+        for name, arg in calls:
+            calls_of[name] = [bits(getattr(dist, name)(a)) for a in args[arg]]
+        calls_of["sample_tail"] = [bits(dist.sample_tail(t, u))
+                                   for t in (0.0, 3.0) for u in args["u"]]
+    return record
+
+
+def test_family_transforms_match_the_pinned_bits():
+    pinned = json.loads((FIXTURES / "family_bits.json").read_text())
+    record = _family_bits()
+    assert sorted(pinned) == sorted(record)
+    for family, calls in record.items():
+        assert calls == pinned[family], family
 
 
 def test_two_point_shape():
@@ -563,6 +604,23 @@ def test_tail_bound_grid():
         check_tail_bound(Exponential(1.0), 0.5, 0.5)  # p below reserve
     with pytest.raises(ValueError):
         check_tail_bound(Exponential(1.0), 1.0, 2.0)  # alpha outside (0,1)
+
+
+def test_bound_checks_refuse_the_same_inputs():
+    # alpha outside (0, 1) first, then a distribution without a finite reserve, then
+    # a p below the reserve (NaN too), each with one message for both checks
+    r = reserve_price(Exponential(1.0))
+    cases = [(Exponential(1.0), 1.0, 0.5, ValueError, r"alpha must lie in \(0, 1\), got 1.0"),
+             (EqualRevenue(), 0.0, 2.0, ValueError, r"alpha must lie in \(0, 1\), got 0.0"),
+             (EqualRevenue(), 0.5, 2.0, InfiniteReserveError,
+              "equal_revenue has an infinite reserve price"),
+             (TwoPoint(), 0.5, 2.0, NonRegularError, "two_point is not regular"),
+             (Exponential(1.0), 0.5, 0.5, ValueError, f"p=0.5 below reserve {r}"),
+             (Exponential(1.0), 0.5, math.nan, ValueError, f"p=nan below reserve {r}")]
+    for dist, alpha, p, error, message in cases:
+        for check in (check_tail_bound, check_posted_price_bound):
+            with pytest.raises(error, match=f"^{message}$"):
+                check(dist, alpha, p)
 
 
 def test_conditional_bound_exponential_tightness():

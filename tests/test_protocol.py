@@ -156,6 +156,31 @@ def test_resolve_bad_opening_counts_as_withheld():
     assert out.winner == 2 and out.sale_price == 1.0
 
 
+def test_resolve_refuses_a_reclaimed_real_deposit():
+    # only a false id's deposit goes back unrevealed; a real buyer's is refused by
+    # name, whether resolve is called directly or a run's story names a real buyer
+    refusal = "only auctioneer-controlled deposits may be refunded unrevealed"
+    scheme = make_scheme("ideal")
+    commitments = {i: scheme.commit(bid, bytes([i]) * 16)
+                   for i, bid in ((1, 2.0), (2, 3.0), (7, 9.0))}
+    openings = {2: Opening(3.0, bytes([2]) * 16)}
+    out = resolve(scheme, commitments, openings, 1.0, 2.0, frozenset({7}), frozenset({2, 7}))
+    assert {(e.depositor, e.recipient) for e in out.ledger} == {(1, 2), (2, 2), (7, 7)}
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        resolve(scheme, commitments, openings, 1.0, 2.0, frozenset({7}), frozenset({1}))
+    config = AuctionConfig(n=2, dist=Exponential(1.0), reserve=1.0, collateral=1.0,
+                           mode="centralized", seed=0)
+    game = AuctionGame(config, [Truthful(2.0), Truthful(3.0)])
+    for i in game.buyer_ids:
+        game.buyer_commit(i)
+    game.end_commit()
+    game.reveal_false(1, count=False)
+    game.buyer_reveal(2)
+    game.end_reveal()
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        game.finalize()
+
+
 # ---------------------------------------------------------------------------
 # Honest runs vs the independent oracle
 # ---------------------------------------------------------------------------

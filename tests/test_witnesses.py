@@ -58,13 +58,13 @@ def test_reveal_dominance_fails_when_withholding_is_free(free_withholding):
 def test_structural_invariants_fail_when_the_net_books_no_loss(monkeypatch):
     # an auctioneer net that never goes below zero: a withheld false bid's forfeited
     # deposit is left out of it, while the ledger still sends it to the buyer
-    build = protocol._build_outcome
+    resolve = protocol.resolve
 
     def no_losses(*args, **kwargs):
-        outcome = build(*args, **kwargs)
+        outcome = resolve(*args, **kwargs)
         return replace(outcome, auctioneer_net=max(outcome.auctioneer_net, 0.0))
 
-    monkeypatch.setattr(protocol, "_build_outcome", no_losses)
+    monkeypatch.setattr(protocol, "resolve", no_losses)
     check = _check_structural(BUDGET["structural_runs"], SEED)
     assert check.name == "structural_invariants" and not check.passed
 
