@@ -1,8 +1,8 @@
 """Monte Carlo estimate container and deterministic accumulation helpers.
 
-An estimate is finite or refused: a chunk with a NaN or an infinite value makes
-ChunkAccumulator.result raise FloatingPointError, never return a NaN mean with a
-zero standard error that a 3-SE gate could read as a pass."""
+An estimate is finite or refused: a NaN or an infinite value, or chunk sums that
+add up past the largest float, make ChunkAccumulator.result raise FloatingPointError,
+never return a NaN mean with a zero standard error that a 3-SE gate passes."""
 
 from __future__ import annotations
 
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .seeding import CHUNK_SAMPLES
 
 __all__ = ["Estimate", "ChunkAccumulator", "pairwise_split"]
 
@@ -46,47 +48,44 @@ class Estimate:
 class ChunkAccumulator:
     """Order-insensitive accumulation of chunked sample batches.
 
-    Per-chunk partial sums come from numpy's pairwise summation (np.add.reduce,
-    the reduction np.sum runs for an array, without its Python wrapper) and are
-    then combined with math.fsum, which is exact, so the final mean and standard
-    error are bit-identical however the fixed-size chunks were scheduled or split.
-    A chunk may be added as its two halves at pairwise_split, one add each, and
-    then joined by merge_halves, which adds their sums as np.add.reduce adds
-    them: the chunk's sums keep the bits of adding it whole.
+    Each part of a chunk is added with the stream row it starts at and kept as one
+    partial: its count, and its sum and sum of squares by numpy's pairwise summation
+    (np.add.reduce, the reduction np.sum runs for an array, without its Python
+    wrapper). result adds a chunk's two halves at pairwise_split with +, as
+    np.add.reduce adds them (+ commutes, so either may come first), and the chunks
+    with the exact math.fsum, so the mean and standard error are bit-identical
+    however the fixed-size chunks were scheduled or split.
     """
 
     def __init__(self):
-        self._sums: list[float] = []
-        self._sq_sums: list[float] = []
-        self._count = 0
+        self._parts: list[tuple[int, tuple[int, float, float]]] = []
 
-    def add(self, values: np.ndarray, square: np.ndarray = None) -> None:
-        """Accumulate one chunk; square, if given, is a float array of values' shape
-        that the squares are written into instead of a new one. A sum or a square that
-        overflows is inf, which result refuses, without numpy's warning."""
+    def add(self, values: np.ndarray, start: int, square: np.ndarray = None) -> None:
+        """Accumulate the part of a chunk that begins at stream row start; square, if
+        given, is a float array of values' shape that the squares are written into
+        instead of a new one. A sum or a square that overflows is inf, which result
+        refuses, without numpy's warning."""
         values = np.asarray(values, dtype=float)
         with np.errstate(over="ignore"):
-            self._sums.append(float(np.add.reduce(values, axis=None)))
-            self._sq_sums.append(float(np.add.reduce(np.square(values, out=square),
-                                                     axis=None)))
-        self._count += values.size
-
-    def merge_halves(self) -> None:
-        """Join the last two chunks added, rows [0, h) and [h, n) of one chunk with
-        h = pairwise_split(n), into that chunk: its sum and sum of squares are the
-        halves' added in that order, the floats np.add.reduce gives for it whole."""
-        sums, sq_sums = self._sums, self._sq_sums
-        sums[-2:] = [sums[-2] + sums[-1]]
-        sq_sums[-2:] = [sq_sums[-2] + sq_sums[-1]]
+            partial = (values.size, float(np.add.reduce(values, axis=None)),
+                       float(np.add.reduce(np.square(values, out=square), axis=None)))
+        self._parts.append((start, partial))
 
     def result(self) -> Estimate:
         """The mean and standard error of every value added; FloatingPointError when
         their sum or the sum of their squares is not finite."""
-        n = self._count
+        chunks = {}  # chunk index -> (count, sum, sum of squares) of its parts
+        for start, partial in self._parts:
+            k = start // CHUNK_SAMPLES
+            chunks[k] = tuple(a + b for a, b in zip(chunks[k], partial)) if k in chunks else partial
+        n = sum(count for count, _, _ in chunks.values())
         if n == 0:
             return Estimate(mean=0.0, std_error=0.0, samples=0)
-        total = math.fsum(self._sums)
-        total_sq = math.fsum(self._sq_sums)
+        _, sums, sq_sums = zip(*chunks.values())
+        try:
+            total, total_sq = math.fsum(sums), math.fsum(sq_sums)
+        except (OverflowError, ValueError) as exc:  # finite sums past the largest float, inf - inf
+            raise FloatingPointError(f"non-finite estimate over {n} samples: {exc}") from None
         if not (math.isfinite(total) and math.isfinite(total_sq)):
             raise FloatingPointError(
                 f"non-finite estimate over {n} samples: sum {total}, sum of squares {total_sq}")

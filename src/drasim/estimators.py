@@ -45,9 +45,9 @@ each half, given the half's own start. The work arrays then hold half a chunk,
 so the ones every row reads (top, second, the promised net) stay in a core's L2
 cache from one array to the next instead of spilling out of it on each pass.
 numpy's pairwise summation splits an array of n > 128 floats at that same h and
-adds the halves' sums, so the accumulator's merge_halves gives each chunk sum
-the bits of summing it whole. An estimate of one array keeps whole chunks: it
-reads each array once, and splitting it costs more than it saves.
+adds the halves' sums, as the accumulator joins a chunk's halves, so each chunk
+sum keeps its bits. An estimate of one array keeps whole chunks: it reads each
+array once, and splitting it costs more than it saves.
 
 When an estimate has more than one chunk, one helper thread, started and
 joined by the call, draws whole chunks ahead of the caller with
@@ -55,11 +55,10 @@ seeding.fill_uniforms, into its two buffers, taking each chunk index from a
 queue both threads share. The caller prices the chunks as they arrive and,
 when none is waiting, draws the next one itself into a third buffer, so the
 split follows the cost of the pricing. Each chunk holds the rows
-chunk_uniforms returns, and ChunkAccumulator merges per-chunk sums with the
-exact math.fsum, so the order does not change an estimate. The helper runs
-only fill_uniforms (numpy's fill releases the interpreter lock), which no
-tracer layer wraps; the caller raises its failures. A one-chunk estimate
-starts no thread.
+chunk_uniforms returns, and each part is added with its start, so the order
+does not change an estimate. The helper runs only fill_uniforms (numpy's fill
+releases the interpreter lock), which no tracer layer wraps; the caller raises
+its failures. A one-chunk estimate starts no thread.
 
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
@@ -185,9 +184,9 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
     stream is drawn whole and mapped to profiles by `draw` once, and each array is
     added to its own accumulator before the next one is asked for, so nets may write
     one array over the last. With count > 1, a chunk is priced as its two halves at
-    pairwise_split, merged per accumulator. The call's one Chunk carries the profiles
-    and the work arrays from chunk to chunk. A helper thread draws chunks ahead, and
-    the caller prices them in the order they come (see the module docstring)."""
+    pairwise_split, each added with its own start. The call's one Chunk carries the
+    profiles and the work arrays from chunk to chunk. A helper thread draws chunks
+    ahead, and the caller prices them as they come (see the module docstring)."""
     _require_samples(samples)
     stream = _value_stream_seed(seed)
     chunks = list(chunk_bounds(samples))
@@ -198,7 +197,7 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
         nonlocal chunk
         chunk = Chunk(values) if chunk is None else chunk.load(values)
         for acc, net in zip(accumulators, nets(chunk, start), strict=True):
-            acc.add(net, square=chunk.work("scratch"))
+            acc.add(net, start, square=chunk.work("scratch"))
 
     def price_halves(values, start):
         half = pairwise_split(len(values))
@@ -206,8 +205,6 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
             return price(values, start)
         price(values[:half], start)
         price(values[half:], start + half)
-        for acc in accumulators:
-            acc.merge_halves()
 
     consume = price if count == 1 else price_halves
 
@@ -385,16 +382,17 @@ def _adaptive_rows(sf: float, u: np.ndarray) -> np.ndarray:
     return np.take(candidates, np.flatnonzero(1.0 - u[:, 1] <= s))
 
 
-def _adaptive_gain_pruned(dist: ValueDistribution, threshold: float, collateral: float,
+def _adaptive_gain_pruned(config: AuctionConfig, threshold: float, weight: float,
                           chunk: Chunk) -> np.ndarray:
     """adaptive_net_delta of the profiles _attack_profiles maps the chunk's uniforms
     to on the _adaptive_rows, and zero elsewhere, in the chunk's work array "net"."""
     u = chunk.values
-    rows = _adaptive_rows(float(dist.sf(threshold)), u)
+    rows = _adaptive_rows(weight, u)
     delta = chunk.work("net")
     delta.fill(0.0)
-    delta[rows] = adaptive_net_delta(_attack_profiles(dist, threshold, np.take(u, rows, axis=0)),
-                                     reserve_price(dist), threshold, collateral)
+    delta[rows] = adaptive_net_delta(
+        _attack_profiles(config.dist, threshold, np.take(u, rows, axis=0)),
+        config.reserve, threshold, config.collateral)
     return delta
 
 
@@ -427,7 +425,8 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
     attack's centralized n = 2 config.
     """
     def gain(config):
-        return lambda chunk, start: _adaptive_gain_pruned(dist, threshold, collateral, chunk)
+        weight = float(dist.sf(threshold))
+        return lambda chunk, start: _adaptive_gain_pruned(config, threshold, weight, chunk)
 
     return _stratified_gain(dist, threshold, collateral, samples, seed, lambda u: u, gain)
 

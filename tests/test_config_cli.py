@@ -286,15 +286,19 @@ def test_parameters_whose_transforms_overflow_exit_2_with_one_line(tmp_path, cap
 
 def test_refusals_exit_3_with_a_refused_line(tmp_path, capsys):
     # gpareto(0.999999)'s Rev(D^n) quadrature gets QUADPACK return code 1; uniform at
-    # alpha 0.01 and n = 7 posts a collateral of about 6e281, whose squares overflow
+    # alpha 0.01 and n = 7 posts a collateral of about 6e281, whose squares overflow;
+    # at a collateral of 2e151 each chunk's sum of squares is finite, and their sum is not
     near_one = {"distribution": {"family": "gpareto", "params": {"shape": 0.999999}},
                 "n": 2, "seed": 0}
     huge_collateral = {"distribution": {"family": "uniform", "params": {"low": 0, "high": 1}},
                        "n": 7, "alpha": 0.01, "seed": 0, "samples": 1_000,
                        "auctioneer": {"kind": "shill", "false_bids": [0.9],
                                       "reveal_policy": "withhold_if_winning"}}
+    chunks_overflow = {**huge_collateral, "collateral": 2e151, "samples": 1_000_000}
+    del chunks_overflow["alpha"]
     cases = [("dist", near_one, "refused: QuadratureError: quadrature tolerance not reached"),
-             ("estimate", huge_collateral, "refused: FloatingPointError: non-finite estimate")]
+             ("estimate", huge_collateral, "refused: FloatingPointError: non-finite estimate"),
+             ("estimate", chunks_overflow, "refused: FloatingPointError: non-finite estimate")]
     for i, (command, cfg, line) in enumerate(cases):
         assert main([command, "--config", write_config(tmp_path, cfg, f"{i}.json")]) == 3
         captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Estimator tests: engine agreement, determinism, pairing, the stratified
 rare-event estimator against its quadrature oracle, and the credibility suite."""
 
+import itertools
 import json
 import math
 import sys
@@ -575,7 +576,7 @@ def serial_estimate(seed, samples, cols, per_chunk):
     stream = _value_stream_seed(seed)
     acc = ChunkAccumulator()
     for chunk, start, stop in chunk_bounds(samples):
-        acc.add(per_chunk(chunk_uniforms(stream, chunk, stop - start, cols)))
+        acc.add(per_chunk(chunk_uniforms(stream, chunk, stop - start, cols)), start)
     return acc.result()
 
 
@@ -691,6 +692,21 @@ def test_failure_in_the_helpers_fill_reaches_the_caller_and_joins_the_helper(mon
     assert threading.active_count() == before
 
 
+def test_the_adaptive_kernel_reads_its_constants_once_per_estimate(monkeypatch):
+    # the stratum's weight and the reserve are read once per estimate; per chunk only
+    # sample_tail reads sf(T), for its own draw
+    calls = []
+    sf, reserve = GeneralizedPareto.sf, estimators.reserve_price
+    monkeypatch.setattr(GeneralizedPareto, "sf", lambda d, x: calls.append("sf") or sf(d, x))
+    monkeypatch.setattr(estimators, "reserve_price", lambda d: calls.append("r") or reserve(d))
+    counts = []
+    for samples in (CHUNK_SAMPLES, 3 * CHUNK_SAMPLES):
+        calls.clear()
+        estimate_adaptive_gain(GPA, 5.0, 2.0, samples, 0)
+        counts.append((calls.count("sf"), calls.count("r")))
+    assert counts == [(3, 1), (5, 1)]
+
+
 def test_a_short_last_chunk_priced_first_gives_the_serial_bits(monkeypatch):
     # the chunks are taken last first, and the helper starts only once the caller
     # has drawn one: the caller draws and prices the one-row chunk first, and the
@@ -780,11 +796,12 @@ def test_chunk_accumulation_is_order_insensitive():
     from drasim.estimate import ChunkAccumulator
     rng = np.random.default_rng(8)
     chunks = [rng.random(size) for size in (65536, 65536, 4096)]
+    starts = [k * CHUNK_SAMPLES for k in range(len(chunks))]
     forward, backward = ChunkAccumulator(), ChunkAccumulator()
-    for c in chunks:
-        forward.add(c)
-    for c in reversed(chunks):
-        backward.add(c)
+    for c, start in zip(chunks, starts):
+        forward.add(c, start)
+    for c, start in zip(reversed(chunks), reversed(starts)):
+        backward.add(c, start)
     assert forward.result() == backward.result()
 
 
@@ -824,23 +841,32 @@ def test_each_half_is_priced_with_its_own_start():
     assert sorted(set(seen)) == halves and len(seen) == 2 * len(halves)
 
 
-def test_merge_halves_gives_the_bits_of_the_chunk_added_whole():
-    rng = np.random.default_rng(3)
+def test_halves_added_in_any_order_give_the_bits_of_the_chunks_added_whole():
+    # the accumulator joins a chunk's halves by their starts, not by when they come:
+    # every order of the six halves, those where a chunk's two halves are apart or
+    # come second half first included, gives the bits of the three whole chunks
+    rng = np.random.default_rng(0)
     chunks = [rng.standard_normal(size) * 1e3 for size in (65536, 1000, 18928)]
-    whole, halves = ChunkAccumulator(), ChunkAccumulator()
-    for c in chunks:
-        whole.add(c)
-        h = pairwise_split(len(c))
-        halves.add(c[:h])
-        halves.add(c[h:])
-        halves.merge_halves()
-    assert bits(halves.result()) == bits(whole.result())
+    whole, parts = ChunkAccumulator(), []
+    for k, c in enumerate(chunks):
+        start, h = k * CHUNK_SAMPLES, pairwise_split(len(c))
+        whole.add(c, start)
+        parts += [(c[:h], start), (c[h:], start + h)]
+    expected = bits(whole.result())
+    # the data bite: the exact sum of the six halves' sums is not that of the chunks'
+    assert math.fsum(np.add.reduce(c) for c in chunks) != \
+        math.fsum(np.add.reduce(values) for values, _ in parts)
+    for order in itertools.permutations(parts):
+        halves = ChunkAccumulator()
+        for values, start in order:
+            halves.add(values, start)
+        assert bits(halves.result()) == expected
 
 
 def test_estimate_invariants():
     values = np.random.default_rng(0).random(1000)
     one_chunk = ChunkAccumulator()
-    one_chunk.add(values)
+    one_chunk.add(values, 0)
     est = one_chunk.result()
     assert est.ci95 == (est.mean - 1.96 * est.std_error, est.mean + 1.96 * est.std_error)
     assert est.std_error == pytest.approx(np.std(values, ddof=1) / math.sqrt(1000), rel=1e-12)
@@ -864,8 +890,19 @@ def test_a_non_finite_value_makes_the_estimate_raise(bad):
     values = np.random.default_rng(0).random(1000)
     values[17] = bad
     acc = ChunkAccumulator()
-    acc.add(values)
+    acc.add(values, 0)
     with pytest.raises(FloatingPointError):
+        acc.result()
+
+
+@pytest.mark.parametrize("first, second", [(1.2e154, 1.2e154), (math.inf, -math.inf)])
+def test_chunk_sums_that_cannot_be_added_make_the_estimate_raise(first, second):
+    # two finite sums of squares, 1.44e308 each, overflow math.fsum; a sum of inf and
+    # one of -inf make it raise ValueError
+    acc = ChunkAccumulator()
+    acc.add(np.array([first]), 0)
+    acc.add(np.array([second]), CHUNK_SAMPLES)
+    with pytest.raises(FloatingPointError, match="non-finite estimate over 2 samples"):
         acc.result()
 
 

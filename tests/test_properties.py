@@ -399,7 +399,9 @@ def test_pruned_adaptive_kernel_matches_every_row(chunk):
     dist, threshold, collateral, u = chunk
     values = np.column_stack([dist.sample_tail(threshold, u[:, 0]), dist.quantile(u[:, 1])])
     dense = adaptive_net_delta(values, reserve_price(dist), threshold, collateral)
-    pruned = _adaptive_gain_pruned(dist, threshold, collateral, Chunk(u))
+    config = AuctionConfig(n=2, dist=dist, reserve=reserve_price(dist), collateral=collateral,
+                           mode="centralized", seed=0)
+    pruned = _adaptive_gain_pruned(config, threshold, float(dist.sf(threshold)), Chunk(u))
     assert np.array_equal(pruned, dense)
 
 
