@@ -51,14 +51,16 @@ array once, and splitting it costs more than it saves.
 
 When an estimate has more than one chunk, one helper thread, started and
 joined by the call, draws whole chunks ahead of the caller with
-seeding.fill_uniforms, into its two buffers, taking each chunk index from a
-queue both threads share. The caller prices the chunks as they arrive and,
-when none is waiting, draws the next one itself into a third buffer, so the
-split follows the cost of the pricing. Each chunk holds the rows
-chunk_uniforms returns, and each part is added with its start, so the order
-does not change an estimate. The helper runs only fill_uniforms (numpy's fill
-releases the interpreter lock), which no tracer layer wraps; the caller raises
-its failures. A one-chunk estimate starts no thread.
+seeding.fill_uniforms, taking each chunk index from a queue both threads share.
+Both draw into one pool of three buffers: the helper into any free one. The
+caller prices the chunks as they arrive and, when none is waiting, draws the
+next one itself if a buffer is free, else waits for the helper's next; each
+buffer returns to the pool once its chunk is priced. So the split follows the
+cost of the pricing. Each chunk holds the rows chunk_uniforms returns, and each
+part is added with its start, so the order does not change an estimate. The
+helper runs only fill_uniforms (numpy's fill releases the interpreter lock),
+which no tracer layer wraps; the caller raises its failures. A one-chunk
+estimate starts no thread.
 
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
@@ -69,24 +71,27 @@ closed-form tail probability.
 The vector engine prices the attack on candidate profiles only. The deviation
 pays nothing unless v_B > v_A, and whether that can hold is decided on the
 uniforms before any value is computed: v_A comes from the survival probability
-s = P[v >= v_A] = sf(T) (1 - u_A) and v_B from 1 - u_B, so a row with
+s = P[v >= v_A] = fl(fl(1 - u_A) sf(T)) and v_B from 1 - u_B, so a row with
 1 - u_B > s (1 + _PRUNE_MARGIN) has v_B <= v_A and a zero net difference. The
 test runs in two stages. Stage 1 reads the column u_B alone and keeps the rows
 with 1 - u_B <= S = sf(T) (1 + _PRUNE_MARGIN), one scalar: as fl(1 - u_A) <= 1
-and rounding is monotone, each row's own bound fl(fl(fl(1 - u_A) sf(T)) (1 +
-_PRUNE_MARGIN)) is at most S, so every row the exact test keeps is among them.
-Stage 2 applies the exact test to those rows only, about sf(T) of the stratum,
-and keeps the same rows, in the same order, as the exact test on all rows. Only
-those, about sf(T)/2 of the stratum, are mapped through sample_tail/quantile and
-adaptive_net_delta, the message engine's paired difference; the rest are exact
-zeros, so the accumulated arrays, and every estimate, are bit-identical to
-evaluating all rows. This needs the family's quantile and isf to be one
-non-increasing map of the survival probability, up to float error far below
-the margin, as every family here is.
+and rounding is monotone, each row's own bound is at most S, so every row the
+exact test keeps is among them. As uniforms are multiples of 2**-53, 1 - u_B is
+exact, and stage 1 is one comparison, u_B >= 1 - floor(S 2**53) 2**-53. Stage 2
+computes s on those rows only, about sf(T) of the stratum, and keeps the same
+rows, in the same order, as the exact test on all rows. Only those, about
+sf(T)/2 of the stratum, are mapped to v_A = isf(s), sample_tail's operations in
+its order, and v_B = quantile(u_B), and priced by adaptive_net_delta, the
+message engine's paired difference. The rest are exact zeros, in an array the
+estimate owns (only the rows written last are cleared), so every estimate is
+bit-identical to evaluating all rows. This needs the family's quantile and isf
+to be one non-increasing map of the survival probability, up to float error far
+below the margin, as every family here is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from queue import Empty, SimpleQueue
 from threading import Thread
@@ -214,13 +219,12 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
     todo, free, ready = SimpleQueue(), SimpleQueue(), SimpleQueue()
     for bounds in chunks:
         todo.put(bounds)
-    own = np.empty((CHUNK_SAMPLES, cols))  # the caller's buffer; the helper's two are in free
-    for _ in range(2):
+    for _ in range(3):  # the pool both threads draw into
         free.put(np.empty((CHUNK_SAMPLES, cols)))
 
     def take(buffer):
         """(buffer, start, stop) with the next chunk nobody has taken drawn into
-        buffer, or None when every chunk is taken."""
+        buffer, or None when every chunk is taken (buffer then leaves the pool)."""
         try:
             k, start, stop = todo.get_nowait()
         except Empty:
@@ -242,17 +246,19 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
     helper.start()
     try:
         for _ in chunks:
-            try:  # a chunk the helper queued, else one drawn here, else the helper's next
+            try:  # a queued chunk, else one drawn here if a buffer is free, else the helper's next
                 drawn = ready.get_nowait()
             except Empty:
-                drawn = take(own) or ready.get()
+                try:
+                    drawn = take(free.get_nowait()) or ready.get()
+                except Empty:
+                    drawn = ready.get()
             if isinstance(drawn, BaseException):
                 raise drawn
             buffer, start, stop = drawn
             consume(draw(buffer[:stop - start]), start)
-            if buffer is not own:
-                free.put(buffer)
-    finally:  # the helper stops at the None, after at most its two buffers
+            free.put(buffer)
+    finally:  # the helper stops at the None, after at most the pool's three buffers
         free.put(None)
         helper.join()
     return [acc.result() for acc in accumulators]
@@ -370,42 +376,55 @@ def _attack_profiles(dist: ValueDistribution, threshold: float, u: np.ndarray) -
     return np.column_stack([dist.sample_tail(threshold, u[:, 0]), dist.quantile(u[:, 1])])
 
 
-def _adaptive_rows(sf: float, u: np.ndarray) -> np.ndarray:
-    """The rows of u, in order, where v_B > v_A can hold for a stratum of weight sf
-    (see the module docstring): stage 1 keeps the rows with 1 - u_B <= S, on the
-    column u_B alone, and stage 2 applies each kept row's own bound to them."""
-    candidates = np.flatnonzero(1.0 - u[:, 1] <= sf * (1.0 + _PRUNE_MARGIN))
+def _stage_one_cut(bound: float) -> float:
+    """The least multiple c of 2**-53 with 1 - c <= bound, or c <= 0 where bound >= 1: a
+    uniform u on that grid, whose 1 - u is exact, has u >= c exactly where 1 - u <= bound."""
+    return 1.0 - math.floor(bound * 2.0**53) * 2.0**-53
+
+
+def _adaptive_rows(weight: float, u: np.ndarray) -> tuple:
+    """(rows, s): the rows of u, in order, where v_B > v_A can hold for a stratum of this
+    weight, and v_A's survival probability s = (1 - u_A) weight on each (see the module
+    docstring). Stage 1 keeps the rows with u_B >= _stage_one_cut(S), on the column u_B
+    alone, and stage 2 applies each kept row's own bound s (1 + _PRUNE_MARGIN) to them."""
+    candidates = np.flatnonzero(u[:, 1] >= _stage_one_cut(weight * (1.0 + _PRUNE_MARGIN)))
     u = np.take(u, candidates, axis=0)
-    s = 1.0 - u[:, 0]  # in place from here
-    s *= sf
-    s *= 1.0 + _PRUNE_MARGIN
-    return np.take(candidates, np.flatnonzero(1.0 - u[:, 1] <= s))
+    s = np.subtract(1.0, u[:, 0])
+    s *= weight
+    kept = np.flatnonzero(1.0 - u[:, 1] <= s * (1.0 + _PRUNE_MARGIN))
+    return np.take(candidates, kept), np.take(s, kept)
 
 
-def _adaptive_gain_pruned(config: AuctionConfig, threshold: float, weight: float,
-                          chunk: Chunk) -> np.ndarray:
-    """adaptive_net_delta of the profiles _attack_profiles maps the chunk's uniforms
-    to on the _adaptive_rows, and zero elsewhere, in the chunk's work array "net"."""
-    u = chunk.values
-    rows = _adaptive_rows(weight, u)
-    delta = chunk.work("net")
-    delta.fill(0.0)
-    delta[rows] = adaptive_net_delta(
-        _attack_profiles(config.dist, threshold, np.take(u, rows, axis=0)),
-        config.reserve, threshold, config.collateral)
-    return delta
+def _adaptive_gain_pruned(config: AuctionConfig, threshold: float, weight: float):
+    """(chunk, start) -> adaptive_net_delta of the profiles _attack_profiles maps the
+    chunk's uniforms to on the _adaptive_rows, and zero elsewhere, in one array of its own
+    that stays zero between calls but on the rows written last, which are cleared."""
+    delta, rows = np.zeros(0), []
+
+    def pruned(chunk, start):
+        nonlocal delta, rows
+        u = chunk.values
+        delta[rows] = 0.0
+        if len(u) > len(delta):
+            delta = np.zeros(len(u))
+        rows, s = _adaptive_rows(weight, u)
+        values = np.column_stack([config.dist.isf(s), config.dist.quantile(u[rows, 1])])
+        delta[rows] = adaptive_net_delta(values, config.reserve, threshold, config.collateral)
+        return delta[:len(u)]
+
+    return pruned
 
 
 def _stratified_gain(dist: ValueDistribution, threshold: float, collateral: float,
                      samples: int, seed: int, draw, gain) -> Estimate:
-    """The tail stratum's Estimate, weighted by P[v_A >= T]: `draw` maps the chunk's
-    uniforms to what gain(config) prices, (chunk, start) -> net difference per row."""
+    """The tail stratum's Estimate, weighted by weight = P[v_A >= T]: `draw` maps the chunk's
+    uniforms to what gain(config, weight) prices, (chunk, start) -> net difference per row."""
     _require_samples(samples)  # an empty stratum too, which samples nothing
     config = _attack_config(dist, threshold, collateral)
     weight = float(dist.sf(threshold))
     if weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
         return Estimate(mean=0.0, std_error=0.0, samples=int(samples))
-    cond = _estimate(seed, samples, 2, draw, gain(config))
+    cond = _estimate(seed, samples, 2, draw, gain(config, weight))
     return Estimate(mean=weight * cond.mean, std_error=weight * cond.std_error,
                     samples=cond.samples)
 
@@ -424,18 +443,15 @@ def estimate_adaptive_gain(dist: ValueDistribution, threshold: float, collateral
     estimate_paired_difference of AdaptiveReserve(T) against Honest() on the
     attack's centralized n = 2 config.
     """
-    def gain(config):
-        weight = float(dist.sf(threshold))
-        return lambda chunk, start: _adaptive_gain_pruned(config, threshold, weight, chunk)
-
-    return _stratified_gain(dist, threshold, collateral, samples, seed, lambda u: u, gain)
+    return _stratified_gain(dist, threshold, collateral, samples, seed, lambda u: u,
+                            lambda config, weight: _adaptive_gain_pruned(config, threshold, weight))
 
 
 def _adaptive_gain_by_auctions(dist: ValueDistribution, threshold: float, collateral: float,
                                samples: int, seed: int) -> Estimate:
     """estimate_adaptive_gain by paired full auctions of AdaptiveReserve(T) and Honest()
     on every profile of the stratum: the reference the tests hold it to."""
-    def gain(config):
+    def gain(config, weight):
         return _difference(_auction_net(config, AdaptiveReserve(threshold=threshold), seed),
                            _auction_net(config, Honest(), seed))
 

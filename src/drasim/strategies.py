@@ -199,8 +199,8 @@ class Chunk:
 
       * "top", "second": top_two()'s, for the chunk.
       * "honest_net", ("sale", bool): honest()'s, for the chunk and its reserve.
-      * "net": the array _shill_net returns, so every vector_net of TwoPhase, each
-        net _bid_nets yields, and the adaptive estimator's pruned delta.
+      * "net": the array _shill_net returns, so every vector_net of TwoPhase and
+        each net _bid_nets yields.
       * ("mask", bool), "withheld": the shill kernels' per-bid masks, and
         _shill_net's withheld counts or _bid_nets's forfeit on withheld rows.
       * "forfeit": _bid_nets's promised net less the collateral, for one call.

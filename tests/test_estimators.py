@@ -693,8 +693,8 @@ def test_failure_in_the_helpers_fill_reaches_the_caller_and_joins_the_helper(mon
 
 
 def test_the_adaptive_kernel_reads_its_constants_once_per_estimate(monkeypatch):
-    # the stratum's weight and the reserve are read once per estimate; per chunk only
-    # sample_tail reads sf(T), for its own draw
+    # the stratum's weight and the reserve are read once per estimate, however many
+    # chunks it has: v_A is isf of the pruned rows' survival, which that weight scales
     calls = []
     sf, reserve = GeneralizedPareto.sf, estimators.reserve_price
     monkeypatch.setattr(GeneralizedPareto, "sf", lambda d, x: calls.append("sf") or sf(d, x))
@@ -704,7 +704,27 @@ def test_the_adaptive_kernel_reads_its_constants_once_per_estimate(monkeypatch):
         calls.clear()
         estimate_adaptive_gain(GPA, 5.0, 2.0, samples, 0)
         counts.append((calls.count("sf"), calls.count("r")))
-    assert counts == [(3, 1), (5, 1)]
+    assert counts == [(1, 1), (1, 1)]
+
+
+def test_the_chunk_loop_draws_into_one_pool_of_three_buffers(monkeypatch):
+    # the caller and the helper draw every chunk into the same three buffers
+    config, strategy = config_for(GPA, 3, 2.0), ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
+    estimates = [lambda: estimate_revenue(config, strategy, 5 * CHUNK_SAMPLES, 37),
+                 lambda: estimate_adaptive_gain(GPA, 5.0, 2.0, 2 * CHUNK_SAMPLES + 1, 37)]
+    expected = [bits(estimate()) for estimate in estimates]
+    drawn = []
+
+    def fill(seed, chunk_index, out):
+        drawn.append((chunk_index, out.__array_interface__["data"][0]))
+        return fill_uniforms(seed, chunk_index, out)
+
+    monkeypatch.setattr(estimators, "fill_uniforms", fill)
+    for estimate, chunks in zip(estimates, (5, 3)):
+        drawn.clear()
+        assert bits(estimate()) == expected.pop(0)
+        assert sorted(k for k, _ in drawn) == list(range(chunks))
+        assert len({buffer for _, buffer in drawn}) <= 3
 
 
 def test_a_short_last_chunk_priced_first_gives_the_serial_bits(monkeypatch):

@@ -54,6 +54,7 @@ from drasim.estimators import (
     _adaptive_rows,
     _credibility_grid,
     _pricing,
+    _stage_one_cut,
     simulate_profile_net,
 )
 from drasim.protocol import MONEY_TOL
@@ -401,7 +402,7 @@ def test_pruned_adaptive_kernel_matches_every_row(chunk):
     dense = adaptive_net_delta(values, reserve_price(dist), threshold, collateral)
     config = AuctionConfig(n=2, dist=dist, reserve=reserve_price(dist), collateral=collateral,
                            mode="centralized", seed=0)
-    pruned = _adaptive_gain_pruned(config, threshold, float(dist.sf(threshold)), Chunk(u))
+    pruned = _adaptive_gain_pruned(config, threshold, float(dist.sf(threshold)))(Chunk(u), 0)
     assert np.array_equal(pruned, dense)
 
 
@@ -457,4 +458,26 @@ def stratum_weights(draw):
 def test_stage_one_keeps_every_row_the_exact_test_keeps(sf, grid_points):
     # row for row, in order: the two stages against the exact test on every row
     u = boundary_uniforms(sf, [0.0, 0.5, 0.75] + [k * GRID for k in grid_points])
-    assert np.array_equal(_adaptive_rows(sf, u), one_stage_rows(sf, u))
+    assert np.array_equal(_adaptive_rows(sf, u)[0], one_stage_rows(sf, u))
+
+
+# S >= 1, where every uniform passes; S below the grid step, where none does; S on
+# the grid (0.25, 2^-20, 3 steps, 1 - 1 step) and one ulp either side of it; S off it
+@pytest.mark.parametrize("bound", [
+    1.0, 1.0 + _PRUNE_MARGIN, 2.0, GRID / 2, 5e-324, 0.0,
+    0.25, math.nextafter(0.25, 0.0), math.nextafter(0.25, 1.0),
+    2.0 ** -20, math.nextafter(2.0 ** -20, 0.0), math.nextafter(2.0 ** -20, 1.0),
+    3 * GRID, math.nextafter(3 * GRID, 0.0), 1.0 - GRID, math.nextafter(1.0 - GRID, 0.0),
+    0.3, 1e-300,
+])
+def test_stage_one_cut_is_the_exact_test_on_the_grid(bound):
+    # uniforms k 2^-53 at, and one grid step either side of, the cut and the bound
+    cut = _stage_one_cut(bound)
+    near = [round(cut / GRID) + d for d in (-1, 0, 1)]
+    near += [2**53 - min(math.floor(bound / GRID), 2**53) + d for d in (-1, 0, 1)]
+    u = np.array(sorted({min(max(k, 0), 2**53 - 1) for k in near + [0, 2**53 - 1]})) * GRID
+    assert np.array_equal(u >= cut, 1.0 - u <= bound)
+    if bound >= 1.0:
+        assert np.all(u >= cut)
+    if bound < GRID:
+        assert not np.any(u >= cut)
