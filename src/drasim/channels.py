@@ -22,6 +22,10 @@ every receiving buyer's view must admit the event, and gains it, or none does.
 A strategy that breaks the grammar aborts the run, which separates grammar
 violations from safe deviations. The view-consistency checker parses a view
 by the same table, one read per entry.
+
+A view is read from a transcript, which carries every buyer's view as the
+channel delivered it, so Transcript.view and buyer_views are lookups; the
+channel has no view accessor of its own.
 """
 
 from __future__ import annotations

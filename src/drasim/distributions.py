@@ -23,7 +23,7 @@ in one array: quantile, isf and sample_tail each allocate the array of the
 result and nothing else, and give a float64 for a scalar input. Exponential and
 GeneralizedPareto share one base, _LogSurvival, that writes cdf, sf and both
 transforms once from each family's log survival (-rate z and -log1p(k z) / k at
-z = max(x, 0)) and its inverse _from_log_survival.
+z = max(x, 0)) and its inverse _from_log_survival; each keeps its own pdf.
 
 Nothing here draws: a value is quantile(u) or sample_tail(t, u) of a uniform u
 that the caller takes from seeding's streams. The Monte Carlo checks, the

@@ -6,17 +6,20 @@ Each strategy is priced by the path its class provides. Where the first class
 of its MRO to define execute or vector_net defines vector_net, the vector engine
 prices each chunk of profiles by that closed form; any other strategy, a custom
 deviation whose execute overrides the one vector_net mirrors, runs the full
-message-level auction per profile, the reference semantics. The test suite holds
-the two to per-profile equality, and each estimator to a private reference that
-runs full auctions on every profile, so the fast path carries the simulator's
-semantics, not a reimplementation of its own.
+message-level auction per profile, the reference semantics. Both paths check the
+strategy's config, vector_net once per estimate and execute on every run, so an
+estimate outside a strategy's setting raises the same ValueError on either. The
+test suite holds the two to per-profile equality, and each estimator to a
+private reference that runs full auctions on every profile, so the fast path
+carries the simulator's semantics, not a reimplementation of its own.
 
 Every estimator, and check_conditional_bound, runs on one loop over chunked
 counter-based streams (see seeding) that draws each profile once for all the
 arrays it prices, and needs MIN_SAMPLES samples or more. An estimate is a
 pure function of (config, strategy, samples, seed) however chunks are
 scheduled, and strategies under one seed share identical value profiles
-(paired comparisons by construction).
+(paired comparisons by construction), so each row of a credibility suite equals
+the estimate of its strategy alone.
 
 The loop runs one function per estimate call on each chunk, (chunk, start),
 which yields the chunk's arrays in the order of their accumulators; each array
@@ -26,16 +29,12 @@ bound two, and the credibility suite its grid: the honest net, then both reveal
 policies of each false bid from one reveal mask, with every always row at or
 below the reserve left out, as it is the honest net bit for bit.
 
-The loop hands the function each chunk as one strategies.Chunk: the profiles,
-their top two and the promised auction's net and sale mask, each computed once
-per chunk for all the arrays, and work arrays that the kernels and the
-accumulator write into (the Chunk docstring lists them). One Chunk carries an
-estimate from chunk to chunk, so its work arrays are allocated once per call,
-on the calling thread (twice when the short last chunk comes first); the shill
-kernels and the accumulator allocate nothing chunk-sized per array (the
-accumulator writes its squares into the work array "scratch", where no kernel
-result lives). An array a kernel returns may be one of them and holds only
-until the next kernel call on the chunk, so a paired difference copies the
+The loop hands the function each chunk as one strategies.Chunk, which computes
+the profiles' top two and the promised auction's net once for all the arrays and
+keeps the work arrays that the kernels and the accumulator write into (see its
+docstring). One Chunk carries an estimate from chunk to chunk, on the calling
+thread, so the shill kernels and the accumulator (its squares go to "scratch")
+allocate nothing chunk-sized per array, and a paired difference copies the
 first net before it prices the baseline.
 
 An estimate of several arrays (the credibility grid, the conditional bound's
@@ -60,7 +59,7 @@ cost of the pricing. Each chunk holds the rows chunk_uniforms returns, and each
 part is added with its start, so the order does not change an estimate. The
 helper runs only fill_uniforms (numpy's fill releases the interpreter lock),
 which no tracer layer wraps; the caller raises its failures. A one-chunk
-estimate starts no thread.
+estimate starts no thread, and no setting chooses the threads.
 
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
@@ -84,9 +83,10 @@ sf(T)/2 of the stratum, are mapped to v_A = isf(s), sample_tail's operations in
 its order, and v_B = quantile(u_B), and priced by adaptive_net_delta, the
 message engine's paired difference. The rest are exact zeros, in an array the
 estimate owns (only the rows written last are cleared), so every estimate is
-bit-identical to evaluating all rows. This needs the family's quantile and isf
-to be one non-increasing map of the survival probability, up to float error far
-below the margin, as every family here is.
+bit-identical to evaluating all rows, and it reads sf(T) once. This needs the
+family's quantile and isf to be one non-increasing map of the survival
+probability, up to float error far below the margin, as every family here is and
+a new one must be.
 """
 
 from __future__ import annotations
@@ -418,7 +418,8 @@ def _adaptive_gain_pruned(config: AuctionConfig, threshold: float, weight: float
 def _stratified_gain(dist: ValueDistribution, threshold: float, collateral: float,
                      samples: int, seed: int, draw, gain) -> Estimate:
     """The tail stratum's Estimate, weighted by weight = P[v_A >= T]: `draw` maps the chunk's
-    uniforms to what gain(config, weight) prices, (chunk, start) -> net difference per row."""
+    uniforms to what gain(config, weight) prices, (chunk, start) -> net difference per row.
+    A stratum of weight 0 is exactly 0, not sampled, and still needs MIN_SAMPLES."""
     _require_samples(samples)  # an empty stratum too, which samples nothing
     config = _attack_config(dist, threshold, collateral)
     weight = float(dist.sf(threshold))

@@ -150,7 +150,8 @@ def conservation_residual(outcome: Outcome, depositors=None,
     price is NaN: a winner's price is booked unless it is exactly 0.0. When
     depositors and the collateral amount are supplied, the ledger is also checked
     structurally: every depositor disposed exactly once, at exactly the posted
-    amount.
+    amount. Each flow is added once as paid and once as received, so the residual
+    reads 0 whatever auctioneer_net says; verification.audit_run checks that net.
     """
     check_amounts = depositors is not None and collateral_amount is not None
     amounts_off = False
@@ -230,16 +231,6 @@ def resolve(scheme, commitments: dict, openings: dict, reserve: float,
     return Outcome(winner, price, revealed, tuple(ledger), net)
 
 
-def _party_rng(seed: int) -> random.Random:
-    """random.Random(seed) for an int seed, the same stream: for an int, its
-    seed() calls the base class's seed and clears gauss_next, which this does
-    without the two Python-level calls."""
-    rng = random.Random.__new__(random.Random)
-    super(random.Random, rng).seed(seed)
-    rng.gauss_next = None
-    return rng
-
-
 def buyer_utility(outcome: Outcome, buyer_id: int, value: float) -> float:
     """Quasilinear utility: value if winning, minus payment, plus net collateral."""
     util = 0.0
@@ -287,7 +278,7 @@ class AuctionGame:
     def auctioneer_rng(self) -> random.Random:
         """The auctioneer's random stream, seeded on first use."""
         if self._auctioneer_rng is None:
-            self._auctioneer_rng = _party_rng(derive_seed(self.config.seed, "auctioneer"))
+            self._auctioneer_rng = random.Random(derive_seed(self.config.seed, "auctioneer"))
         return self._auctioneer_rng
 
     def _buyer_send(self, i: int, payload) -> None:
@@ -323,7 +314,7 @@ class AuctionGame:
         strat = self.buyers[i]
         rng = self._buyer_rng.get(i)
         if rng is None:
-            rng = self._buyer_rng[i] = _party_rng(derive_seed(self.config.seed, "buyer", i))
+            rng = self._buyer_rng[i] = random.Random(derive_seed(self.config.seed, "buyer", i))
         opening = Opening(float(strat.bid()), rng.randbytes(self._bytes))
         commitment = self.scheme.commit(opening.message, opening.randomness)
         self.openings[i] = opening
@@ -390,7 +381,8 @@ class AuctionGame:
         """Resolve the counted openings, the stories' deposits reclaimed, and settle:
         announce the outcome (or a buyer's entry of `notices`), then notify each real
         depositor's refund and each real recipient's forfeited deposit, refunds
-        first, in ledger order."""
+        first, in ledger order. On a broadcast channel, `notices` raise ModeError
+        and leave the run as it was."""
         if self._outcome is not None:
             raise ProtocolViolation("run already finalized")
         false_ids = self.false_ids

@@ -33,10 +33,6 @@ _pack_int_part = struct.Struct(">Icq").pack  # length 9, b"i", the value
 _STR_HEAD = struct.Struct(">Ic")  # length, b"s"; the UTF-8 bytes follow
 _WORD = (1 << 64) - 1
 _thread = threading.local()  # .philox: see _thread_philox
-# str part -> its encoding, kept for the first _STR_PARTS_MAX strings seen: the
-# few tags ("buyer", "auctioneer", ...) that seeds are derived under
-_STR_PARTS: dict = {}
-_STR_PARTS_MAX = 256
 
 
 def derive_seed(*parts) -> int:
@@ -48,17 +44,11 @@ def derive_seed(*parts) -> int:
     """
     encoded = []
     for part in parts:
-        kind = type(part)
-        if kind is int:
+        if type(part) is int:
             encoded.append(_pack_int_part(9, b"i", part & 0x7FFFFFFFFFFFFFFF))
-        elif kind is str and part in _STR_PARTS:
-            encoded.append(_STR_PARTS[part])
         elif isinstance(part, str):
             data = part.encode("utf-8")
-            data = _STR_HEAD.pack(len(data) + 1, b"s") + data
-            if kind is str and len(_STR_PARTS) < _STR_PARTS_MAX:
-                _STR_PARTS[part] = data
-            encoded.append(data)
+            encoded.append(_STR_HEAD.pack(len(data) + 1, b"s") + data)
         elif isinstance(part, (int, np.integer)):
             encoded.append(_pack_int_part(9, b"i", int(part) & 0x7FFFFFFFFFFFFFFF))
         else:

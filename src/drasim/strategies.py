@@ -323,7 +323,8 @@ def _shill_net(chunk: Chunk, reserve: float, collateral: float,
 
 class TwoPhase:
     """The promised auction with schedule()'s false bids and reveal policy, on the
-    mode and n it needs (None: any), which check_setting holds a setting to."""
+    mode and n it needs (None: any), which check_setting holds a setting to.
+    Honest, ShillBroadcast and Lifted run its execute and vector_net."""
 
     mode = None
     n = None
@@ -343,7 +344,9 @@ class TwoPhase:
             raise ValueError(f"{cls.__name__} needs n = {cls.n}, got n={n}")
 
     def check_config(self, config: AuctionConfig) -> None:
-        """Raise ValueError unless the config is one this strategy runs under."""
+        """Raise ValueError unless the config is one this strategy runs under: its
+        setting, finite false bids and a RevealPolicy, and for AdaptiveReserve a
+        threshold at or above the reserve (not NaN)."""
         self.check_setting(config.mode, config.n)
         false_bids, policy = self.schedule()
         if not all(map(math.isfinite, false_bids)):
@@ -433,7 +436,9 @@ def liftable(cls: type) -> bool:
 
 @dataclass(frozen=True)
 class Lifted(TwoPhase):
-    """A broadcast strategy replayed over centralized private channels."""
+    """A broadcast strategy replayed over centralized private channels, made only
+    from an inner strategy that liftable accepts: no Lifted(Lifted(...)), no lifted
+    AdaptiveReserve and no lifted subclass with an execute of its own."""
 
     inner: object
     kind = "lifted"
@@ -678,7 +683,8 @@ def check_view_consistency(view: View, config: AuctionConfig, scheme) -> bool:
 
 
 def summary_is_consistent(summary: ViewSummary, config: AuctionConfig, scheme) -> bool:
-    """check_view_consistency on a view that view_summary has already parsed."""
+    """check_view_consistency on a view that view_summary has already parsed.
+    Money and prices are compared as not abs(x - y) <= MONEY_TOL, so a NaN one fails."""
     agent, notice, commits, openings = (summary.agent, summary.notice, summary.commits,
                                         summary.openings)
     if not summary.well_formed or agent not in commits:

@@ -108,7 +108,9 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
     for the candidate, and the per-buyer view-consistency verdicts (for revealing
     buyers). Each view is parsed once; the committed ids are those the views
     show, false buyers' included, and the bids are the openings they show. Money
-    and prices are compared as not abs(x - y) <= tolerance, so a NaN fails.
+    and prices are compared as not abs(x - y) <= tolerance, so a NaN fails. A
+    ledger that conservation_residual refuses is a violation of the run, so verify
+    fails its check rather than crash.
     """
     outcome, transcript = run_auction(config, buyers, auctioneer)
     scheme = transcript.scheme

@@ -538,3 +538,11 @@ def test_derive_seed_matches_pinned_values():
     for parts, want in pinned:
         args = [value if tag == "str" else _seed_part(tag)(value) for tag, value in parts]
         assert derive_seed(*args) == want, parts
+
+
+def test_derive_seed_encodes_a_str_subclass_as_its_str():
+    class Tag(str):
+        pass
+
+    assert derive_seed(Tag("buyer"), 1) == derive_seed("buyer", 1)
+    assert derive_seed(Tag("buyer"), 1) == derive_seed(Tag("buyer"), 1)
