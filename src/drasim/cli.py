@@ -5,11 +5,12 @@ sweeps) and deterministic for a fixed config: same bytes on every invocation.
 Exit codes: 0 success, 1 a check failed, 2 configuration error, 3 internal
 error (an exception raised inside the library, traceback on stderr) or a
 refusal. A distribution without a positive density where phi is read
-(UndefinedDensityError) is a configuration error. The refusals are the
-library's deliberate refusals to print a number it cannot stand behind, each
-with a `refused:` line on stderr and no traceback: a quadrature that does not
-reach its tolerance (QuadratureError), and an estimate whose sum or sum of
-squares is not finite (FloatingPointError, from ChunkAccumulator.result).
+(UndefinedDensityError) is a configuration error, and so is an out path that
+cannot be written. The refusals are the library's deliberate refusals to print
+a number it cannot stand behind, each with a `refused:` line on stderr and no
+traceback: a quadrature that does not reach its tolerance (QuadratureError),
+and an estimate whose sum or sum of squares is not finite (FloatingPointError,
+from ChunkAccumulator.result).
 """
 
 from __future__ import annotations
@@ -41,11 +42,14 @@ CSV_HEADER = "strategy,param,mean,std_error,samples,ci_lo,ci_hi,verdict"
 
 
 def _write_out(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out_path}: {exc}") from exc
 
 
 def _fmt(x) -> str:

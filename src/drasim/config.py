@@ -1,12 +1,13 @@
 """Experiment configuration: one pass from a config's JSON to live objects.
 
 Configs are strict: unknown keys anywhere are rejected before anything runs,
-and every run's randomness flows from the single config seed, which must lie
-below 2^63. A missing seed defaults to 0 with a warning rather than an entropy
-source. build_setup reads each key once, with its one default: it checks the
-JSON's shape (keys, types, finite numbers, integer and quantile ranges, n
-buyers, a bid for fixed buyers only), asks the library for every auction rule,
-adding the key path and ConfigError, and keeps what it builds.
+and so is an auctioneer key that the auctioneer's kind does not read. Every
+run's randomness flows from the single config seed, which must lie below 2^63.
+A missing seed defaults to 0 with a warning rather than an entropy source.
+build_setup reads each key once, with its one default: it checks the JSON's
+shape (keys, types, finite numbers, integer and quantile ranges, n buyers, a
+bid for fixed buyers only), asks the library for every auction rule, adding the
+key path and ConfigError, and keeps what it builds.
 """
 
 from __future__ import annotations
@@ -57,17 +58,24 @@ _TOP_KEYS = {
     "seed", "buyers", "auctioneer", "thresholds", "deviation_quantiles", "verify", "out",
 }
 _BUYER_KEYS = {"kind", "value", "bid"}
-_AUCTIONEER_KEYS = {"kind", "false_bids", "false_bid_quantiles", "reveal_policy",
-                    "threshold", "inner"}
+_AUCTIONEER_KEYS = {  # the keys each kind of auctioneer reads
+    Honest.kind: {"kind"},
+    ShillBroadcast.kind: {"kind", "false_bids", "false_bid_quantiles", "reveal_policy"},
+    AdaptiveReserve.kind: {"kind", "threshold"},
+    Lifted.kind: {"kind", "inner"},
+}
 _BUYERS = {"truthful": Truthful, "fixed": FixedBid, "no_reveal": NoReveal}
-_AUCTIONEERS = {cls.kind: cls for cls in (Honest, ShillBroadcast, AdaptiveReserve, Lifted)}
 _SEED_LIMIT = 1 << 63  # derive_seed reads a seed's low 63 bits: a larger one aliases
 
 
-def _expect_keys(obj: dict, allowed, where: str) -> None:
+def _expect_object(obj, where: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    unknown = set(obj).difference(allowed)
+    return obj
+
+
+def _expect_keys(obj: dict, allowed, where: str) -> None:
+    unknown = set(_expect_object(obj, where)).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -139,8 +147,8 @@ def check_setting(cls, mode: str, n: int, where: str) -> None:
 def _auctioneer(spec: dict, where: str, dist: ValueDistribution):
     """The auctioneer strategy spec describes, checked as it is built: its shape
     here, its rules by the library. The setting is the caller's to check."""
-    _expect_keys(spec, _AUCTIONEER_KEYS, where)
-    kind = _expect_name(spec.get("kind"), _AUCTIONEERS, f"{where}.kind")
+    kind = _expect_name(_expect_object(spec, where).get("kind"), _AUCTIONEER_KEYS, f"{where}.kind")
+    _expect_keys(spec, _AUCTIONEER_KEYS[kind], f"{where} of kind {kind!r}")
     if kind == "shill":
         if "false_bids" in spec and "false_bid_quantiles" in spec:
             raise ConfigError(f"{where}: give false_bids or false_bid_quantiles, not both")

@@ -48,18 +48,20 @@ adds the halves' sums, as the accumulator joins a chunk's halves, so each chunk
 sum keeps its bits. An estimate of one array keeps whole chunks: it reads each
 array once, and splitting it costs more than it saves.
 
-When an estimate has more than one chunk, one helper thread, started and
-joined by the call, draws whole chunks ahead of the caller with
-seeding.fill_uniforms, taking each chunk index from a queue both threads share.
-Both draw into one pool of three buffers: the helper into any free one. The
-caller prices the chunks as they arrive and, when none is waiting, draws the
-next one itself if a buffer is free, else waits for the helper's next; each
-buffer returns to the pool once its chunk is priced. So the split follows the
-cost of the pricing. Each chunk holds the rows chunk_uniforms returns, and each
-part is added with its start, so the order does not change an estimate. The
-helper runs only fill_uniforms (numpy's fill releases the interpreter lock),
-which no tracer layer wraps; the caller raises its failures. A one-chunk
-estimate starts no thread, and no setting chooses the threads.
+When an estimate has more than one chunk, its helper is the one worker of a
+concurrent.futures.ThreadPoolExecutor that the call starts and joins. The call
+submits each chunk to it, to be drawn with seeding.fill_uniforms into one of a
+pool of three buffers, and prices next the first chunk the helper has drawn.
+When none is drawn, a successful cancel() of the first chunk the helper has not
+begun hands that chunk to the caller, which draws it itself; else the caller
+waits for the helper's current chunk. Each buffer goes back to the helper with
+the next chunk once its chunk is priced, so both threads draw when drawing is
+the bottleneck. Each chunk holds the rows chunk_uniforms returns, and each part
+is added with its start, so the order does not change an estimate. The helper
+runs only fill_uniforms (numpy's fill releases the interpreter lock), which no
+tracer layer wraps; a fill's failure comes back through its future, whose result
+raises it on the caller. A one-chunk estimate starts no thread, and no setting
+chooses the threads.
 
 The adaptive attack needs tail resolution: profitable thresholds sit where
 P[v_A >= T] is small. The estimator stratifies on v_A: the below-threshold
@@ -92,9 +94,10 @@ a new one must be.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from queue import Empty, SimpleQueue
-from threading import Thread
+from functools import partial
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -194,7 +197,6 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
     ahead, and the caller prices them as they come (see the module docstring)."""
     _require_samples(samples)
     stream = _value_stream_seed(seed)
-    chunks = list(chunk_bounds(samples))
     accumulators = [ChunkAccumulator() for _ in range(count)]
     chunk = None
 
@@ -213,54 +215,29 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
 
     consume = price if count == 1 else price_halves
 
-    if len(chunks) == 1:  # nothing to overlap: no thread, and the uniforms die after draw
+    if samples <= CHUNK_SAMPLES:  # one chunk: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)
         return [acc.result() for acc in accumulators]
-    todo, free, ready = SimpleQueue(), SimpleQueue(), SimpleQueue()
-    for bounds in chunks:
-        todo.put(bounds)
-    for _ in range(3):  # the pool both threads draw into
-        free.put(np.empty((CHUNK_SAMPLES, cols)))
+    helper, todo, pending = ThreadPoolExecutor(max_workers=1), chunk_bounds(samples), []
 
-    def take(buffer):
-        """(buffer, start, stop) with the next chunk nobody has taken drawn into
-        buffer, or None when every chunk is taken (buffer then leaves the pool)."""
-        try:
-            k, start, stop = todo.get_nowait()
-        except Empty:
-            return None
-        fill_uniforms(stream, k, buffer[:stop - start])
-        return buffer, start, stop
+    def submit(buffer):
+        """Hand the helper the next chunk nobody has taken, to draw into buffer."""
+        for k, start, stop in islice(todo, 1):
+            fill = partial(fill_uniforms, stream, k, buffer[:stop - start])
+            pending.append((helper.submit(fill), fill, start, buffer))
 
-    def draw_ahead():
-        """The helper: draw chunks into free buffers and queue them, until every
-        chunk is taken or it takes None from free. A failure is queued for the
-        caller, which raises it."""
-        try:
-            while (buffer := free.get()) is not None and (drawn := take(buffer)) is not None:
-                ready.put(drawn)
-        except BaseException as exc:
-            ready.put(exc)
-
-    helper = Thread(target=draw_ahead)
-    helper.start()
     try:
-        for _ in chunks:
-            try:  # a queued chunk, else one drawn here if a buffer is free, else the helper's next
-                drawn = ready.get_nowait()
-            except Empty:
-                try:
-                    drawn = take(free.get_nowait()) or ready.get()
-                except Empty:
-                    drawn = ready.get()
-            if isinstance(drawn, BaseException):
-                raise drawn
-            buffer, start, stop = drawn
-            consume(draw(buffer[:stop - start]), start)
-            free.put(buffer)
-    finally:  # the helper stops at the None, after at most the pool's three buffers
-        free.put(None)
-        helper.join()
+        for _ in range(3):  # the pool both threads draw into
+            submit(np.empty((CHUNK_SAMPLES, cols)))
+        while pending:  # a drawn chunk, else one the helper has not begun, else its current one
+            taken = (next((p for p in pending if p[0].done()), None)
+                     or next((p for p in pending if p[0].cancel()), pending[0]))
+            pending.remove(taken)
+            future, fill, start, buffer = taken
+            consume(draw(fill() if future.cancelled() else future.result()), start)
+            submit(buffer)
+    finally:  # cancels what the helper has not begun and joins it
+        helper.shutdown(cancel_futures=True)
     return [acc.result() for acc in accumulators]
 
 

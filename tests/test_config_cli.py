@@ -57,6 +57,26 @@ def test_unknown_nested_keys_rejected():
         build_setup({**BASE, "buyers": [{"kind": "truthful", "val": 2.0}]})
     with pytest.raises(ConfigError):
         build_setup({**BASE, "verify": {"samples": 10}})
+    # each kind of auctioneer takes only the keys it reads
+    centralized = {**BASE, "mode": "centralized", "collateral": 2.0}
+    for cfg, key, kind in [
+            ({**BASE, "auctioneer": {"kind": "honest", "false_bids": [5.0],
+                                     "reveal_policy": "withhold_if_winning",
+                                     "threshold": 3}}, "false_bids", "honest"),
+            ({**BASE, "auctioneer": {"kind": "shill", "false_bids": [3.0], "threshold": 3}},
+             "threshold", "shill"),
+            ({**BASE, "auctioneer": {"kind": "shill", "inner": {"kind": "honest"}}},
+             "inner", "shill"),
+            ({**centralized, "auctioneer": {"kind": "adaptive", "threshold": 5.0,
+                                            "reveal_policy": "always"}},
+             "reveal_policy", "adaptive"),
+            ({**centralized, "auctioneer": {"kind": "lifted", "inner": {"kind": "honest"},
+                                            "false_bids": [3.0]}}, "false_bids", "lifted"),
+            ({**centralized, "auctioneer": {"kind": "lifted",
+                                            "inner": {"kind": "honest", "threshold": 3}}},
+             "threshold", "honest")]:
+        with pytest.raises(ConfigError, match=f"of kind '{kind}'.*'{key}'"):
+            build_setup(cfg)
 
 
 def test_bad_values_rejected():
@@ -334,6 +354,20 @@ def test_cli_exit_2_on_bad_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: distribution: equal_revenue has an infinite reserve price" in err
     assert "Traceback" not in err
+    # an auctioneer key its kind does not read, and an out path that cannot be written
+    path = write_config(tmp_path, {**BASE, "auctioneer": {
+        "kind": "honest", "false_bids": [5.0], "reveal_policy": "withhold_if_winning",
+        "threshold": 3}}, "i.json")
+    assert main(["estimate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "'threshold'" in err and "'honest'" in err
+    out = tmp_path / "missing" / "x.json"
+    assert main(["run", "--config", str(CONFIGS / "run_example.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1 and str(out) in captured.err
+    assert not out.parent.exists()
 
 
 def test_cli_exit_3_on_internal_error(tmp_path, capsys, monkeypatch):

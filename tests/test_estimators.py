@@ -728,9 +728,10 @@ def test_the_chunk_loop_draws_into_one_pool_of_three_buffers(monkeypatch):
 
 
 def test_a_short_last_chunk_priced_first_gives_the_serial_bits(monkeypatch):
-    # the chunks are taken last first, and the helper starts only once the caller
-    # has drawn one: the caller draws and prices the one-row chunk first, and the
-    # full chunks after it must grow the Chunk's work arrays
+    # the helper is handed chunk 1 first and holds it until the caller has drawn, and
+    # the one-row chunk 2 is handed on only once the helper has begun chunk 1: the
+    # caller draws and prices the one-row chunk first, and the full chunks after it
+    # must grow the Chunk's work arrays
     samples, seed, threshold, collateral = 2 * CHUNK_SAMPLES + 1, 31, 5.0, 2.0
     strategy = ShillBroadcast((3.0,), WITHHOLD_IF_WINNING)
     config = config_for(GPA, 3, 2.0)
@@ -744,23 +745,31 @@ def test_a_short_last_chunk_priced_first_gives_the_serial_bits(monkeypatch):
                       samples=cond.samples)),
     ]
     drawn = []
-    first_drawn = threading.Event()
+    caller = threading.current_thread()
+    helper_began, caller_drew = threading.Event(), threading.Event()
 
     def fill(seed, chunk_index, out):
+        if threading.current_thread() is not caller:  # the helper waits for the caller
+            helper_began.set()
+            caller_drew.wait(timeout=10)
         drawn.append(chunk_index)
-        first_drawn.set()
+        caller_drew.set()
         return fill_uniforms(seed, chunk_index, out)
 
-    def late_thread(target):
-        return threading.Thread(target=lambda: (first_drawn.wait(timeout=10), target()))
+    def bounds(n):
+        first, second, short = chunk_bounds(n)
+        yield second
+        helper_began.wait(timeout=10)
+        yield short
+        yield first
 
-    monkeypatch.setattr(estimators, "chunk_bounds", lambda n: reversed(list(chunk_bounds(n))))
+    monkeypatch.setattr(estimators, "chunk_bounds", bounds)
     monkeypatch.setattr(estimators, "fill_uniforms", fill)
-    monkeypatch.setattr(estimators, "Thread", late_thread)
     for estimate in (lambda: estimate_revenue(config, strategy, samples, seed),
                      lambda: estimate_adaptive_gain(GPA, threshold, collateral, samples, seed)):
         drawn.clear()
-        first_drawn.clear()
+        helper_began.clear()
+        caller_drew.clear()
         assert bits(estimate()) == expected.pop(0)
         assert drawn[0] == 2 and sorted(drawn) == [0, 1, 2]
 
