@@ -80,7 +80,6 @@ from .strategies import (
     ShillBroadcast,
     Truthful,
     check_view_consistency,
-    lift_to_centralized,
     reveal_dominant_variant,
     view_summary,
 )

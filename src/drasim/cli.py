@@ -6,11 +6,12 @@ Exit codes: 0 success, 1 a check failed, 2 configuration error, 3 internal
 error (an exception raised inside the library, traceback on stderr) or a
 refusal. A distribution without a positive density where phi is read
 (UndefinedDensityError) is a configuration error, and so is an out path that
-cannot be written. The refusals are the library's deliberate refusals to print
-a number it cannot stand behind, each with a `refused:` line on stderr and no
-traceback: a quadrature that does not reach its tolerance (QuadratureError),
-and an estimate whose sum or sum of squares is not finite (FloatingPointError,
-from ChunkAccumulator.result).
+cannot be written: ExperimentSetup refuses it before the command runs, and a
+write that fails all the same exits 2 as well. The refusals are the library's
+deliberate refusals to print a number it cannot stand behind, each with a
+`refused:` line on stderr and no traceback: a quadrature that does not reach
+its tolerance (QuadratureError), and an estimate whose sum or sum of squares is
+not finite (FloatingPointError, from ChunkAccumulator.result).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import sys
 import traceback
 
-from .config import ConfigError, ExperimentSetup, build_setup, check_setting, load_config
+from .config import ConfigError, ExperimentSetup, check_setting, load_config
 from .distributions import (
     InfiniteReserveError,
     NonRegularError,
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
         for key in ("samples", "seed", "out"):
             if getattr(args, key) is not None:
                 cfg[key] = getattr(args, key)
-        setup = build_setup(cfg)  # the overrides are checked too
+        setup = ExperimentSetup(cfg)  # the overrides are checked too
         return _COMMANDS[args.command](setup)
     except (ConfigError, NonRegularError, InfiniteReserveError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,21 +4,24 @@ Configs are strict: unknown keys anywhere are rejected before anything runs,
 and so is an auctioneer key that the auctioneer's kind does not read. Every
 run's randomness flows from the single config seed, which must lie below 2^63.
 A missing seed defaults to 0 with a warning rather than an entropy source.
-build_setup reads each key once, with its one default: it checks the JSON's
+ExperimentSetup reads each key once, with its one default: it checks the JSON's
 shape (keys, types, finite numbers, integer and quantile ranges, n buyers, a
-bid for fixed buyers only), asks the library for every auction rule, adding the
-key path and ConfigError, and keeps what it builds.
+bid for fixed buyers only), asks the library for every auction rule and scheme
+name, adding the key path and ConfigError, and keeps what it builds. An out
+path it cannot write is refused there too, before any command runs.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import sys
 from typing import Optional
 
 from .channels import MODES
-from .commitments import SCHEMES, HashScheme
+from .commitments import SCHEMES
 from .distributions import (
     InfiniteReserveError,
     NonRegularError,
@@ -46,7 +49,7 @@ from .strategies import (
 )
 from .verification import VERIFY_BUDGETS
 
-__all__ = ["ConfigError", "load_config", "ExperimentSetup", "build_setup", "check_setting"]
+__all__ = ["ConfigError", "load_config", "ExperimentSetup", "check_setting"]
 
 
 class ConfigError(ValueError):
@@ -108,10 +111,6 @@ def _expect_name(obj, names, where: str) -> str:
     if not isinstance(obj, str) or obj not in names:
         raise ConfigError(f"{where} must be {'|'.join(names)}, got {obj!r}")
     return obj
-
-
-# the sha256 scheme's old name, which a config may still give
-_SCHEME_ALIASES = {"hash": HashScheme.name}
 
 
 def _expect_list(obj, where: str, nonempty: bool = False) -> list:
@@ -232,8 +231,30 @@ def _budgets(spec) -> dict:
     return budgets
 
 
+def _out_path(path) -> str:
+    """path, refused unless a file can be written there: not a directory, in an
+    existing directory that may be written, and not a file that may not. An empty
+    path is stdout. The check creates nothing; the write itself may still fail."""
+    if not isinstance(path, str):
+        raise ConfigError("out must be a string path")
+    if not path:
+        return path
+    target = os.path.abspath(path)
+    folder = os.path.dirname(target)
+    if os.path.isdir(target):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not (os.access(target, os.W_OK) if os.path.exists(target)
+              else os.access(folder, os.W_OK | os.X_OK)):
+        code = errno.EACCES
+    else:
+        return path
+    raise ConfigError(f"out: cannot write {path}: {os.strerror(code)}")
+
+
 def load_config(path: str) -> dict:
-    """The JSON object at path, unchecked: build_setup checks it."""
+    """The JSON object at path, unchecked: ExperimentSetup checks it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -261,8 +282,7 @@ class ExperimentSetup:
         if self.alpha is not None and _expect_number(self.alpha, "alpha") <= 0.0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha}")
         self.mode: str = _expect_name(cfg.get("mode", "broadcast"), MODES, "mode")
-        scheme = _expect_name(cfg.get("scheme", "ideal"), [*SCHEMES, *_SCHEME_ALIASES], "scheme")
-        self.scheme: str = _SCHEME_ALIASES.get(scheme, scheme)
+        self.scheme: str = _expect_name(cfg.get("scheme", "ideal"), SCHEMES, "scheme")
         self.collateral: Optional[float] = (None if "collateral" not in cfg else
                                             _expect_number(cfg["collateral"], "collateral", 0.0))
         self.samples: int = _expect_int(cfg.get("samples", 100_000), "samples", MIN_SAMPLES)
@@ -275,9 +295,7 @@ class ExperimentSetup:
         self.deviation_quantiles = _expect_quantiles(cfg.get("deviation_quantiles", []),
                                                      "deviation_quantiles")
         self.budgets: dict = _budgets(cfg.get("verify", {}))
-        if "out" in cfg and not isinstance(cfg["out"], str):
-            raise ConfigError("out must be a string path")
-        self.out: Optional[str] = cfg.get("out")
+        self.out: Optional[str] = _out_path(cfg["out"]) if "out" in cfg else None
         if "seed" in cfg:
             self.seed: int = _expect_int(cfg["seed"], "seed", minimum=0)
             if self.seed >= _SEED_LIMIT:
@@ -323,8 +341,3 @@ class ExperimentSetup:
         specs = self.buyer_specs or [(Truthful, None, ())] * self.n  # built here: n may be large
         return [cls(float(v) if value is None else value, *bid)
                 for (cls, value, bid), v in zip(specs, sampled)]
-
-
-def build_setup(cfg: dict) -> ExperimentSetup:
-    """cfg checked and built in one pass; ConfigError at the first key refused."""
-    return ExperimentSetup(cfg)

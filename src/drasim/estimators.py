@@ -94,7 +94,6 @@ a new one must be.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
@@ -218,6 +217,8 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
     if samples <= CHUNK_SAMPLES:  # one chunk: no thread, and the uniforms die after draw
         consume(draw(chunk_uniforms(stream, 0, samples, cols)), 0)
         return [acc.result() for acc in accumulators]
+    from concurrent.futures import ThreadPoolExecutor  # here: import drasim loads no logging
+
     helper, todo, pending = ThreadPoolExecutor(max_workers=1), chunk_bounds(samples), []
 
     def submit(buffer):

@@ -84,7 +84,6 @@ __all__ = [
     "Lifted",
     "AdaptiveReserve",
     "Chunk",
-    "lift_to_centralized",
     "reveal_dominant_variant",
     "check_view_consistency",
     "summary_is_consistent",
@@ -454,11 +453,6 @@ class Lifted(TwoPhase):
 
     def describe(self) -> str:
         return f"lifted({self.inner.describe()})"
-
-
-def lift_to_centralized(buyer_strategies: Sequence, auctioneer_strategy):
-    """Map a broadcast strategy profile to its centralized replay."""
-    return list(buyer_strategies), Lifted(auctioneer_strategy)
 
 
 def reveal_dominant_variant(shill: ShillBroadcast, collateral_amount: float) -> ShillBroadcast:

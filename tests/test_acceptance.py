@@ -39,7 +39,6 @@ from drasim import (
     estimate_myerson_gap,
     estimate_paired_difference,
     estimate_revenue,
-    lift_to_centralized,
     optimal_revenue,
     reserve_price,
     reveal_dominant_variant,
@@ -229,8 +228,7 @@ def test_criterion_07_lift_equality():
             buyers = [Truthful(v) for v in values]
             cfg = _config(GPA50, 2, 32.0, seed=run_seed)
             out_b, _ = run_auction(cfg, buyers, strategy)
-            lifted_buyers, lifted = lift_to_centralized(buyers, strategy)
-            out_c, _ = run_auction(replace(cfg, mode="centralized"), lifted_buyers, lifted)
+            out_c, _ = run_auction(replace(cfg, mode="centralized"), buyers, Lifted(strategy))
             pairs += 1
             if out_b != out_c:
                 mismatches += 1

@@ -19,7 +19,7 @@ from drasim import (
     reserve_price,
 )
 from drasim.cli import main
-from drasim.config import ConfigError, build_setup
+from drasim.config import ConfigError, ExperimentSetup
 
 ROOT = Path(__file__).parent.parent
 CONFIGS = ROOT / "configs"
@@ -45,18 +45,18 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ConfigError):
-        build_setup({**BASE, "samples_count": 10})
+        ExperimentSetup({**BASE, "samples_count": 10})
 
 
 def test_unknown_nested_keys_rejected():
     with pytest.raises(ConfigError):
-        build_setup({**BASE, "distribution": {"family": "gpareto", "shape": 0.5}})
+        ExperimentSetup({**BASE, "distribution": {"family": "gpareto", "shape": 0.5}})
     with pytest.raises(ConfigError):
-        build_setup({**BASE, "auctioneer": {"kind": "shill", "bids": [1.0]}})
+        ExperimentSetup({**BASE, "auctioneer": {"kind": "shill", "bids": [1.0]}})
     with pytest.raises(ConfigError):
-        build_setup({**BASE, "buyers": [{"kind": "truthful", "val": 2.0}]})
+        ExperimentSetup({**BASE, "buyers": [{"kind": "truthful", "val": 2.0}]})
     with pytest.raises(ConfigError):
-        build_setup({**BASE, "verify": {"samples": 10}})
+        ExperimentSetup({**BASE, "verify": {"samples": 10}})
     # each kind of auctioneer takes only the keys it reads
     centralized = {**BASE, "mode": "centralized", "collateral": 2.0}
     for cfg, key, kind in [
@@ -76,7 +76,7 @@ def test_unknown_nested_keys_rejected():
                                             "inner": {"kind": "honest", "threshold": 3}}},
              "threshold", "honest")]:
         with pytest.raises(ConfigError, match=f"of kind '{kind}'.*'{key}'"):
-            build_setup(cfg)
+            ExperimentSetup(cfg)
 
 
 def test_bad_values_rejected():
@@ -112,13 +112,13 @@ def test_bad_values_rejected():
                 {"auctioneer": {"kind": "shill", "false_bid_quantiles": [1.5]}},
                 {"auctioneer": {"kind": "lifted", "inner": {"kind": "honest"}}}]:
         with pytest.raises(ConfigError):
-            build_setup({**BASE, **bad})
+            ExperimentSetup({**BASE, **bad})
     with pytest.raises(ConfigError):
-        build_setup({**BASE, "auctioneer": {"kind": "adaptive"}})  # no threshold
+        ExperimentSetup({**BASE, "auctioneer": {"kind": "adaptive"}})  # no threshold
     with pytest.raises(ConfigError):
-        build_setup({**BASE, "auctioneer": {"kind": "lifted",
-                                            "inner": {"kind": "adaptive",
-                                                      "threshold": 2.0}}})
+        ExperimentSetup({**BASE, "auctioneer": {"kind": "lifted",
+                                                "inner": {"kind": "adaptive",
+                                                          "threshold": 2.0}}})
 
 
 @pytest.mark.parametrize("spec,strategy", [
@@ -133,7 +133,7 @@ def test_config_accepts_the_settings_that_check_config_accepts(spec, strategy):
     for mode in ("broadcast", "centralized"):
         for n in (1, 2, 3):
             try:
-                build_setup({**BASE, "mode": mode, "n": n, "auctioneer": spec})
+                ExperimentSetup({**BASE, "mode": mode, "n": n, "auctioneer": spec})
                 accepted = True
             except ConfigError:
                 accepted = False
@@ -148,9 +148,9 @@ def test_config_accepts_the_settings_that_check_config_accepts(spec, strategy):
 
 
 def test_setup_builders():
-    setup = build_setup({**BASE, "auctioneer": {"kind": "shill",
-                                                "false_bid_quantiles": [0.5, 0.9],
-                                                "reveal_policy": "withhold_if_winning"}})
+    setup = ExperimentSetup({**BASE, "auctioneer": {"kind": "shill",
+                                                    "false_bid_quantiles": [0.5, 0.9],
+                                                    "reveal_policy": "withhold_if_winning"}})
     strategy = setup.auctioneer
     assert strategy.kind == "shill" and len(strategy.false_bids) == 2
     config = setup.auction_config()
@@ -160,7 +160,7 @@ def test_setup_builders():
 
 
 def test_setup_rejects_unrunnable_distributions():
-    setup = build_setup({"distribution": {"family": "equal_revenue"}, "n": 1, "seed": 0})
+    setup = ExperimentSetup({"distribution": {"family": "equal_revenue"}, "n": 1, "seed": 0})
     with pytest.raises(ConfigError):
         setup.auction_config()
 
@@ -170,7 +170,7 @@ def test_readme_config_shape_builds():
     # that config rejects cannot linger there
     readme = (ROOT / "README.md").read_text()
     block = readme.split("Config shape", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
-    setup = build_setup(json.loads(block))
+    setup = ExperimentSetup(json.loads(block))
     assert setup.auction_config().n == len(setup.buyers()) == 2
     assert setup.auctioneer.describe() == "shill[4.32456]/withhold_if_winning"
 
@@ -196,8 +196,8 @@ def test_run_reads_the_config_in_one_pass(monkeypatch, capsys):
 def test_seed_at_or_above_2_63_refused(tmp_path, capsys):
     # derive_seed reads a seed's low 63 bits, so 2**63 would run as seed 0
     with pytest.raises(ConfigError, match="seed must be < 2\\*\\*63"):
-        build_setup({**BASE, "seed": 2**63})
-    assert build_setup({**BASE, "seed": 2**63 - 1}).seed == 2**63 - 1
+        ExperimentSetup({**BASE, "seed": 2**63})
+    assert ExperimentSetup({**BASE, "seed": 2**63 - 1}).seed == 2**63 - 1
     path = write_config(tmp_path, {**BASE, "seed": 2**63})
     assert main(["run", "--config", str(CONFIGS / "run_example.json"),
                  "--seed", str(2**63)]) == 2
@@ -209,10 +209,10 @@ def test_seed_at_or_above_2_63_refused(tmp_path, capsys):
 def test_bid_refused_on_a_buyer_that_bids_its_value(kind):
     # only a fixed buyer bids what the config says; on another kind a bid went unread
     with pytest.raises(ConfigError, match="a 'bid' is for kind 'fixed'"):
-        build_setup({**BASE, "buyers": [{"kind": kind, "value": 2.0, "bid": 1.0},
-                                        {"kind": "truthful"}]})
+        ExperimentSetup({**BASE, "buyers": [{"kind": kind, "value": 2.0, "bid": 1.0},
+                                            {"kind": "truthful"}]})
     with pytest.raises(ConfigError, match="which requires one"):
-        build_setup({**BASE, "buyers": [{"kind": "fixed", "value": 2.0}, {"kind": kind}]})
+        ExperimentSetup({**BASE, "buyers": [{"kind": "fixed", "value": 2.0}, {"kind": kind}]})
 
 
 @pytest.mark.parametrize("command", ["dist", "run", "verify"])
@@ -447,15 +447,44 @@ def test_cli_run_matches_golden_trace(tmp_path):
     assert out.read_bytes() == (FIXTURES / "golden_run_seed0.json").read_bytes()
 
 
-def test_cli_run_reads_the_old_hash_scheme_name_as_sha256(tmp_path, capsys):
+def test_cli_run_takes_only_the_librarys_scheme_names(tmp_path, capsys):
+    # "hash", the sha256 scheme's old name, is refused like any other unknown name
     example = json.loads((CONFIGS / "run_example.json").read_text())
-    stdouts = []
-    for scheme in ("hash", "sha256"):
-        path = write_config(tmp_path, {**example, "scheme": scheme}, name=f"{scheme}.json")
-        assert main(["run", "--config", path]) == 0
-        stdouts.append(capsys.readouterr().out)
-    assert stdouts[0] == stdouts[1]
-    assert json.loads(stdouts[0])["config"]["scheme"] == "sha256"
+    path = write_config(tmp_path, {**example, "scheme": "sha256"}, name="sha256.json")
+    assert main(["run", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["scheme"] == "sha256"
+    path = write_config(tmp_path, {**example, "scheme": "hash"}, name="hash.json")
+    assert main(["run", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: scheme must be ideal|sha256, got 'hash'\n"
+
+
+def test_cli_refuses_an_out_it_cannot_write_before_any_work(tmp_path, capsys, monkeypatch):
+    def never(setup):
+        raise AssertionError("verify ran before its out path was checked")
+
+    monkeypatch.setattr(cli, "run_verification", never)
+    quick = str(CONFIGS / "verify_quick.json")
+    (tmp_path / "file").write_text("kept")
+    cases = {tmp_path / "missing" / "x.txt": "No such file or directory",
+             tmp_path / "file" / "x.txt": "Not a directory",
+             tmp_path: "Is a directory"}
+    for out, reason in cases.items():
+        assert main(["verify", "--config", quick, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: out: cannot write {out}: {reason}\n"
+    # a file, or a new file's directory, that may not be written (root may write
+    # anything, so the permission is taken away from os.access)
+    monkeypatch.setattr(config.os, "access", lambda path, mode: False)
+    for out in (tmp_path / "file", tmp_path / "new.txt"):
+        assert main(["verify", "--config", quick, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: out: cannot write {out}: Permission denied\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]  # nothing was created
+    assert (tmp_path / "file").read_text() == "kept"
 
 
 def test_cli_estimate_csv_deterministic(tmp_path):

@@ -306,11 +306,11 @@ def test_an_estimate_that_meets_only_epsabs_runs_once_more_to_epsrel(monkeypatch
     # the attack oracle asks for epsabs = 1e-9, and on this sweep's T = 20 QUADPACK
     # stops there with an estimate of 1e-5 of the value -3.3e-05, which the relative
     # gate refuses; the run to epsrel alone passes it
-    from drasim.config import build_setup
+    from drasim.config import ExperimentSetup
 
-    setup = build_setup({"distribution": {"family": "gpareto",
-                                          "params": {"shape": 0.3749808279764962}},
-                         "n": 2, "seed": 615, "mode": "centralized"})
+    setup = ExperimentSetup({"distribution": {"family": "gpareto",
+                                              "params": {"shape": 0.3749808279764962}},
+                             "n": 2, "seed": 615, "mode": "centralized"})
     collateral_amount = setup.auction_config().collateral
     value = adaptive_gain_quadrature(setup.dist, 20.0, collateral_amount)
     assert value == pytest.approx(-3.339191176462079e-05, rel=1e-9)

@@ -4,6 +4,8 @@ rare-event estimator against its quadrature oracle, and the credibility suite.""
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -36,6 +38,7 @@ from drasim import (
     virtual_value,
 )
 from drasim import estimators
+from drasim.config import ExperimentSetup
 from drasim.distributions import ROOT_TOL
 from drasim.estimate import ChunkAccumulator, Estimate, pairwise_split
 from drasim.estimators import (
@@ -432,6 +435,67 @@ def test_credibility_suite_flags_reduced_collateral():
     assert any("withhold" in v for v in report.violations)
 
 
+def _two_or_more(n: int, p: float, q: float) -> float:
+    """P(at least two of n values fall in a set of probability p and the rest in a
+    disjoint set of probability q), summed from positive terms: no cancellation."""
+    return sum(math.comb(n, k) * p ** k * q ** (n - k) for k in range(2, n + 1))
+
+
+def _one_bid_revenue(dist, n: int, collateral: float, bid: float, withhold: bool) -> float:
+    """The exact mean auctioneer net, by quadrature, for n truthful buyers with values
+    from dist against a shill whose one false bid is `bid`, written from dist.sf alone;
+    at bid = reserve and withhold False, the promised auction's Rev(D^n).
+
+    With r the reserve and F = 1 - sf, the always net for b > r is max(second, b) on
+    {top >= b}, whose mean is b P(top >= b) + the integral over [b, inf) of
+    P(second > x). Withholding where top < b adds max(r, second) on {r < top < b},
+    whose mean is r (F(b)^n - F(r)^n) + the integral over [r, b] of P(second > x,
+    top < b), and forfeits f F(b)^n. For b <= r the always net is the promised one."""
+    from scipy.integrate import quad
+
+    reserve = reserve_price(dist)
+    sf = lambda x: float(dist.sf(x))  # noqa: E731
+
+    def integral(integrand, lower, upper):
+        value, error = quad(integrand, lower, upper, epsabs=1e-13, epsrel=1e-11, limit=200)
+        assert error <= 1e-10
+        return value
+
+    def always(b):
+        return (-b * math.expm1(n * math.log1p(-sf(b)))
+                + integral(lambda x: _two_or_more(n, sf(x), 1.0 - sf(x)), b, math.inf))
+
+    below_bid = (1.0 - sf(bid)) ** n  # P(top < b): the false bid outbids every buyer
+    if bid <= reserve:
+        return always(reserve) - (collateral * below_bid if withhold else 0.0)
+    if not withhold:
+        return always(bid)
+    band = integral(lambda x: _two_or_more(n, sf(x) - sf(bid), 1.0 - sf(x)), reserve, bid)
+    return (always(bid) + reserve * (below_bid - (1.0 - sf(reserve)) ** n) + band
+            - collateral * below_bid)
+
+
+def test_every_credibility_row_lies_within_3_se_of_its_exact_value():
+    # the shipped credibility config, every row checked against its own exact mean,
+    # not only against Rev(D^n) + 3 SE: a kernel that lowered a shill's net would pass
+    # that bound
+    setup = ExperimentSetup(json.loads((CONFIGS / "credibility.json").read_text()))
+    report = credibility_suite(setup.dist, setup.alpha, setup.n, setup.deviation_quantiles,
+                               setup.samples, setup.seed)
+    exact = [_one_bid_revenue(setup.dist, setup.n, report.collateral, reserve_price(setup.dist),
+                              False)]
+    for u in setup.deviation_quantiles:
+        bid = float(setup.dist.quantile(u))
+        exact += [_one_bid_revenue(setup.dist, setup.n, report.collateral, bid, withhold)
+                  for withhold in (False, True)]
+    assert exact[0] == pytest.approx(report.optimal_revenue, rel=1e-9)
+    assert len(report.rows) == len(exact) == 41
+    z = [(row.estimate.mean - value) / row.estimate.std_error
+         for row, value in zip(report.rows, exact)]
+    assert max(map(abs, z)) <= 3.0, [(row.strategy, round(x, 2))
+                                     for row, x in zip(report.rows, z) if abs(x) > 3.0]
+
+
 def assert_rows_are_separate_estimates(report, dist, n, quantiles, samples, seed):
     """Each row of the report has the bits of estimate_revenue of its strategy alone,
     which prices one function on whole chunks."""
@@ -818,6 +882,23 @@ def test_chunk_loop_failure_propagates_and_joins_the_helper():
     assert one_chunk == [before]  # a one-chunk estimate starts no thread
     assert len(three_chunks) == 3 and max(three_chunks) <= before + 1  # one helper at most
     assert threading.active_count() == before  # joined
+
+
+def test_import_and_one_chunk_estimates_load_no_executor():
+    # the executor is imported by the first estimate of more than one chunk, so
+    # neither `import drasim` nor a one-chunk estimate loads it, or logging with it
+    src = str(Path(estimators.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, drasim\n"
+            "loaded = lambda: ['concurrent.futures' in sys.modules, 'logging' in sys.modules]\n"
+            "print(loaded())\n"
+            "drasim.credibility_suite(drasim.GeneralizedPareto(0.5), 0.5, 2, [0.9], 1000, 0)\n"
+            "print(loaded())\n"
+            "drasim.credibility_suite(drasim.GeneralizedPareto(0.5), 0.5, 2, [0.9], 70000, 0)\n"
+            "print(loaded())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split("\n") == ["[False, False]", "[False, False]", "[True, True]", ""]
 
 
 def test_chunk_accumulation_is_order_insensitive():

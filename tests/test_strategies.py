@@ -25,7 +25,6 @@ from drasim import (
     buyer_utility,
     check_view_consistency,
     estimate_paired_difference,
-    lift_to_centralized,
     reserve_price,
     reveal_dominant_variant,
     run_auction,
@@ -165,8 +164,7 @@ def test_lift_preserves_outcome_exactly():
             cfg_b = broadcast_config(32.0, seed=seed)
             cfg_c = replace(cfg_b, mode="centralized")
             out_b, _ = run_auction(cfg_b, buyers, strategy)
-            lifted_buyers, lifted = lift_to_centralized(buyers, strategy)
-            out_c, _ = run_auction(cfg_c, lifted_buyers, lifted)
+            out_c, _ = run_auction(cfg_c, buyers, Lifted(strategy))
             assert out_b == out_c
 
 
@@ -184,13 +182,9 @@ def test_lift_payload_multisets_match():
 
 
 def test_lift_rejections():
-    with pytest.raises(ValueError):
-        lift_to_centralized([], AdaptiveReserve(3.0))
-    for inner in (Lifted(Honest()), AdaptiveReserve(3.0)):  # one rule for both ways in
+    for inner in (Lifted(Honest()), AdaptiveReserve(3.0)):
         with pytest.raises(ValueError, match="not a broadcast strategy"):
             Lifted(inner)
-        with pytest.raises(ValueError, match="not a broadcast strategy"):
-            lift_to_centralized([], inner)
     with pytest.raises(ValueError):
         run_auction(broadcast_config(2.0), [Truthful(3.0), Truthful(4.0)],
                     Lifted(Honest()))
@@ -214,8 +208,6 @@ def test_lift_refuses_a_subclass_with_its_own_execute():
     assert outcome.auctioneer_net == 2.5
     with pytest.raises(ValueError, match="not a broadcast strategy"):
         Lifted(strategy)
-    with pytest.raises(ValueError, match="not a broadcast strategy"):
-        lift_to_centralized(buyers, strategy)
     lifted_shill = Lifted(ShillBroadcast((3.0,), ALWAYS_REVEAL))
     outcome, _ = run_auction(centralized_config(2.0), buyers, lifted_shill)
     assert outcome.auctioneer_net == 3.0

@@ -13,7 +13,7 @@ import pytest
 
 from drasim import config, distributions, estimators, protocol, strategies, verification
 from drasim.cli import main
-from drasim.config import build_setup
+from drasim.config import ExperimentSetup
 from drasim.estimate import Estimate
 from drasim.verification import (
     _check_conditional_bounds,
@@ -29,7 +29,7 @@ from drasim.verification import (
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 QUICK = json.loads((CONFIGS / "verify_quick.json").read_text())
-BUDGET = build_setup(QUICK).budgets
+BUDGET = ExperimentSetup(QUICK).budgets
 SEED = QUICK["seed"]
 
 
@@ -83,7 +83,7 @@ def test_structural_invariants_fail_when_a_story_forfeits_its_deposit(monkeypatc
     monkeypatch.setattr(protocol.AuctionGame, "reveal_false", reveal_without_reclaim)
     check = _check_structural(BUDGET["structural_runs"], SEED)
     assert check.name == "structural_invariants" and not check.passed
-    assert not all(check.passed for check in run_verification(build_setup(QUICK)))
+    assert not all(check.passed for check in run_verification(ExperimentSetup(QUICK)))
 
 
 def test_separation_fails_when_the_adaptive_kernel_flips_sign(monkeypatch):
