@@ -87,6 +87,8 @@ class ProtocolViolation(ChannelError):
 
 @record
 class CommitMsg:
+    """A sealed bid: the bidder's id and the commitment it posts."""
+
     bidder: int
     commitment: Commitment
     kind = "commit"
@@ -94,11 +96,15 @@ class CommitMsg:
 
 @record
 class EndCommit:
+    """The auctioneer's close of the commitment phase."""
+
     kind = "end_commit"
 
 
 @record
 class RevealMsg:
+    """The bidder's opening of its commitment, posted in the reveal phase."""
+
     bidder: int
     opening: Opening
     kind = "reveal"
@@ -106,6 +112,8 @@ class RevealMsg:
 
 @record
 class EndReveal:
+    """The auctioneer's close of the reveal phase."""
+
     kind = "end_reveal"
 
 
@@ -158,6 +166,8 @@ OUT_OF_PHASE = (None, None, None)  # the row of a kind the grammar does not know
 
 @record
 class Event:
+    """One message on the channel: its index t in the log, sender, recipient and payload."""
+
     t: int
     sender: int
     recipient: Optional[int]  # None means broadcast

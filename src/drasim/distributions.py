@@ -38,11 +38,12 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .estimate import Estimate
+from .records import record
 
 __all__ = [
     "ValueDistribution",
@@ -192,14 +193,14 @@ class _LogSurvival(ValueDistribution):
         return self._from_log_survival(np.log(s, out=out), out)
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class Exponential(_LogSurvival):
     """Exponential(rate): F(x) = 1 - exp(-rate * x) on x >= 0. MHR."""
 
     rate: float = 1.0
     kind = "exponential"
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.rate > 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if -math.log1p(-_TAIL_BRACKET_U) / self.rate == math.inf:  # reserve_price's bracket
@@ -219,7 +220,7 @@ class Exponential(_LogSurvival):
         return x
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class GeneralizedPareto(_LogSurvival):
     """Generalized Pareto with shape k in (0, 1): F(x) = 1 - (1 + k x)^(-1/k).
 
@@ -230,7 +231,7 @@ class GeneralizedPareto(_LogSurvival):
     shape: float
     kind = "gpareto"
 
-    def __post_init__(self):
+    def _validate(self):
         if not 0.0 < self.shape < 1.0:
             raise ValueError(f"shape must lie in (0, 1), got {self.shape}")
         if 1.0 / self.shape == math.inf:  # pdf's exponent
@@ -253,7 +254,7 @@ class GeneralizedPareto(_LogSurvival):
         return x
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class Uniform(ValueDistribution):
     """Uniform(low, high); virtual value 2x - high, reserve high / 2 (if >= low)."""
 
@@ -261,7 +262,7 @@ class Uniform(ValueDistribution):
     high: float = 1.0
     kind = "uniform"
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.high > self.low:
             raise ValueError(f"need high > low, got [{self.low}, {self.high}]")
 
@@ -284,7 +285,7 @@ class Uniform(ValueDistribution):
         return x
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class EqualRevenue(ValueDistribution):
     """Density 1 / (1 + x)^2 on x >= 0: every posted price yields revenue 1.
 
@@ -317,7 +318,7 @@ class EqualRevenue(ValueDistribution):
         return np.divide(np.subtract(1.0, s), s, out=out)
 
 
-@dataclass(frozen=True, repr=False)
+@record
 class TwoPoint(ValueDistribution):
     """Atoms of mass 1/2 at 0 and at 1 (all-or-nothing liquidation value).
 
@@ -435,7 +436,7 @@ def at_or_above_reserve(x: float, reserve: float) -> bool:
 # Strong-regularity classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class RegularityReport:
     """Estimated strong-regularity level of a distribution.
 
@@ -624,7 +625,7 @@ def collateral(dist: ValueDistribution, n: int, alpha: float) -> float:
 # Inequality checks for alpha-strongly regular tails
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class BoundCheck:
     """One evaluated inequality: lhs <= rhs up to the stated slack."""
 

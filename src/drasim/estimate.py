@@ -7,11 +7,11 @@ never return a NaN mean with a zero standard error that a 3-SE gate passes."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .records import record
 from .seeding import CHUNK_SAMPLES
 
 __all__ = ["Estimate", "ChunkAccumulator", "pairwise_split"]
@@ -32,7 +32,7 @@ def pairwise_split(n: int) -> Optional[int]:
     return half - half % 8
 
 
-@dataclass(frozen=True)
+@record
 class Estimate:
     """Sample mean with its standard error and a 95% normal interval."""
 

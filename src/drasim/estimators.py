@@ -94,7 +94,7 @@ a new one must be.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from itertools import islice
 from typing import Optional, Sequence
@@ -115,6 +115,7 @@ from .distributions import (
 )
 from .estimate import ChunkAccumulator, Estimate, pairwise_split
 from .protocol import AuctionConfig, run_auction
+from .records import record
 from .seeding import CHUNK_SAMPLES, chunk_bounds, chunk_uniforms, derive_seed, fill_uniforms
 from .strategies import (  # noqa: F401 (perfbench's tracer finds _shill_net here)
     ALWAYS_REVEAL,
@@ -467,8 +468,11 @@ def adaptive_gain_quadrature(dist: ValueDistribution, threshold: float,
 # Credibility experiment: a deviation grid against the optimal benchmark
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CredibilityRow:
+    """One strategy's revenue estimate against its bound Rev(D^n) + 3 SE; margin is
+    the bound less the mean, and the row passes when it is not negative."""
+
     strategy: str
     estimate: Estimate
     bound: float
@@ -476,7 +480,7 @@ class CredibilityRow:
     passed: bool
 
 
-@dataclass(frozen=True)
+@record
 class CredibilityReport:
     """Per-deviation revenue estimates against Rev(D^n) + 3 SE."""
 
@@ -550,8 +554,11 @@ def credibility_suite(dist: ValueDistribution, alpha: float, n: int,
 # Attack sweep over thresholds (estimator next to its oracle)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class AttackRow:
+    """One threshold of an attack sweep: the gain's estimate and quadrature value,
+    and the estimate's relative error against it (None where the quadrature is 0)."""
+
     threshold: float
     estimate: Estimate
     quadrature: float

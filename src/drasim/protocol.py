@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .channels import (
@@ -77,7 +76,7 @@ __all__ = [
 MONEY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class AuctionConfig:
     """Static parameters of one auction instance. A distribution that cannot run
     auctions is refused with NonRegularError or InfiniteReserveError."""
@@ -90,7 +89,7 @@ class AuctionConfig:
     scheme: str = "ideal"
     seed: int = 0
 
-    def __post_init__(self):
+    def _validate(self):
         if self.n < 1:
             raise ValueError(f"need at least one buyer, got n={self.n}")
         if self.mode not in MODES:

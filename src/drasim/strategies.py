@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,7 +98,7 @@ __all__ = [
 # Buyer strategies
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Truthful:
     """Commit to the private value and open the commitment."""
 
@@ -111,7 +111,7 @@ class Truthful:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class FixedBid:
     """Commit to a chosen bid (unilateral deviation) and open it."""
 
@@ -125,7 +125,7 @@ class FixedBid:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class NoReveal:
     """Commit truthfully, then withhold the opening (forfeits the deposit)."""
 
@@ -403,7 +403,7 @@ class Honest(TwoPhase):
         return "honest"
 
 
-@dataclass(frozen=True)
+@record
 class ShillBroadcast(TwoPhase):
     """False buyers over the broadcast channel, with a reveal policy.
 
@@ -433,7 +433,7 @@ def liftable(cls: type) -> bool:
             and _first_definer(cls, "execute") is TwoPhase)
 
 
-@dataclass(frozen=True)
+@record
 class Lifted(TwoPhase):
     """A broadcast strategy replayed over centralized private channels, made only
     from an inner strategy that liftable accepts: no Lifted(Lifted(...)), no lifted
@@ -443,7 +443,7 @@ class Lifted(TwoPhase):
     kind = "lifted"
     mode = "centralized"
 
-    def __post_init__(self):
+    def _validate(self):
         if not liftable(type(self.inner)):
             raise ValueError(f"{type(self.inner).__name__} is not a broadcast strategy "
                              "that runs the two-phase execute")
@@ -467,7 +467,7 @@ def reveal_dominant_variant(shill: ShillBroadcast, collateral_amount: float) -> 
     return replace(shill, reveal_policy=ALWAYS_REVEAL)
 
 
-@dataclass(frozen=True)
+@record
 class AdaptiveReserve(TwoPhase):
     """Centralized two-buyer deviation keyed on a threshold for buyer A's bid.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -78,8 +78,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class VerifyCheck:
+    """One check of verify: its name, its verdict and the line that explains it."""
+
     name: str
     passed: bool
     detail: str
@@ -91,6 +93,8 @@ class VerifyCheck:
 
 @record
 class AuditResult:
+    """An audited run's outcome and the violations audit_run found in it; ok when none."""
+
     outcome: Outcome
     violations: tuple
 
