@@ -36,6 +36,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import operator
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -372,6 +373,15 @@ def make_distribution(spec: dict) -> ValueDistribution:
     return cls(**{k: float(v) for k, v in params.items()})
 
 
+def _require_integer(value, name: str) -> None:
+    """Raise ValueError, naming the count, where operator.index refuses it (a float
+    such as 2.0 included), so a count is never truncated or used as a slice bound."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _require_quantile_levels(levels, where: str) -> None:
     """Raise ValueError unless every level lies in the open interval (0, 1), where
     a quantile is a value of the support's interior (NaN lies nowhere)."""
@@ -573,7 +583,7 @@ def _phi_integral(dist: ValueDistribution, n: int, p: float) -> tuple:
     return _quad(integrand, upper, epsabs=1e-10, epsrel=1e-10, limit=200, points=points)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # so a cached n = 2 does not admit 2.0
 def optimal_revenue(dist: ValueDistribution, n: int) -> Estimate:
     """Rev(D^n) = E[max_i phi+(v_i)] for n i.i.d. buyers, by quadrature at every n.
 
@@ -583,6 +593,7 @@ def optimal_revenue(dist: ValueDistribution, n: int) -> Estimate:
     distribution and n, so a repeated call returns the first call's Estimate; a
     quadrature that _quad refuses raises its QuadratureError each time.
     """
+    _require_integer(n, "n")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
@@ -608,6 +619,7 @@ def collateral(dist: ValueDistribution, n: int, alpha: float) -> float:
     r = _require_regular_finite_reserve(dist)
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_integer(n, "n")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if alpha >= 1.0:

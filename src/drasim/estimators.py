@@ -105,6 +105,7 @@ from .distributions import (
     BoundCheck,
     ValueDistribution,
     _quad,
+    _require_integer,
     _require_quantile_levels,
     _require_regular_finite_reserve,
     at_or_above_reserve,
@@ -182,6 +183,7 @@ def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
 
 
 def _require_samples(samples: int) -> None:
+    _require_integer(samples, "samples")
     if samples < MIN_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_SAMPLES}, got {samples}")
 
@@ -316,7 +318,7 @@ def check_conditional_bound(dist: ValueDistribution, alpha: float, threshold: fl
     mean of v, rhs adds the mean of the paired gap phi(v) / alpha + r - v, and
     the bound holds unless that gap is below zero by more than 3 standard errors.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # NaN too
         raise ValueError(f"alpha must be positive, got {alpha}")
     r = _require_regular_finite_reserve(dist)
     if not at_or_above_reserve(threshold, r):

@@ -57,7 +57,7 @@ from .channels import (
     Transcript,
 )
 from .commitments import DEFAULT_SECURITY_BITS, SCHEMES, Opening, make_scheme
-from .distributions import ValueDistribution, _require_regular_finite_reserve
+from .distributions import ValueDistribution, _require_integer, _require_regular_finite_reserve
 from .records import record
 from .seeding import derive_seed
 
@@ -90,6 +90,7 @@ class AuctionConfig:
     seed: int = 0
 
     def _validate(self):
+        _require_integer(self.n, "n")
         if self.n < 1:
             raise ValueError(f"need at least one buyer, got n={self.n}")
         if self.mode not in MODES:

@@ -1,17 +1,24 @@
 """The invariant battery behind the `verify` subcommand, and run-audit helpers.
 
-Each check is self-contained and returns a named pass/fail with a short
-deterministic detail string (no timings, no environment), so a verify run is
-byte-identical for a fixed config. Budgets are scaled by the config's verify
-section; the shipped defaults keep the whole battery in the tens of seconds.
+Each check returns a named pass/fail with a short deterministic detail string (no
+timings, no environment), so a verify run is byte-identical for a fixed config.
+Budgets are scaled by the config's verify section; the shipped defaults keep the
+whole battery in the tens of seconds. Each check that the acceptance suite also
+runs is a tally over a case generator, `_*_cases` or `_audited_runs`, which takes
+its budget, a seed function of the case's parts and the case parameters (the
+collateral, the quantiles, the runs per case); the acceptance criteria call the
+same generators at their own sizes and seeds, so they run the bodies verify
+prints from.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import replace
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -202,14 +209,21 @@ def strategyproofness_violations(dist: ValueDistribution, n: int, profiles: int,
                                  bid_grid: Sequence[float], seed: int) -> int:
     """Count (profile, buyer, bid) cells where a unilateral deviation beats truth,
     or where the two utilities do not compare (a NaN counts)."""
-    reserve = reserve_price(dist)
-    f_amount = collateral_level(dist, n, 1.0)
-    config = AuctionConfig(n=n, dist=dist, reserve=reserve, collateral=f_amount,
-                           mode="broadcast", seed=0)
+    cells = _strategyproofness_cells(dist, n, profiles, bid_grid, partial(derive_seed, seed, "sp"),
+                                     collateral_level(dist, n, 1.0))
+    return sum(not deviated <= truth for _, deviated, truth in cells)
+
+
+def _strategyproofness_cells(dist: ValueDistribution, n: int, profiles: int,
+                             bid_grid: Sequence[float], seed_of: Callable,
+                             collateral: float):
+    """((profile, buyer, bid), deviation's utility, truth's utility) for each cell of
+    the honest broadcast auction at the given collateral: profile p drawn with seed
+    seed_of(p), buyer i bidding each bid of bid_grid while the others bid truthfully."""
+    config = _auction_config(dist, n, collateral=collateral)
     honest = Honest()
-    bad = 0
     for p in range(profiles):
-        values = sample_values(dist, n, derive_seed(seed, "sp", p))
+        values = sample_values(dist, n, seed_of(p))
         truthful = [Truthful(v) for v in values]
         base, _ = run_auction(config, truthful, honest)
         for i in range(1, n + 1):
@@ -218,9 +232,7 @@ def strategyproofness_violations(dist: ValueDistribution, n: int, profiles: int,
                 deviated = list(truthful)
                 deviated[i - 1] = FixedBid(value=values[i - 1], bid_amount=float(bid))
                 out, _ = run_auction(config, deviated, honest)
-                if not buyer_utility(out, i, values[i - 1]) <= truth_util:
-                    bad += 1
-    return bad
+                yield (p, i, float(bid)), buyer_utility(out, i, values[i - 1]), truth_util
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +243,13 @@ _ALPHAS = (0.25, 0.5, 0.75)
 _PRICE_MULTIPLES = (1.0, 2.0, 4.0, 8.0)
 
 
-def _tally(name: str, cases: Iterable, noun: str, fault: str) -> VerifyCheck:
-    """A counted check from its (label, passed) cases: "N <noun>, M <fault>", and
-    after a failure ": " and the failing cases' labels."""
-    cases = list(cases)
-    failed = [label for label, passed in cases if not passed]
-    detail = f"{len(cases)} {noun}, {len(failed)} {fault}"
+def _tally(name: str, cases: Iterable, passed: Callable, noun: str, fault: str) -> VerifyCheck:
+    """A counted check from its (label, *measured) cases, each passing when
+    passed(*measured): "N <noun>, M <fault>", and after a failure ": " and the
+    failing cases' labels."""
+    verdicts = [(label, passed(*measured)) for label, *measured in cases]
+    failed = [label for label, ok in verdicts if not ok]
+    detail = f"{len(verdicts)} {noun}, {len(failed)} {fault}"
     return VerifyCheck(name, not failed, detail + (": " + ",".join(failed) if failed else ""))
 
 
@@ -257,23 +270,34 @@ def _bound_cases(alphas: Sequence[float]):
                 yield dist, alpha, r
 
 
+def _price_bound_cases(check: Callable):
+    """(label, BoundCheck) of check, the tail or the posted-price bound, at each of
+    _bound_cases(_ALPHAS) and each price in _PRICE_MULTIPLES of the reserve."""
+    for dist, alpha, r in _bound_cases(_ALPHAS):
+        for mult in _PRICE_MULTIPLES:
+            yield f"{dist!r}/alpha={alpha}/p={mult:g}r", check(dist, alpha, mult * r)
+
+
 def _check_price_bounds() -> list:
     """The tail and posted-price inequality grids, one check each."""
-    grid = [(f"{dist!r}/alpha={alpha}/p={mult:g}r", dist, alpha, mult * r)
-            for dist, alpha, r in _bound_cases(_ALPHAS) for mult in _PRICE_MULTIPLES]
-    return [_tally(name, ((label, check(dist, alpha, p).holds) for label, dist, alpha, p in grid),
+    return [_tally(name, _price_bound_cases(check), operator.attrgetter("holds"),
                    "cases", "failures")
             for name, check in (("tail_bound", check_tail_bound),
                                 ("posted_price_bound", check_posted_price_bound))]
 
 
+def _conditional_bound_cases(samples: int, seed_of: Callable):
+    """(label, BoundCheck) of the conditional bound at t = r and 2r of each of
+    _bound_cases up to alpha = 1, case k (from 1) of dist seeded by seed_of(dist, k)."""
+    grid = itertools.product(_bound_cases((0.25, 0.5, 0.75, 1.0)), (1.0, 2.0))
+    for case, ((dist, alpha, r), mult) in enumerate(grid, 1):
+        yield (f"{dist!r}/alpha={alpha}/t={mult:g}r",
+               check_conditional_bound(dist, alpha, mult * r, samples, seed_of(dist, case)))
+
+
 def _check_conditional_bounds(samples: int, seed: int) -> VerifyCheck:
-    grid = [(f"{dist!r}/alpha={alpha}/t={mult:g}r", dist, alpha, mult * r)
-            for dist, alpha, r in _bound_cases((0.25, 0.5, 0.75, 1.0)) for mult in (1.0, 2.0)]
-    return _tally("conditional_bound", (
-        (label, check_conditional_bound(dist, alpha, t, samples,
-                                        derive_seed(seed, "cond", case)).holds)
-        for case, (label, dist, alpha, t) in enumerate(grid, 1)), "cases", "failures")
+    cases = _conditional_bound_cases(samples, lambda dist, case: derive_seed(seed, "cond", case))
+    return _tally("conditional_bound", cases, operator.attrgetter("holds"), "cases", "failures")
 
 
 def _check_reserve_and_alpha() -> VerifyCheck:
@@ -310,23 +334,32 @@ def _auction_config(dist: ValueDistribution, n: int, mode: str = "broadcast",
     return AuctionConfig(n=n, dist=dist, reserve=r, collateral=f_amount, mode=mode, seed=0)
 
 
+def _optimality_cases(samples: int, seed_of: Callable, collateral: Optional[float]):
+    """(label, honest revenue estimate, Rev(D^n)) for each of _mc_families at n = 1, 2,
+    at the given collateral (None: _auction_config's), case k (from 1) seeded by
+    seed_of(dist, n, k)."""
+    for case, (dist, n) in enumerate(itertools.product(_mc_families(), (1, 2)), 1):
+        est = estimate_revenue(_auction_config(dist, n, collateral=collateral), Honest(),
+                               samples, seed_of(dist, n, case))
+        yield f"{dist!r}/n={n}", est, optimal_revenue(dist, n).mean
+
+
 def _check_optimality(samples: int, seed: int) -> VerifyCheck:
-    grid = itertools.product(_mc_families(), (1, 2))
-    return _tally("optimality", (
-        (f"{dist!r}/n={n}",
-         _within_3se(estimate_revenue(_auction_config(dist, n), Honest(), samples,
-                                      derive_seed(seed, "opt", case)),
-                     optimal_revenue(dist, n).mean))
-        for case, (dist, n) in enumerate(grid, 1)), "cases", "failures")
+    cases = _optimality_cases(samples, lambda dist, n, case: derive_seed(seed, "opt", case), None)
+    return _tally("optimality", cases, _within_3se, "cases", "failures")
+
+
+def _myerson_cases(samples: int, seed_of: Callable, collateral: Optional[float]):
+    """(label, Myerson gap estimate, 0) for each of _mc_families at n = 1, 2, 3, at the
+    collateral and seeded as in _optimality_cases."""
+    for case, (dist, n) in enumerate(itertools.product(_mc_families(), (1, 2, 3)), 1):
+        yield (f"{dist!r}/n={n}", estimate_myerson_gap(
+            _auction_config(dist, n, collateral=collateral), samples, seed_of(dist, n, case)), 0.0)
 
 
 def _check_myerson_identity(samples: int, seed: int) -> VerifyCheck:
-    grid = itertools.product(_mc_families(), (1, 2, 3))
-    return _tally("myerson_identity", (
-        (f"{dist!r}/n={n}",
-         _within_3se(estimate_myerson_gap(_auction_config(dist, n), samples,
-                                          derive_seed(seed, "mye", case)), 0.0))
-        for case, (dist, n) in enumerate(grid, 1)), "cases", "failures")
+    cases = _myerson_cases(samples, lambda dist, n, case: derive_seed(seed, "mye", case), None)
+    return _tally("myerson_identity", cases, _within_3se, "cases", "failures")
 
 
 def _check_strategyproofness(profiles: int, seed: int) -> VerifyCheck:
@@ -345,19 +378,25 @@ def _check_credibility(samples: int, quantile_count: int, seed: int) -> VerifyCh
                        f"{len(report.rows)} strategies, worst margin {report.worst_margin:.6g}")
 
 
-def _check_reveal_dominance(samples: int, seed: int) -> VerifyCheck:
+def _reveal_dominance_cases(samples: int, seed_of: Callable, collateral: float,
+                            quantiles: Sequence[float]):
+    """(strategy, estimate of its reveal-dominant variant's net less its own) for a
+    withhold-if-winning shill bidding each of the quantiles of gpareto(0.5) at n = 2
+    and the given collateral, shill i (from 0) seeded by seed_of(i)."""
     dist = GeneralizedPareto(0.5)
-    f_amount = collateral_level(dist, 2, 0.5)
-    config = _auction_config(dist, 2, collateral=f_amount)
-
-    def case(i, u):
+    config = _auction_config(dist, 2, collateral=collateral)
+    for i, u in enumerate(quantiles):
         withhold = ShillBroadcast(false_bids=(float(dist.quantile(u)),),
                                   reveal_policy=WITHHOLD_IF_WINNING)
-        diff = estimate_paired_difference(config, reveal_dominant_variant(withhold, f_amount),
-                                          withhold, samples, derive_seed(seed, "dom", i))
-        return withhold.describe(), diff.mean >= -3.0 * diff.std_error
+        yield withhold.describe(), estimate_paired_difference(
+            config, reveal_dominant_variant(withhold, collateral), withhold, samples, seed_of(i))
 
-    return _tally("reveal_dominance", itertools.starmap(case, enumerate(np.linspace(0.1, 0.99, 10))),
+
+def _check_reveal_dominance(samples: int, seed: int) -> VerifyCheck:
+    cases = _reveal_dominance_cases(samples, partial(derive_seed, seed, "dom"),
+                                    collateral_level(GeneralizedPareto(0.5), 2, 0.5),
+                                    np.linspace(0.1, 0.99, 10))
+    return _tally("reveal_dominance", cases, lambda diff: diff.mean >= -3.0 * diff.std_error,
                   "strategies", "failures")
 
 
@@ -370,20 +409,25 @@ def _lift_strategies(dist: ValueDistribution):
     return [Honest()] + shills
 
 
-def _check_lift_equality(runs: int, seed: int) -> VerifyCheck:
+def _lift_cases(runs: int, seed_of: Callable, collateral: float):
+    """(label, broadcast outcome, outcome of its Lifted replay on the centralized
+    channel) for `runs` runs of each of _lift_strategies on gpareto(0.5) at n = 2 and
+    the given collateral, run j of a strategy seeded by seed_of(its describe(), j)."""
     dist = GeneralizedPareto(0.5)
-    config = _auction_config(dist, 2, collateral=collateral_level(dist, 2, 0.5))
-
-    def case(strategy, j):
-        run_seed = derive_seed(seed, "lift", strategy.describe(), j)
+    config = _auction_config(dist, 2, collateral=collateral)
+    for strategy, j in itertools.product(_lift_strategies(dist), range(runs)):
+        run_seed = seed_of(strategy.describe(), j)
         buyers = [Truthful(v) for v in sample_values(dist, 2, run_seed)]
         cfg_b = replace(config, seed=run_seed)
         out_b, _ = run_auction(cfg_b, buyers, strategy)
         out_c, _ = run_auction(replace(cfg_b, mode="centralized"), buyers, Lifted(strategy))
-        return f"{strategy.describe()}/run={j}", out_b == out_c
+        yield f"{strategy.describe()}/run={j}", out_b, out_c
 
-    return _tally("lift_equality", itertools.starmap(
-        case, itertools.product(_lift_strategies(dist), range(runs))), "paired runs", "mismatches")
+
+def _check_lift_equality(runs: int, seed: int) -> VerifyCheck:
+    cases = _lift_cases(runs, partial(derive_seed, seed, "lift"),
+                        collateral_level(GeneralizedPareto(0.5), 2, 0.5))
+    return _tally("lift_equality", cases, operator.eq, "paired runs", "mismatches")
 
 
 def _structural_deviations(dist: ValueDistribution):
@@ -397,31 +441,38 @@ def _structural_deviations(dist: ValueDistribution):
     ]
 
 
+def _audited_runs(runs: int, seed_of: Callable, collateral: float):
+    """(label, AuditResult) for `runs` audited runs of each of _structural_deviations
+    on gpareto(0.5) at n = 2 and the given collateral, run j of deviation `name`
+    seeded by seed_of(name, j)."""
+    dist = GeneralizedPareto(0.5)
+    for name, mode, strategy in _structural_deviations(dist):
+        config = _auction_config(dist, 2, mode=mode, collateral=collateral)
+        for j in range(runs):
+            run_seed = seed_of(name, j)
+            values = sample_values(dist, 2, run_seed)
+            yield f"{name}/run={j}", audit_run(replace(config, seed=run_seed),
+                                               [Truthful(v) for v in values], strategy)
+
+
 def _check_structural(runs: int, seed: int) -> VerifyCheck:
     dist = GeneralizedPareto(0.5)
     f_amount = 2.0
-    violations = 0
-    total = 0
+    counts = [len(result.violations)
+              for _, result in _audited_runs(runs, partial(derive_seed, seed, "struct"), f_amount)]
+    violations = sum(counts)
     for name, mode, strategy in _structural_deviations(dist):
+        # False-bid coupling applies to strategies whose false bids are pinned
+        # before the commitment phase closes, not to the adaptive deviation
+        # (whose false bid is the attack's point).
         config = _auction_config(dist, 2, mode=mode, collateral=f_amount)
-        for j in range(runs):
-            run_seed = derive_seed(seed, "struct", name, j)
-            values = sample_values(dist, 2, run_seed)
-            result = audit_run(replace(config, seed=run_seed),
-                               [Truthful(v) for v in values], strategy)
-            total += 1
-            violations += len(result.violations)
-        if name != "adaptive":
-            # False-bid coupling applies to strategies whose false bids are
-            # pinned before the commitment phase closes, not to the adaptive
-            # deviation (whose false bid is the attack's point).
-            if not coupling_matches(replace(config, seed=derive_seed(seed, "couple", name)),
-                                    strategy,
-                                    sample_values(dist, 2, derive_seed(seed, "vA", name)),
-                                    sample_values(dist, 2, derive_seed(seed, "vB", name))):
-                violations += 1
+        if name != "adaptive" and not coupling_matches(
+                replace(config, seed=derive_seed(seed, "couple", name)), strategy,
+                sample_values(dist, 2, derive_seed(seed, "vA", name)),
+                sample_values(dist, 2, derive_seed(seed, "vB", name))):
+            violations += 1
     return VerifyCheck("structural_invariants", violations == 0,
-                       f"{total} audited runs, {violations} violations")
+                       f"{len(counts)} audited runs, {violations} violations")
 
 
 def _check_separation(samples: int, rel_tol: float, thresholds: Sequence[float],

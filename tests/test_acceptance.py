@@ -3,54 +3,52 @@
 Every numeric target here is a closed form derived in-line, a quadrature
 oracle, or an exact structural property; statistical checks use 3 standard
 errors. Budgets (sample counts, grid sizes, runtime ceilings) are pinned, not
-tunable.
+tunable. Criteria 01-03 and 06-09 run verify's own case generators
+(drasim.verification's `_*_cases`, `_strategyproofness_cells` and `_audited_runs`)
+at their own sizes, seeds and collaterals, and keep only their gates here.
 
 Run `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
 import math
 import time
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from drasim import (
-    ALWAYS_REVEAL,
     WITHHOLD_IF_WINNING,
-    AdaptiveReserve,
     AuctionConfig,
     Exponential,
-    FixedBid,
     GeneralizedPareto,
-    Honest,
-    Lifted,
     ShillBroadcast,
     Truthful,
     adaptive_gain_quadrature,
-    buyer_utility,
-    check_conditional_bound,
     check_posted_price_bound,
     check_tail_bound,
     collateral,
-    conservation_residual,
     credibility_suite,
     estimate_adaptive_gain,
-    estimate_myerson_gap,
-    estimate_paired_difference,
-    estimate_revenue,
     optimal_revenue,
     reserve_price,
-    reveal_dominant_variant,
     run_auction,
 )
 from drasim.cli import main as cli_main
 from drasim.seeding import derive_seed
 from drasim.strategies import commit_phase_payloads, false_commit_payloads
-from drasim.verification import audit_run, sample_values
+from drasim.verification import (
+    _audited_runs,
+    _conditional_bound_cases,
+    _lift_cases,
+    _myerson_cases,
+    _optimality_cases,
+    _price_bound_cases,
+    _reveal_dominance_cases,
+    _strategyproofness_cells,
+)
 
 EXP = Exponential(1.0)
-GPA25 = GeneralizedPareto(0.25)
 GPA50 = GeneralizedPareto(0.5)
 
 # 20-point false-bid grid (quantiles of D), top entries exceed the collateral 32
@@ -64,9 +62,9 @@ def report(num: int, name: str, ok: bool, detail: str):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def _config(dist, n, collateral_amount, mode="broadcast", seed=0):
-    return AuctionConfig(n=n, dist=dist, reserve=reserve_price(dist),
-                         collateral=collateral_amount, mode=mode, seed=seed)
+def _worst_z(cases) -> float:
+    """The largest |estimate - target| / SE over (label, estimate, target) cases."""
+    return max(0.0, *(abs(est.mean - target) / est.std_error for _, est, target in cases))
 
 
 # ---------------------------------------------------------------------------
@@ -74,29 +72,15 @@ def _config(dist, n, collateral_amount, mode="broadcast", seed=0):
 # ---------------------------------------------------------------------------
 
 def test_criterion_01_strategyproofness():
+    """A cell counts as profitable when the deviation's utility is not at most
+    truth's, so a NaN utility counts, as in strategyproofness_violations."""
     t0 = time.time()
-    n = 3
-    config = _config(EXP, n, 1.0)
-    bid_grid = np.linspace(0.0, 8.0, 21)
-    honest = Honest()
-    violations = 0
-    cells = 0
-    for p in range(200):
-        values = sample_values(EXP, n, derive_seed(1001, "profile", p))
-        truthful = [Truthful(v) for v in values]
-        base, _ = run_auction(config, truthful, honest)
-        base_utils = [buyer_utility(base, i, values[i - 1]) for i in range(1, n + 1)]
-        for i in range(1, n + 1):
-            for bid in bid_grid:
-                deviated = list(truthful)
-                deviated[i - 1] = FixedBid(value=values[i - 1], bid_amount=float(bid))
-                out, _ = run_auction(config, deviated, honest)
-                cells += 1
-                if buyer_utility(out, i, values[i - 1]) > base_utils[i - 1]:
-                    violations += 1
+    cells = list(_strategyproofness_cells(EXP, 3, 200, np.linspace(0.0, 8.0, 21),
+                                          partial(derive_seed, 1001, "profile"), 1.0))
+    violations = sum(not deviated <= truth for _, deviated, truth in cells)
     elapsed = time.time() - t0
     report(1, "strategyproofness", violations == 0 and elapsed < 5.0,
-           f"{cells} deviation cells, {violations} profitable, {elapsed:.2f}s")
+           f"{len(cells)} deviation cells, {violations} profitable, {elapsed:.2f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +98,8 @@ def test_criterion_02_optimality():
     # closed-form anchors derived independently
     assert optimal_revenue(EXP, 1).mean == pytest.approx(math.exp(-1.0), abs=1e-8)
     assert optimal_revenue(GPA50, 1).mean == pytest.approx(0.5, abs=1e-8)
-    worst_z = 0.0
-    for dist in (EXP, GPA25, GPA50):
-        for n in (1, 2):
-            est = estimate_revenue(_config(dist, n, 2.0), Honest(), 1_000_000,
-                                   derive_seed(1002, dist.kind, n))
-            target = optimal_revenue(dist, n).mean
-            worst_z = max(worst_z, abs(est.mean - target) / est.std_error)
+    worst_z = _worst_z(_optimality_cases(
+        1_000_000, lambda dist, n, case: derive_seed(1002, dist.kind, n), 2.0))
     elapsed = time.time() - t0
     report(2, "optimality", worst_z <= 3.0 and elapsed < 60.0,
            f"6 cases at 1e6 samples, worst |z| = {worst_z:.2f}, {elapsed:.1f}s")
@@ -139,12 +118,8 @@ def test_criterion_03_myerson_identity():
     uniform stream: their cases are correlated, and the 9 cases hold 6 independent
     draws. The seeds are kept as they are; changing them is a change of its own."""
     t0 = time.time()
-    worst_z = 0.0
-    for dist in (EXP, GPA25, GPA50):
-        for n in (1, 2, 3):
-            gap = estimate_myerson_gap(_config(dist, n, 2.0), 1_000_000,
-                                       derive_seed(1003, dist.kind, n))
-            worst_z = max(worst_z, abs(gap.mean) / gap.std_error)
+    worst_z = _worst_z(_myerson_cases(
+        1_000_000, lambda dist, n, case: derive_seed(1003, dist.kind, n), 2.0))
     elapsed = time.time() - t0
     report(3, "myerson_identity", worst_z <= 3.0 and elapsed < 60.0,
            f"9 cases at 1e6 samples, worst |z| = {worst_z:.2f}, {elapsed:.1f}s")
@@ -203,19 +178,10 @@ def test_criterion_05_separation():
 
 def test_criterion_06_reveal_dominance():
     t0 = time.time()
-    f_amount = 32.0
-    config = _config(GPA50, 2, f_amount)
     quantiles = np.linspace(0.1, 0.99, 10)
-    failures = 0
-    for i, u in enumerate(quantiles):
-        bid = float(GPA50.quantile(u))
-        assert bid <= f_amount
-        withhold = ShillBroadcast((bid,), WITHHOLD_IF_WINNING)
-        reveal = reveal_dominant_variant(withhold, f_amount)
-        diff = estimate_paired_difference(config, reveal, withhold, 1_000_000,
-                                          derive_seed(1006, i))
-        if diff.mean < -3.0 * diff.std_error:
-            failures += 1
+    assert float(GPA50.quantile(quantiles[-1])) <= 32.0  # every false bid is covered
+    cases = _reveal_dominance_cases(1_000_000, partial(derive_seed, 1006), 32.0, quantiles)
+    failures = sum(diff.mean < -3.0 * diff.std_error for _, diff in cases)
     elapsed = time.time() - t0
     report(6, "reveal_dominance", failures == 0 and elapsed < 120.0,
            f"10 paired strategies at 1e6 samples, {failures} dominated, {elapsed:.1f}s")
@@ -227,27 +193,12 @@ def test_criterion_06_reveal_dominance():
 
 def test_criterion_07_lift_equality():
     t0 = time.time()
-    strategies = [Honest()]
-    for u, policy in [(0.3, ALWAYS_REVEAL), (0.6, WITHHOLD_IF_WINNING),
-                      (0.8, ALWAYS_REVEAL), (0.95, WITHHOLD_IF_WINNING),
-                      (0.99, ALWAYS_REVEAL)]:
-        strategies.append(ShillBroadcast((float(GPA50.quantile(u)),), policy))
-    mismatches = 0
-    pairs = 0
-    for strategy in strategies:
-        for j in range(1000):
-            run_seed = derive_seed(1007, strategy.describe(), j)
-            values = sample_values(GPA50, 2, run_seed)
-            buyers = [Truthful(v) for v in values]
-            cfg = _config(GPA50, 2, 32.0, seed=run_seed)
-            out_b, _ = run_auction(cfg, buyers, strategy)
-            out_c, _ = run_auction(replace(cfg, mode="centralized"), buyers, Lifted(strategy))
-            pairs += 1
-            if out_b != out_c:
-                mismatches += 1
+    pairs = [out_b == out_c for _, out_b, out_c in
+             _lift_cases(1000, partial(derive_seed, 1007), 32.0)]
+    mismatches = pairs.count(False)
     elapsed = time.time() - t0
     report(7, "lift_equality", mismatches == 0 and elapsed < 30.0,
-           f"{pairs} paired runs over 6 strategies, {mismatches} mismatches, {elapsed:.1f}s")
+           f"{len(pairs)} paired runs over 6 strategies, {mismatches} mismatches, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -256,32 +207,14 @@ def test_criterion_07_lift_equality():
 
 def test_criterion_08_appendix_inequalities():
     t0 = time.time()
-    families = [(EXP, 1.0), (GPA25, 0.75), (GPA50, 0.5), (GeneralizedPareto(0.75), 0.25)]
-    tail_cases = posted_cases = cond_cases = failures = 0
-    for dist, alpha_max in families:
-        r = reserve_price(dist)
-        for alpha in (0.25, 0.5, 0.75):
-            if alpha > alpha_max + 1e-12:
-                continue
-            for mult in (1.0, 2.0, 4.0, 8.0):
-                tail_cases += 1
-                if not check_tail_bound(dist, alpha, mult * r).holds:
-                    failures += 1
-                posted_cases += 1
-                if not check_posted_price_bound(dist, alpha, mult * r).holds:
-                    failures += 1
-        for alpha in (0.25, 0.5, 0.75, 1.0):
-            if alpha > alpha_max + 1e-12:
-                continue
-            for mult in (1.0, 2.0):
-                cond_cases += 1
-                res = check_conditional_bound(dist, alpha, mult * r, samples=1_000_000,
-                                              seed=derive_seed(1008, dist.kind, cond_cases))
-                if not res.holds:
-                    failures += 1
+    tail = [bound.holds for _, bound in _price_bound_cases(check_tail_bound)]
+    posted = [bound.holds for _, bound in _price_bound_cases(check_posted_price_bound)]
+    cond = [bound.holds for _, bound in _conditional_bound_cases(
+        1_000_000, lambda dist, case: derive_seed(1008, dist.kind, case))]
+    failures = sum(not holds for holds in tail + posted + cond)
     elapsed = time.time() - t0
     report(8, "appendix_inequalities", failures == 0 and elapsed < 60.0,
-           f"{tail_cases} tail + {posted_cases} posted + {cond_cases} conditional cases "
+           f"{len(tail)} tail + {len(posted)} posted + {len(cond)} conditional cases "
            f"(conditional at 1e6 samples), {failures} failures, {elapsed:.1f}s")
 
 
@@ -291,36 +224,14 @@ def test_criterion_08_appendix_inequalities():
 
 def test_criterion_09_structural_invariants():
     t0 = time.time()
-    shill_bid = float(GPA50.quantile(0.9))
-    deviations = [
-        ("honest", "broadcast", Honest()),
-        ("shill_reveal", "broadcast", ShillBroadcast((shill_bid,), ALWAYS_REVEAL)),
-        ("shill_withhold", "broadcast", ShillBroadcast((shill_bid,), WITHHOLD_IF_WINNING)),
-        ("lifted_shill", "centralized",
-         Lifted(ShillBroadcast((shill_bid,), WITHHOLD_IF_WINNING))),
-        ("adaptive", "centralized", AdaptiveReserve(threshold=float(GPA50.quantile(0.8)))),
-    ]
-    runs_per_deviation = 10_000
-    violations = 0
-    total = 0
-    for name, mode, strategy in deviations:
-        base = _config(GPA50, 2, 2.0, mode=mode)
-        for j in range(runs_per_deviation):
-            run_seed = derive_seed(1009, name, j)
-            values = sample_values(GPA50, 2, run_seed)
-            result = audit_run(replace(base, seed=run_seed),
-                               [Truthful(v) for v in values], strategy)
-            total += 1
-            violations += len(result.violations)
-            residual = conservation_residual(
-                result.outcome, depositors=[e.depositor for e in result.outcome.ledger],
-                collateral_amount=2.0)
-            if abs(residual) > 1e-9:
-                violations += 1
+    counts = [len(result.violations)
+              for _, result in _audited_runs(10_000, partial(derive_seed, 1009), 2.0)]
+    violations = sum(counts)
     # false-bid coupling: matched strategy seeds, different value profiles
     coupling_ok = True
-    config = _config(GPA50, 2, 2.0, seed=424242)
-    strategy = ShillBroadcast((shill_bid, 1.0), WITHHOLD_IF_WINNING)
+    config = AuctionConfig(n=2, dist=GPA50, reserve=reserve_price(GPA50), collateral=2.0,
+                           mode="broadcast", seed=424242)
+    strategy = ShillBroadcast((float(GPA50.quantile(0.9)), 1.0), WITHHOLD_IF_WINNING)
     _, t_a = run_auction(config, [Truthful(5.0), Truthful(3.0)], strategy)
     _, t_b = run_auction(config, [Truthful(50.0), Truthful(0.1)], strategy)
     if false_commit_payloads(t_a) != false_commit_payloads(t_b):
@@ -329,7 +240,7 @@ def test_criterion_09_structural_invariants():
         coupling_ok = False
     elapsed = time.time() - t0
     report(9, "structural_invariants", violations == 0 and coupling_ok,
-           f"{total} audited runs across 5 deviations (conservation, single-candidate, "
+           f"{len(counts)} audited runs across 5 deviations (conservation, single-candidate, "
            f"safe-allocation, view checks), {violations} violations, "
            f"coupling {'exact' if coupling_ok else 'BROKEN'}, {elapsed:.1f}s")
 

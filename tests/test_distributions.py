@@ -512,6 +512,10 @@ def test_optimal_revenue_rejections():
         optimal_revenue(TwoPoint(), 2)
     with pytest.raises(ValueError):
         optimal_revenue(Exponential(1.0), -1)
+    optimal_revenue(GeneralizedPareto(0.5), 2)  # a cached 2 does not admit 2.0
+    for n in (1.5, 2.0):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n}$"):
+            optimal_revenue(GeneralizedPareto(0.5), n)
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +538,8 @@ def test_collateral_values():
         collateral(Exponential(1.0), 2, 0.0)
     with pytest.raises(ValueError):
         collateral(Exponential(1.0), 0, 0.5)
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 1.5$"):
+        collateral(GeneralizedPareto(0.5), 1.5, 0.5)
     with pytest.raises(InfiniteReserveError):
         collateral(EqualRevenue(), 2, 0.5)
 
@@ -630,6 +636,14 @@ def test_conditional_bound_exponential_tightness():
     assert res.lhs == pytest.approx(res.rhs, abs=1e-9)
     assert res.holds
     assert res.lhs == pytest.approx(2.0, abs=0.02)
+
+
+def test_conditional_bound_refuses_an_alpha_that_is_not_positive():
+    # NaN compares false with 0.0, so a guard written alpha <= 0.0 passed it on to a
+    # non-finite estimate
+    for alpha in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match=f"^alpha must be positive, got {alpha}$"):
+            check_conditional_bound(GeneralizedPareto(0.5), alpha, 3.0, 1000, 0)
 
 
 def test_conditional_bound_grid():

@@ -299,6 +299,8 @@ def test_adaptive_gain_refuses_too_few_samples_on_an_empty_stratum():
     for samples in (-3, 0, 999):
         with pytest.raises(ValueError, match="samples must be >= 1000"):
             estimate_adaptive_gain(GPA, math.inf, 2.0, samples, 0)
+    with pytest.raises(ValueError, match="^samples must be an integer, got 1000.0$"):
+        estimate_adaptive_gain(GPA, math.inf, 2.0, 1000.0, 0)
 
 
 def test_attack_sweep_rows_are_the_simulate_engines():
@@ -992,6 +994,14 @@ def test_estimate_invariants():
         estimate_adaptive_gain(GPA, 5.0, 2.0, 999, 0)
     with pytest.raises(ValueError):
         check_conditional_bound(GPA, 0.5, 2.0, samples=999, seed=0)
+    # a float count reached a slice bound or a range and died there with a TypeError
+    for call, samples in [
+            (lambda: estimate_revenue(config, Honest(), 100000.0, 0), "100000.0"),
+            (lambda: estimate_adaptive_gain(GPA, 5.0, 2.0, 100000.0, 0), "100000.0"),
+            (lambda: credibility_suite(GPA, 0.5, 2, [0.5], samples=1000.0, seed=0), "1000.0"),
+            (lambda: attack_sweep(GPA, 2.0, [5.0], 1000.5, 0), "1000.5")]:
+        with pytest.raises(ValueError, match=f"^samples must be an integer, got {samples}$"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

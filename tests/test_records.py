@@ -218,6 +218,7 @@ def test_families_keep_their_own_repr():
 
 @pytest.mark.parametrize("instance, changes, message", [
     (CONFIG, {"n": 0}, "need at least one buyer"),
+    (CONFIG, {"n": 1.5}, "n must be an integer, got 1.5"),
     (CONFIG, {"mode": "smoke"}, "unknown mode"),
     (CONFIG, {"scheme": "hash"}, "unknown commitment scheme"),
     (CONFIG, {"collateral": math.inf}, "collateral must be finite"),

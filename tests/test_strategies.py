@@ -421,6 +421,28 @@ def test_audit_reports_a_ledger_that_drops_a_committed_id(monkeypatch):
     assert not check.passed and check.detail.endswith(" 13 violations")
 
 
+def test_audit_reports_a_ledger_entry_at_the_wrong_amount_and_a_deposit_disposed_twice(
+        monkeypatch):
+    # Both keep the money balanced, and the refunded deposit is a buyer's, so the
+    # auctioneer's net is untouched: only the ledger's structural check sees them.
+    from drasim import verification
+
+    faults = {
+        "ledger amount differs from the posted collateral":
+            lambda ledger: ledger[:-1] + (replace(ledger[-1], amount=3.0),),
+        "ledger does not dispose each deposit exactly once": lambda ledger: ledger + ledger[-1:],
+    }
+    config = AuctionConfig(n=2, dist=GPA, reserve=R, collateral=2.0, mode="broadcast", seed=3)
+    for violation, fault in faults.items():
+        def faulty_ledger(config, buyers, auctioneer, fault=fault):
+            outcome, transcript = run_auction(config, buyers, auctioneer)
+            return replace(outcome, ledger=fault(outcome.ledger)), transcript
+
+        monkeypatch.setattr(verification, "run_auction", faulty_ledger)
+        result = audit_run(config, [Truthful(5.0), Truthful(9.0)], Honest())
+        assert result.violations == (violation,)
+
+
 def test_audit_reports_a_nan_sale_price(monkeypatch):
     # the price check, the auctioneer's net and the conservation residual see it: the
     # residual books every price but exactly 0.0
