@@ -218,7 +218,6 @@ def test_families_keep_their_own_repr():
 
 @pytest.mark.parametrize("instance, changes, message", [
     (CONFIG, {"n": 0}, "need at least one buyer"),
-    (CONFIG, {"n": 1.5}, "n must be an integer, got 1.5"),
     (CONFIG, {"mode": "smoke"}, "unknown mode"),
     (CONFIG, {"scheme": "hash"}, "unknown commitment scheme"),
     (CONFIG, {"collateral": math.inf}, "collateral must be finite"),
@@ -228,6 +227,7 @@ def test_families_keep_their_own_repr():
     (Uniform(), {"high": 0.0}, "need high > low"),
     (Lifted(SHILL), {"inner": AdaptiveReserve(5.0)}, "is not a broadcast strategy"),
     (Lifted(SHILL), {"inner": Lifted(SHILL)}, "is not a broadcast strategy"),
+    (CONFIG, {"n": 1.5}, "n must be an integer, got 1.5"),
 ])
 def test_replace_runs_the_validating_classes_checks(instance, changes, message):
     with pytest.raises(ValueError, match=message):
