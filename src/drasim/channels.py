@@ -173,6 +173,13 @@ class Event:
     recipient: Optional[int]  # None means broadcast
     payload: Payload
 
+    def to_json(self) -> dict:
+        """The event as one JSON object, stable field order: a transcript's form in
+        dump_jsonl and in the run command's output."""
+        return {"t": self.t, "sender": self.sender,
+                "recipient": "*" if self.recipient is None else self.recipient,
+                "payload": _payload_json(self.payload)}
+
 
 @record
 class View:
@@ -306,14 +313,5 @@ class Transcript:
         return dict(self.views)
 
     def dump_jsonl(self) -> str:
-        """One JSON object per event, stable field order, for golden files."""
-        lines = []
-        for e in self.events:
-            obj = {
-                "t": e.t,
-                "sender": e.sender,
-                "recipient": "*" if e.recipient is None else e.recipient,
-                "payload": _payload_json(e.payload),
-            }
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+        """One JSON object per event (Event.to_json), for golden files."""
+        return "\n".join(json.dumps(e.to_json(), separators=(",", ":")) for e in self.events) + "\n"

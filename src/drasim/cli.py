@@ -112,7 +112,7 @@ def cmd_run(setup: ExperimentSetup) -> int:
             "seed": config.seed,
         },
         "outcome": outcome.to_json(),
-        "transcript": [json.loads(line) for line in transcript.dump_jsonl().splitlines()],
+        "transcript": [event.to_json() for event in transcript.events],
     }
     _write_out(json.dumps(payload, indent=2) + "\n", setup.out)
     return 0

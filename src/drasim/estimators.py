@@ -178,6 +178,8 @@ def _value_stream_seed(seed: int) -> int:
 
 def sample_values(dist: ValueDistribution, n: int, seed: int) -> list:
     """The first value profile of the seed's stream (profile 0 of every estimate)."""
+    _require_integer(n, "n")
+    _require_integer(seed, "seed")
     u = chunk_uniforms(_value_stream_seed(seed), 0, 1, n)[0]
     return [float(v) for v in np.atleast_1d(dist.quantile(u))]
 
@@ -198,6 +200,7 @@ def _estimate_each(seed: int, samples: int, cols: int, draw, count: int, nets) -
     profiles and the work arrays from chunk to chunk. A helper thread draws chunks
     ahead, and the caller prices them as they come (see the module docstring)."""
     _require_samples(samples)
+    _require_integer(seed, "seed")
     stream = _value_stream_seed(seed)
     accumulators = [ChunkAccumulator() for _ in range(count)]
     chunk = None
@@ -400,8 +403,10 @@ def _stratified_gain(dist: ValueDistribution, threshold: float, collateral: floa
                      samples: int, seed: int, draw, gain) -> Estimate:
     """The tail stratum's Estimate, weighted by weight = P[v_A >= T]: `draw` maps the chunk's
     uniforms to what gain(config, weight) prices, (chunk, start) -> net difference per row.
-    A stratum of weight 0 is exactly 0, not sampled, and still needs MIN_SAMPLES."""
+    A stratum of weight 0 is exactly 0, not sampled, and still needs MIN_SAMPLES and an
+    integer seed."""
     _require_samples(samples)  # an empty stratum too, which samples nothing
+    _require_integer(seed, "seed")
     config = _attack_config(dist, threshold, collateral)
     weight = float(dist.sf(threshold))
     if weight == 0.0:  # an empty stratum: exactly zero, nothing sampled
@@ -519,6 +524,7 @@ def credibility_suite(dist: ValueDistribution, alpha: float, n: int,
     takes the honest row's estimate and is not priced again.
     """
     _require_quantile_levels(deviation_quantiles, "deviation_quantiles")
+    _require_integer(seed, "seed")  # before the quadrature of Rev(D^n)
     f_amount = collateral_override if collateral_override is not None \
         else collateral_level(dist, n, alpha)
     config = AuctionConfig(n=n, dist=dist, reserve=reserve_price(dist), collateral=f_amount,

@@ -14,7 +14,6 @@ prints from.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import replace
 from functools import partial
@@ -29,6 +28,7 @@ from .distributions import (
     TwoPoint,
     Uniform,
     ValueDistribution,
+    _require_integer,
     check_posted_price_bound,
     check_tail_bound,
     collateral as collateral_level,
@@ -51,6 +51,7 @@ from .protocol import (
     MONEY_TOL,
     AuctionConfig,
     Outcome,
+    _exact_sum,
     buyer_utility,
     conservation_residual,
     run_auction,
@@ -111,17 +112,18 @@ class AuditResult:
 
 
 def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResult:
-    """Run one auction and check the per-run structural invariants: money
-    conservation (conservation_residual, which the engine does not apply to its
-    own runs) with a ledger that disposes of each committed id's deposit once,
-    an auctioneer net equal to the sale and ledger flows into the auctioneer's
-    ids (0 and those above n), the single-candidate bound, allocation consistency
-    for the candidate, and the per-buyer view-consistency verdicts (for revealing
-    buyers). Each view is parsed once; the committed ids are those the views
-    show, false buyers' included, and the bids are the openings they show. Money
-    and prices are compared as not abs(x - y) <= tolerance, so a NaN fails. A
-    ledger that conservation_residual refuses is a violation of the run, so verify
-    fails its check rather than crash.
+    """Run one auction and check the per-run structural invariants: a ledger that
+    disposes of each committed id's deposit once, each at the posted collateral;
+    money conservation (conservation_residual, which the engine does not apply to
+    its own runs); an auctioneer net equal to the exact sum of the sale and ledger
+    flows into the auctioneer's ids (0 and those above n); the single-candidate
+    bound, allocation consistency for the candidate, and the per-buyer
+    view-consistency verdicts (for revealing buyers). Each view is parsed once; the
+    committed ids are those the views show, false buyers' included, and the bids
+    are the openings they show. Money and prices are compared as not abs(x - y) <=
+    tolerance, so a NaN fails. A malformed ledger, or a NaN or infinite amount, is
+    a violation of the run, never an exception, so verify fails its check rather
+    than crash.
     """
     outcome, transcript = run_auction(config, buyers, auctioneer)
     scheme = transcript.scheme
@@ -147,13 +149,12 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
         if not summary_is_consistent(summary, config, scheme):
             buyer_violations.append(f"buyer {i}: view fails consistency check")
     violations = []
-    try:
-        residual = conservation_residual(outcome, depositors=committed,
-                                         collateral_amount=config.collateral)
-    except AssertionError as ledger_fault:  # a violation of the run, not a crash
-        violations.append(str(ledger_fault))
-        residual = conservation_residual(outcome)
-    if not abs(residual) <= MONEY_TOL:
+    if sorted(entry.depositor for entry in outcome.ledger) != sorted(committed):
+        violations.append("ledger does not dispose each deposit exactly once")
+    elif any(not abs(entry.amount - config.collateral) <= MONEY_TOL for entry in outcome.ledger):
+        violations.append("ledger amount differs from the posted collateral")
+    residual = conservation_residual(outcome)
+    if residual != 0.0:
         violations.append(f"money conservation residual {residual}")
     n, winner = config.n, outcome.winner
     inflow = []  # the sale and ledger flows into the auctioneer's ids
@@ -166,7 +167,7 @@ def audit_run(config: AuctionConfig, buyers: Sequence, auctioneer) -> AuditResul
             inflow.append(entry.amount)
         if entry.depositor == AUCTIONEER or entry.depositor > n:
             inflow.append(-entry.amount)
-    expected_net = math.fsum(inflow)
+    expected_net = _exact_sum(inflow)
     if not abs(outcome.auctioneer_net - expected_net) <= MONEY_TOL:
         violations.append(f"auctioneer net {outcome.auctioneer_net} != its inflow {expected_net}")
     if winner is not None:
@@ -209,6 +210,7 @@ def strategyproofness_violations(dist: ValueDistribution, n: int, profiles: int,
                                  bid_grid: Sequence[float], seed: int) -> int:
     """Count (profile, buyer, bid) cells where a unilateral deviation beats truth,
     or where the two utilities do not compare (a NaN counts)."""
+    _require_integer(profiles, "profiles")
     cells = _strategyproofness_cells(dist, n, profiles, bid_grid, partial(derive_seed, seed, "sp"),
                                      collateral_level(dist, n, 1.0))
     return sum(not deviated <= truth for _, deviated, truth in cells)

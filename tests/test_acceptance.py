@@ -4,8 +4,9 @@ Every numeric target here is a closed form derived in-line, a quadrature
 oracle, or an exact structural property; statistical checks use 3 standard
 errors. Budgets (sample counts, grid sizes, runtime ceilings) are pinned, not
 tunable. Criteria 01-03 and 06-09 run verify's own case generators
-(drasim.verification's `_*_cases`, `_strategyproofness_cells` and `_audited_runs`)
-at their own sizes, seeds and collaterals, and keep only their gates here.
+(drasim.verification's `_*_cases`, `_strategyproofness_cells` and `_audited_runs`),
+and criterion 09 its `coupling_matches` too, at their own sizes, seeds and
+collaterals, and keep only their gates here.
 
 Run `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
@@ -23,7 +24,6 @@ from drasim import (
     Exponential,
     GeneralizedPareto,
     ShillBroadcast,
-    Truthful,
     adaptive_gain_quadrature,
     check_posted_price_bound,
     check_tail_bound,
@@ -32,11 +32,9 @@ from drasim import (
     estimate_adaptive_gain,
     optimal_revenue,
     reserve_price,
-    run_auction,
 )
 from drasim.cli import main as cli_main
 from drasim.seeding import derive_seed
-from drasim.strategies import commit_phase_payloads, false_commit_payloads
 from drasim.verification import (
     _audited_runs,
     _conditional_bound_cases,
@@ -46,6 +44,7 @@ from drasim.verification import (
     _price_bound_cases,
     _reveal_dominance_cases,
     _strategyproofness_cells,
+    coupling_matches,
 )
 
 EXP = Exponential(1.0)
@@ -228,16 +227,10 @@ def test_criterion_09_structural_invariants():
               for _, result in _audited_runs(10_000, partial(derive_seed, 1009), 2.0)]
     violations = sum(counts)
     # false-bid coupling: matched strategy seeds, different value profiles
-    coupling_ok = True
     config = AuctionConfig(n=2, dist=GPA50, reserve=reserve_price(GPA50), collateral=2.0,
                            mode="broadcast", seed=424242)
     strategy = ShillBroadcast((float(GPA50.quantile(0.9)), 1.0), WITHHOLD_IF_WINNING)
-    _, t_a = run_auction(config, [Truthful(5.0), Truthful(3.0)], strategy)
-    _, t_b = run_auction(config, [Truthful(50.0), Truthful(0.1)], strategy)
-    if false_commit_payloads(t_a) != false_commit_payloads(t_b):
-        coupling_ok = False
-    if commit_phase_payloads(t_a) != commit_phase_payloads(t_b):
-        coupling_ok = False
+    coupling_ok = coupling_matches(config, strategy, [5.0, 3.0], [50.0, 0.1])
     elapsed = time.time() - t0
     report(9, "structural_invariants", violations == 0 and coupling_ok,
            f"{len(counts)} audited runs across 5 deviations (conservation, single-candidate, "

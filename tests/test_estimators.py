@@ -25,6 +25,7 @@ from drasim import (
     Lifted,
     ProtocolViolation,
     ShillBroadcast,
+    Truthful,
     adaptive_gain_quadrature,
     adaptive_net_delta,
     check_conditional_bound,
@@ -35,6 +36,7 @@ from drasim import (
     estimate_revenue,
     optimal_revenue,
     reserve_price,
+    run_auction,
     virtual_value,
 )
 from drasim import estimators
@@ -55,6 +57,7 @@ from drasim.estimators import (
 )
 from drasim.seeding import CHUNK_SAMPLES, chunk_bounds, chunk_uniforms, derive_seed, fill_uniforms
 from drasim.strategies import Chunk
+from drasim.verification import strategyproofness_violations
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 GPA = GeneralizedPareto(0.5)
@@ -1002,6 +1005,26 @@ def test_estimate_invariants():
             (lambda: attack_sweep(GPA, 2.0, [5.0], 1000.5, 0), "1000.5")]:
         with pytest.raises(ValueError, match=f"^samples must be an integer, got {samples}$"):
             call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("seed", lambda: run_auction(AuctionConfig(n=2, dist=GPA, reserve=R, collateral=2.0, seed=1.5),
+                                 [Truthful(5.0), Truthful(3.0)], Honest())),
+    ("seed", lambda: estimate_revenue(config_for(GPA, 2, 2.0), Honest(), 1000, 1.5)),
+    ("seed", lambda: estimate_adaptive_gain(GPA, 5.0, 2.0, 1000, 1.5)),
+    ("seed", lambda: estimate_adaptive_gain(Exponential(1.0), 800.0, 1.0, 1000, 1.5)),
+    ("seed", lambda: credibility_suite(GPA, 0.5, 2, [0.5], samples=1000, seed=1.5)),
+    ("seed", lambda: sample_values(GPA, 2, 1.5)),
+    ("n", lambda: sample_values(GPA, 1.5, 0)),
+    ("profiles", lambda: strategyproofness_violations(GPA, 2, 1.5, [1.0], 0)),
+], ids=["AuctionConfig", "estimate_revenue", "estimate_adaptive_gain",
+        "estimate_adaptive_gain_empty_stratum", "credibility_suite", "sample_values_seed",
+        "sample_values_n", "strategyproofness_violations"])
+def test_a_non_integer_seed_or_count_is_refused_by_name(name, call):
+    # each died later, in derive_seed or range, with a TypeError that named no argument,
+    # but the empty stratum (P[v >= 800] is 0.0 under exponential(1)), which returned 0
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 1.5$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

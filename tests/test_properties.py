@@ -13,7 +13,7 @@ adaptive-attack kernel against the unpruned one on every row, and its
 two-stage row test against the one-stage test it replaces."""
 
 import math
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -104,6 +104,17 @@ def test_generated_runs_audit_clean(run):
     _, transcript = run_auction(config, buyers, auctioneer)
     for view in transcript.buyer_views().values():
         assert check_view_consistency(view, config, transcript.scheme)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(runs(), st.floats(min_value=0.0, max_value=300.0))
+def test_generated_runs_conserve_money_exactly_at_any_collateral(run, exponent):
+    # at a collateral of 10**exponent, up to 1e300, a sale price can lie far below a
+    # deposit's last bit, and one exact sum over the flows still reads 0.0
+    config, buyers, auctioneer = run
+    result = audit_run(replace(config, collateral=10.0 ** exponent), buyers, auctioneer)
+    assert result.violations == ()
+    assert conservation_residual(result.outcome) == 0.0
 
 
 def assert_frozen(record) -> None:

@@ -459,6 +459,54 @@ def test_audit_reports_a_nan_sale_price(monkeypatch):
                                  "price nan != max(reserve, runner-up) 3.0")
 
 
+def _with_last_amount(amount):
+    """The outcome with its last ledger entry, buyer 2's refund here, at amount."""
+    return lambda out: replace(
+        out, ledger=out.ledger[:-1] + (replace(out.ledger[-1], amount=amount),))
+
+
+_LEDGER_AMOUNT_FAULT = ("ledger amount differs from the posted collateral",
+                        "money conservation residual nan")
+
+
+@pytest.mark.parametrize("fault, values, strategy, winner, violations", [
+    (_with_last_amount(math.nan), (5.0, 9.0), Honest(), 2, _LEDGER_AMOUNT_FAULT),
+    (_with_last_amount(math.inf), (5.0, 9.0), Honest(), 2, _LEDGER_AMOUNT_FAULT),
+    (lambda out: replace(out, sale_price=math.inf), (5.0, 3.0), Honest(), 1,
+     ("money conservation residual nan", "auctioneer net 3.0 != its inflow inf",
+      "price inf != max(reserve, runner-up) 3.0")),
+    # the false winner pays itself: its inflow holds the price and its negation
+    (lambda out: replace(out, sale_price=math.inf), (2.5, 2.2),
+     ShillBroadcast((40.0,), ALWAYS_REVEAL), 3,
+     ("money conservation residual nan", "auctioneer net 0.0 != its inflow nan",
+      "price inf != max(reserve, runner-up) 2.5")),
+], ids=["nan_ledger_amount", "inf_ledger_amount", "inf_price_real_winner",
+        "inf_price_false_winner"])
+def test_audit_reports_a_non_finite_amount(monkeypatch, fault, values, strategy, winner,
+                                           violations):
+    # a violation of the run, never an exception: -inf + inf in one sum is NaN
+    from drasim import verification
+
+    def faulty(config, buyers, auctioneer):
+        outcome, transcript = run_auction(config, buyers, auctioneer)
+        return fault(outcome), transcript
+
+    monkeypatch.setattr(verification, "run_auction", faulty)
+    result = audit_run(broadcast_config(2.0), [Truthful(v) for v in values], strategy)
+    assert result.outcome.winner == winner
+    assert result.violations == violations
+
+
+def test_audit_reports_an_auctioneer_net_past_the_float_range():
+    # three forfeits of a finite 1e308 to the false winner: the net and the exact sum
+    # of its flows both overflow, which is a violation of the run, not an OverflowError
+    config = AuctionConfig(n=3, dist=GPA, reserve=R, collateral=1e308)
+    result = audit_run(config, [NoReveal(5.0), NoReveal(3.0), NoReveal(4.0)],
+                       ShillBroadcast((40.0,), ALWAYS_REVEAL))
+    assert result.outcome.winner == 4
+    assert result.violations == ("auctioneer net inf != its inflow nan",)
+
+
 def test_audit_reports_an_auctioneer_net_its_flows_do_not_give(monkeypatch):
     # the conservation residual adds each flow once as paid and once as received, so
     # it reads 0.0 whatever the net; the net is checked against the flows themselves
